@@ -1,157 +1,20 @@
 """Positivity of Hankel moment blocks, hyponormal weighted shifts, atomic
 representing measures, and rank-one scalings of a moment tail."""
 
-from .numkit import (
-    EXACT,
-    FLOAT,
-    HankelshiftError,
-    InputError,
-    InsufficientMomentsError,
-    InternalConsistencyError,
-    Interval,
-    PreconditionError,
-    QuadRoots,
-    Scalar,
-    SymMatrix,
-    ToleranceContext,
-    char_poly,
-    det_bareiss,
-    fmt_scalar,
-    hadamard_bound,
-    is_pd,
-    is_psd,
-    psd_with_margin,
-    solve_linear_exact,
-    solve_quadratic,
-    solve_vandermonde,
-)
-from .hankel import (
-    BlockIndex,
-    DetTable,
-    MomentSequence,
-    PositivityVerdict,
-    PropagationReport,
-    block,
-    det_sequence,
-    is_k_positive,
-    log_convexity,
-    propagation_report,
-    zero_moment_collapse,
-)
-from .shifts import (
-    FlatnessReport,
-    HyponormalityVerdict,
-    ShiftPropagationReport,
-    WeightSequence,
-    flatness_check,
-    is_hyponormal,
-    is_k_hyponormal,
-    moments_to_weights,
-    propagation_for_shift,
-    weights_to_moments,
-)
-from .measures import (
-    AtomicMeasure,
-    FiniteMassReport,
-    NotAtomicError,
-    NotStieltjesError,
-    Recursion,
-    detect_recursion,
-    is_finite_mass,
-    measure_represents_weights,
-    moments_of,
-    recover_atoms,
-)
-from .perturbation import (
-    DiscriminantDiagnostic,
-    InteriorReport,
-    IntervalReport,
-    corner_det_lower_bound,
-    corner_det_upper_bound,
-    det_quadratic,
-    discriminant_diagnostic,
-    interiority_report,
-    perturb_moments,
-    perturb_weights,
-    perturbed_block,
-    rank_one_det_expansion_holds,
-    stability_interval,
-    stability_interval_k1,
-    stability_interval_k2,
-    truncated_block,
-)
+from . import hankel, measures, numkit, perturbation, shifts
+from .numkit import *  # noqa: F403
+from .hankel import *  # noqa: F403
+from .shifts import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .perturbation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXACT",
-    "FLOAT",
-    "HankelshiftError",
-    "InputError",
-    "InsufficientMomentsError",
-    "InternalConsistencyError",
-    "Interval",
-    "PreconditionError",
-    "QuadRoots",
-    "Scalar",
-    "SymMatrix",
-    "ToleranceContext",
-    "char_poly",
-    "det_bareiss",
-    "fmt_scalar",
-    "hadamard_bound",
-    "is_pd",
-    "is_psd",
-    "psd_with_margin",
-    "solve_linear_exact",
-    "solve_quadratic",
-    "solve_vandermonde",
-    "BlockIndex",
-    "DetTable",
-    "MomentSequence",
-    "PositivityVerdict",
-    "PropagationReport",
-    "block",
-    "det_sequence",
-    "is_k_positive",
-    "log_convexity",
-    "propagation_report",
-    "zero_moment_collapse",
-    "FlatnessReport",
-    "HyponormalityVerdict",
-    "ShiftPropagationReport",
-    "WeightSequence",
-    "flatness_check",
-    "is_hyponormal",
-    "is_k_hyponormal",
-    "moments_to_weights",
-    "propagation_for_shift",
-    "weights_to_moments",
-    "AtomicMeasure",
-    "FiniteMassReport",
-    "NotAtomicError",
-    "NotStieltjesError",
-    "Recursion",
-    "detect_recursion",
-    "is_finite_mass",
-    "measure_represents_weights",
-    "moments_of",
-    "recover_atoms",
-    "DiscriminantDiagnostic",
-    "InteriorReport",
-    "IntervalReport",
-    "corner_det_lower_bound",
-    "corner_det_upper_bound",
-    "det_quadratic",
-    "discriminant_diagnostic",
-    "interiority_report",
-    "perturb_moments",
-    "perturb_weights",
-    "perturbed_block",
-    "rank_one_det_expansion_holds",
-    "stability_interval",
-    "stability_interval_k1",
-    "stability_interval_k2",
-    "truncated_block",
+    *numkit.__all__,
+    *hankel.__all__,
+    *shifts.__all__,
+    *measures.__all__,
+    *perturbation.__all__,
     "__version__",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -87,6 +88,8 @@ def _parse_entry(raw: Any, where: str) -> tuple[Scalar, bool, bool]:
     if isinstance(raw, int):
         return raw, False, False
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise InputError(f"{where}: {raw!r} is not a finite number")
         return raw, False, True
     if isinstance(raw, str):
         if not RATIONAL_RE.match(raw.strip()):
@@ -185,11 +188,16 @@ def _load_csv(path: str, digest: str, text: str) -> LoadedInput:
         if not token:
             continue
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError as exc:
             raise InputError(
                 f"{path}: line {lineno}, column 1: not a float literal: {token!r}"
             ) from exc
+        if not math.isfinite(value):
+            raise InputError(
+                f"{path}: line {lineno}, column 1: not a finite number: {token!r}"
+            )
+        values.append(value)
     if not values:
         raise InputError(f"{path}: no values found")
     return LoadedInput(

@@ -35,7 +35,6 @@ __all__ = [
     "Interval",
     "QuadRoots",
     "det_bareiss",
-    "char_poly",
     "is_psd",
     "is_pd",
     "psd_with_margin",
@@ -242,51 +241,34 @@ def det_bareiss(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> Scalar:
     return sign * rows[n - 1][n - 1]
 
 
-def char_poly(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[Scalar, ...]:
-    """Coefficients (c_0..c_m) of p(x) = det(x*I + M), c_0 = 1.
+def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
+    """(is PSD, is PD), exactly, by symmetric elimination on the diagonal.
 
-    Exact entries go through Faddeev-LeVerrier, whose only divisions are by
-    the step index and therefore exact over rationals.  Float entries go
-    through the eigenvalue route.
+    Each step takes the next diagonal entry of the Schur complement as the
+    pivot.  A negative pivot means not PSD.  A zero pivot leaves a PSD
+    matrix only when the rest of its row is zero too (a 2x2 principal minor
+    [[0, b], [b, c]] has determinant -b^2); the row is then dropped and the
+    matrix is singular.  All pivots positive means PD.
     """
-    rows = _as_rows(matrix)
-    m = len(rows)
-    if m == 0:
-        return (1,)
-    if _has_float(rows):
-        coeffs = np.poly(-_float_array(rows))
-        return tuple(float(c) for c in coeffs)
-    a = [[-x for x in row] for row in _exact_rows(rows)]
-    coeffs: list[Fraction] = [Fraction(1)]
-    work = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    for step in range(1, m + 1):
-        prod = [
-            [sum(a[i][r] * work[r][j] for r in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        ck = -sum(prod[i][i] for i in range(m)) / step
-        coeffs.append(ck)
-        for i in range(m):
-            prod[i][i] += ck
-        work = prod
-    return tuple(coeffs)
-
-
-def _leading_minors_positive(rows: list[list[Fraction]]) -> bool:
-    # Bareiss pass; after eliminating column k the (k+1, k+1) entry holds the
-    # order-(k+2) leading principal minor.  Stops at the first minor <= 0,
-    # which also keeps every division exact (previous pivots are nonzero).
-    n = len(rows)
-    prev = Fraction(1)
+    a = _exact_rows(_as_rows(matrix))
+    n = len(a)
+    singular = False
+    # Only the upper triangle (j >= i) is kept current; by symmetry it holds
+    # every entry the elimination reads.
     for k in range(n):
-        pivot = rows[k][k]
-        if pivot <= 0:
-            return False
+        pivot = a[k][k]
+        if pivot < 0:
+            return False, False
+        if pivot == 0:
+            if any(a[k][j] != 0 for j in range(k + 1, n)):
+                return False, False
+            singular = True
+            continue
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) / prev
-        prev = pivot
-    return True
+            factor = a[k][i] / pivot
+            for j in range(i, n):
+                a[i][j] -= factor * a[k][j]
+    return True, not singular
 
 
 def _eig_min(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[float, float]:
@@ -299,35 +281,37 @@ def _eig_min(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[float, flo
 def psd_with_margin(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
     """(is PSD, verdict is marginal).
 
-    Float mode flags marginal when the smallest eigenvalue sits inside the
-    tolerance band around zero, i.e. the verdict would flip under a
-    band-sized perturbation.  Exact mode flags exactly singular PSD blocks.
+    Exact mode decides by symmetric pivot elimination over the exact
+    rational (for floats, binary) values of the entries and flags exactly
+    singular PSD blocks.  Float mode flags marginal when the smallest
+    eigenvalue sits inside the tolerance band around zero, i.e. the verdict
+    would flip under a band-sized perturbation.
     """
     if matrix.order == 0:
         return True, False
     if ctx.is_exact:
-        coeffs = char_poly(matrix)
-        holds = all(c >= 0 for c in coeffs)
-        return holds, holds and coeffs[-1] == 0
+        psd, pd = _pivots(matrix)
+        return psd, psd and not pd
     lam_min, scale = _eig_min(matrix)
     floor = ctx.psd_floor * (1.0 + scale)
     return lam_min >= -floor, abs(lam_min) <= floor
 
 
 def is_psd(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> bool:
-    """PSD test: exact mode by the char-poly coefficient signs of det(xI + M)
-    (all >= 0 iff the real symmetric spectrum is >= 0), float mode by the
-    smallest eigenvalue against the scaled floor."""
+    """PSD test: exact mode by symmetric pivot elimination (no negative
+    pivot, and every zero pivot has a zero row), float mode by the smallest
+    eigenvalue against the scaled floor."""
     return psd_with_margin(matrix, ctx)[0]
 
 
 def is_pd(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> bool:
-    """PD test: exact mode by strict positivity of all leading principal
-    minors (Sylvester), float mode by the strict version of the PSD floor."""
+    """PD test: exact mode by strict positivity of every elimination pivot
+    (the same pass as `is_psd`), float mode by the strict version of the PSD
+    floor."""
     if matrix.order == 0:
         return True
     if ctx.is_exact:
-        return _leading_minors_positive(_exact_rows(_as_rows(matrix)))
+        return _pivots(matrix)[1]
     lam_min, scale = _eig_min(matrix)
     return lam_min > ctx.psd_floor * (1.0 + scale)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .hankel import MomentSequence, block, log_convexity, is_k_positive
@@ -363,26 +364,6 @@ def _bisect_block(
     return Interval(lo, hi), (lo_method, hi_method), flags
 
 
-def _window(cap: Scalar) -> Interval:
-    return Interval(0, cap)
-
-
-def _pick_max(candidates: list[tuple[Scalar, str]]) -> tuple[Scalar, str]:
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] > best[0]:
-            best = cand
-    return best
-
-
-def _pick_min(candidates: list[tuple[Scalar, str]]) -> tuple[Scalar, str]:
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] < best[0]:
-            best = cand
-    return best
-
-
 def _quad_roots_or_none(
     coeffs: tuple[Scalar, Scalar, Scalar]
 ) -> Optional[tuple[Scalar, Scalar]]:
@@ -399,7 +380,7 @@ def _assemble_report(
     methods: dict[int, tuple[str, str]],
     flags: list[str],
 ) -> IntervalReport:
-    intersection = _window(float("inf"))
+    intersection = Interval(0, float("inf"))
     for iv in per_block.values():
         intersection = intersection.intersect(iv)
     contains_one = intersection.contains(1)
@@ -472,7 +453,7 @@ def stability_interval_k2(
 
     for n in range(cut + 1):
         if n + 4 <= cut:
-            per_block[n] = _window(cap)
+            per_block[n] = Interval(0, cap)
             methods[n] = ("direct", "direct")
             continue
         if n == l - 3:
@@ -481,12 +462,13 @@ def stability_interval_k2(
             except PreconditionError:
                 fallback(n, "degenerate corner determinant slope")
                 continue
-            lo, lo_m = _pick_max(
+            lo, lo_m = max(
                 [
                     (bound, "closed_form"),
                     (ratio(l - 1, l - 1, l - 3, l + 1), "closed_form"),
                     (ratio(l, l, l - 1, l + 1), "closed_form"),
-                ]
+                ],
+                key=itemgetter(0),
             )
             if lo > cap:
                 fallback(n, "rounding collapsed the corner-bound interval")
@@ -498,11 +480,13 @@ def stability_interval_k2(
             if pair is None:
                 fallback(n, "tangent determinant quadratic")
                 continue
-            lo, lo_m = _pick_max(
-                [(pair[0], "quadratic_root"), (ratio(l, l, l - 2, l + 2), "closed_form")]
+            lo, lo_m = max(
+                [(pair[0], "quadratic_root"), (ratio(l, l, l - 2, l + 2), "closed_form")],
+                key=itemgetter(0),
             )
-            hi, hi_m = _pick_min(
-                [(pair[1], "quadratic_root"), (cap, "closed_form")]
+            hi, hi_m = min(
+                [(pair[1], "quadratic_root"), (cap, "closed_form")],
+                key=itemgetter(0),
             )
             if lo > hi:
                 fallback(n, "rounding collapsed the quadratic interval")
@@ -514,14 +498,16 @@ def stability_interval_k2(
             if pair is None:
                 fallback(n, "tangent determinant quadratic")
                 continue
-            lo, lo_m = _pick_max(
-                [(pair[0], "quadratic_root"), (ratio(l, l, l - 1, l + 1), "closed_form")]
+            lo, lo_m = max(
+                [(pair[0], "quadratic_root"), (ratio(l, l, l - 1, l + 1), "closed_form")],
+                key=itemgetter(0),
             )
-            hi, hi_m = _pick_min(
+            hi, hi_m = min(
                 [
                     (pair[1], "quadratic_root"),
                     (ratio(l - 1, l + 3, l + 1, l + 1), "closed_form"),
-                ]
+                ],
+                key=itemgetter(0),
             )
             if lo > hi:
                 fallback(n, "rounding collapsed the quadratic interval")
@@ -534,12 +520,13 @@ def stability_interval_k2(
             except PreconditionError:
                 fallback(n, "degenerate bordered determinant")
                 continue
-            hi, hi_m = _pick_min(
+            hi, hi_m = min(
                 [
                     (bound, "closed_form"),
                     (ratio(l, l + 4, l + 2, l + 2), "closed_form"),
                     (cap, "closed_form"),
-                ]
+                ],
+                key=itemgetter(0),
             )
             per_block[n] = Interval(0, hi)
             methods[n] = ("closed_form", hi_m)
@@ -581,7 +568,7 @@ def stability_interval(
     flags: list[str] = []
     for n in range(cut + 1):
         if n + 2 * k <= cut:
-            per_block[n] = _window(cap)
+            per_block[n] = Interval(0, cap)
             methods[n] = ("direct", "direct")
             continue
         iv, meth, f = _bisect_block(gamma, n, k, cut, cap, ctx, bisect_eps)

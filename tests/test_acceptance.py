@@ -276,7 +276,7 @@ def _nested(inner: Interval, outer: Interval, tol: float) -> bool:
 
 def test_criterion_6_interval_structure(one_positive_pool, two_positive_pool):
     desc = "1-membership, nesting, closedness; recursive inputs collapse"
-    with criterion(6, None, desc):
+    with criterion(6, 60, desc):
         tol = 1e-9
         instances = [(g, cut) for g in one_positive_pool for cut in (1, 2, 3)]
         instances += list(two_positive_pool)

@@ -106,6 +106,21 @@ class TestParsing:
         assert cli.main(["analyze", path]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_rejected(self, tmp_path, capsys, token):
+        path = write(tmp_path, "bad.csv", f"1.0\n2.0\n5.0\n13.0\n{token}\n")
+        assert cli.main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "not a finite number" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+    def test_json_non_finite_rejected(self, tmp_path, capsys, literal):
+        path = write(
+            tmp_path, "bad.json", f'{{"kind": "moments", "values": [1.0, 2.0, {literal}]}}'
+        )
+        assert cli.main(["analyze", path]) == 2
+        assert "values[2]" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert cli.main(["analyze", "/nonexistent/nope.json"]) == 2
 

@@ -1,14 +1,17 @@
-"""Kernel tests: exact determinants, characteristic polynomials, PSD
-verdicts, solvers, intervals, formatting."""
+"""Kernel tests: exact determinants, PSD verdicts, solvers, intervals,
+formatting."""
 
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelshift import (
     EXACT,
@@ -16,7 +19,6 @@ from hankelshift import (
     Interval,
     SymMatrix,
     ToleranceContext,
-    char_poly,
     det_bareiss,
     fmt_scalar,
     hadamard_bound,
@@ -27,6 +29,59 @@ from hankelshift import (
     solve_quadratic,
     solve_vandermonde,
 )
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _symmetric(draw) -> SymMatrix:
+    n = draw(st.integers(1, 6))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(_RATIONALS)
+    return SymMatrix.from_rows(rows)
+
+
+def _gram_rows(draw) -> list[list[F]]:
+    # A A^T with A of rank < n when r < n: PSD, singular unless r == n.
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    a = [[draw(_RATIONALS) for _ in range(r)] for _ in range(n)]
+    return [[sum((x * y for x, y in zip(a[i], a[j])), F(0)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _gram(draw) -> SymMatrix:
+    return SymMatrix.from_rows(_gram_rows(draw))
+
+
+@st.composite
+def _shifted_gram(draw) -> SymMatrix:
+    # A singular PSD matrix with one diagonal entry moved either way.
+    rows = _gram_rows(draw)
+    i = draw(st.integers(0, len(rows) - 1))
+    rows[i][i] += draw(_RATIONALS)
+    return SymMatrix.from_rows(rows)
+
+
+def _check_against_minors(m: SymMatrix) -> None:
+    """Exact verdicts against minors: PSD iff every principal minor is >= 0,
+    singular iff det = 0, PD iff every leading minor is > 0."""
+    n = m.order
+
+    def minor(idx: tuple[int, ...]) -> F:
+        return det_bareiss([[m.entry(i, j) for j in idx] for i in idx])
+
+    psd = all(
+        minor(idx) >= 0 for size in range(1, n + 1) for idx in combinations(range(n), size)
+    )
+    pd = all(minor(tuple(range(size))) > 0 for size in range(1, n + 1))
+    singular = det_bareiss(m) == 0
+    assert psd_with_margin(m, EXACT) == (psd, psd and singular)
+    assert is_psd(m, EXACT) == psd
+    assert is_pd(m, EXACT) == pd
 
 
 def hilbert(n: int) -> SymMatrix:
@@ -68,33 +123,6 @@ class TestDetBareiss:
         assert det_bareiss(m) == pytest.approx(3.0)
 
 
-class TestCharPoly:
-    def test_psd_example(self):
-        # det(xI + M) for [[2,1],[1,2]] is x^2 + 4x + 3
-        m = SymMatrix.from_rows([[F(2), F(1)], [F(1), F(2)]])
-        assert char_poly(m) == (1, 4, 3)
-
-    def test_indefinite_example(self):
-        m = SymMatrix.from_rows([[F(1), F(2)], [F(2), F(1)]])
-        assert char_poly(m) == (1, 2, -3)
-
-    def test_leading_coefficient_is_one(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            rows = [[F(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i):
-                    rows[i][j] = rows[j][i]
-            coeffs = char_poly(SymMatrix.from_rows(rows))
-            assert coeffs[0] == 1
-            assert len(coeffs) == n + 1
-
-    def test_constant_term_is_det(self):
-        m = hilbert(4)
-        assert char_poly(m)[-1] == det_bareiss(m)
-
-
 class TestPsd:
     def test_exact_psd_pd_marginal(self):
         pd = SymMatrix.from_rows([[F(2), F(1)], [F(1), F(2)]])
@@ -108,6 +136,31 @@ class TestPsd:
         marginal = SymMatrix.from_rows([[F(1), F(1)], [F(1), F(1)]])
         ok, is_marginal = psd_with_margin(marginal, EXACT)
         assert ok and is_marginal
+
+    @pytest.mark.parametrize(
+        "rows, psd, singular",
+        [
+            ([[0, 1], [1, 0]], False, True),
+            ([[1, 1, 0], [1, 1, 0], [0, 0, 2]], True, True),
+            ([[0, 0], [0, 1]], True, True),
+        ],
+    )
+    def test_exact_zero_pivots(self, rows, psd, singular):
+        m = SymMatrix.from_rows([[F(x) for x in row] for row in rows])
+        _check_against_minors(m)
+        assert psd_with_margin(m, EXACT) == (psd, psd and singular)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_symmetric(), _gram(), _shifted_gram()))
+    def test_exact_verdicts_match_principal_minors(self, m):
+        _check_against_minors(m)
+
+    def test_exact_mode_decides_float_entries_by_their_binary_values(self):
+        # 0.1 * 0.9 exceeds 0.3^2 in binary, so the block is PD, not singular.
+        m = SymMatrix.from_rows([[0.1, 0.3], [0.3, 0.9]])
+        assert F(0.1) * F(0.9) - F(0.3) ** 2 > 0
+        assert psd_with_margin(m, EXACT) == (True, False)
+        assert is_pd(m, EXACT)
 
     def test_float_agrees_with_exact_away_from_singularity(self):
         rng = random.Random(99)
