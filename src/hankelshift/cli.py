@@ -238,12 +238,15 @@ def resolve_context(args: argparse.Namespace, loaded: LoadedInput) -> ToleranceC
                     f"HANKELSHIFT_TOL_REL is not a float: {env!r}"
                 ) from exc
     defaults = ToleranceContext(mode="float")
-    return ToleranceContext(
-        mode=mode,
-        zero_eps=args.tol_zero if args.tol_zero is not None else defaults.zero_eps,
-        rel_eps=rel if rel is not None else defaults.rel_eps,
-        psd_floor=defaults.psd_floor,
-    )
+    try:
+        return ToleranceContext(
+            mode=mode,
+            zero_eps=args.tol_zero if args.tol_zero is not None else defaults.zero_eps,
+            rel_eps=rel if rel is not None else defaults.rel_eps,
+            psd_floor=defaults.psd_floor,
+        )
+    except ValueError as exc:
+        raise InputError(f"bad tolerance: {exc}") from exc
 
 
 def _coerce(values: Sequence[Scalar], ctx: ToleranceContext) -> tuple[Scalar, ...]:
@@ -422,6 +425,13 @@ def cmd_recursion(
         }
         try:
             mu = recover_atoms(rec, gamma, ctx)
+            inexact = sum(isinstance(x, float) for x in mu.atoms)
+            if ctx.is_exact and inexact:
+                warnings.append(
+                    f"exact mode: {inexact} irrational atom(s) are the correctly "
+                    "rounded doubles of certified roots, and the densities are "
+                    "solved in float from them; neither is exact"
+                )
             results["measure"] = {
                 "atomic": True,
                 "atoms": [fmt_scalar(x) for x in mu.atoms],

@@ -9,7 +9,8 @@ k-positive (up to the horizon) when every feasible block of order k is PSD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "is_k_positive",
     "log_convexity",
     "zero_moment_collapse",
+    "det_ladder",
     "det_sequence",
     "propagation_report",
 ]
@@ -182,7 +184,7 @@ def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
     for n in range(len(gamma) - 2):
         lhs = gamma[n] * gamma[n + 2]
         rhs = gamma[n + 1] * gamma[n + 1]
-        scale = max(abs(float(lhs)), abs(float(rhs)))
+        scale = 0.0 if ctx.is_exact else max(abs(float(lhs)), abs(float(rhs)))
         if not ctx.nonneg(lhs - rhs, scale):
             return False
     return True
@@ -192,7 +194,7 @@ def zero_moment_collapse(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -
     """Zero-tail sanity rule for 1-positive sequences: if any moment
     vanishes, every moment with index >= 1 must vanish.  Returns True when
     the rule holds on the data (vacuously when no moment vanishes)."""
-    scale = gamma.max_abs()
+    scale = 0.0 if ctx.is_exact else gamma.max_abs()
     if not any(ctx.is_zero(v, scale) for v in gamma.values):
         return True
     return all(ctx.is_zero(gamma[n], scale) for n in range(1, len(gamma)))
@@ -205,10 +207,8 @@ def _direct_det(gamma: MomentSequence, n: int, k: int, ctx: ToleranceContext) ->
     return float(np.linalg.det(mat.to_numpy())) if k > 0 else float(mat.entry(0, 0))
 
 
-def det_sequence(
-    gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
-) -> DetTable:
-    """Determinants of every feasible order-k block.
+def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator[DetTable]:
+    """Determinant tables of orders 0, 1, ..., N//2, yielded one at a time.
 
     Built bottom-up through the two-order condensation identity
 
@@ -217,28 +217,20 @@ def det_sequence(
     with the order-(-1) table identically 1 and the order-0 table equal to
     gamma itself.  Entries whose divisor d_{k-2}(n+2) is zero (exact) or
     inside the tolerance band (float) fall back to a direct determinant.
+    An order is built only when the caller asks for it.
     """
-    if k < 0:
-        raise PreconditionError("determinant table order must be >= 0")
     horizon = gamma.horizon
-    if horizon < 2 * k:
-        raise InsufficientMomentsError(2 * k, horizon)
-    minus_one = [1] * (horizon + 3)
-    zero = list(gamma.values)
-    if k == 0:
-        return DetTable(
-            k=0,
-            horizon=horizon,
-            dets=tuple(zero),
-            methods=tuple("direct" for _ in zero),
-        )
-    prev2: list[Scalar] = minus_one
-    prev1: list[Scalar] = zero
-    table: list[Scalar] = []
-    methods: list[str] = []
-    for order in range(1, k + 1):
-        table = []
-        methods = []
+    prev2: list[Scalar] = [1] * (horizon + 3)
+    prev1: list[Scalar] = list(gamma.values)
+    yield DetTable(
+        k=0,
+        horizon=horizon,
+        dets=tuple(prev1),
+        methods=tuple("direct" for _ in prev1),
+    )
+    for order in range(1, horizon // 2 + 1):
+        table: list[Scalar] = []
+        methods: list[str] = []
         for n in range(horizon - 2 * order + 1):
             divisor = prev2[n + 2]
             if ctx.is_exact:
@@ -257,8 +249,20 @@ def det_sequence(
                 num = prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]
                 table.append(num / divisor)
                 methods.append("condensation")
+        yield DetTable(k=order, horizon=horizon, dets=tuple(table), methods=tuple(methods))
         prev2, prev1 = prev1, table
-    return DetTable(k=k, horizon=horizon, dets=tuple(table), methods=tuple(methods))
+
+
+def det_sequence(
+    gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
+) -> DetTable:
+    """Determinants of every feasible order-k block: the order-k table of
+    `det_ladder`."""
+    if k < 0:
+        raise PreconditionError("determinant table order must be >= 0")
+    if gamma.horizon < 2 * k:
+        raise InsufficientMomentsError(2 * k, gamma.horizon)
+    return next(islice(det_ladder(gamma, ctx), k, None))
 
 
 def det_is_zero(

@@ -5,6 +5,7 @@ and recovery of atoms and densities from a detected recursion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -16,7 +17,7 @@ from .hankel import (
     MomentSequence,
     block,
     det_is_zero,
-    det_sequence,
+    det_ladder,
 )
 from .numkit import (
     EXACT,
@@ -99,7 +100,7 @@ class Recursion:
 
     def holds_on(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
         r = self.order
-        scale = gamma.max_abs()
+        scale = 0.0 if ctx.is_exact else gamma.max_abs()
         for p in range(self.valid_from, len(gamma) - r):
             predicted = sum(self.coeffs[i] * gamma[p + i] for i in range(r))
             if not ctx.is_zero(gamma[p + r] - predicted, scale):
@@ -197,38 +198,19 @@ def is_finite_mass(
     determinant as the witness.
     """
     _stieltjes_screen(gamma, ctx)
-    n = gamma.horizon
-    for k in range(0, n // 2 + 1):
-        table = det_sequence(gamma, k, ctx)
+    for table in det_ladder(gamma, ctx):
         for p in table.anchors():
-            if det_is_zero(gamma, p, k, table.dets[p], ctx):
-                return FiniteMassReport(finite=True, witness=BlockIndex(p, k))
+            if det_is_zero(gamma, p, table.k, table.dets[p], ctx):
+                return FiniteMassReport(finite=True, witness=BlockIndex(p, table.k))
     return FiniteMassReport(finite=False, witness=None)
 
 
 # Polynomials below are coefficient lists in descending degree, exact.
 
 
-def _poly_eval(poly: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in poly:
-        acc = acc * x + c
-    return acc
-
-
 def _poly_deriv(poly: Sequence[Fraction]) -> list[Fraction]:
     d = len(poly) - 1
     return [c * (d - i) for i, c in enumerate(poly[:-1])]
-
-
-def _poly_divmod_linear(poly: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    # poly / (t - root), exact when root is a root.
-    out: list[Fraction] = []
-    acc = Fraction(0)
-    for c in poly[:-1]:
-        acc = acc * root + c
-        out.append(acc)
-    return out
 
 
 def _poly_mod(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -248,98 +230,120 @@ def _poly_mod(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return rem
 
 
-def _has_repeated_root(poly: list[Fraction]) -> bool:
-    # Nontrivial gcd with the derivative signals a repeated root.
-    a, b = poly, _poly_deriv(poly)
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return len(a) - 1 >= 1
-
-
 def _characteristic(rec: Recursion) -> list[Fraction]:
     # h(t) = t^r - a_{r-1} t^{r-1} - ... - a_0
     return [Fraction(1)] + [-Fraction(a) for a in reversed(rec.coeffs)]
 
 
-def _float_roots(poly: Sequence[Fraction]) -> list[complex]:
-    return list(np.roots([float(c) for c in poly]))
+def _primitive(poly: Sequence[Fraction]) -> list[int]:
+    # A positive multiple with coprime integer coefficients: same roots and
+    # the same sign everywhere.
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (den // c.denominator) for c in poly]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
-def _extract_rational_roots(
-    poly: list[Fraction],
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Deflate all rational roots recoverable from float estimates.
+def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
+    # den^deg * poly(num/den), whose sign is that of poly at num/den.
+    acc, power = 0, 1
+    for c in poly:
+        acc = acc * num + c * power
+        power *= den
+    return acc
 
-    Each candidate is verified exactly before deflation, so the returned
-    roots are certain; the leftover factor has no easily representable
-    rational root.
+
+def _sign_changes(values: Sequence[int]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _nonneg_roots(poly: Sequence[Fraction]) -> list[Scalar]:
+    """Every root of poly in ascending order: a Fraction when the root is
+    rational, else the correctly rounded double of the certified root.
+
+    Raises NotAtomicError unless every root is real, simple and nonnegative.
+    With V(x) the sign changes of the Sturm chain at x, a squarefree poly has
+    exactly V(a) - V(b) roots in (a, b].  Roots are isolated by bisection of
+    (0, 2^E] at dyadic points and refined until the interval is narrower
+    than 1/lead: a rational root of the primitive integer poly has the form
+    m/lead, so the one such point inside is the only candidate.
     """
-    roots: list[Fraction] = []
-    remaining = list(poly)
-    progress = True
-    while progress and len(remaining) - 1 >= 1:
-        progress = False
-        for z in _float_roots(remaining):
-            if abs(z.imag) > 1e-6 * (1.0 + abs(z)):
-                continue
-            for den in (1, 100, 10**4, 10**6, 10**9, 10**12):
-                cand = Fraction(z.real).limit_denominator(den)
-                if _poly_eval(remaining, cand) == 0:
-                    roots.append(cand)
-                    remaining = _poly_divmod_linear(remaining, cand)
-                    progress = True
-                    break
-            if progress:
-                break
-    return roots, remaining
+    chain = [list(poly), _poly_deriv(poly)]
+    while chain[-1]:
+        chain.append([-c for c in _poly_mod(chain[-2], chain[-1])])
+    chain.pop()
+    if len(chain[-1]) > 1:
+        raise NotAtomicError(
+            "repeated characteristic root (nontrivial gcd with derivative)"
+        )
+    chain = [_primitive(p) for p in chain]
+    h = chain[0]
+    degree, lead = len(h) - 1, abs(h[0])
+
+    def changes_at(num: int, e: int) -> int:
+        return _sign_changes([_scaled_value(p, num, 1 << e) for p in chain])
+
+    at_minus_inf = _sign_changes([p[0] if len(p) % 2 else -p[0] for p in chain])
+    at_zero = _sign_changes([p[-1] for p in chain])
+    at_plus_inf = _sign_changes([p[0] for p in chain])
+    zero_root = h[-1] == 0
+    if at_minus_inf - at_plus_inf < degree:
+        raise NotAtomicError(
+            f"{degree - at_minus_inf + at_plus_inf} of {degree} characteristic "
+            "roots are not real"
+        )
+    if at_minus_inf - at_zero > zero_root:
+        raise NotAtomicError(
+            f"{at_minus_inf - at_zero - zero_root} of {degree} characteristic "
+            "roots are negative"
+        )
+
+    # 2^top is at least the Cauchy bound 1 + max|h_i| / lead on every root.
+    top = (-(-max(abs(c) for c in h[1:]) // lead)).bit_length()
+    roots: list[Scalar] = [Fraction(0)] if zero_root else []
+    # (a, b, e, V(a/2^e), V(b/2^e)); the left half is popped first, so the
+    # roots come out in ascending order.
+    todo = [(0, 1 << top, 0, at_zero, changes_at(1 << top, 0))]
+    while todo:
+        a, b, e, va, vb = todo.pop()
+        if va - vb == 1:
+            roots.append(_refine_root(h, lead, a, b, e))
+        elif va - vb > 1:
+            vm = changes_at(a + b, e + 1)
+            todo.append((a + b, 2 * b, e + 1, vm, vb))
+            todo.append((2 * a, a + b, e + 1, va, vm))
+    return roots
 
 
-def _certified_enclosures(
-    poly: list[Fraction],
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Disjoint rational intervals with an exact sign change of poly at the
-    endpoints, one per float root estimate; None when certification fails
-    (complex or tightly clustered roots)."""
-    degree = len(poly) - 1
-    estimates = sorted(
-        {round(z.real, 12) for z in _float_roots(poly) if abs(z.imag) < 1e-9}
-    )
-    if len(estimates) != degree:
-        return None
-    enclosures: list[tuple[Fraction, Fraction]] = []
-    for est in estimates:
-        center = Fraction(est).limit_denominator(10**12)
-        width = Fraction(1, 10**9) * max(1, abs(center))
-        found = None
-        for _ in range(60):
-            lo, hi = center - width, center + width
-            if _poly_eval(poly, lo) * _poly_eval(poly, hi) < 0:
-                found = (lo, hi)
-                break
-            width *= 2
-        if found is None:
-            return None
-        enclosures.append(found)
-    for (alo, ahi), (blo, bhi) in zip(enclosures, enclosures[1:]):
-        if not ahi < blo:
-            return None
-    return enclosures
-
-
-def _shrink_enclosure(
-    poly: list[Fraction], lo: Fraction, hi: Fraction, passes: int = 60
-) -> tuple[Fraction, Fraction]:
-    flo = _poly_eval(poly, lo)
-    for _ in range(passes):
-        mid = (lo + hi) / 2
-        fmid = _poly_eval(poly, mid)
-        if fmid == 0:
-            return mid, mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
+def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
+    # The only root of h in (a/2^e, b/2^e], by bisection on the sign of h,
+    # which is nonzero at the upper end unless the root sits there.  Once
+    # the interval is narrower than 1/lead, the one lattice point m/lead in
+    # it is the only possible rational root; past that test the root is
+    # irrational, hence never halfway between two doubles, and both ends
+    # rounding to the same double makes that double the rounded root.
+    value = _scaled_value(h, b, 1 << e)
+    if value == 0:
+        return Fraction(b, 1 << e)
+    sign_b = value > 0
+    lattice_tested = False
+    while True:
+        if not lattice_tested and (b - a) * lead < 1 << e:
+            m = (b * lead) >> e
+            if m << e > a * lead and _scaled_value(h, m, lead) == 0:
+                return Fraction(m, lead)
+            lattice_tested = True
+        if lattice_tested and a / (1 << e) == b / (1 << e):
+            return b / (1 << e)
+        a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
+        value = _scaled_value(h, mid, 1 << e)
+        if value == 0:
+            return Fraction(mid, 1 << e)
+        if (value > 0) == sign_b:
+            b = mid
         else:
-            hi = mid
-    return lo, hi
+            a = mid
 
 
 def recover_atoms(
@@ -350,9 +354,14 @@ def recover_atoms(
 
     All roots must be real, distinct and nonnegative and all densities
     strictly positive, else the input is not a finite positive atomic
-    measure on the half line.  The recovered measure is re-verified against
-    every moment on the horizon before it is returned (exactly when the
-    atoms are rational, within tolerance otherwise).
+    measure on the half line.  Roots are isolated exactly (Sturm sequences
+    over the exact coefficients, binary rationals in float mode): a
+    rational root comes back as an exact Fraction, an irrational one as the
+    correctly rounded double of the certified root, with float densities
+    solved from it (the CLI warns when exact mode returns such atoms).  The
+    recovered measure is re-verified against every moment on the horizon
+    before it is returned (exactly when the atoms are rational in exact
+    mode, within the float band otherwise).
     """
     if rec.valid_from != 0:
         raise PreconditionError("recursion must be valid from index 0")
@@ -361,55 +370,8 @@ def recover_atoms(
     r = rec.order
     if gamma.horizon < r - 1:
         raise PreconditionError("horizon too short to solve for densities")
-    poly = _characteristic(rec)
-
-    rational_roots, remaining = _extract_rational_roots(poly)
-    dup = next(
-        (c for i, c in enumerate(rational_roots) if c in rational_roots[:i]), None
-    )
-    if dup is not None:
-        raise NotAtomicError(f"repeated characteristic root {dup}")
-    for c in rational_roots:
-        if c < 0:
-            raise NotAtomicError(f"negative characteristic root {c}")
-
-    atoms: list[Scalar] = list(rational_roots)
-    exact_atoms = True
-    if len(remaining) - 1 >= 1:
-        if _has_repeated_root(remaining):
-            raise NotAtomicError(
-                "repeated characteristic root (nontrivial gcd with derivative)"
-            )
-        enclosures = _certified_enclosures(remaining)
-        if enclosures is None:
-            raise NotAtomicError(
-                "characteristic roots could not be certified real and "
-                f"distinct; estimates {sorted(_float_roots(remaining), key=lambda z: z.real)}"
-            )
-        for lo, hi in enclosures:
-            lo, hi = _shrink_enclosure(remaining, lo, hi)
-            if hi < 0:
-                raise NotAtomicError(
-                    f"negative characteristic root in ({lo}, {hi})"
-                )
-            if lo < 0:
-                raise NotAtomicError(
-                    f"characteristic root in ({lo}, {hi}) could not be "
-                    "certified nonnegative"
-                )
-            for c in rational_roots:
-                if lo <= c <= hi:
-                    raise InternalConsistencyError(
-                        "enclosure overlaps an already extracted rational root"
-                    )
-            atoms.append(float((lo + hi) / 2))
-        exact_atoms = False
-
-    if len(atoms) != r:
-        raise InternalConsistencyError(
-            f"expected {r} characteristic roots, assembled {len(atoms)}"
-        )
-    atoms.sort(key=float)
+    atoms = _nonneg_roots(_characteristic(rec))
+    exact_atoms = not any(isinstance(x, float) for x in atoms)
 
     vctx = ctx if (ctx.is_exact and exact_atoms) else FLOAT
     densities = solve_vandermonde(atoms, [gamma[i] for i in range(r)], vctx)
@@ -419,13 +381,9 @@ def recover_atoms(
     mu = AtomicMeasure(atoms=tuple(atoms), densities=tuple(densities))
 
     check = moments_of(mu, gamma.horizon)
-    scale = gamma.max_abs()
+    scale = 0.0 if vctx.is_exact else gamma.max_abs()
     for n in range(len(gamma)):
-        diff = check[n] - gamma[n]
-        ok = diff == 0 if (ctx.is_exact and exact_atoms) else FLOAT.is_zero(
-            float(diff), scale
-        )
-        if not ok:
+        if not vctx.is_zero(check[n] - gamma[n], scale):
             raise InternalConsistencyError(
                 f"recovered measure mismatches gamma_{n}: {check[n]} != {gamma[n]}"
             )
@@ -440,9 +398,9 @@ def measure_represents_weights(
     surrogate (support bound)."""
     gamma = weights_to_moments(alpha)
     mg = moments_of(mu, gamma.horizon)
-    scale = gamma.max_abs()
+    scale = 0.0 if ctx.is_exact else gamma.max_abs()
     for n in range(len(gamma)):
         if not ctx.is_zero(mg[n] - gamma[n], scale):
             return False
     sup = alpha.sq_sup
-    return bool(ctx.nonneg(sup - max(mu.atoms), float(sup)))
+    return bool(ctx.nonneg(sup - max(mu.atoms), 0.0 if ctx.is_exact else float(sup)))

@@ -80,7 +80,8 @@ class ToleranceContext:
     A float quantity x is treated as zero iff |x| <= zero_eps + rel_eps*scale,
     where scale is a magnitude representative of the matrix or sequence under
     test.  psd_floor scales the eigenvalue threshold of the PSD/PD tests.
-    All three are ignored in exact mode.
+    All three are ignored in exact mode, but must be finite and positive in
+    every mode.
     """
 
     mode: str = "exact"
@@ -91,9 +92,10 @@ class ToleranceContext:
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "float":
-            if self.zero_eps <= 0 or self.rel_eps <= 0 or self.psd_floor <= 0:
-                raise ValueError("float-mode tolerances must be positive")
+        for name in ("zero_eps", "rel_eps", "psd_floor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def is_exact(self) -> bool:

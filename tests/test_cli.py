@@ -160,6 +160,27 @@ class TestModeAndTolerances:
         monkeypatch.setenv("HANKELSHIFT_TOL_REL", "banana")
         assert cli.main(["analyze", csv_file]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--tol-rel", "nan"], None),
+            (["--tol-rel", "-1"], None),
+            (["--tol-zero", "inf"], None),
+            ([], "nan"),
+        ],
+        ids=["rel-nan", "rel-negative", "zero-inf", "env-nan"],
+    )
+    def test_tolerance_must_be_finite_and_positive(
+        self, csv_file, bergman_file, capsys, monkeypatch, flags, env
+    ):
+        if env is not None:
+            monkeypatch.setenv("HANKELSHIFT_TOL_REL", env)
+        for path in (csv_file, bergman_file):
+            assert cli.main(["analyze", path, "--json", "--no-timestamp", *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "finite and positive" in captured.err
+
 
 class TestSubcommands:
     def test_dets_table(self, twoatom_file, capsys):
@@ -179,6 +200,42 @@ class TestSubcommands:
         assert res["measure"]["atoms"] == ["1", "4"]
         assert res["finite_mass"]["finite"] is True
         assert res["finite_mass"]["witness"]["k"] == 2
+
+    def test_recursion_flags_irrational_atoms(self, tmp_path, twoatom_file, capsys):
+        # t^2 - 4t + 2: atoms 2 -+ sqrt(2), equal densities
+        vals = [F(1), F(2)]
+        while len(vals) < 9:
+            vals.append(4 * vals[-1] - 2 * vals[-2])
+        doc = {"kind": "moments", "values": [f"{v}/1" for v in vals]}
+        path = write(tmp_path, "irr.json", doc)
+        assert cli.main(["recursion", path, "--json", "--no-timestamp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        atoms = [float(x) for x in report["results"]["measure"]["atoms"]]
+        assert atoms == pytest.approx([2 - 2**0.5, 2 + 2**0.5], rel=1e-15)
+        assert len(report["warnings"]) == 1
+        assert "correctly rounded" in report["warnings"][0]
+        assert cli.main(["recursion", twoatom_file, "--json", "--no-timestamp"]) == 0
+        assert not any("rounded" in w for w in json.loads(capsys.readouterr().out)["warnings"])
+
+    @pytest.mark.parametrize(
+        "command", [["analyze", "--k", "1"], ["recursion"]], ids=["analyze", "recursion"]
+    )
+    def test_exact_moments_beyond_float_range(self, tmp_path, capsys, command):
+        # gamma_80 = 3^80 + 10^400 does not fit in a double
+        doc = {
+            "kind": "measure", "atoms": ["3/1", "100000/1"],
+            "densities": ["1/1", "1/1"], "horizon": 80,
+        }
+        path = write(tmp_path, "big.json", doc)
+        assert cli.main([command[0], path, *command[1:], "--json", "--no-timestamp"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        if command[0] == "analyze":
+            assert res["ladder"] == [{"k": 1, "holds": True}]
+            assert res["log_convex"] is True and res["zero_moment_collapse"] is True
+        else:
+            assert res["measure"]["atoms"] == ["3", "100000"]
+            assert res["measure"]["densities"] == ["1", "1"]
+            assert res["finite_mass"]["witness"] == {"n": 0, "k": 2}
 
     def test_recursion_none_on_bergman(self, bergman_file, capsys):
         assert cli.main(["recursion", bergman_file, "--max-order", "5", "--json",

@@ -17,6 +17,7 @@ from hankelshift import (
     PreconditionError,
     block,
     det_bareiss,
+    det_ladder,
     det_sequence,
     is_k_positive,
     log_convexity,
@@ -109,6 +110,15 @@ class TestDetSequence:
                 t = det_sequence(g, k, EXACT)
                 for n in t.anchors():
                     assert t.dets[n] == det_bareiss(block(g, n, k)), (k, n)
+
+    def test_ladder_yields_every_order_in_turn(self):
+        g = measure_moments(random.Random(271), 11, max_atoms=5)
+        tables = list(det_ladder(g, EXACT))
+        assert [t.k for t in tables] == list(range(6))
+        for t in tables:
+            assert t == det_sequence(g, t.k, EXACT)
+            for n in t.anchors():
+                assert t.dets[n] == det_bareiss(block(g, n, t.k)), (t.k, n)
 
     def test_order_zero_table_is_the_sequence(self):
         g = bergman_moments(5)

@@ -8,7 +8,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hankelshift.measures as measures
 from hankelshift import (
     EXACT,
     FLOAT,
@@ -27,6 +30,26 @@ from hankelshift import (
 )
 
 from gen import bergman_moments, random_measure
+
+
+@st.composite
+def close_rational_measures(draw):
+    """1-4 distinct rational atoms, sometimes 0, sometimes a pair as close as
+    1e-12, with positive rational densities."""
+    atom = st.fractions(min_value=0, max_value=20, max_denominator=60)
+    atoms = set(draw(st.lists(atom, min_size=1, max_size=4)))
+    if len(atoms) < 4 and draw(st.booleans()):
+        atoms.add(F(0))
+    if len(atoms) < 4 and draw(st.booleans()):
+        x = draw(st.sampled_from(sorted(atoms)))
+        atoms.add(x + F(1, 10 ** draw(st.integers(1, 12))))
+    dens = st.fractions(min_value=F(1, 20), max_value=20, max_denominator=30)
+    return tuple(sorted(atoms)), tuple(draw(dens) for _ in atoms)
+
+
+def _char_value(rec, x):
+    # h(x) = x^r - a_{r-1} x^{r-1} - ... - a_0
+    return x**rec.order - sum(a * x**i for i, a in enumerate(rec.coeffs))
 
 
 class TestMomentsOf:
@@ -156,6 +179,82 @@ class TestRecoverAtoms:
         with pytest.raises(PreconditionError):
             recover_atoms(Recursion(order=1, coeffs=(F(1, 2),)), g, EXACT)
 
+    @settings(max_examples=150, deadline=None)
+    @given(measure=close_rational_measures())
+    def test_rational_atoms_round_trip_exactly(self, measure):
+        atoms, dens = measure
+        g = moments_of(AtomicMeasure(atoms=atoms, densities=dens), 2 * len(atoms) + 2)
+        rec = detect_recursion(g, len(atoms), EXACT)
+        assert rec is not None and rec.order == len(atoms)
+        back = recover_atoms(rec, g, EXACT)
+        assert back.atoms == atoms and back.densities == dens
+        assert all(isinstance(v, F) for v in back.atoms + back.densities)
+
+    def test_near_coincident_atoms_are_exact(self):
+        atoms = (F(1), 1 + F(1, 10**10), F(3))
+        dens = (F(1), F(2), F(1, 3))
+        g = moments_of(AtomicMeasure(atoms=atoms, densities=dens), 12)
+        back = recover_atoms(detect_recursion(g, 4, EXACT), g, EXACT)
+        assert back.atoms == atoms and back.densities == dens
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b=st.fractions(min_value=1, max_value=40, max_denominator=12),
+        c=st.fractions(min_value=F(1, 12), max_value=40, max_denominator=12),
+        q=st.none() | st.fractions(min_value=0, max_value=30, max_denominator=12),
+    )
+    def test_irrational_atoms_are_correctly_rounded(self, b, c, q):
+        # Roots of t^2 - b t + c (irrational) and optionally a rational q;
+        # gamma_n = (x1^n + x2^n)/2 + q^n, the power sums being rational.
+        disc = b * b - 4 * c
+        assume(disc > 0)
+        assume(any(math.isqrt(v) ** 2 != v for v in (disc.numerator, disc.denominator)))
+        sums = [F(2), b]
+        while len(sums) < 10:
+            sums.append(b * sums[-1] - c * sums[-2])
+        if q is None:
+            g, order = MomentSequence.of(s / 2 for s in sums), 2
+        else:
+            g, order = MomentSequence.of(s / 2 + q**n for n, s in enumerate(sums)), 3
+        rec = detect_recursion(g, order, EXACT)
+        assert rec is not None and rec.order == order
+        mu = recover_atoms(rec, g, EXACT)
+        if q is not None:
+            assert q in mu.atoms and type(mu.atoms[mu.atoms.index(q)]) is F
+        assert list(mu.atoms) == sorted(mu.atoms, key=float)
+        for x in mu.atoms:
+            if isinstance(x, F):
+                continue
+            # x is the double nearest the root: h changes sign between the
+            # midpoints to the neighbouring doubles.
+            below = (F(x) + F(math.nextafter(x, -math.inf))) / 2
+            above = (F(x) + F(math.nextafter(x, math.inf))) / 2
+            assert _char_value(rec, below) * _char_value(rec, above) < 0
+
+    @pytest.mark.parametrize(
+        "coeffs, initial",
+        [
+            # (t - 3)(t^2 - 2t + 2): roots 3, 1 +- i
+            ((F(6), F(-8), F(5)), (F(12), F(32), F(90))),
+            # (t + 1)(t - 2): densities 1, 2
+            ((F(2), F(1)), (F(3), F(3))),
+            # t (t + 1)(t - 2): a zero root beside a negative one
+            ((F(0), F(2), F(1)), (F(4), F(3), F(9))),
+            # t^2: a repeated zero root
+            ((F(0), F(0)), (F(1), F(1))),
+            # (t - 1)^2 (t - 2): gamma_n = n + 1 + 2^n
+            ((F(2), F(-5), F(4)), (F(2), F(4), F(7))),
+        ],
+        ids=["complex", "negative", "zero-and-negative", "repeated-zero", "repeated"],
+    )
+    def test_not_atomic_roots_rejected(self, coeffs, initial):
+        vals = list(initial)
+        while len(vals) < 2 * len(coeffs) + 3:
+            vals.append(sum(a * v for a, v in zip(coeffs, vals[-len(coeffs):])))
+        rec = Recursion(order=len(coeffs), coeffs=coeffs)
+        with pytest.raises(NotAtomicError):
+            recover_atoms(rec, MomentSequence.of(vals), EXACT)
+
 
 class TestFiniteMass:
     def test_witness_order_equals_atom_count(self):
@@ -179,6 +278,20 @@ class TestFiniteMass:
         with pytest.raises(NotStieltjesError):
             is_finite_mass(bad, EXACT)
         del g
+
+    def test_stops_at_witness_order(self, monkeypatch):
+        built = []
+        ladder = measures.det_ladder
+
+        def recording(gamma, ctx):
+            for table in ladder(gamma, ctx):
+                built.append(table.k)
+                yield table
+
+        monkeypatch.setattr(measures, "det_ladder", recording)
+        mu = AtomicMeasure(atoms=(F(1), F(2), F(3), F(5)), densities=(F(1),) * 4)
+        rep = is_finite_mass(moments_of(mu, 16), EXACT)
+        assert rep.witness.k == 4 and built == [0, 1, 2, 3, 4]
 
     def test_zero_moments_witness_at_order_zero(self):
         g = MomentSequence.of([F(1), F(0), F(0), F(0)])

@@ -298,6 +298,13 @@ class TestIntervalAndMisc:
         assert not ctx.is_zero(1e-3)
         assert EXACT.is_zero(0) and not EXACT.is_zero(F(1, 10**30))
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("field", ["zero_eps", "rel_eps", "psd_floor"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, mode, field, value):
+        with pytest.raises(ValueError):
+            ToleranceContext(mode=mode, **{field: value})
+
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             SymMatrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
