@@ -393,15 +393,14 @@ def cmd_dets(
     ctx: ToleranceContext,
     warnings: list[str],
 ) -> dict:
-    table = det_sequence(gamma, args.k, ctx)
-    results: dict[str, Any] = {"table": _det_table_json(table)}
+    # The order-(k+1) propagation report carries the order-k table.
     try:
-        results["propagation"] = _propagation_json(
-            propagation_report(gamma, args.k + 1, ctx)
-        )
+        rep = propagation_report(gamma, args.k + 1, ctx)
     except (PreconditionError, InsufficientMomentsError) as exc:
+        table = det_sequence(gamma, args.k, ctx)
         warnings.append(f"propagation check skipped: {exc}")
-    return results
+        return {"table": _det_table_json(table)}
+    return {"table": _det_table_json(rep.table), "propagation": _propagation_json(rep)}
 
 
 def cmd_recursion(
@@ -469,6 +468,15 @@ def cmd_perturb(
         closed = stability_interval_k2(gamma, args.l, ctx, args.bisect_eps)
         ref_iv = closed.intersection
         results["closed_form"] = _interval_report_json(closed)
+        inexact = sum(
+            isinstance(x, float) for iv in closed.per_block.values() for x in (iv.lo, iv.hi)
+        )
+        if ctx.is_exact and inexact:
+            warnings.append(
+                f"exact mode: {inexact} closed-form endpoint(s) are the correctly "
+                "rounded doubles of certified irrational roots of the determinant "
+                "quadratics, not exact values"
+            )
     elif args.closed_form:
         raise PreconditionError(
             f"no closed form at order k={args.k}; rerun without --closed-form"
@@ -658,7 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tol-zero", type=float, default=None)
     parser.add_argument("--tol-rel", type=float, default=None)
-    parser.add_argument("--bisect-eps", type=float, default=BISECT_EPS)
+    parser.add_argument(
+        "--bisect-eps",
+        type=float,
+        default=BISECT_EPS,
+        help="bisection endpoint resolution, 0 < E < 1",
+    )
     parser.add_argument(
         "--closed-form",
         action="store_true",
@@ -670,6 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> tuple[dict, bool]:
+    if not 0 < args.bisect_eps < 1:
+        raise InputError(f"--bisect-eps must satisfy 0 < E < 1, got {args.bisect_eps!r}")
     loaded = load_sequence_file(args.file)
     ctx = resolve_context(args, loaded)
     warnings: list[str] = []

@@ -80,7 +80,12 @@ class MomentSequence:
         return all(v > 0 for v in self.values)
 
     def max_abs(self) -> float:
-        return max(abs(float(v)) for v in self.values)
+        try:
+            return max(abs(float(v)) for v in self.values)
+        except OverflowError:
+            raise PreconditionError(
+                "a moment lies beyond the double range, so no float scale exists"
+            ) from None
 
 
 class BlockIndex(NamedTuple):

@@ -5,10 +5,9 @@ and recovery of atoms and densities from a detected recursion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .numkit import (
     Scalar,
     ToleranceContext,
     is_psd,
+    real_roots,
     solve_linear_exact,
     solve_vandermonde,
 )
@@ -205,145 +205,25 @@ def is_finite_mass(
     return FiniteMassReport(finite=False, witness=None)
 
 
-# Polynomials below are coefficient lists in descending degree, exact.
-
-
-def _poly_deriv(poly: Sequence[Fraction]) -> list[Fraction]:
-    d = len(poly) - 1
-    return [c * (d - i) for i, c in enumerate(poly[:-1])]
-
-
-def _poly_mod(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # Leading-aligned long division remainder; b must have a nonzero lead.
-    rem = list(a)
-    db = len(b) - 1
-    while len(rem) - 1 >= db:
-        if rem[0] == 0:
-            rem.pop(0)
-            continue
-        factor = rem[0] / b[0]
-        for i in range(len(b)):
-            rem[i] -= factor * b[i]
-        rem.pop(0)
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return rem
-
-
-def _characteristic(rec: Recursion) -> list[Fraction]:
-    # h(t) = t^r - a_{r-1} t^{r-1} - ... - a_0
-    return [Fraction(1)] + [-Fraction(a) for a in reversed(rec.coeffs)]
-
-
-def _primitive(poly: Sequence[Fraction]) -> list[int]:
-    # A positive multiple with coprime integer coefficients: same roots and
-    # the same sign everywhere.
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = [c.numerator * (den // c.denominator) for c in poly]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
-    # den^deg * poly(num/den), whose sign is that of poly at num/den.
-    acc, power = 0, 1
-    for c in poly:
-        acc = acc * num + c * power
-        power *= den
-    return acc
-
-
-def _sign_changes(values: Sequence[int]) -> int:
-    signs = [v > 0 for v in values if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _nonneg_roots(poly: Sequence[Fraction]) -> list[Scalar]:
-    """Every root of poly in ascending order: a Fraction when the root is
-    rational, else the correctly rounded double of the certified root.
-
-    Raises NotAtomicError unless every root is real, simple and nonnegative.
-    With V(x) the sign changes of the Sturm chain at x, a squarefree poly has
-    exactly V(a) - V(b) roots in (a, b].  Roots are isolated by bisection of
-    (0, 2^E] at dyadic points and refined until the interval is narrower
-    than 1/lead: a rational root of the primitive integer poly has the form
-    m/lead, so the one such point inside is the only candidate.
-    """
-    chain = [list(poly), _poly_deriv(poly)]
-    while chain[-1]:
-        chain.append([-c for c in _poly_mod(chain[-2], chain[-1])])
-    chain.pop()
-    if len(chain[-1]) > 1:
+def _nonneg_roots(rec: Recursion) -> list[Scalar]:
+    # The roots of h(t) = t^r - a_{r-1} t^{r-1} - ... - a_0, ascending; a
+    # NotAtomicError unless all are real, simple and nonnegative.
+    degree = rec.order
+    roots = real_roots([1] + [-a for a in reversed(rec.coeffs)])
+    if roots is None:
         raise NotAtomicError(
             "repeated characteristic root (nontrivial gcd with derivative)"
         )
-    chain = [_primitive(p) for p in chain]
-    h = chain[0]
-    degree, lead = len(h) - 1, abs(h[0])
-
-    def changes_at(num: int, e: int) -> int:
-        return _sign_changes([_scaled_value(p, num, 1 << e) for p in chain])
-
-    at_minus_inf = _sign_changes([p[0] if len(p) % 2 else -p[0] for p in chain])
-    at_zero = _sign_changes([p[-1] for p in chain])
-    at_plus_inf = _sign_changes([p[0] for p in chain])
-    zero_root = h[-1] == 0
-    if at_minus_inf - at_plus_inf < degree:
+    if len(roots) < degree:
         raise NotAtomicError(
-            f"{degree - at_minus_inf + at_plus_inf} of {degree} characteristic "
-            "roots are not real"
+            f"{degree - len(roots)} of {degree} characteristic roots are not real"
         )
-    if at_minus_inf - at_zero > zero_root:
+    negative = sum(x < 0 for x in roots)
+    if negative:
         raise NotAtomicError(
-            f"{at_minus_inf - at_zero - zero_root} of {degree} characteristic "
-            "roots are negative"
+            f"{negative} of {degree} characteristic roots are negative"
         )
-
-    # 2^top is at least the Cauchy bound 1 + max|h_i| / lead on every root.
-    top = (-(-max(abs(c) for c in h[1:]) // lead)).bit_length()
-    roots: list[Scalar] = [Fraction(0)] if zero_root else []
-    # (a, b, e, V(a/2^e), V(b/2^e)); the left half is popped first, so the
-    # roots come out in ascending order.
-    todo = [(0, 1 << top, 0, at_zero, changes_at(1 << top, 0))]
-    while todo:
-        a, b, e, va, vb = todo.pop()
-        if va - vb == 1:
-            roots.append(_refine_root(h, lead, a, b, e))
-        elif va - vb > 1:
-            vm = changes_at(a + b, e + 1)
-            todo.append((a + b, 2 * b, e + 1, vm, vb))
-            todo.append((2 * a, a + b, e + 1, va, vm))
     return roots
-
-
-def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
-    # The only root of h in (a/2^e, b/2^e], by bisection on the sign of h,
-    # which is nonzero at the upper end unless the root sits there.  Once
-    # the interval is narrower than 1/lead, the one lattice point m/lead in
-    # it is the only possible rational root; past that test the root is
-    # irrational, hence never halfway between two doubles, and both ends
-    # rounding to the same double makes that double the rounded root.
-    value = _scaled_value(h, b, 1 << e)
-    if value == 0:
-        return Fraction(b, 1 << e)
-    sign_b = value > 0
-    lattice_tested = False
-    while True:
-        if not lattice_tested and (b - a) * lead < 1 << e:
-            m = (b * lead) >> e
-            if m << e > a * lead and _scaled_value(h, m, lead) == 0:
-                return Fraction(m, lead)
-            lattice_tested = True
-        if lattice_tested and a / (1 << e) == b / (1 << e):
-            return b / (1 << e)
-        a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
-        value = _scaled_value(h, mid, 1 << e)
-        if value == 0:
-            return Fraction(mid, 1 << e)
-        if (value > 0) == sign_b:
-            b = mid
-        else:
-            a = mid
 
 
 def recover_atoms(
@@ -370,7 +250,7 @@ def recover_atoms(
     r = rec.order
     if gamma.horizon < r - 1:
         raise PreconditionError("horizon too short to solve for densities")
-    atoms = _nonneg_roots(_characteristic(rec))
+    atoms = _nonneg_roots(rec)
     exact_atoms = not any(isinstance(x, float) for x in atoms)
 
     vctx = ctx if (ctx.is_exact and exact_atoms) else FLOAT

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +33,11 @@ __all__ = [
     "FLOAT",
     "SymMatrix",
     "Interval",
-    "QuadRoots",
     "det_bareiss",
     "is_psd",
     "is_pd",
     "psd_with_margin",
-    "solve_quadratic",
+    "real_roots",
     "solve_vandermonde",
     "solve_linear_exact",
     "hadamard_bound",
@@ -318,58 +317,145 @@ def is_pd(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> bool:
     return lam_min > ctx.psd_floor * (1.0 + scale)
 
 
-class QuadRoots(NamedTuple):
-    roots: tuple[Scalar, ...]
-    discriminant: Scalar
-    exact: bool
+# Polynomials below are coefficient lists in descending degree.
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _poly_deriv(poly: Sequence[Fraction]) -> list[Fraction]:
+    d = len(poly) - 1
+    return [c * (d - i) for i, c in enumerate(poly[:-1])]
 
 
-def solve_quadratic(a: Scalar, b: Scalar, c: Scalar) -> QuadRoots:
-    """Real roots of a*t^2 + b*t + c in ascending order.
+def _poly_mod(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    # Leading-aligned long division remainder; b must have a nonzero lead.
+    rem = list(a)
+    db = len(b) - 1
+    while len(rem) - 1 >= db:
+        if rem[0] == 0:
+            rem.pop(0)
+            continue
+        factor = rem[0] / b[0]
+        for i in range(len(b)):
+            rem[i] -= factor * b[i]
+        rem.pop(0)
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return rem
 
-    With rational input the roots are exact when the discriminant is a
-    rational square; otherwise float enclosures are returned together with
-    the exact discriminant (whose sign is therefore certified).
+
+def _primitive(poly: Sequence[Fraction]) -> list[int]:
+    # A positive multiple with coprime integer coefficients: same roots and
+    # the same sign everywhere.
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (den // c.denominator) for c in poly]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
+    # den^deg * poly(num/den), whose sign is that of poly at num/den.
+    acc, power = 0, 1
+    for c in poly:
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _sign_changes(values: Sequence[int]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
+    """Every distinct real root of poly (coefficients in descending degree;
+    floats are taken at their exact binary values) in ascending order: a
+    Fraction when the root is rational, else the correctly rounded double
+    of the certified root.  None when poly has a repeated root.
+
+    With V(x) the sign changes of the Sturm chain at x, a squarefree poly has
+    exactly V(a) - V(b) roots in (a, b].  Roots are isolated by bisection of
+    (-2^E, 2^E], 2^E above every root, at dyadic points, and refined until
+    the interval is narrower than 1/lead: a rational root of the primitive
+    integer poly has the form m/lead, so the one such point inside is the
+    only candidate.  Raises PreconditionError for a nonfinite or all-zero
+    coefficient list, and for an irrational root no double can hold.
     """
-    if a == 0:
-        raise PreconditionError("quadratic solver requires a nonzero leading coefficient")
-    if isinstance(a, float) or isinstance(b, float) or isinstance(c, float):
-        af, bf, cf = float(a), float(b), float(c)
-        disc = bf * bf - 4.0 * af * cf
-        if disc < 0:
-            return QuadRoots((), disc, False)
-        if disc == 0:
-            return QuadRoots((-bf / (2.0 * af),), disc, False)
-        q = -(bf + math.copysign(math.sqrt(disc), bf)) / 2.0
-        r1, r2 = q / af, cf / q
-        return QuadRoots(tuple(sorted((r1, r2))), disc, False)
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return QuadRoots((), disc, True)
-    root = _fraction_sqrt(disc)
-    if root is not None:
-        r1 = (-b - root) / (2 * a)
-        r2 = (-b + root) / (2 * a)
-        lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
-        if lo == hi:
-            return QuadRoots((lo,), disc, True)
-        return QuadRoots((lo, hi), disc, True)
-    sf = math.sqrt(float(disc))
-    af, bf = float(a), float(b)
-    r1 = (-bf - sf) / (2.0 * af)
-    r2 = (-bf + sf) / (2.0 * af)
-    return QuadRoots(tuple(sorted((r1, r2))), disc, False)
+    if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
+        raise PreconditionError("polynomial coefficients must be finite")
+    poly = [Fraction(c) for c in poly]
+    while poly and poly[0] == 0:
+        poly.pop(0)
+    if not poly:
+        raise PreconditionError("the zero polynomial has no isolated roots")
+    if len(poly) == 1:
+        return []
+    chain = [poly, _poly_deriv(poly)]
+    while chain[-1]:
+        chain.append([-c for c in _poly_mod(chain[-2], chain[-1])])
+    chain.pop()
+    if len(chain[-1]) > 1:
+        # The last member is gcd(poly, poly').
+        return None
+    chain = [_primitive(p) for p in chain]
+    h = chain[0]
+    lead = abs(h[0])
+
+    def changes_at(num: int, e: int) -> int:
+        return _sign_changes([_scaled_value(p, num, 1 << e) for p in chain])
+
+    # top = 2^E is at least the Cauchy bound 1 + max|h_i| / lead, which
+    # every |root| lies strictly below.
+    top = 1 << (-(-max(abs(c) for c in h[1:]) // lead)).bit_length()
+    roots: list[Scalar] = []
+    # (a, b, e, V(a/2^e), V(b/2^e)); the left half is popped first, so the
+    # roots come out in ascending order.
+    todo = [(-top, top, 0, changes_at(-top, 0), changes_at(top, 0))]
+    while todo:
+        a, b, e, va, vb = todo.pop()
+        if va - vb == 1:
+            roots.append(_refine_root(h, lead, a, b, e))
+        elif va - vb > 1:
+            vm = changes_at(a + b, e + 1)
+            todo.append((a + b, 2 * b, e + 1, vm, vb))
+            todo.append((2 * a, a + b, e + 1, va, vm))
+    return roots
+
+
+def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
+    # The only root of h in (a/2^e, b/2^e], by bisection on the sign of h,
+    # which is nonzero at the upper end unless the root sits there.  Once
+    # the interval is narrower than 1/lead, the one lattice point m/lead in
+    # it is the only possible rational root; past that test the root is
+    # irrational, hence never halfway between two doubles, and both ends
+    # rounding to the same double makes that double the rounded root.
+    value = _scaled_value(h, b, 1 << e)
+    if value == 0:
+        return Fraction(b, 1 << e)
+    sign_b = value > 0
+    lattice_tested = False
+    while True:
+        if not lattice_tested and (b - a) * lead < 1 << e:
+            m = (b * lead) >> e
+            if m << e > a * lead and _scaled_value(h, m, lead) == 0:
+                return Fraction(m, lead)
+            lattice_tested = True
+        if lattice_tested:
+            try:
+                rounded = b / (1 << e)
+                if a / (1 << e) == rounded:
+                    return rounded
+            except OverflowError:
+                raise PreconditionError(
+                    "an irrational root lies beyond the double range; no double "
+                    "can hold it"
+                ) from None
+        a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
+        value = _scaled_value(h, mid, 1 << e)
+        if value == 0:
+            return Fraction(mid, 1 << e)
+        if (value > 0) == sign_b:
+            b = mid
+        else:
+            a = mid
 
 
 def solve_linear_exact(
@@ -429,10 +515,15 @@ def solve_vandermonde(
         if sol is None:
             raise InternalConsistencyError("distinct-node Vandermonde system unsolvable")
         return sol
-    arr = np.array(
-        [[float(x) ** i for x in nodes] for i in range(m)], dtype=float
-    )
-    sol = np.linalg.solve(arr, np.array([float(v) for v in rhs], dtype=float))
+    try:
+        arr = np.array([[float(x) ** i for x in nodes] for i in range(m)], dtype=float)
+        vec = np.array([float(v) for v in rhs], dtype=float)
+    except OverflowError:
+        raise PreconditionError(
+            "the float Vandermonde solve needs every node, node power and "
+            "right-hand side as a double, and one lies beyond the double range"
+        ) from None
+    sol = np.linalg.solve(arr, vec)
     return tuple(float(v) for v in sol)
 
 

@@ -31,7 +31,7 @@ from .numkit import (
     hadamard_bound,
     is_pd,
     is_psd,
-    solve_quadratic,
+    real_roots,
 )
 from .shifts import WeightSequence
 
@@ -181,6 +181,13 @@ def perturbed_block(
 def _require_strictly_positive(gamma: MomentSequence) -> None:
     if not gamma.strictly_positive:
         raise PreconditionError("all moments must be strictly positive")
+
+
+def _require_bisect_eps(eps: float) -> None:
+    # Outside (0, 1) bisection stops at once (nan, inf, >= 1), halves until
+    # the float width underflows (0) or never stops (negative).
+    if not 0 < eps < 1:
+        raise PreconditionError(f"bisect_eps must satisfy 0 < eps < 1, got {eps!r}")
 
 
 def stability_interval_k1(
@@ -364,15 +371,6 @@ def _bisect_block(
     return Interval(lo, hi), (lo_method, hi_method), flags
 
 
-def _quad_roots_or_none(
-    coeffs: tuple[Scalar, Scalar, Scalar]
-) -> Optional[tuple[Scalar, Scalar]]:
-    roots = solve_quadratic(*coeffs)
-    if len(roots.roots) != 2:
-        return None
-    return roots.roots[0], roots.roots[1]
-
-
 def _assemble_report(
     k: int,
     cut: int,
@@ -419,11 +417,13 @@ def stability_interval_k2(
 
     Anchors cut-3 and cut contribute one linear determinant bound each plus
     principal-minor ratio bounds; anchors cut-2 and cut-1 contribute the
-    root intervals of their determinant quadratics plus ratio bounds;
+    root intervals of their determinant quadratics (each root exact when
+    rational, else the correctly rounded double) plus ratio bounds;
     anchors at distance >= 4 below the cut are t-free.  Degenerate cases
     (vanishing slope or denominator, tangent quadratics, rounding-collapsed
     intervals) fall back to bisection for that anchor and are flagged.
     """
+    _require_bisect_eps(bisect_eps)
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
     if cut + 4 > gamma.horizon:
@@ -475,38 +475,20 @@ def stability_interval_k2(
                 continue
             per_block[n] = Interval(lo, cap)
             methods[n] = (lo_m, "direct")
-        elif n == l - 2:
-            pair = _quad_roots_or_none(det_quadratic(gamma, cut, n))
-            if pair is None:
+        elif n in (l - 2, l - 1):
+            roots = real_roots(det_quadratic(gamma, cut, n))
+            if roots is None or len(roots) != 2:
                 fallback(n, "tangent determinant quadratic")
                 continue
+            if _floaty(gamma):
+                roots = [float(r) for r in roots]
+            hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
             lo, lo_m = max(
-                [(pair[0], "quadratic_root"), (ratio(l, l, l - 2, l + 2), "closed_form")],
+                [(roots[0], "quadratic_root"), (ratio(l, l, n, 2 * l - n), "closed_form")],
                 key=itemgetter(0),
             )
             hi, hi_m = min(
-                [(pair[1], "quadratic_root"), (cap, "closed_form")],
-                key=itemgetter(0),
-            )
-            if lo > hi:
-                fallback(n, "rounding collapsed the quadratic interval")
-                continue
-            per_block[n] = Interval(lo, hi)
-            methods[n] = (lo_m, hi_m)
-        elif n == l - 1:
-            pair = _quad_roots_or_none(det_quadratic(gamma, cut, n))
-            if pair is None:
-                fallback(n, "tangent determinant quadratic")
-                continue
-            lo, lo_m = max(
-                [(pair[0], "quadratic_root"), (ratio(l, l, l - 1, l + 1), "closed_form")],
-                key=itemgetter(0),
-            )
-            hi, hi_m = min(
-                [
-                    (pair[1], "quadratic_root"),
-                    (ratio(l - 1, l + 3, l + 1, l + 1), "closed_form"),
-                ],
+                [(roots[1], "quadratic_root"), (hi_bound, "closed_form")],
                 key=itemgetter(0),
             )
             if lo > hi:
@@ -549,6 +531,7 @@ def stability_interval(
     right-endpoint search is capped at the order-1 bound, which contains
     every higher-order interval.
     """
+    _require_bisect_eps(bisect_eps)
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
     if k < 1:

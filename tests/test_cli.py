@@ -181,6 +181,22 @@ class TestModeAndTolerances:
             assert captured.out == ""
             assert "finite and positive" in captured.err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "1"])
+    @pytest.mark.parametrize("command", ["perturb", "analyze"])
+    def test_bisect_eps_must_lie_in_unit_interval(
+        self, bergman_file, capsys, monkeypatch, eps, command
+    ):
+        def no_work(*a, **kw):
+            raise AssertionError("the input was read before --bisect-eps was checked")
+
+        monkeypatch.setattr(cli, "load_sequence_file", no_work)
+        argv = [command, bergman_file, "--l", "3", "--k", "2", "--bisect-eps", eps, "--json"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--bisect-eps must satisfy 0 < E < 1" in captured.err
+
 
 class TestSubcommands:
     def test_dets_table(self, twoatom_file, capsys):
@@ -237,6 +253,34 @@ class TestSubcommands:
             assert res["measure"]["densities"] == ["1", "1"]
             assert res["finite_mass"]["witness"] == {"n": 0, "k": 2}
 
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            # densities 10^400: the float Vandermonde solve cannot hold them
+            (lambda n: 10**400, "Vandermonde"),
+            # atoms (2 -+ sqrt(2)) 2^1100: no double holds the atoms
+            (lambda n: 2 ** (1100 * n), "beyond the double range"),
+            # densities 10^305: gamma_7 and up leave the double range, and the
+            # float re-check of the irrational atoms needs them
+            (lambda n: 10**305, "moment lies beyond the double range"),
+        ],
+        ids=["densities", "atoms", "moments"],
+    )
+    def test_irrational_atoms_beyond_double_range_exit_3(
+        self, tmp_path, capsys, factor, message
+    ):
+        # t^2 - 4t + 2 moments with atoms 2 -+ sqrt(2), scaled
+        vals = [2, 4]
+        while len(vals) < 9:
+            vals.append(4 * vals[-1] - 2 * vals[-2])
+        doc = {"kind": "moments", "values": [f"{v * factor(n)}/1" for n, v in enumerate(vals)]}
+        path = write(tmp_path, "big.json", doc)
+        assert cli.main(["recursion", path, "--json", "--no-timestamp"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:")
+        assert message in captured.err
+
     def test_recursion_none_on_bergman(self, bergman_file, capsys):
         assert cli.main(["recursion", bergman_file, "--max-order", "5", "--json",
                          "--no-timestamp"]) == 0
@@ -277,6 +321,42 @@ class TestSubcommands:
         assert float(res["cross_check_max_deviation"]) < 1e-9
         assert res["interiority"]["interior"] is True
         assert res["interiority"]["agreement"] is True
+
+    def test_perturb_flags_rounded_closed_form_endpoints(self, bergman_file, capsys):
+        argv = ["perturb", bergman_file, "--l", "3", "--k", "2", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["closed_form"]["intersection"]["lo"] == "0.9972252350708143"
+        assert report["warnings"] == [
+            "exact mode: 4 closed-form endpoint(s) are the correctly rounded doubles "
+            "of certified irrational roots of the determinant quadratics, not exact values"
+        ]
+        # float mode says nothing, and neither does an all-rational closed form
+        assert cli.main([*argv, "--float"]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == []
+        assert cli.main(["perturb", bergman_file, "--l", "1", "--k", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == []
+
+    def test_dets_takes_table_from_propagation_report(self, twoatom_file, capsys, monkeypatch):
+        argv = ["dets", twoatom_file, "--k", "2", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def no_second_ladder(*a, **kw):
+            raise AssertionError("det_sequence called although propagation succeeded")
+
+        monkeypatch.setattr(cli, "det_sequence", no_second_ladder)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_dets_without_propagation_keeps_table(self, twoatom_file, capsys):
+        # horizon 12: order 6 fits, the order-7 propagation check does not
+        assert cli.main(["dets", twoatom_file, "--k", "6", "--json", "--no-timestamp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["table"]["k"] == 6
+        assert "propagation" not in report["results"]
+        assert any("propagation check skipped" in w for w in report["warnings"])
+        assert cli.main(["dets", twoatom_file, "--k", "7"]) == 3
 
     def test_perturb_closed_form_only(self, bergman_file, capsys):
         assert cli.main(

@@ -1,0 +1,54 @@
+"""The public surface: every exported name resolves, and the README's
+"Library" example runs with the results its comments state."""
+
+from __future__ import annotations
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import hankelshift
+from hankelshift import cli, hankel, measures, numkit, perturbation, shifts
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize(
+    "module", [hankelshift, numkit, hankel, shifts, measures, perturbation, cli],
+    ids=lambda m: m.__name__,
+)
+def test_every_exported_name_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def _library_block() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _expected(comment: str):
+    # The comments write rationals as p/q; read them as Fractions.
+    source = re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", comment)
+    return eval(source, {"Fraction": Fraction, **vars(hankelshift)})
+
+
+def test_readme_library_example_runs_and_its_results_hold():
+    block = _library_block()
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        _, _, comment = lines[stmt.end_lineno - 1].partition("#")
+        if isinstance(stmt, ast.Expr) and comment:
+            assert eval(source, namespace) == _expected(comment.strip()), source
+            checked += 1
+        else:
+            exec(source, namespace)
+    assert checked >= 3

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hankelshift import (
     EXACT,
+    PreconditionError,
     FLOAT,
     Interval,
     SymMatrix,
@@ -25,8 +26,8 @@ from hankelshift import (
     is_pd,
     is_psd,
     psd_with_margin,
+    real_roots,
     solve_linear_exact,
-    solve_quadratic,
     solve_vandermonde,
 )
 
@@ -181,49 +182,127 @@ class TestPsd:
         assert ok and marginal
 
 
-class TestSolveQuadratic:
+def _poly_mul(p: list, q: list) -> list:
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_value(poly: list, x) -> F:
+    acc = F(0)
+    for c in poly:
+        acc = acc * x + F(c)
+    return acc
+
+
+def _correctly_rounded(poly: list, x: float) -> bool:
+    # x is the double nearest a root of poly iff poly changes sign (exactly)
+    # between the midpoints from x to its neighbouring doubles.
+    lo = (F(x) + F(math.nextafter(x, -math.inf))) / 2
+    hi = (F(x) + F(math.nextafter(x, math.inf))) / 2
+    return _poly_value(poly, lo) * _poly_value(poly, hi) < 0
+
+
+_ROOTS = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+# t^2 + b t + c; irreducible over Q exactly when the discriminant is not a
+# rational square (two irrational roots, or a complex pair when negative).
+_QUADS = st.tuples(_ROOTS, _ROOTS).filter(
+    lambda bc: not _is_rational_square(bc[0] * bc[0] - 4 * bc[1])
+)
+
+
+def _is_rational_square(q: F) -> bool:
+    return q >= 0 and all(math.isqrt(v) ** 2 == v for v in (q.numerator, q.denominator))
+
+
+@st.composite
+def _squarefree(draw) -> tuple[list, list[F], int]:
+    """(poly, its rational roots, its number of irrational real roots)."""
+    rational = draw(st.lists(_ROOTS, max_size=4, unique=True))
+    quads = draw(st.lists(_QUADS, max_size=2, unique=True))
+    lead = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+    poly = [lead * draw(st.sampled_from([1, -1]))]
+    for r in rational:
+        poly = _poly_mul(poly, [F(1), -r])
+    for b, c in quads:
+        poly = _poly_mul(poly, [F(1), b, c])
+    irrational = sum(2 for b, c in quads if b * b - 4 * c > 0)
+    return poly, sorted(rational), irrational
+
+
+class TestRealRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(_squarefree())
+    def test_squarefree_roots_exact_or_correctly_rounded(self, case):
+        poly, rational, irrational = case
+        roots = real_roots(poly)
+        assert roots is not None
+        assert len(roots) == len(rational) + irrational
+        assert all(a < b for a, b in zip(roots, roots[1:]))
+        assert [r for r in roots if isinstance(r, F)] == rational
+        floats = [r for r in roots if isinstance(r, float)]
+        assert len(floats) == irrational
+        assert all(_correctly_rounded(poly, x) for x in floats)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_squarefree(), st.data())
+    def test_repeated_root_is_none(self, case, data):
+        poly, rational, _ = case
+        factors = [[F(1), -r] for r in rational] + [[F(1), F(0), F(-2)], [F(1), F(0), F(1)]]
+        factor = data.draw(st.sampled_from(factors))
+        assert real_roots(_poly_mul(_poly_mul(poly, factor), factor)) is None
+
     def test_rational_roots_exact(self):
-        out = solve_quadratic(F(2), F(-3), F(1))
-        assert out.exact
-        assert sorted(out.roots) == [F(1, 2), F(1)]
-        assert out.discriminant == 1
+        assert real_roots([F(2), F(-3), F(1)]) == [F(1, 2), F(1)]
+        assert real_roots([1, 1, -2, 0]) == [F(-2), F(0), F(1)]
 
-    def test_irrational_roots_enclosed(self):
-        out = solve_quadratic(F(1), F(0), F(-2))
-        assert not out.exact
-        assert out.discriminant == 8
-        lo, hi = sorted(out.roots)
-        assert lo == pytest.approx(-math.sqrt(2), abs=1e-12)
-        assert hi == pytest.approx(math.sqrt(2), abs=1e-12)
+    def test_irrational_roots_correctly_rounded(self):
+        assert real_roots([F(1), F(0), F(-2)]) == [-math.sqrt(2), math.sqrt(2)]
 
-    def test_double_root(self):
-        out = solve_quadratic(F(1), F(-2), F(1))
-        assert out.exact and out.roots == (F(1),)
-        assert out.discriminant == 0
+    def test_double_root_is_none(self):
+        assert real_roots([F(1), F(-2), F(1)]) is None
 
     def test_negative_discriminant(self):
-        out = solve_quadratic(F(1), F(0), F(1))
-        assert out.roots == ()
-        assert out.discriminant == -4
+        assert real_roots([F(1), F(0), F(1)]) == []
 
-    def test_float_coefficients_stable(self):
-        # large b: naive formula would cancel catastrophically
-        out = solve_quadratic(1.0, -1e8, 1.0)
-        small = min(out.roots)
-        assert small == pytest.approx(1e-8, rel=1e-9)
+    def test_float_coefficients_small_root(self):
+        # the naive formula cancels catastrophically on the small root
+        small, large = real_roots([1.0, -1e8, 1.0])
+        assert _correctly_rounded([1, -100000000, 1], small)
+        assert small == pytest.approx(1e-8, rel=1e-15)
+        assert _correctly_rounded([1, -100000000, 1], large)
 
-    def test_rational_root_with_irrational_partner_is_impossible(self):
+    def test_rational_root_one_always_exact(self):
         # a quadratic with rational coefficients has either two rational
         # roots or none; any root equal to 1 must come back exact
         rng = random.Random(3)
         for _ in range(200):
             a = F(rng.randint(1, 9), rng.randint(1, 9))
             r = F(rng.randint(-9, 9), rng.randint(1, 9))
-            b = -a * (r + 1)
-            c = a * r
-            out = solve_quadratic(a, b, c)  # roots r and 1
-            assert out.exact
-            assert F(1) in out.roots
+            roots = real_roots([a, -a * (r + 1), a * r])  # roots r and 1
+            if r == 1:
+                assert roots is None
+            else:
+                assert roots == sorted([r, F(1)])
+
+    def test_leading_zeros_and_constants(self):
+        assert real_roots([0, 0, 2, -1]) == [F(1, 2)]
+        assert real_roots([F(5)]) == []
+        with pytest.raises(PreconditionError):
+            real_roots([0, 0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            real_roots([1.0, bad, 1.0])
+
+    def test_irrational_root_beyond_double_range_rejected(self):
+        # t^2 - 2^2201: the root 2^1100.5 is irrational and no double holds it
+        with pytest.raises(PreconditionError, match="double range"):
+            real_roots([1, 0, -(2**2201)])
+        assert real_roots([1, 0, -(2**2200)]) == [F(-(2**1100)), F(2**1100)]
 
 
 class TestLinearSolvers:

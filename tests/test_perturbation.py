@@ -3,6 +3,7 @@ determinant expansion identities."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -296,6 +297,44 @@ class TestStabilityK2:
             eps = 1e-9
             assert float(r2.intersection.lo) >= float(i1.lo) - eps
             assert float(r2.intersection.hi) <= float(i1.hi) + eps
+
+    @pytest.mark.parametrize("cut, horizon", [(3, 14), (2, 12), (4, 14)])
+    def test_quadratic_roots_correctly_rounded(self, cut, horizon):
+        # Every float endpoint is a root of its anchor's determinant
+        # quadratic, rounded to the nearest double: q changes sign, exactly,
+        # between the midpoints from the endpoint to its neighbouring doubles.
+        gamma = bergman_moments(horizon)
+        rep = stability_interval_k2(gamma, cut)
+        floats = 0
+        for n, iv in rep.per_block.items():
+            for x, method in zip((iv.lo, iv.hi), rep.methods[n]):
+                if not isinstance(x, float):
+                    continue
+                assert method == "quadratic_root"
+                a, b, c = det_quadratic(gamma, cut, n)
+                mids = [(F(x) + F(math.nextafter(x, d))) / 2 for d in (-math.inf, math.inf)]
+                lo, hi = (a * t * t + b * t + c for t in mids)
+                assert lo * hi < 0, (n, x)
+                floats += 1
+        assert floats == 4
+        if cut == 3:
+            assert rep.intersection.lo == 0.9972252350708143
+
+    def test_float_overflow_in_quadratic_is_a_precondition(self):
+        # float moments near 1e110: the quadratic's cubic coefficients overflow
+        g = MomentSequence.of([1e110 / (n + 1) for n in range(12)])
+        with pytest.raises(PreconditionError, match="finite"):
+            stability_interval_k2(g, 3, FLOAT)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
+    def test_bisect_eps_outside_unit_interval_rejected(self, eps):
+        g = bergman_moments(14)
+        with pytest.raises(PreconditionError, match="bisect_eps"):
+            stability_interval_k2(g, 3, EXACT, eps)
+        with pytest.raises(PreconditionError, match="bisect_eps"):
+            stability_interval(g, 3, 2, EXACT, eps)
+        with pytest.raises(PreconditionError, match="bisect_eps"):
+            interiority_report(g, 3, 2, EXACT, eps)
 
     def test_method_tags_present(self):
         rep = stability_interval_k2(bergman_moments(14), 3)
