@@ -8,6 +8,7 @@ input, 3 unmet precondition or horizon, 4 internal consistency incident.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import math
@@ -21,12 +22,10 @@ from typing import Any, Optional, Sequence
 
 from .hankel import (
     DetTable,
+    LadderVerdicts,
     MomentSequence,
     PropagationReport,
-    det_sequence,
-    is_k_positive,
     log_convexity,
-    propagation_report,
     zero_moment_collapse,
 )
 from .measures import (
@@ -57,7 +56,7 @@ from .perturbation import (
 )
 from .shifts import (
     WeightSequence,
-    flatness_check,
+    flat_tail_report,
     weights_to_moments,
 )
 
@@ -81,6 +80,15 @@ class LoadedInput:
     horizon: Optional[int]
 
 
+def _parse_int(digits: str) -> int:
+    # int() refuses digit strings past the interpreter's int-to-str digit
+    # limit (4300 by default); Decimal reads any length exactly.
+    try:
+        return int(digits)
+    except ValueError:
+        return int(decimal.Decimal(digits))
+
+
 def _parse_entry(raw: Any, where: str) -> tuple[Scalar, bool, bool]:
     """Returns (value, is_rational_string, is_float_number)."""
     if isinstance(raw, bool):
@@ -97,10 +105,10 @@ def _parse_entry(raw: Any, where: str) -> tuple[Scalar, bool, bool]:
                 f"{where}: string {raw!r} is not a p/q rational "
                 "(optional sign, digits, '/', digits)"
             )
-        num, den = raw.strip().split("/")
-        if int(den) == 0:
+        num, den = (_parse_int(part) for part in raw.strip().split("/"))
+        if den == 0:
             raise InputError(f"{where}: zero denominator in {raw!r}")
-        return Fraction(int(num), int(den)), True, False
+        return Fraction(num, den), True, False
     raise InputError(f"{where}: unsupported value {raw!r}")
 
 
@@ -133,7 +141,7 @@ def load_sequence_file(path: str) -> LoadedInput:
 
 def _load_json(path: str, digest: str, text: str) -> LoadedInput:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
@@ -338,14 +346,18 @@ def cmd_analyze(
     ctx: ToleranceContext,
     warnings: list[str],
 ) -> dict:
+    # One ladder walk serves every order of the scan and the propagation
+    # report; weight inputs have gamma = weights_to_moments(alpha), so it
+    # certifies the hyponormality the flatness scan needs as well.
     results: dict[str, Any] = {"horizon": gamma.horizon}
-    ladder = []
+    ladder = LadderVerdicts(gamma, ctx)
+    entries = []
     top_holding = 0
     for k in range(1, args.k + 1):
         if gamma.horizon < 2 * k:
             warnings.append(f"ladder stops at k={k - 1}: horizon {gamma.horizon} < {2 * k}")
             break
-        verdict = is_k_positive(gamma, k, ctx)
+        verdict = ladder.verdict(k)
         entry: dict[str, Any] = {"k": k, "holds": verdict.holds}
         if verdict.first_failure is not None:
             entry["first_failure"] = {
@@ -354,12 +366,12 @@ def cmd_analyze(
             }
         if verdict.flags:
             entry["flags"] = list(verdict.flags)
-        ladder.append(entry)
+        entries.append(entry)
         if verdict.holds:
             top_holding = k
         else:
             break
-    results["ladder"] = ladder
+    results["ladder"] = entries
     results["log_convex"] = log_convexity(gamma, ctx)
     results["zero_moment_collapse"] = zero_moment_collapse(gamma, ctx)
     if not results["zero_moment_collapse"]:
@@ -367,23 +379,15 @@ def cmd_analyze(
             "a zero moment is followed by nonzero ones: not 1-positive"
         )
     if alpha is not None and args.k >= 2 and top_holding >= 2:
-        try:
-            rep = flatness_check(alpha, 2, ctx)
-            results["flatness"] = {
-                "flat_pair_found": rep.flat_pair_found,
-                "pair_index": rep.pair_index,
-                "propagation_verified": rep.propagation_verified,
-                "alpha0_exception": rep.alpha0_exception,
-            }
-        except PreconditionError as exc:
-            warnings.append(f"flatness check skipped: {exc}")
+        rep = flat_tail_report(alpha, 2, ctx)
+        results["flatness"] = {
+            "flat_pair_found": rep.flat_pair_found,
+            "pair_index": rep.pair_index,
+            "propagation_verified": rep.propagation_verified,
+            "alpha0_exception": rep.alpha0_exception,
+        }
     if top_holding >= 1:
-        try:
-            results["propagation"] = _propagation_json(
-                propagation_report(gamma, top_holding, ctx)
-            )
-        except (PreconditionError, InsufficientMomentsError) as exc:
-            warnings.append(f"propagation check skipped: {exc}")
+        results["propagation"] = _propagation_json(ladder.propagation(top_holding))
     return results
 
 
@@ -393,11 +397,13 @@ def cmd_dets(
     ctx: ToleranceContext,
     warnings: list[str],
 ) -> dict:
-    # The order-(k+1) propagation report carries the order-k table.
+    # The order-(k+1) propagation report carries the order-k table; both
+    # come from one ladder walk.
+    ladder = LadderVerdicts(gamma, ctx)
     try:
-        rep = propagation_report(gamma, args.k + 1, ctx)
+        rep = ladder.propagation(args.k + 1)
     except (PreconditionError, InsufficientMomentsError) as exc:
-        table = det_sequence(gamma, args.k, ctx)
+        table = ladder.table(args.k)
         warnings.append(f"propagation check skipped: {exc}")
         return {"table": _det_table_json(table)}
     return {"table": _det_table_json(rep.table), "propagation": _propagation_json(rep)}

@@ -9,7 +9,7 @@ k-positive (up to the horizon) when every feasible block of order k is PSD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .numkit import (
     ToleranceContext,
     det_bareiss,
     hadamard_bound,
+    is_pd,
     psd_with_margin,
 )
 
@@ -32,6 +33,7 @@ __all__ = [
     "DetTable",
     "PositivityVerdict",
     "PropagationReport",
+    "LadderVerdicts",
     "block",
     "is_k_positive",
     "log_convexity",
@@ -150,35 +152,17 @@ def block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
 def is_k_positive(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> PositivityVerdict:
-    """Scan all feasible anchors n <= N - 2k for PSD order-k blocks.
+    """Scan all feasible anchors n <= N - 2k for PSD order-k blocks: the
+    order-k verdict of a fresh `LadderVerdicts`.
 
-    The verdict certifies positivity only up to the recorded horizon.  Float
+    The verdict certifies positivity only up to the recorded horizon.  Exact
+    mode reads each block from the leading principal minors d_0(n), ...,
+    d_k(n) of the determinant ladder and runs pivot elimination only where
+    a lower-order minor vanishes; it flags exactly singular blocks.  Float
     mode flags anchors whose smallest eigenvalue sits inside the tolerance
-    band (the verdict there is tolerance-limited); exact mode flags exactly
-    singular blocks.
+    band (the verdict there is tolerance-limited).
     """
-    if k < 1:
-        raise PreconditionError("k-positivity needs k >= 1")
-    n_max = gamma.horizon - 2 * k
-    if n_max < 0:
-        raise InsufficientMomentsError(2 * k, gamma.horizon)
-    flags: list[str] = []
-    for n in range(n_max + 1):
-        mat = block(gamma, n, k)
-        holds, marginal = psd_with_margin(mat, ctx)
-        if marginal:
-            kind = "singular" if ctx.is_exact else "marginal"
-            flags.append(f"{kind} block at anchor {n}")
-        if not holds:
-            return PositivityVerdict(
-                k=k,
-                holds=False,
-                horizon=gamma.horizon,
-                first_failure=BlockIndex(n, k),
-                witness=mat,
-                flags=tuple(flags),
-            )
-    return PositivityVerdict(k=k, holds=True, horizon=gamma.horizon, flags=tuple(flags))
+    return LadderVerdicts(gamma, ctx).verdict(k)
 
 
 def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
@@ -222,11 +206,15 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     with the order-(-1) table identically 1 and the order-0 table equal to
     gamma itself.  Entries whose divisor d_{k-2}(n+2) is zero (exact) or
     inside the tolerance band (float) fall back to a direct determinant.
-    An order is built only when the caller asks for it.
+    Exact mode works over the exact values of the moments (floats at their
+    binary values), so every entry is exact.  An order is built only when
+    the caller asks for it.
     """
     horizon = gamma.horizon
     prev2: list[Scalar] = [1] * (horizon + 3)
     prev1: list[Scalar] = list(gamma.values)
+    if ctx.is_exact:
+        prev1 = [v if isinstance(v, Fraction) else Fraction(v) for v in prev1]
     yield DetTable(
         k=0,
         horizon=horizon,
@@ -263,11 +251,7 @@ def det_sequence(
 ) -> DetTable:
     """Determinants of every feasible order-k block: the order-k table of
     `det_ladder`."""
-    if k < 0:
-        raise PreconditionError("determinant table order must be >= 0")
-    if gamma.horizon < 2 * k:
-        raise InsufficientMomentsError(2 * k, gamma.horizon)
-    return next(islice(det_ladder(gamma, ctx), k, None))
+    return LadderVerdicts(gamma, ctx).table(k)
 
 
 def det_is_zero(
@@ -283,37 +267,136 @@ def det_is_zero(
 def propagation_report(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> PropagationReport:
-    """For a k-positive sequence, scan the order-(k-1) determinants.
+    """The order-k propagation report of a fresh `LadderVerdicts`."""
+    return LadderVerdicts(gamma, ctx).propagation(k)
 
-    One vanishing determinant at any anchor forces vanishing at every anchor
-    n >= 1; the anchor-0 determinant is exempt and its nonzero value is
-    reported, not flagged (flat shifts with a free leading weight realize
-    it).  conclusion_verified is None when no determinant vanishes.
+
+class LadderVerdicts:
+    """Block verdicts at every order from one `det_ladder` walk.
+
+    Tables are pulled from the walk only as far as a question needs them and
+    are kept, so every order a caller asks about shares the one walk.  The
+    leading principal minors of block(n, k) are d_0(n), ..., d_k(n), the
+    ladder's entries at anchor n.  Exact mode decides block(n, k) from the
+    first j <= k with d_j(n) <= 0:
+
+    - none: the block is PD (Sylvester);
+    - d_j(n) < 0: not PSD, a principal minor is negative;
+    - d_k(n) = 0: PSD and singular, the leading k x k block being PD and
+      the last pivot d_k(n)/d_{k-1}(n) zero;
+    - d_j(n) = 0 with j < k: undecided by the minors, so `psd_with_margin`
+      runs its pivot elimination on the block.
+
+    Float mode decides every block with `psd_with_margin`.
     """
-    if k < 1:
-        raise PreconditionError("propagation check needs k >= 1")
-    verdict = is_k_positive(gamma, k, ctx)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"sequence is not {k}-positive on the horizon; "
-            f"first failure at block {verdict.first_failure}"
+
+    def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):
+        self.gamma = gamma
+        self.ctx = ctx
+        self._walk = det_ladder(gamma, ctx)
+        self._tables: list[DetTable] = []
+        self._verdicts: dict[int, PositivityVerdict] = {}
+
+    def table(self, k: int) -> DetTable:
+        """The order-k determinant table."""
+        if k < 0:
+            raise PreconditionError("determinant table order must be >= 0")
+        if self.gamma.horizon < 2 * k:
+            raise InsufficientMomentsError(2 * k, self.gamma.horizon)
+        while len(self._tables) <= k:
+            self._tables.append(next(self._walk))
+        return self._tables[k]
+
+    def verdict(self, k: int) -> PositivityVerdict:
+        """k-positivity on the horizon: the first failing anchor, if any,
+        and a flag per singular (exact) or marginal (float) block before
+        it."""
+        if k < 1:
+            raise PreconditionError("k-positivity needs k >= 1")
+        n_max = self.gamma.horizon - 2 * k
+        if n_max < 0:
+            raise InsufficientMomentsError(2 * k, self.gamma.horizon)
+        if k not in self._verdicts:
+            self._verdicts[k] = self._scan(k, n_max)
+        return self._verdicts[k]
+
+    def _scan(self, k: int, n_max: int) -> PositivityVerdict:
+        gamma = self.gamma
+        flags: list[str] = []
+        for n in range(n_max + 1):
+            holds, marginal = self._block_psd(n, k)
+            if marginal:
+                kind = "singular" if self.ctx.is_exact else "marginal"
+                flags.append(f"{kind} block at anchor {n}")
+            if not holds:
+                return PositivityVerdict(
+                    k=k,
+                    holds=False,
+                    horizon=gamma.horizon,
+                    first_failure=BlockIndex(n, k),
+                    witness=block(gamma, n, k),
+                    flags=tuple(flags),
+                )
+        return PositivityVerdict(k=k, holds=True, horizon=gamma.horizon, flags=tuple(flags))
+
+    def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
+        # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
+        if self.ctx.is_exact:
+            for j in range(k + 1):
+                d = self.table(j).dets[n]
+                if d < 0:
+                    return False, False
+                if d == 0:
+                    if j == k:
+                        return True, True
+                    break
+            else:
+                return True, False
+        return psd_with_margin(block(self.gamma, n, k), self.ctx)
+
+    def pd(self, n: int, k: int) -> bool:
+        """block(n, k) is positive definite: in exact mode exactly when
+        d_0(n), ..., d_k(n) are all positive, so no elimination runs."""
+        if n + 2 * k > self.gamma.horizon:
+            raise InsufficientMomentsError(n + 2 * k, self.gamma.horizon)
+        if self.ctx.is_exact:
+            return all(self.table(j).dets[n] > 0 for j in range(k + 1))
+        return is_pd(block(self.gamma, n, k), self.ctx)
+
+    def propagation(self, k: int) -> PropagationReport:
+        """For a k-positive sequence, scan the order-(k-1) determinants.
+
+        One vanishing determinant at any anchor forces vanishing at every
+        anchor n >= 1; the anchor-0 determinant is exempt and its nonzero
+        value is reported, not flagged (flat shifts with a free leading
+        weight realize it).  conclusion_verified is None when no
+        determinant vanishes.
+        """
+        if k < 1:
+            raise PreconditionError("propagation check needs k >= 1")
+        verdict = self.verdict(k)
+        if not verdict.holds:
+            raise PreconditionError(
+                f"sequence is not {k}-positive on the horizon; "
+                f"first failure at block {verdict.first_failure}"
+            )
+        table = self.table(k - 1)
+        zero = [
+            det_is_zero(self.gamma, n, k - 1, table.dets[n], self.ctx)
+            for n in table.anchors()
+        ]
+        vanishing_found = any(zero)
+        first_zero = zero.index(True) if vanishing_found else None
+        conclusion: Optional[bool] = None
+        exception = False
+        if vanishing_found:
+            conclusion = all(zero[1:])
+            exception = bool(conclusion) and not zero[0]
+        return PropagationReport(
+            k=k,
+            table=table,
+            vanishing_found=vanishing_found,
+            first_zero_anchor=first_zero,
+            conclusion_verified=conclusion,
+            anchor_zero_allowed_nonzero=exception,
         )
-    table = det_sequence(gamma, k - 1, ctx)
-    zero = [
-        det_is_zero(gamma, n, k - 1, table.dets[n], ctx) for n in table.anchors()
-    ]
-    vanishing_found = any(zero)
-    first_zero = zero.index(True) if vanishing_found else None
-    conclusion: Optional[bool] = None
-    exception = False
-    if vanishing_found:
-        conclusion = all(zero[1:])
-        exception = bool(conclusion) and not zero[0]
-    return PropagationReport(
-        k=k,
-        table=table,
-        vanishing_found=vanishing_found,
-        first_zero_anchor=first_zero,
-        conclusion_verified=conclusion,
-        anchor_zero_allowed_nonzero=exception,
-    )

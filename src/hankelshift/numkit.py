@@ -12,6 +12,7 @@ coerce their input entries to the representation the context asks for
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,13 +183,23 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; the empty interval is a distinct sentinel."""
+    """Closed interval [lo, hi]; the empty interval is a distinct sentinel.
+
+    A nan endpoint, the trace of a float computation that overflowed, is a
+    PreconditionError: it compares false with everything, so it would
+    otherwise slip through the order check and out of `intersect`.
+    """
 
     lo: Scalar
     hi: Scalar
     empty: bool = False
 
     def __post_init__(self) -> None:
+        if any(isinstance(x, float) and math.isnan(x) for x in (self.lo, self.hi)):
+            raise PreconditionError(
+                f"interval endpoint is nan, not a finite number ([{self.lo}, "
+                f"{self.hi}]): a float computation left the double range"
+            )
         if not self.empty and self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -284,7 +295,10 @@ def psd_with_margin(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> tuple[b
 
     Exact mode decides by symmetric pivot elimination over the exact
     rational (for floats, binary) values of the entries and flags exactly
-    singular PSD blocks.  Float mode flags marginal when the smallest
+    singular PSD blocks.  The exact k-positivity scans read most Hankel
+    blocks off their leading principal minors instead
+    (`hankel.LadderVerdicts`) and come here only for a block whose minor of
+    some lower order vanishes.  Float mode flags marginal when the smallest
     eigenvalue sits inside the tolerance band around zero, i.e. the verdict
     would flip under a band-sized perturbation.
     """
@@ -537,14 +551,24 @@ def hadamard_bound(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> float:
     return float(np.prod(norms))
 
 
+def _int_str(n: int) -> str:
+    # Decimal digits of any length: str() refuses ints past the interpreter's
+    # int-to-str digit limit (4300 by default), and Decimal does not.
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 def fmt_scalar(x: Scalar) -> str:
-    """Stable display form: integers bare, rationals as p/q, floats as repr."""
+    """Stable display form: integers bare, rationals as p/q, floats as repr.
+    Integers and rationals are printed in full whatever their digit count."""
     if isinstance(x, bool):
         return str(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _int_str(x.numerator)
+        return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
     if isinstance(x, int):
-        return str(x)
+        return _int_str(x)
     return repr(float(x))

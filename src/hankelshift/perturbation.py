@@ -17,7 +17,13 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from .hankel import MomentSequence, block, log_convexity, is_k_positive
+from .hankel import (
+    LadderVerdicts,
+    MomentSequence,
+    block,
+    is_k_positive,
+    log_convexity,
+)
 from .numkit import (
     EXACT,
     InsufficientMomentsError,
@@ -29,7 +35,6 @@ from .numkit import (
     ToleranceContext,
     det_bareiss,
     hadamard_bound,
-    is_pd,
     is_psd,
     real_roots,
 )
@@ -573,15 +578,14 @@ def interiority_report(
     interior: 1 strictly inside the bisection interval (both endpoints are
     feasible probes, so strict inequalities certify interior points).
     pd_all: every unperturbed block at anchors n <= cut is positive
-    definite.  The two are equivalent; a mismatch is reported as a
-    tolerance incident for the caller to escalate.
+    definite, read in exact mode from the determinant ladder (all leading
+    principal minors d_0(n), ..., d_k(n) positive) and in float mode from
+    the smallest eigenvalue.  The two are equivalent; a mismatch is
+    reported as a tolerance incident for the caller to escalate.
     """
     report = stability_interval(gamma, cut, k, ctx, bisect_eps)
-    failing = None
-    for n in range(cut + 1):
-        if not is_pd(block(gamma, n, k), ctx):
-            failing = n
-            break
+    ladder = LadderVerdicts(gamma, ctx)
+    failing = next((n for n in range(cut + 1) if not ladder.pd(n, k)), None)
     pd_all = failing is None
     agreement = pd_all == report.one_interior
     flags = list(report.flags)

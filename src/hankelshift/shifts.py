@@ -15,10 +15,9 @@ from typing import Iterable, Optional
 
 from .hankel import (
     BlockIndex,
+    LadderVerdicts,
     MomentSequence,
     PropagationReport,
-    is_k_positive,
-    propagation_report,
 )
 from .numkit import (
     EXACT,
@@ -38,6 +37,7 @@ __all__ = [
     "is_hyponormal",
     "is_k_hyponormal",
     "flatness_check",
+    "flat_tail_report",
     "propagation_for_shift",
 ]
 
@@ -154,10 +154,14 @@ def is_k_hyponormal(
     alpha: WeightSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> HyponormalityVerdict:
     """k-hyponormality of the shift equals k-positivity of its moments."""
-    gamma = weights_to_moments(alpha)
-    if gamma.horizon < 2 * k:
-        raise InsufficientMomentsError(2 * k, gamma.horizon)
-    verdict = is_k_positive(gamma, k, ctx)
+    return _hyponormality(LadderVerdicts(weights_to_moments(alpha), ctx), k)
+
+
+def _hyponormality(ladder: LadderVerdicts, k: int) -> HyponormalityVerdict:
+    horizon = ladder.gamma.horizon
+    if horizon < 2 * k:
+        raise InsufficientMomentsError(2 * k, horizon)
+    verdict = ladder.verdict(k)
     return HyponormalityVerdict(
         k=k,
         holds=verdict.holds,
@@ -186,6 +190,14 @@ def flatness_check(
             f"shift is not {k}-hyponormal on the horizon; "
             f"first failure at block {verdict.first_failure}"
         )
+    return flat_tail_report(alpha, k, ctx)
+
+
+def flat_tail_report(
+    alpha: WeightSequence, k: int, ctx: ToleranceContext = EXACT
+) -> FlatnessReport:
+    """The flat-pair scan of `flatness_check` without its k-hyponormality
+    check, for a caller that has certified k-hyponormality itself."""
     scale = max(abs(float(v)) for v in alpha.sq)
     pair = next(
         (
@@ -227,7 +239,8 @@ def propagation_for_shift(
     check at order p (k-hyponormality implies (p+1)-positivity on the full
     horizon, every small block being a principal submatrix of a feasible
     large one).  Also certifies PSD blocks at every order the horizon
-    supports, the finite shadow of the subnormality consequence.
+    supports, the finite shadow of the subnormality consequence.  Every
+    verdict and table comes from one determinant-ladder walk.
     """
     if p < 1:
         raise PreconditionError("propagation order p must be >= 1")
@@ -236,19 +249,20 @@ def propagation_for_shift(
             f"propagation order p={p} must be strictly below the certified "
             f"hyponormality order k={k}"
         )
-    verdict = is_k_hyponormal(alpha, k, ctx)
+    gamma = weights_to_moments(alpha)
+    ladder = LadderVerdicts(gamma, ctx)
+    verdict = _hyponormality(ladder, k)
     if not verdict.holds:
         raise PreconditionError(
             f"shift is not {k}-hyponormal on the horizon; "
             f"first failure at block {verdict.first_failure}"
         )
-    gamma = weights_to_moments(alpha)
-    base = propagation_report(gamma, p + 1, ctx)
+    base = ladder.propagation(p + 1)
     orders = tuple(range(p, gamma.horizon // 2 + 1))
     all_hold = True
     flags: list[str] = []
     for order in orders:
-        if not is_k_positive(gamma, order, ctx).holds:
+        if not ladder.verdict(order).holds:
             all_hold = False
             flags.append(f"order {order} blocks not all PSD on horizon")
             break

@@ -308,7 +308,7 @@ def test_criterion_6_interval_structure(one_positive_pool, two_positive_pool):
 
 def test_criterion_7_interiority_and_cofactor():
     desc = "interiority criteria never disagree; corner det identity exact"
-    with criterion(7, None, desc):
+    with criterion(7, 30, desc):
         rng = random.Random(707707)
         disagreements = 0
         for i in range(100):
@@ -337,7 +337,7 @@ def test_criterion_7_interiority_and_cofactor():
 
 def test_criterion_8_numeric_exact_coherence(one_positive_pool, two_positive_pool):
     desc = "float verdicts match exact ones; near-singular gets flagged"
-    with criterion(8, None, desc):
+    with criterion(8, 30, desc):
         rng = random.Random(808808)
         silent = 0
         flagged = 0

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import hankelshift.cli as cli
+import hankelshift.hankel as hankel
 from hankelshift import Interval, IntervalReport
 from hankelshift.perturbation import InteriorReport
 
@@ -281,6 +282,60 @@ class TestSubcommands:
         assert captured.err.startswith("precondition error:")
         assert message in captured.err
 
+    def test_float_overflow_to_nan_exits_3(self, tmp_path, capsys):
+        # moments near 1e80 overflow the order-2 corner bounds to nan, which
+        # used to print "lo": "nan" and "hi": "nan" with exit 0
+        path = write(
+            tmp_path, "big.csv", "\n".join(repr(1e80 / (n + 1)) for n in range(14)) + "\n"
+        )
+        for extra in (["--closed-form"], []):
+            argv = ["perturb", path, "--l", "4", "--k", "2", "--json", "--no-timestamp"]
+            assert cli.main(argv + extra) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("precondition error: interval endpoint is nan")
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_integers_past_the_int_str_digit_limit(self, tmp_path, capsys, as_json):
+        # gamma_100 = 3^100 + 10^5000 has 5001 digits, past Python's default
+        # int-to-str limit of 4300 (so the expectation is built as a string)
+        doc = {
+            "kind": "measure",
+            "atoms": ["3/1", "1" + "0" * 50 + "/1"],
+            "densities": ["1/1", "1/1"],
+            "horizon": 100,
+        }
+        path = write(tmp_path, "bigint.json", doc)
+        argv = ["dets", path, "--k", "0", "--no-timestamp"] + (["--json"] if as_json else [])
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        tail = str(3**100)
+        expected = "1" + "0" * (5000 - len(tail)) + tail
+        if as_json:
+            assert json.loads(captured.out)["results"]["table"]["dets"][100] == expected
+        else:
+            assert f"  100: {expected} [direct]" in captured.out.splitlines()
+
+    def test_inputs_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        # gamma = (1, 10^5000, 10^10000): one atom at 10^5000, given as p/q
+        # strings and as JSON integer literals
+        big, square = "1" + "0" * 5000, "1" + "0" * 10000
+        rational = write(
+            tmp_path, "pq.json", {"kind": "moments", "values": ["1/1", big + "/1", square + "/1"]}
+        )
+        literal = write(
+            tmp_path, "lit.json", f'{{"kind": "moments", "values": [1, {big}, {square}]}}'
+        )
+        for path in (rational, literal):
+            assert cli.main(["analyze", path, "--k", "1", "--json", "--no-timestamp"]) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert results["ladder"] == [
+                {"k": 1, "holds": True, "flags": ["singular block at anchor 0"]}
+            ]
+            assert results["propagation"]["dets"] == ["1", big, square]
+
     def test_recursion_none_on_bergman(self, bergman_file, capsys):
         assert cli.main(["recursion", bergman_file, "--max-order", "5", "--json",
                          "--no-timestamp"]) == 0
@@ -341,13 +396,19 @@ class TestSubcommands:
         argv = ["dets", twoatom_file, "--k", "2", "--json", "--no-timestamp"]
         assert cli.main(argv) == 0
         expected = capsys.readouterr().out
+        results = json.loads(expected)["results"]
+        assert results["table"]["dets"] == results["propagation"]["dets"]
+        walks = []
+        det_ladder = hankel.det_ladder
 
-        def no_second_ladder(*a, **kw):
-            raise AssertionError("det_sequence called although propagation succeeded")
+        def counting(gamma, ctx):
+            walks.append(gamma)
+            return det_ladder(gamma, ctx)
 
-        monkeypatch.setattr(cli, "det_sequence", no_second_ladder)
+        monkeypatch.setattr(hankel, "det_ladder", counting)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
+        assert len(walks) == 1
 
     def test_dets_without_propagation_keeps_table(self, twoatom_file, capsys):
         # horizon 12: order 6 fits, the order-7 propagation check does not

@@ -353,6 +353,21 @@ class TestIntervalAndMisc:
         with pytest.raises(ValueError):
             Interval(F(2), F(1))
 
+    def test_interval_rejects_nan_endpoints(self):
+        # nan compares false with everything, so it would pass the order
+        # check and vanish in intersect's max/min
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(PreconditionError, match="nan"):
+                Interval(lo, hi)
+        wide = Interval(0.0, math.inf)
+        assert wide.intersect(Interval(F(1), F(2))) == Interval(F(1), F(2))
+
+    def test_fmt_scalar_beyond_the_int_str_digit_limit(self):
+        big = 10**5000 + 7
+        assert fmt_scalar(big) == "1" + "0" * 4999 + "7"
+        assert fmt_scalar(F(big, 3)) == "1" + "0" * 4999 + "7/3"
+        assert fmt_scalar(F(-1, big)) == "-1/1" + "0" * 4999 + "7"
+
     def test_hadamard_bound_dominates(self):
         rng = random.Random(11)
         for _ in range(25):
