@@ -47,7 +47,6 @@ from .numkit import (
     fmt_scalar,
 )
 from .perturbation import (
-    BISECT_EPS,
     IntervalReport,
     interiority_report,
     stability_interval,
@@ -471,7 +470,7 @@ def cmd_perturb(
             "intersection": _interval_json(ref_iv, ("closed_form", "closed_form"))
         }
     elif args.k == 2:
-        closed = stability_interval_k2(gamma, args.l, ctx, args.bisect_eps)
+        closed = stability_interval_k2(gamma, args.l, ctx)
         ref_iv = closed.intersection
         results["closed_form"] = _interval_report_json(closed)
         inexact = sum(
@@ -490,7 +489,7 @@ def cmd_perturb(
     else:
         results["closed_form"] = None
     if not args.closed_form:
-        bis = stability_interval(gamma, args.l, args.k, ctx, args.bisect_eps)
+        bis = stability_interval(gamma, args.l, args.k, ctx)
         results["bisection"] = _interval_report_json(bis)
         if ref_iv is not None:
             dev = max(
@@ -498,7 +497,7 @@ def cmd_perturb(
                 abs(float(ref_iv.hi) - float(bis.intersection.hi)),
             )
             results["cross_check_max_deviation"] = repr(dev)
-        interior = interiority_report(gamma, args.l, args.k, ctx, args.bisect_eps)
+        interior = interiority_report(gamma, args.l, args.k, ctx)
         results["interiority"] = {
             "interior": interior.interior,
             "pd_all": interior.pd_all,
@@ -673,15 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-zero", type=float, default=None)
     parser.add_argument("--tol-rel", type=float, default=None)
     parser.add_argument(
-        "--bisect-eps",
-        type=float,
-        default=BISECT_EPS,
-        help="bisection endpoint resolution, 0 < E < 1",
-    )
-    parser.add_argument(
         "--closed-form",
         action="store_true",
-        help="perturb: closed form only (k <= 2), skip bisection",
+        help="perturb: closed form only (k <= 2), skip the pencil engine",
     )
     parser.add_argument("--json", dest="as_json", action="store_true")
     parser.add_argument("--no-timestamp", action="store_true")
@@ -689,8 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> tuple[dict, bool]:
-    if not 0 < args.bisect_eps < 1:
-        raise InputError(f"--bisect-eps must satisfy 0 < E < 1, got {args.bisect_eps!r}")
     loaded = load_sequence_file(args.file)
     ctx = resolve_context(args, loaded)
     warnings: list[str] = []
@@ -717,7 +708,6 @@ def run(args: argparse.Namespace) -> tuple[dict, bool]:
             "zero_eps": ctx.zero_eps,
             "rel_eps": ctx.rel_eps,
             "psd_floor": ctx.psd_floor,
-            "bisect_eps": args.bisect_eps,
         },
         "results": results,
         "warnings": warnings,

@@ -39,6 +39,7 @@ __all__ = [
     "is_pd",
     "psd_with_margin",
     "real_roots",
+    "squarefree",
     "solve_vandermonde",
     "solve_linear_exact",
     "hadamard_bound",
@@ -127,11 +128,6 @@ def _as_rows(matrix: "SymMatrix | Sequence[Sequence[Scalar]]") -> list[list[Scal
 
 def _has_float(rows: Sequence[Sequence[Scalar]]) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
-
-
-def _exact_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    # Fraction(float) is the exact binary value, so this is lossless.
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _float_array(matrix: "SymMatrix | Sequence[Sequence[Scalar]]") -> np.ndarray:
@@ -226,31 +222,40 @@ class Interval:
 def det_bareiss(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant by fraction-free single-step Bareiss elimination.
 
-    Exact over rationals (every division is exact); also usable on float
-    entries where it degrades to ordinary elimination.  The order-0 matrix
-    has determinant 1 by convention.
+    Exact entries are scaled row by row to integers (by the lcm of the row's
+    denominators), every division is an exact integer `//`, and the result
+    is the Fraction det / (product of the row scales).  Float entries take
+    ordinary elimination.  The order-0 determinant is 1 by convention.
     """
     rows = _as_rows(matrix)
     n = len(rows)
     if n == 0:
         return 1
-    if not _has_float(rows):
-        rows = _exact_rows(rows)
+    exact = not _has_float(rows)
+    scale = 1
+    if exact:
+        # ints and Fractions both carry numerator and denominator.
+        for i, row in enumerate(rows):
+            m = math.lcm(*(x.denominator for x in row))
+            scale *= m
+            rows[i] = [x.numerator * (m // x.denominator) for x in row]
     sign = 1
     prev: Scalar = 1
     for k in range(n - 1):
         if rows[k][k] == 0:
             pivot_row = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
             if pivot_row is None:
-                return rows[0][0] * 0
+                return Fraction(0) if exact else 0.0
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
         pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) / prev
+                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
+                rows[i][j] = num // prev if exact else num / prev
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    det = sign * rows[n - 1][n - 1]
+    return Fraction(det, scale) if exact else det
 
 
 def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
@@ -262,7 +267,8 @@ def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
     [[0, b], [b, c]] has determinant -b^2); the row is then dropped and the
     matrix is singular.  All pivots positive means PD.
     """
-    a = _exact_rows(_as_rows(matrix))
+    # Fraction(float) is the exact binary value, so this is lossless.
+    a = [[Fraction(x) for x in row] for row in _as_rows(matrix)]
     n = len(a)
     singular = False
     # Only the upper triangle (j >= i) is kept current; by symmetry it holds
@@ -339,21 +345,46 @@ def _poly_deriv(poly: Sequence[Fraction]) -> list[Fraction]:
     return [c * (d - i) for i, c in enumerate(poly[:-1])]
 
 
-def _poly_mod(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # Leading-aligned long division remainder; b must have a nonzero lead.
-    rem = list(a)
-    db = len(b) - 1
-    while len(rem) - 1 >= db:
-        if rem[0] == 0:
-            rem.pop(0)
-            continue
+def _poly_divmod(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    # Long division by b, which must have a nonzero lead: (quotient,
+    # remainder), the remainder stripped of leading zeros.
+    rem, quot = list(a), []
+    while len(rem) >= len(b):
         factor = rem[0] / b[0]
+        quot.append(factor)
         for i in range(len(b)):
             rem[i] -= factor * b[i]
         rem.pop(0)
     while rem and rem[0] == 0:
         rem.pop(0)
-    return rem
+    return quot, rem
+
+
+def _sturm_chain(poly: Sequence[Scalar]) -> list[list[Fraction]]:
+    # poly (exact, leading zeros stripped), poly', then the negated
+    # remainders of Euclid's algorithm; the last member is gcd(poly, poly').
+    if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
+        raise PreconditionError("polynomial coefficients must be finite")
+    poly = [Fraction(c) for c in poly]
+    while poly and poly[0] == 0:
+        poly.pop(0)
+    if not poly:
+        raise PreconditionError("the zero polynomial has no isolated roots")
+    chain = [poly, _poly_deriv(poly)]
+    while chain[-1]:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return chain
+
+
+def squarefree(poly: Sequence[Scalar]) -> list[Fraction]:
+    """poly / gcd(poly, poly') (coefficients descending, floats at their
+    binary values): the same distinct roots, each simple, so `real_roots`
+    never returns None on it.  Raises PreconditionError like `real_roots`."""
+    chain = _sturm_chain(poly)
+    return _poly_divmod(chain[0], chain[-1])[0]
 
 
 def _primitive(poly: Sequence[Fraction]) -> list[int]:
@@ -386,28 +417,17 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     of the certified root.  None when poly has a repeated root.
 
     With V(x) the sign changes of the Sturm chain at x, a squarefree poly has
-    exactly V(a) - V(b) roots in (a, b].  Roots are isolated by bisection of
+    exactly V(a) - V(b) roots in (a, b].  Roots are isolated by halving
     (-2^E, 2^E], 2^E above every root, at dyadic points, and refined until
     the interval is narrower than 1/lead: a rational root of the primitive
     integer poly has the form m/lead, so the one such point inside is the
     only candidate.  Raises PreconditionError for a nonfinite or all-zero
     coefficient list, and for an irrational root no double can hold.
     """
-    if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
-        raise PreconditionError("polynomial coefficients must be finite")
-    poly = [Fraction(c) for c in poly]
-    while poly and poly[0] == 0:
-        poly.pop(0)
-    if not poly:
-        raise PreconditionError("the zero polynomial has no isolated roots")
-    if len(poly) == 1:
+    chain = _sturm_chain(poly)
+    if len(chain[0]) == 1:
         return []
-    chain = [poly, _poly_deriv(poly)]
-    while chain[-1]:
-        chain.append([-c for c in _poly_mod(chain[-2], chain[-1])])
-    chain.pop()
     if len(chain[-1]) > 1:
-        # The last member is gcd(poly, poly').
         return None
     chain = [_primitive(p) for p in chain]
     h = chain[0]
@@ -420,13 +440,20 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     # every |root| lies strictly below.
     top = 1 << (-(-max(abs(c) for c in h[1:]) // lead)).bit_length()
     roots: list[Scalar] = []
+    # A rational root m/c has c | lead, so it is a root of h modulo every
+    # prime p not dividing lead: no root modulo one such p proves all roots
+    # irrational, and their refinement skips the lattice test.
+    irrational = any(
+        lead % p and all(_scaled_value([c % p for c in h], x, 1) % p for x in range(p))
+        for p in (13, 17, 19, 23, 29)
+    )
     # (a, b, e, V(a/2^e), V(b/2^e)); the left half is popped first, so the
     # roots come out in ascending order.
     todo = [(-top, top, 0, changes_at(-top, 0), changes_at(top, 0))]
     while todo:
         a, b, e, va, vb = todo.pop()
         if va - vb == 1:
-            roots.append(_refine_root(h, lead, a, b, e))
+            roots.append(_refine_root(h, lead, a, b, e, irrational))
         elif va - vb > 1:
             vm = changes_at(a + b, e + 1)
             todo.append((a + b, 2 * b, e + 1, vm, vb))
@@ -434,8 +461,8 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     return roots
 
 
-def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
-    # The only root of h in (a/2^e, b/2^e], by bisection on the sign of h,
+def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int, irr: bool) -> Scalar:
+    # The only root of h in (a/2^e, b/2^e], by halving on the sign of h,
     # which is nonzero at the upper end unless the root sits there.  Once
     # the interval is narrower than 1/lead, the one lattice point m/lead in
     # it is the only possible rational root; past that test the root is
@@ -445,7 +472,7 @@ def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
     if value == 0:
         return Fraction(b, 1 << e)
     sign_b = value > 0
-    lattice_tested = False
+    lattice_tested = irr
     while True:
         if not lattice_tested and (b - a) * lead < 1 << e:
             m = (b * lead) >> e

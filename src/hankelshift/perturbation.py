@@ -5,13 +5,14 @@ For anchors n <= cut the perturbed Hankel block decomposes as
 t*B + (1-t)*H where B is the original block and H its truncation to
 indices <= cut; the set of t >= 0 keeping every such block PSD is a closed
 interval containing 1.  This module computes those intervals in closed
-form at orders 1 and 2, by certified bisection at any order, and decides
-whether 1 sits in the interior (equivalent to all unperturbed blocks being
-positive definite).
+form at orders 1 and 2, at any order from the roots of the pencil
+determinant det(H + t(B-H)), and decides whether 1 sits in the interior
+(equivalent to all unperturbed blocks being positive definite).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -34,9 +35,11 @@ from .numkit import (
     SymMatrix,
     ToleranceContext,
     det_bareiss,
+    fmt_scalar,
     hadamard_bound,
-    is_psd,
+    psd_with_margin,
     real_roots,
+    squarefree,
 )
 from .shifts import WeightSequence
 
@@ -59,17 +62,14 @@ __all__ = [
     "discriminant_diagnostic",
 ]
 
-BISECT_EPS = 1e-12
-
-
 @dataclass(frozen=True)
 class IntervalReport:
     """Per-anchor admissible scale sets (within the search window [0, cap],
     cap being the order-1 right endpoint) and their intersection.
 
     methods[n] tags how each endpoint of per_block[n] was produced:
-    closed_form, quadratic_root, bisection, or direct (t-free block or an
-    endpoint taken at a window bound without search).
+    closed_form, quadratic_root, pencil_root (a pencil-determinant root, or
+    1 where the pencil pins it), or direct (t-free block or window bound).
     """
 
     k: int
@@ -188,13 +188,6 @@ def _require_strictly_positive(gamma: MomentSequence) -> None:
         raise PreconditionError("all moments must be strictly positive")
 
 
-def _require_bisect_eps(eps: float) -> None:
-    # Outside (0, 1) bisection stops at once (nan, inf, >= 1), halves until
-    # the float width underflows (0) or never stops (negative).
-    if not 0 < eps < 1:
-        raise PreconditionError(f"bisect_eps must satisfy 0 < eps < 1, got {eps!r}")
-
-
 def stability_interval_k1(
     gamma: MomentSequence, cut: int, ctx: ToleranceContext = EXACT
 ) -> Interval:
@@ -203,7 +196,8 @@ def stability_interval_k1(
     Only the two anchors straddling the cut constrain t: the one below gives
     t >= gamma_l^2/(gamma_{l-1} gamma_{l+1}), the one at the cut gives
     t <= gamma_l gamma_{l+2}/gamma_{l+1}^2.  Requires 1-positivity, which
-    makes the interval well ordered and puts 1 inside it.
+    makes the interval well ordered and puts 1 inside it; float bounds that
+    rounding leaves out of order, or below 1, are a PreconditionError.
     """
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
@@ -216,7 +210,13 @@ def stability_interval_k1(
             "interval around 1"
         )
     a, b, c, d = _exactify(gamma, gamma[cut - 1], gamma[cut], gamma[cut + 1], gamma[cut + 2])
-    return Interval(b * b / (a * c), b * d / (c * c))
+    lo, hi = b * b / (a * c), b * d / (c * c)
+    if lo > hi or hi < 1:
+        raise PreconditionError(
+            f"float rounding put the order-1 bounds [{fmt_scalar(lo)}, "
+            f"{fmt_scalar(hi)}] out of order or below 1"
+        )
+    return Interval(lo, hi)
 
 
 def det_quadratic(
@@ -264,7 +264,7 @@ def corner_det_lower_bound(gamma: MomentSequence, cut: int) -> Scalar:
     That block has a single scaled entry (the far corner), so its
     determinant is linear in t with slope gamma_{l+1} * d where
     d = gamma_{l-3} gamma_{l-1} - gamma_{l-2}^2.  Degenerate slope (d == 0)
-    is rejected; callers fall back to bisection.
+    is rejected; callers fall back to the pencil engine.
     """
     l = cut
     if cut < 3:
@@ -289,7 +289,7 @@ def corner_det_upper_bound(gamma: MomentSequence, cut: int) -> Scalar:
     determinant det[[0, g_{l+1}, g_{l+2}], [g_{l+1}, g_{l+2}, g_{l+3}],
     [g_{l+2}, g_{l+3}, g_{l+4}]].  A vanishing denominator makes the
     determinant constraint vacuous and is rejected; callers fall back to
-    bisection.
+    the pencil engine.
     """
     l = cut
     if cut + 4 > gamma.horizon:
@@ -306,83 +306,122 @@ def corner_det_upper_bound(gamma: MomentSequence, cut: int) -> Scalar:
     return -g0 * minor / bordered
 
 
-def _feasible(
-    gamma: MomentSequence,
-    n: int,
-    k: int,
-    cut: int,
-    t: Scalar,
-    ctx: ToleranceContext,
-) -> bool:
-    return is_psd(perturbed_block(gamma, n, k, cut, t), ctx)
+def _interpolate(values: list[int]) -> list[int]:
+    # m! > 0 times the polynomial of degree <= m taking values[i] at i, in
+    # descending coefficients: Newton differences, Horner in falling factorials.
+    m = len(values) - 1
+    diffs, row = [], values
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    poly = [diffs[m]]
+    for j in range(m - 1, -1, -1):
+        poly = [a - j * b for a, b in zip(poly + [0], [0] + poly)]
+        poly[-1] += diffs[j] * (math.factorial(m) // math.factorial(j))
+    return poly
 
 
-def _bisect_block(
-    gamma: MomentSequence,
-    n: int,
-    k: int,
-    cut: int,
-    cap: Scalar,
-    ctx: ToleranceContext,
-    eps: float,
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
+    # The pivot columns of the row echelon form: a maximal independent set.
+    cols = []
+    for c in range(len(rows[0])):
+        pivot = next((r for r in rows if r[c] != 0), None)
+        if pivot is not None:
+            cols.append(c)
+            rows = [[x * pivot[c] - r[c] * y for x, y in zip(r, pivot)] for r in rows]
+    return cols
+
+
+def _pencil_block(
+    gamma: MomentSequence, n: int, k: int, cut: int, cap: Scalar, ctx: ToleranceContext
 ) -> tuple[Interval, tuple[str, str], list[str]]:
-    """Certified per-anchor interval: both returned endpoints are feasible
-    probes, so the interval is a subset of the true admissible set, within
-    eps*max(1, cap) of it at each end."""
+    """Admissible scales in the window [0, cap] at one t-dependent anchor,
+    with the endpoint methods and flags; see `stability_interval`."""
+    floaty = not ctx.is_exact or _floaty(gamma)
+    size = range(k + 1)
+    vals = [Fraction(gamma[n + i]) for i in range(2 * k + 1)]
+    scale = math.lcm(*(v.denominator for v in vals))
+    h = [[int(vals[i + j] * scale) if n + i + j <= cut else 0 for j in size] for i in size]
+    d = [[int(vals[i + j] * scale) - h[i][j] for j in size] for i in size]
 
-    def ok(t: Scalar) -> bool:
-        return _feasible(gamma, n, k, cut, t, ctx)
+    def pencil(t: Fraction | int, idx=size) -> list[list[int]]:
+        # den(t) * scale * (H + t*D): integer, same PSD verdict and det sign.
+        a, c = t.numerator, t.denominator
+        return [[c * h[i][j] + a * d[i][j] for j in idx] for i in idx]
 
-    if not ok(1):
-        raise InternalConsistencyError(
-            f"scale 1 infeasible at anchor {n}: positivity precondition broken"
+    def feasible(t: Fraction | int) -> bool:
+        return psd_with_margin(SymMatrix.from_rows(pencil(t)))[0]
+
+    one = 1.0 if floaty else Fraction(1)
+    if floaty and not feasible(1):
+        flag = f"anchor {n}: marginal: block not PSD over the binary values; interval [1, 1]"
+        return Interval(one, one), ("pencil_root", "pencil_root"), [flag]
+    p = _interpolate([int(det_bareiss(pencil(t))) for t in range(k + 2)])
+    if not any(p):
+        idx = _pivot_columns(h + d)
+        p = _interpolate([int(det_bareiss(pencil(t, idx))) for t in range(k + 2)])
+    if not any(p):
+        return Interval(one, one), ("pencil_root", "pencil_root"), []
+    while p[-1] == 0:
+        p.pop()  # roots at t = 0 lie on the window bound
+    roots = real_roots(p)
+    if roots is None:
+        roots = real_roots(squarefree(p))
+    # Roots at 1, exact or irrational within half an ulp: probes place them.
+    ones = [float(r) if floaty else r for r in roots if r == 1]
+    below, above = [r for r in roots if 0 < r < 1], [r for r in roots if 1 < r < cap]
+    ends, methods = [], []
+    for bound, near in ((0, below[-1:]), (cap, above[:1])):
+        far = Fraction(near[0] if near else bound)
+        if ones and (far == 1 or not feasible((1 + far) / 2)):
+            ends.append(ones[0])
+            methods.append("direct" if far == 1 else "pencil_root")
+        elif not near:
+            ends.append(float(bound) if floaty else Fraction(bound))
+            methods.append("direct")
+        else:
+            # The double next to the root inside: the rounded one or the next.
+            x = float(far)
+            tries = [x, math.nextafter(x, 1.0)] if floaty or isinstance(near[0], float) else [far]
+            end = next((x for x in tries if feasible(Fraction(x))), None)
+            if end is None:
+                raise InternalConsistencyError(f"no feasible endpoint at anchor {n}")
+            ends.append(end)
+            methods.append("pencil_root")
+    at_cap = methods[1] == "direct"
+    flags = [f"anchor {n}: right endpoint at the order-1 bound"] if at_cap else []
+    return Interval(ends[0], ends[1]), (methods[0], methods[1]), flags
+
+
+def _window_cap(gamma: MomentSequence, cut: int, k: int, ctx: ToleranceContext) -> Scalar:
+    # The order-1 right endpoint, once k-positivity puts 1 in every set.
+    if cut < 1:
+        raise PreconditionError("cut index must be >= 1")
+    if k < 1:
+        raise PreconditionError("order k must be >= 1")
+    if cut + 2 * k > gamma.horizon:
+        raise InsufficientMomentsError(cut + 2 * k, gamma.horizon)
+    _require_strictly_positive(gamma)
+    verdict = is_k_positive(gamma, k, ctx)
+    if not verdict.holds:
+        raise PreconditionError(
+            f"sequence is not {k}-positive on the horizon (first failure at "
+            f"block {verdict.first_failure}); 1 need not be admissible"
         )
-    exact_probes = ctx.is_exact and not _floaty(gamma)
-    one: Scalar = Fraction(1) if exact_probes else 1.0
-    zero: Scalar = Fraction(0) if exact_probes else 0.0
-    cap_t: Scalar = Fraction(cap) if exact_probes else float(cap)
-    tol = eps * max(1.0, float(cap))
-    flags: list[str] = []
-
-    if ok(zero):
-        lo: Scalar = zero
-        lo_method = "direct"
-    else:
-        bad, good = zero, one
-        while float(good - bad) > tol:
-            mid = (bad + good) / 2
-            if ok(mid):
-                good = mid
-            else:
-                bad = mid
-        lo = good
-        lo_method = "bisection"
-
-    if ok(cap_t):
-        hi: Scalar = cap_t
-        hi_method = "direct"
-        flags.append(f"anchor {n}: right endpoint at the order-1 bound")
-    else:
-        good, bad = one, cap_t
-        while float(bad - good) > tol:
-            mid = (bad + good) / 2
-            if ok(mid):
-                good = mid
-            else:
-                bad = mid
-        hi = good
-        hi_method = "bisection"
-
-    return Interval(lo, hi), (lo_method, hi_method), flags
+    return stability_interval_k1(gamma, cut, ctx).hi
 
 
 def _assemble_report(
     k: int,
     cut: int,
+    cap: Scalar,
     per_block: dict[int, Interval],
     methods: dict[int, tuple[str, str]],
     flags: list[str],
 ) -> IntervalReport:
+    # Anchors missing from per_block are t-free: the whole window.
+    per_block = {n: per_block.get(n, Interval(0, cap)) for n in range(cut + 1)}
+    methods = {n: methods.get(n, ("direct", "direct")) for n in range(cut + 1)}
     intersection = Interval(0, float("inf"))
     for iv in per_block.values():
         intersection = intersection.intersect(iv)
@@ -416,7 +455,6 @@ def stability_interval_k2(
     gamma: MomentSequence,
     cut: int,
     ctx: ToleranceContext = EXACT,
-    bisect_eps: float = BISECT_EPS,
 ) -> IntervalReport:
     """Order-2 admissible scales from closed forms.
 
@@ -425,21 +463,11 @@ def stability_interval_k2(
     root intervals of their determinant quadratics (each root exact when
     rational, else the correctly rounded double) plus ratio bounds;
     anchors at distance >= 4 below the cut are t-free.  Degenerate cases
-    (vanishing slope or denominator, tangent quadratics, rounding-collapsed
-    intervals) fall back to bisection for that anchor and are flagged.
+    (vanishing slope or denominator, tangent quadratics, an interval that
+    rounding moved off 1) fall back to the pencil engine for that anchor
+    and are flagged.
     """
-    _require_bisect_eps(bisect_eps)
-    if cut < 1:
-        raise PreconditionError("cut index must be >= 1")
-    if cut + 4 > gamma.horizon:
-        raise InsufficientMomentsError(cut + 4, gamma.horizon)
-    _require_strictly_positive(gamma)
-    if not is_k_positive(gamma, 2, ctx).holds:
-        raise PreconditionError(
-            "sequence is not 2-positive on the horizon; the order-2 "
-            "admissible set need not be an interval around 1"
-        )
-    cap = stability_interval_k1(gamma, cut, ctx).hi
+    cap = _window_cap(gamma, cut, 2, ctx)
     l = cut
     per_block: dict[int, Interval] = {}
     methods: dict[int, tuple[str, str]] = {}
@@ -449,76 +477,47 @@ def stability_interval_k2(
         num, den = _exactify(gamma, gamma[i] * gamma[j], gamma[a] * gamma[b])
         return num / den
 
-    def fallback(n: int, reason: str) -> None:
-        iv, meth, f = _bisect_block(gamma, n, 2, cut, cap, ctx, bisect_eps)
-        per_block[n] = iv
-        methods[n] = meth
-        flags.append(f"anchor {n}: {reason}; bisection used")
-        flags.extend(f)
-
-    for n in range(cut + 1):
-        if n + 4 <= cut:
-            per_block[n] = Interval(0, cap)
-            methods[n] = ("direct", "direct")
-            continue
+    def closed(n: int) -> tuple[Scalar, Scalar, tuple[str, str]] | str:
+        # The anchor's closed-form interval and methods, or why it has none.
+        cf = "closed_form"
         if n == l - 3:
             try:
                 bound = corner_det_lower_bound(gamma, cut)
             except PreconditionError:
-                fallback(n, "degenerate corner determinant slope")
-                continue
-            lo, lo_m = max(
-                [
-                    (bound, "closed_form"),
-                    (ratio(l - 1, l - 1, l - 3, l + 1), "closed_form"),
-                    (ratio(l, l, l - 1, l + 1), "closed_form"),
-                ],
-                key=itemgetter(0),
-            )
-            if lo > cap:
-                fallback(n, "rounding collapsed the corner-bound interval")
-                continue
-            per_block[n] = Interval(lo, cap)
-            methods[n] = (lo_m, "direct")
-        elif n in (l - 2, l - 1):
-            roots = real_roots(det_quadratic(gamma, cut, n))
-            if roots is None or len(roots) != 2:
-                fallback(n, "tangent determinant quadratic")
-                continue
-            if _floaty(gamma):
-                roots = [float(r) for r in roots]
-            hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
-            lo, lo_m = max(
-                [(roots[0], "quadratic_root"), (ratio(l, l, n, 2 * l - n), "closed_form")],
-                key=itemgetter(0),
-            )
-            hi, hi_m = min(
-                [(roots[1], "quadratic_root"), (hi_bound, "closed_form")],
-                key=itemgetter(0),
-            )
-            if lo > hi:
-                fallback(n, "rounding collapsed the quadratic interval")
-                continue
-            per_block[n] = Interval(lo, hi)
-            methods[n] = (lo_m, hi_m)
-        else:
+                return "degenerate corner determinant slope"
+            bounds = [bound, ratio(l - 1, l - 1, l - 3, l + 1), ratio(l, l, l - 1, l + 1)]
+            return max(bounds), cap, (cf, "direct")
+        if n == l:
             try:
                 bound = corner_det_upper_bound(gamma, cut)
             except PreconditionError:
-                fallback(n, "degenerate bordered determinant")
-                continue
-            hi, hi_m = min(
-                [
-                    (bound, "closed_form"),
-                    (ratio(l, l + 4, l + 2, l + 2), "closed_form"),
-                    (cap, "closed_form"),
-                ],
-                key=itemgetter(0),
-            )
-            per_block[n] = Interval(0, hi)
-            methods[n] = ("closed_form", hi_m)
+                return "degenerate bordered determinant"
+            return 0, min(bound, ratio(l, l + 4, l + 2, l + 2), cap), (cf, cf)
+        roots = real_roots(det_quadratic(gamma, cut, n))
+        if roots is None or len(roots) != 2:
+            return "tangent determinant quadratic"
+        if _floaty(gamma):
+            roots = [float(r) for r in roots]
+        hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
+        lo, lo_m = max(
+            [(roots[0], "quadratic_root"), (ratio(l, l, n, 2 * l - n), cf)],
+            key=itemgetter(0),
+        )
+        hi, hi_m = min([(roots[1], "quadratic_root"), (hi_bound, cf)], key=itemgetter(0))
+        return lo, hi, (lo_m, hi_m)
 
-    return _assemble_report(2, cut, per_block, methods, flags)
+    for n in range(max(0, cut - 3), cut + 1):
+        got = closed(n)
+        # Rounding (float mode, or a root within half an ulp of 1) can leave
+        # 1 outside; a nan bound falls through to Interval, which rejects it.
+        if isinstance(got, tuple) and not (got[0] > 1 or got[1] < 1):
+            per_block[n], methods[n] = Interval(got[0], got[1]), got[2]
+            continue
+        reason = got if isinstance(got, str) else "rounding put 1 outside the closed form"
+        per_block[n], methods[n], more = _pencil_block(gamma, n, 2, cut, cap, ctx)
+        flags += [f"anchor {n}: {reason}; pencil engine used", *more]
+
+    return _assemble_report(2, cut, cap, per_block, methods, flags)
 
 
 def stability_interval(
@@ -526,44 +525,28 @@ def stability_interval(
     cut: int,
     k: int,
     ctx: ToleranceContext = EXACT,
-    bisect_eps: float = BISECT_EPS,
 ) -> IntervalReport:
-    """Admissible scales at any order by per-anchor bisection.
+    """Admissible scales at any order from one exact engine.
 
-    Endpoints are certified feasible probes (the reported interval is a
-    subset of the true one, within bisect_eps relative at each end); blocks
-    entirely below the cut are t-free and contribute the whole window.  The
-    right-endpoint search is capped at the order-1 bound, which contains
-    every higher-order interval.
+    An anchor's perturbed block is the pencil H + t*D (H the block truncated
+    at the cut, D the rest).  lambda_min is concave in t, so the admissible
+    set is an interval through 1 ending at the roots of p(t) = det(H + t*D)
+    nearest to 1 (degree <= k+1, interpolated exactly), clipped to the
+    window [0, cap] of the order-1 bound.  p(1) = 0 is decided by one PSD
+    probe per side, p = 0 by restricting the pencil to the pivot columns of
+    [H; D].  Arithmetic is exact, over the binary values of float moments.
+    A root endpoint is the exact rational root, else the double next to it
+    on the inside, certified by an exact PSD probe.  t-free blocks give the
+    whole window.
     """
-    _require_bisect_eps(bisect_eps)
-    if cut < 1:
-        raise PreconditionError("cut index must be >= 1")
-    if k < 1:
-        raise PreconditionError("order k must be >= 1")
-    if cut + 2 * k > gamma.horizon:
-        raise InsufficientMomentsError(cut + 2 * k, gamma.horizon)
-    _require_strictly_positive(gamma)
-    verdict = is_k_positive(gamma, k, ctx)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"sequence is not {k}-positive on the horizon (first failure at "
-            f"block {verdict.first_failure}); 1 need not be admissible"
-        )
-    cap = stability_interval_k1(gamma, cut, ctx).hi
+    cap = _window_cap(gamma, cut, k, ctx)
     per_block: dict[int, Interval] = {}
     methods: dict[int, tuple[str, str]] = {}
     flags: list[str] = []
-    for n in range(cut + 1):
-        if n + 2 * k <= cut:
-            per_block[n] = Interval(0, cap)
-            methods[n] = ("direct", "direct")
-            continue
-        iv, meth, f = _bisect_block(gamma, n, k, cut, cap, ctx, bisect_eps)
-        per_block[n] = iv
-        methods[n] = meth
-        flags.extend(f)
-    return _assemble_report(k, cut, per_block, methods, flags)
+    for n in range(max(0, cut - 2 * k + 1), cut + 1):
+        per_block[n], methods[n], more = _pencil_block(gamma, n, k, cut, cap, ctx)
+        flags.extend(more)
+    return _assemble_report(k, cut, cap, per_block, methods, flags)
 
 
 def interiority_report(
@@ -571,19 +554,19 @@ def interiority_report(
     cut: int,
     k: int,
     ctx: ToleranceContext = EXACT,
-    bisect_eps: float = BISECT_EPS,
 ) -> InteriorReport:
     """Decide interiority of 1 two independent ways and compare.
 
-    interior: 1 strictly inside the bisection interval (both endpoints are
-    feasible probes, so strict inequalities certify interior points).
+    interior: 1 strictly inside the `stability_interval` intersection (its
+    endpoints are certified feasible, so strict inequalities certify
+    interior points).
     pd_all: every unperturbed block at anchors n <= cut is positive
     definite, read in exact mode from the determinant ladder (all leading
     principal minors d_0(n), ..., d_k(n) positive) and in float mode from
     the smallest eigenvalue.  The two are equivalent; a mismatch is
     reported as a tolerance incident for the caller to escalate.
     """
-    report = stability_interval(gamma, cut, k, ctx, bisect_eps)
+    report = stability_interval(gamma, cut, k, ctx)
     ladder = LadderVerdicts(gamma, ctx)
     failing = next((n for n in range(cut + 1) if not ladder.pd(n, k)), None)
     pd_all = failing is None

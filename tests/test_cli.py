@@ -182,21 +182,15 @@ class TestModeAndTolerances:
             assert captured.out == ""
             assert "finite and positive" in captured.err
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "1"])
     @pytest.mark.parametrize("command", ["perturb", "analyze"])
-    def test_bisect_eps_must_lie_in_unit_interval(
-        self, bergman_file, capsys, monkeypatch, eps, command
-    ):
-        def no_work(*a, **kw):
-            raise AssertionError("the input was read before --bisect-eps was checked")
-
-        monkeypatch.setattr(cli, "load_sequence_file", no_work)
-        argv = [command, bergman_file, "--l", "3", "--k", "2", "--bisect-eps", eps, "--json"]
-        assert cli.main(argv) == 2
+    def test_bisect_eps_is_an_unknown_option(self, bergman_file, capsys, command):
+        argv = [command, bergman_file, "--l", "3", "--k", "2", "--bisect-eps", "1e-12"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "--bisect-eps must satisfy 0 < E < 1" in captured.err
+        assert "unrecognized arguments: --bisect-eps" in captured.err
 
 
 class TestSubcommands:
@@ -451,6 +445,58 @@ class TestSubcommands:
     def test_non_stieltjes_exit(self, tmp_path):
         path = write(tmp_path, "alt.json", {"kind": "moments", "values": [1, 2, 1, 2, 1]})
         assert cli.main(["recursion", path]) == 3
+
+
+class TestPencilEngine:
+    def test_interval_narrower_than_a_bisection_step(self, tmp_path, capsys):
+        # The right endpoint is 1 + 3.0e-15: the earlier bisection engine
+        # (resolution 1e-12) returned 1, so 1 read as not interior while
+        # every block is PD, an exit-4 incident.
+        doc = {
+            "kind": "measure",
+            "atoms": ["3/1", "100000/1", "200000/1"],
+            "densities": ["1/1", "1/1", "1/1"],
+            "horizon": 900,
+        }
+        path = write(tmp_path, "wide.json", doc)
+        argv = ["perturb", path, "--l", "3", "--k", "2", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["interiority"]["interior"] and res["interiority"]["agreement"]
+        hi = res["bisection"]["intersection"]["hi"]
+        assert hi == res["closed_form"]["intersection"]["hi"]
+        assert 0 < F(hi) - 1 < F(1, 10**14)
+
+    @pytest.mark.parametrize(
+        "base, ratio, count, cut, k",
+        [(F(3, 7), F(12, 7), 9, 4, 1), (F(6, 7), F(1, 7), 12, 3, 3)],
+    )
+    def test_crossed_order_one_bounds_are_a_precondition(
+        self, tmp_path, capsys, base, ratio, count, cut, k
+    ):
+        # Geometric moments: both order-1 bounds are 1, and rounding crossed
+        # them (0.9999999999999999 > 0.9999999999999998 for the first); the
+        # Interval constructor used to raise an uncaught ValueError.
+        values = [float(base * ratio**n) for n in range(count)]
+        path = write(tmp_path, "geo.csv", "\n".join(map(repr, values)) + "\n")
+        assert cli.main(["perturb", path, "--l", str(cut), "--k", str(k)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error: float rounding")
+        assert captured.err.count("\n") == 1
+
+    def test_float_block_singular_at_one_gets_the_point_one(self, tmp_path, capsys):
+        # Two atoms at order 2: every block is singular, and over the binary
+        # values of the doubles some are not PSD; the float bisection probes
+        # found 1 interior, an exit-4 incident.
+        values = [float(F(6, 7) * F(24, 7) ** n + F(5, 7) * F(20, 7) ** n) for n in range(9)]
+        path = write(tmp_path, "two.csv", "\n".join(map(repr, values)) + "\n")
+        argv = ["perturb", path, "--l", "2", "--k", "2", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        inter = res["interiority"]
+        assert not inter["interior"] and not inter["pd_all"] and inter["agreement"]
+        assert any("marginal" in f for f in res["bisection"]["flags"])
 
 
 class TestConsistencyIncident:

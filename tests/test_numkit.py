@@ -29,6 +29,7 @@ from hankelshift import (
     real_roots,
     solve_linear_exact,
     solve_vandermonde,
+    squarefree,
 )
 
 
@@ -118,6 +119,25 @@ class TestDetBareiss:
     def test_singular(self):
         m = SymMatrix.from_rows([[F(1), F(2)], [F(2), F(4)]])
         assert det_bareiss(m) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(_RATIONALS | st.integers(-9, 9), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ))
+    def test_fraction_free_matches_cofactor_expansion(self, rows):
+        # Rows are scaled to integers and eliminated with exact //; the value
+        # is the same Fraction as the Laplace expansion along the first row.
+        def cofactor(m):
+            if len(m) == 1:
+                return F(m[0][0])
+            return sum(
+                (-1) ** j * m[0][j] * cofactor([r[:j] + r[j + 1:] for r in m[1:]])
+                for j in range(len(m))
+            )
+
+        got = det_bareiss(rows)
+        assert isinstance(got, F) and got == cofactor(rows)
 
     def test_float_rows(self):
         m = SymMatrix.from_rows([[2.0, 1.0], [1.0, 2.0]])
@@ -249,10 +269,14 @@ class TestRealRoots:
     @settings(max_examples=100, deadline=None)
     @given(_squarefree(), st.data())
     def test_repeated_root_is_none(self, case, data):
+        # The squarefree part keeps every distinct root.
         poly, rational, _ = case
         factors = [[F(1), -r] for r in rational] + [[F(1), F(0), F(-2)], [F(1), F(0), F(1)]]
         factor = data.draw(st.sampled_from(factors))
-        assert real_roots(_poly_mul(_poly_mul(poly, factor), factor)) is None
+        repeated = _poly_mul(_poly_mul(poly, factor), factor)
+        assert real_roots(repeated) is None
+        distinct = sorted(set(real_roots(poly)) | set(real_roots(factor)))
+        assert real_roots(squarefree(repeated)) == distinct
 
     def test_rational_roots_exact(self):
         assert real_roots([F(2), F(-3), F(1)]) == [F(1, 2), F(1)]

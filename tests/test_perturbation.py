@@ -1,5 +1,5 @@
-"""Tail-scaling stability intervals: closed forms, bisection, interiority,
-determinant expansion identities."""
+"""Tail-scaling stability intervals: closed forms, the pencil engine,
+interiority, determinant expansion identities."""
 
 from __future__ import annotations
 
@@ -8,10 +8,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hankelshift.perturbation as perturbation
 from hankelshift import (
     EXACT,
     FLOAT,
+    AtomicMeasure,
     InsufficientMomentsError,
     Interval,
     MomentSequence,
@@ -24,6 +28,8 @@ from hankelshift import (
     det_quadratic,
     discriminant_diagnostic,
     interiority_report,
+    is_psd,
+    moments_of,
     perturb_moments,
     perturb_weights,
     perturbed_block,
@@ -326,23 +332,13 @@ class TestStabilityK2:
         with pytest.raises(PreconditionError, match="finite"):
             stability_interval_k2(g, 3, FLOAT)
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
-    def test_bisect_eps_outside_unit_interval_rejected(self, eps):
-        g = bergman_moments(14)
-        with pytest.raises(PreconditionError, match="bisect_eps"):
-            stability_interval_k2(g, 3, EXACT, eps)
-        with pytest.raises(PreconditionError, match="bisect_eps"):
-            stability_interval(g, 3, 2, EXACT, eps)
-        with pytest.raises(PreconditionError, match="bisect_eps"):
-            interiority_report(g, 3, 2, EXACT, eps)
-
     def test_method_tags_present(self):
         rep = stability_interval_k2(bergman_moments(14), 3)
         for n, iv in rep.per_block.items():
             lo_m, hi_m = rep.methods[n]
-            assert lo_m in {"closed_form", "quadratic_root", "bisection", "direct", "condensation"}
-            assert hi_m in {"closed_form", "quadratic_root", "bisection", "direct", "condensation"}
-        assert rep.intersection_methods[0] in {"closed_form", "quadratic_root", "bisection", "direct"}
+            assert lo_m in {"closed_form", "quadratic_root", "bisection", "pencil_root", "direct", "condensation"}
+            assert hi_m in {"closed_form", "quadratic_root", "bisection", "pencil_root", "direct", "condensation"}
+        assert rep.intersection_methods[0] in {"closed_form", "quadratic_root", "bisection", "pencil_root", "direct"}
 
 
 class TestStabilityGeneric:
@@ -382,6 +378,77 @@ class TestStabilityGeneric:
         bad = MomentSequence.of([F(1), F(2), F(1), F(2), F(1), F(2)])
         with pytest.raises(PreconditionError):
             stability_interval(bad, 1, 1)
+
+
+_atom = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+_density = st.fractions(min_value=F(1, 5), max_value=3, max_denominator=5)
+
+
+@st.composite
+def engine_cases(draw):
+    # Exact atomic measures with 1..k+2 atoms: singular blocks at t = 1 (r
+    # atoms, r <= k) and identically singular pencils (one atom, anchor
+    # cut-3 at k = 2) both occur.
+    k = draw(st.integers(1, 4))
+    cut = draw(st.integers(1, 5))
+    atoms = sorted(draw(st.sets(_atom, min_size=1, max_size=k + 2)))
+    dens = draw(st.lists(_density, min_size=len(atoms), max_size=len(atoms)))
+    return moments_of(AtomicMeasure(tuple(atoms), tuple(dens)), cut + 2 * k), cut, k
+
+
+def _feasible(gamma, n, k, cut, t):
+    return is_psd(perturbed_block(gamma, n, k, cut, F(t)))
+
+
+class TestPencilEngine:
+    @settings(max_examples=120, deadline=None)
+    @given(engine_cases())
+    # One atom: the pencil at anchor 0 is identically singular.
+    @example((moments_of(AtomicMeasure((F(2),), (F(1),)), 7), 3, 2))
+    def test_endpoints_certified_and_tight(self, case):
+        gamma, cut, k = case
+        probes, per_anchor = [0], []
+        probe, engine = perturbation.psd_with_margin, perturbation._pencil_block
+
+        def counting_probe(*args):
+            probes[0] += 1
+            return probe(*args)
+
+        def counting_engine(*args):
+            before = probes[0]
+            out = engine(*args)
+            per_anchor.append(probes[0] - before)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perturbation, "psd_with_margin", counting_probe)
+            mp.setattr(perturbation, "_pencil_block", counting_engine)
+            rep = stability_interval(gamma, cut, k)
+        assert per_anchor and max(per_anchor) <= 6
+        cap = stability_interval_k1(gamma, cut).hi
+        step = F(1, 2**40) * max(1, cap)
+        for n, iv in rep.per_block.items():
+            for t, method, outside in zip((iv.lo, iv.hi), rep.methods[n], (-step, step)):
+                if method == "direct":
+                    continue
+                assert _feasible(gamma, n, k, cut, t), (n, t)
+                assert not _feasible(gamma, n, k, cut, F(t) + outside), (n, t)
+        if k == 1:
+            iv = stability_interval_k1(gamma, cut)
+            assert (rep.intersection.lo, rep.intersection.hi) == (iv.lo, iv.hi)
+        if k == 2:
+            closed = stability_interval_k2(gamma, cut)
+            fell_back = {f.split(":")[0] for f in closed.flags if "pencil engine" in f}
+            for n, iv in closed.per_block.items():
+                if f"anchor {n}" in fell_back:
+                    continue
+                # The closed form at anchor cut-1 is not clipped to the window.
+                pairs = ((iv.lo, rep.per_block[n].lo), (min(iv.hi, cap), rep.per_block[n].hi))
+                for a, b in pairs:
+                    assert abs(float(a) - float(b)) <= 1e-12 * max(1, float(cap))
+        for j in range(1, k):
+            lower = stability_interval(gamma, cut, j).intersection
+            assert lower.lo <= rep.intersection.lo <= rep.intersection.hi <= lower.hi
 
 
 class TestInteriority:
