@@ -61,6 +61,13 @@ from .shifts import (
 
 RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
 DEFAULT_MEASURE_HORIZON = 12
+# The least value of each count option a subcommand reads.
+COUNT_FLOORS = {
+    "analyze": {"k": 1},
+    "dets": {"k": 0},
+    "recursion": {"max_order": 1},
+    "perturb": {"k": 1, "l": 1},
+}
 
 __all__ = ["main"]
 
@@ -492,10 +499,16 @@ def cmd_perturb(
         bis = stability_interval(gamma, args.l, args.k, ctx)
         results["bisection"] = _interval_report_json(bis)
         if ref_iv is not None:
-            dev = max(
-                abs(float(ref_iv.lo) - float(bis.intersection.lo)),
-                abs(float(ref_iv.hi) - float(bis.intersection.hi)),
-            )
+            try:
+                dev = max(
+                    abs(float(ref_iv.lo) - float(bis.intersection.lo)),
+                    abs(float(ref_iv.hi) - float(bis.intersection.hi)),
+                )
+            except OverflowError:
+                raise PreconditionError(
+                    "an interval endpoint lies beyond the double range, so the "
+                    "float cross-check deviation does not exist"
+                ) from None
             results["cross_check_max_deviation"] = repr(dev)
         interior = interiority_report(gamma, args.l, args.k, ctx)
         results["interiority"] = {
@@ -681,7 +694,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """An out-of-range count is an input error, raised before the file is
+    read."""
+    for name, floor in COUNT_FLOORS[args.command].items():
+        value = getattr(args, name)
+        if value < floor:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be >= {floor} for {args.command}, got {value}")
+
+
 def run(args: argparse.Namespace) -> tuple[dict, bool]:
+    _check_counts(args)
     loaded = load_sequence_file(args.file)
     ctx = resolve_context(args, loaded)
     warnings: list[str] = []

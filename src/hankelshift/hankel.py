@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
-
-import numpy as np
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .numkit import (
     EXACT,
@@ -21,6 +20,7 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _integer_view,
     det_bareiss,
     hadamard_bound,
     is_pd,
@@ -80,6 +80,15 @@ class MomentSequence:
     @property
     def strictly_positive(self) -> bool:
         return all(v > 0 for v in self.values)
+
+    @cached_property
+    def integer_view(self) -> tuple[tuple[int, ...], int]:
+        """(G, D): D > 0 is the lcm of the denominators of the exact values
+        (floats at their binary values) and G[n] = gamma_n * D, an int.
+        Exact mode computes on G; a block of G is D times the block of
+        gamma, so every sign and every vanishing carries over."""
+        nums, den = _integer_view(self.values)
+        return tuple(nums), den
 
     def max_abs(self) -> float:
         try:
@@ -168,13 +177,16 @@ def is_k_positive(
 def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
     """True iff gamma_n * gamma_{n+2} >= gamma_{n+1}^2 for every n <= N-2.
 
-    For nonnegative sequences this coincides with 1-positivity.
+    For nonnegative sequences this coincides with 1-positivity.  Exact mode
+    compares the integer products of `MomentSequence.integer_view`.
     """
+    if ctx.is_exact:
+        g = gamma.integer_view[0]
+        return all(g[n] * g[n + 2] >= g[n + 1] * g[n + 1] for n in range(len(g) - 2))
     for n in range(len(gamma) - 2):
         lhs = gamma[n] * gamma[n + 2]
         rhs = gamma[n + 1] * gamma[n + 1]
-        scale = 0.0 if ctx.is_exact else max(abs(float(lhs)), abs(float(rhs)))
-        if not ctx.nonneg(lhs - rhs, scale):
+        if not ctx.nonneg(lhs - rhs, max(abs(float(lhs)), abs(float(rhs)))):
             return False
     return True
 
@@ -189,10 +201,11 @@ def zero_moment_collapse(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -
     return all(ctx.is_zero(gamma[n], scale) for n in range(1, len(gamma)))
 
 
-def _direct_det(gamma: MomentSequence, n: int, k: int, ctx: ToleranceContext) -> Scalar:
+def _direct_det(gamma: MomentSequence, n: int, k: int) -> float:
+    # Float mode's standalone block determinant.
+    import numpy as np
+
     mat = block(gamma, n, k)
-    if ctx.is_exact:
-        return det_bareiss(mat)
     return float(np.linalg.det(mat.to_numpy())) if k > 0 else float(mat.entry(0, 0))
 
 
@@ -206,15 +219,20 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     with the order-(-1) table identically 1 and the order-0 table equal to
     gamma itself.  Entries whose divisor d_{k-2}(n+2) is zero (exact) or
     inside the tolerance band (float) fall back to a direct determinant.
-    Exact mode works over the exact values of the moments (floats at their
-    binary values), so every entry is exact.  An order is built only when
-    the caller asks for it.
+    Exact mode condenses the integers G = gamma * D of
+    `MomentSequence.integer_view` (floats at their binary values): the
+    identity is homogeneous, so the order-k entry is det(block of G) /
+    D^(k+1), every division is an exact `//`, a zero divisor takes
+    `det_bareiss` on the integer block, and each entry becomes a Fraction
+    only when its table is yielded.  An order is built only when the caller
+    asks for it.
     """
+    if ctx.is_exact:
+        yield from _exact_ladder(gamma)
+        return
     horizon = gamma.horizon
     prev2: list[Scalar] = [1] * (horizon + 3)
     prev1: list[Scalar] = list(gamma.values)
-    if ctx.is_exact:
-        prev1 = [v if isinstance(v, Fraction) else Fraction(v) for v in prev1]
     yield DetTable(
         k=0,
         horizon=horizon,
@@ -226,23 +244,64 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
         methods: list[str] = []
         for n in range(horizon - 2 * order + 1):
             divisor = prev2[n + 2]
-            if ctx.is_exact:
-                degenerate = divisor == 0
-            else:
-                scale = (
-                    hadamard_bound(block(gamma, n + 2, order - 2))
-                    if order >= 2
-                    else abs(float(divisor))
-                )
-                degenerate = ctx.is_zero(divisor, scale)
-            if degenerate:
-                table.append(_direct_det(gamma, n, order, ctx))
+            scale = (
+                hadamard_bound(block(gamma, n + 2, order - 2))
+                if order >= 2
+                else abs(float(divisor))
+            )
+            # A zero divisor is degenerate whatever its scale (a nan
+            # Hadamard bound, from moments near the double range, bands
+            # nothing).
+            if divisor == 0 or ctx.is_zero(divisor, scale):
+                table.append(_direct_det(gamma, n, order))
                 methods.append("direct")
             else:
                 num = prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]
                 table.append(num / divisor)
                 methods.append("condensation")
         yield DetTable(k=order, horizon=horizon, dets=tuple(table), methods=tuple(methods))
+        prev2, prev1 = prev1, table
+
+
+def _integer_block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
+    # block(gamma, n, k) times D over the integers G of integer_view: the
+    # same PSD verdict, the same singularity, the determinant D^(k+1) times.
+    g = gamma.integer_view[0]
+    return SymMatrix.from_rows([[g[n + i + j] for j in range(k + 1)] for i in range(k + 1)])
+
+
+def _exact_ladder(gamma: MomentSequence) -> Iterator[DetTable]:
+    # det_ladder in exact mode: condenses the integers G of integer_view,
+    # whose order-k entries det(block of G at n) are D^(k+1) d_k(n).
+    g, den = gamma.integer_view
+    horizon = gamma.horizon
+    yield DetTable(
+        k=0,
+        horizon=horizon,
+        dets=tuple(v if isinstance(v, Fraction) else Fraction(v) for v in gamma.values),
+        methods=tuple("direct" for _ in g),
+    )
+    prev2: Sequence[int] = [1] * (horizon + 3)
+    prev1: Sequence[int] = g
+    scale = den
+    for order in range(1, horizon // 2 + 1):
+        scale *= den
+        table: list[int] = []
+        methods: list[str] = []
+        for n in range(horizon - 2 * order + 1):
+            divisor = prev2[n + 2]
+            if divisor == 0:
+                table.append(det_bareiss(_integer_block(gamma, n, order)).numerator)
+                methods.append("direct")
+            else:
+                table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)
+                methods.append("condensation")
+        yield DetTable(
+            k=order,
+            horizon=horizon,
+            dets=tuple(Fraction(d, scale) for d in table),
+            methods=tuple(methods),
+        )
         prev2, prev1 = prev1, table
 
 
@@ -287,7 +346,9 @@ class LadderVerdicts:
     - d_j(n) = 0 with j < k: undecided by the minors, so `psd_with_margin`
       runs its pivot elimination on the block.
 
-    Float mode decides every block with `psd_with_margin`.
+    The fallback elimination runs on the integer block of
+    `MomentSequence.integer_view`.  Float mode decides every block with
+    `psd_with_margin`.
     """
 
     def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):
@@ -352,6 +413,7 @@ class LadderVerdicts:
                     break
             else:
                 return True, False
+            return psd_with_margin(_integer_block(self.gamma, n, k))
         return psd_with_margin(block(self.gamma, n, k), self.ctx)
 
     def pd(self, n: int, k: int) -> bool:

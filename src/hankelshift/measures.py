@@ -5,15 +5,15 @@ and recovery of atoms and densities from a detected recursion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .hankel import (
     BlockIndex,
     MomentSequence,
+    _integer_block,
     block,
     det_is_zero,
     det_ladder,
@@ -26,6 +26,7 @@ from .numkit import (
     PreconditionError,
     Scalar,
     ToleranceContext,
+    _integer_view,
     is_psd,
     real_roots,
     solve_linear_exact,
@@ -99,8 +100,19 @@ class Recursion:
             raise ValueError("recursion needs exactly `order` coefficients")
 
     def holds_on(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
+        """The recursion fits every index from valid_from on the horizon:
+        exactly in exact mode (over the integers of
+        `MomentSequence.integer_view` and the coefficients scaled by their
+        common denominator), within the float band otherwise."""
         r = self.order
-        scale = 0.0 if ctx.is_exact else gamma.max_abs()
+        if ctx.is_exact:
+            g = gamma.integer_view[0]
+            c, den = _integer_view(self.coeffs)
+            return all(
+                g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
+                for p in range(self.valid_from, len(g) - r)
+            )
+        scale = gamma.max_abs()
         for p in range(self.valid_from, len(gamma) - r):
             predicted = sum(self.coeffs[i] * gamma[p + i] for i in range(r))
             if not ctx.is_zero(gamma[p + r] - predicted, scale):
@@ -115,23 +127,33 @@ class FiniteMassReport:
 
 
 def moments_of(mu: AtomicMeasure, horizon: int) -> MomentSequence:
-    """gamma_n = sum_j rho_j * x_j^n for n = 0..horizon."""
+    """gamma_n = sum_j rho_j * x_j^n for n = 0..horizon.
+
+    Exact measures (no float atom or density) are summed over the integers:
+    with x_j = a_j / A and rho_j = r_j / R over common denominators,
+    gamma_n = (sum_j r_j a_j^n) / (R A^n), one Fraction per moment.
+    """
     if horizon < 0:
         raise PreconditionError("horizon must be >= 0")
-    exact = not any(
-        isinstance(v, float) for v in list(mu.atoms) + list(mu.densities)
-    )
-    if exact:
-        atoms = [Fraction(x) for x in mu.atoms]
-        dens = [Fraction(r) for r in mu.densities]
-    else:
-        atoms = [float(x) for x in mu.atoms]
-        dens = [float(r) for r in mu.densities]
+    if not any(isinstance(v, float) for v in list(mu.atoms) + list(mu.densities)):
+        atoms, a_den = _integer_view(mu.atoms)
+        powers, den = _integer_view(mu.densities)
+        exact: list[Scalar] = []
+        for _ in range(horizon + 1):
+            exact.append(Fraction(sum(powers), den))
+            powers = [p * a for p, a in zip(powers, atoms)]
+            den *= a_den
+        return MomentSequence(tuple(exact))
+    floats = [float(x) for x in mu.atoms]
     values: list[Scalar] = []
-    powers = list(dens)
+    powers = [float(r) for r in mu.densities]
     for n in range(horizon + 1):
         values.append(sum(powers))
-        powers = [p * x for p, x in zip(powers, atoms)]
+        if not math.isfinite(values[-1]):
+            raise PreconditionError(
+                f"a moment lies beyond the double range: gamma_{n} of the float measure"
+            )
+        powers = [p * x for p, x in zip(powers, floats)]
     return MomentSequence(tuple(values))
 
 
@@ -149,14 +171,19 @@ def detect_recursion(
         return None
     cap = min(max_order, gamma.horizon // 2)
     n = len(gamma)
+    # Exact mode fits the integers of integer_view: scaling every moment by
+    # one denominator leaves the recursion's coefficients unchanged.
+    g = gamma.integer_view[0] if ctx.is_exact else gamma.values
     for r in range(1, cap + 1):
-        rows = [[gamma[p + i] for i in range(r)] for p in range(n - r)]
-        rhs = [gamma[p + r] for p in range(n - r)]
+        rows = [[g[p + i] for i in range(r)] for p in range(n - r)]
+        rhs = [g[p + r] for p in range(n - r)]
         if ctx.is_exact:
             sol = solve_linear_exact(rows, rhs)
             if sol is not None:
                 return Recursion(order=r, coeffs=tuple(sol), valid_from=0)
         else:
+            import numpy as np
+
             a = np.array([[float(x) for x in row] for row in rows], dtype=float)
             b = np.array([float(v) for v in rhs], dtype=float)
             x, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -172,15 +199,17 @@ def _stieltjes_screen(gamma: MomentSequence, ctx: ToleranceContext) -> None:
     # Every feasible block of (gamma_{i+j}) is a principal submatrix of the
     # maximal even-anchor block, and every (gamma_{i+j+1}) block of the
     # maximal odd-anchor one, so two PSD checks cover the whole family.
+    # Exact mode checks the integer blocks, D times gamma's.
     n = gamma.horizon
-    even = block(gamma, 0, n // 2)
+    block_of = _integer_block if ctx.is_exact else block
+    even = block_of(gamma, 0, n // 2)
     if not is_psd(even, ctx):
         raise NotStieltjesError(
             "moment blocks anchored at even indices are not all PSD; "
             "not a moment sequence of a positive measure"
         )
     if n >= 1:
-        odd = block(gamma, 1, (n - 1) // 2)
+        odd = block_of(gamma, 1, (n - 1) // 2)
         if not is_psd(odd, ctx):
             raise NotStieltjesError(
                 "shifted moment blocks (anchored at odd indices) are not all "

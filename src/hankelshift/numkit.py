@@ -7,7 +7,11 @@ tolerance test controlled by a :class:`ToleranceContext`.
 
 The mode is carried by the context, not by a scalar wrapper type: routines
 coerce their input entries to the representation the context asks for
-(floats are converted to exact binary rationals in exact mode).
+(floats are converted to exact binary rationals in exact mode).  Exact
+linear algebra runs over Python ints: the entries are scaled to integers by
+a common denominator once (`_integer_view`), every elimination step divides
+exactly with `//`, and a Fraction is built only for a value that leaves the
+routine.  numpy is imported only by the float-mode routines.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Scalar = Fraction | int | float
 
@@ -130,7 +135,19 @@ def _has_float(rows: Sequence[Sequence[Scalar]]) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
 
 
+def _integer_view(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """(nums, den): den is the lcm of the denominators of the exact values
+    (floats at their binary values) and nums[i] = values[i] * den, an int."""
+    pairs = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in pairs])
+    if den == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (den // d) for n, d in pairs], den
+
+
 def _float_array(matrix: "SymMatrix | Sequence[Sequence[Scalar]]") -> np.ndarray:
+    import numpy as np
+
     rows = _as_rows(matrix)
     n = len(rows)
     return np.array([[float(x) for x in row] for row in rows], dtype=float).reshape(n, n)
@@ -222,10 +239,10 @@ class Interval:
 def det_bareiss(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant by fraction-free single-step Bareiss elimination.
 
-    Exact entries are scaled row by row to integers (by the lcm of the row's
-    denominators), every division is an exact integer `//`, and the result
-    is the Fraction det / (product of the row scales).  Float entries take
-    ordinary elimination.  The order-0 determinant is 1 by convention.
+    Exact entries are scaled row by row to integers (`_integer_view`),
+    every division is an exact integer `//`, and the result is the Fraction
+    det / (product of the row scales).  Float entries take ordinary
+    elimination.  The order-0 determinant is 1 by convention.
     """
     rows = _as_rows(matrix)
     n = len(rows)
@@ -234,11 +251,9 @@ def det_bareiss(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> Scalar:
     exact = not _has_float(rows)
     scale = 1
     if exact:
-        # ints and Fractions both carry numerator and denominator.
         for i, row in enumerate(rows):
-            m = math.lcm(*(x.denominator for x in row))
+            rows[i], m = _integer_view(row)
             scale *= m
-            rows[i] = [x.numerator * (m // x.denominator) for x in row]
     sign = 1
     prev: Scalar = 1
     for k in range(n - 1):
@@ -259,37 +274,47 @@ def det_bareiss(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> Scalar:
 
 
 def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
-    """(is PSD, is PD), exactly, by symmetric elimination on the diagonal.
+    """(is PSD, is PD), exactly, by fraction-free symmetric elimination.
 
-    Each step takes the next diagonal entry of the Schur complement as the
-    pivot.  A negative pivot means not PSD.  A zero pivot leaves a PSD
-    matrix only when the rest of its row is zero too (a 2x2 principal minor
-    [[0, b], [b, c]] has determinant -b^2); the row is then dropped and the
-    matrix is singular.  All pivots positive means PD.
+    The entries (floats at their binary values) are scaled to integers by one
+    common denominator, which keeps the matrix symmetric and its verdicts.
+    Step k takes the diagonal entry as the pivot; by Sylvester's identity it
+    is the Schur-complement pivot times the previous positive pivot, which
+    divides every update exactly.  A negative pivot means not PSD.  A zero
+    pivot leaves a PSD matrix only when the rest of its row is zero too (a
+    2x2 principal minor [[0, b], [b, c]] has determinant -b^2); the row is
+    then dropped, the previous divisor stays, and the matrix is singular.
+    All pivots positive means PD.
     """
-    # Fraction(float) is the exact binary value, so this is lossless.
-    a = [[Fraction(x) for x in row] for row in _as_rows(matrix)]
-    n = len(a)
+    rows = _as_rows(matrix)
+    n = len(rows)
+    flat, _ = _integer_view(x for row in rows for x in row)
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     singular = False
+    prev = 1
     # Only the upper triangle (j >= i) is kept current; by symmetry it holds
     # every entry the elimination reads.
     for k in range(n):
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
         if pivot < 0:
             return False, False
         if pivot == 0:
-            if any(a[k][j] != 0 for j in range(k + 1, n)):
+            if any(row_k[k + 1:]):
                 return False, False
             singular = True
             continue
         for i in range(k + 1, n):
-            factor = a[k][i] / pivot
+            row_i, f = a[i], row_k[i]
             for j in range(i, n):
-                a[i][j] -= factor * a[k][j]
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+        prev = pivot
     return True, not singular
 
 
 def _eig_min(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[float, float]:
+    import numpy as np
+
     arr = _float_array(matrix)
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     lam_min = float(np.linalg.eigvalsh(arr)[0]) if arr.size else 0.0
@@ -299,10 +324,10 @@ def _eig_min(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[float, flo
 def psd_with_margin(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
     """(is PSD, verdict is marginal).
 
-    Exact mode decides by symmetric pivot elimination over the exact
-    rational (for floats, binary) values of the entries and flags exactly
-    singular PSD blocks.  The exact k-positivity scans read most Hankel
-    blocks off their leading principal minors instead
+    Exact mode decides by fraction-free symmetric pivot elimination over
+    the entries scaled to integers (floats at their binary values) and
+    flags exactly singular PSD blocks.  The exact k-positivity scans read
+    most Hankel blocks off their leading principal minors instead
     (`hankel.LadderVerdicts`) and come here only for a block whose minor of
     some lower order vanishes.  Float mode flags marginal when the smallest
     eigenvalue sits inside the tolerance band around zero, i.e. the verdict
@@ -390,8 +415,7 @@ def squarefree(poly: Sequence[Scalar]) -> list[Fraction]:
 def _primitive(poly: Sequence[Fraction]) -> list[int]:
     # A positive multiple with coprime integer coefficients: same roots and
     # the same sign everywhere.
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = [c.numerator * (den // c.denominator) for c in poly]
+    ints, _ = _integer_view(poly)
     g = math.gcd(*ints)
     return [c // g for c in ints]
 
@@ -503,38 +527,50 @@ def solve_linear_exact(
     rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> tuple[Fraction, ...] | None:
     """One exact solution of A x = b with free variables set to zero, or
-    None when the system is inconsistent.  The candidate is re-verified by
-    substitution, so the answer is sound regardless of pivoting order."""
-    m = len(rows)
+    None when the system is inconsistent.
+
+    Each row is scaled to integers together with its right-hand side (floats
+    at their binary values) and reduced to row echelon form by fraction-free
+    elimination, every division an exact `//`.  With d the last pivot,
+    Cramer's rule makes d * x an integer vector, which back substitution
+    finds with exact divisions; it is re-verified by substitution into the
+    scaled rows, so the answer is sound regardless of pivoting order, and
+    the Fractions are built last.
+    """
+    scaled = [_integer_view([*row, v])[0] for row, v in zip(rows, rhs, strict=True)]
+    m = len(scaled)
     ncols = len(rows[0]) if m else 0
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(v)]
-        for row, v in zip(rows, rhs, strict=True)
-    ]
+    ech = [list(row) for row in scaled]
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if ech[i][c] != 0), None)
         if pr is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        ech[r], ech[pr] = ech[pr], ech[r]
+        row_r = ech[r]
+        pv = row_r[c]
+        for i in range(r + 1, m):
+            row_i, f = ech[i], ech[i][c]
+            for j in range(c + 1, ncols + 1):
+                row_i[j] = (pv * row_i[j] - f * row_r[j]) // prev
+            row_i[c] = 0
         pivots.append(c)
+        prev = pv
         r += 1
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
-    for row, v in zip(rows, rhs, strict=True):
-        if sum(Fraction(a) * xi for a, xi in zip(row, x)) != Fraction(v):
+    # y = d * x with d = prev, the determinant of the pivot block.
+    y = [0] * ncols
+    for t in range(r - 1, -1, -1):
+        row, c = ech[t], pivots[t]
+        acc = prev * row[ncols] - sum(row[pivots[s]] * y[pivots[s]] for s in range(t + 1, r))
+        y[c] = acc // row[c]
+    for row in scaled:
+        if sum(a * yi for a, yi in zip(row, y)) != prev * row[ncols]:
             return None
-    return tuple(x)
+    return tuple(Fraction(yi, prev) for yi in y)
 
 
 def solve_vandermonde(
@@ -556,6 +592,8 @@ def solve_vandermonde(
         if sol is None:
             raise InternalConsistencyError("distinct-node Vandermonde system unsolvable")
         return sol
+    import numpy as np
+
     try:
         arr = np.array([[float(x) ** i for x in nodes] for i in range(m)], dtype=float)
         vec = np.array([float(v) for v in rhs], dtype=float)
@@ -571,6 +609,8 @@ def solve_vandermonde(
 def hadamard_bound(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> float:
     """Product of row 2-norms: a cheap a-priori bound on |det|, used to scale
     float-mode zero-determinant tests."""
+    import numpy as np
+
     arr = _float_array(matrix)
     if arr.size == 0:
         return 1.0

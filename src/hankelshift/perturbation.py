@@ -34,6 +34,7 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _integer_view,
     det_bareiss,
     fmt_scalar,
     hadamard_bound,
@@ -210,7 +211,13 @@ def stability_interval_k1(
             "interval around 1"
         )
     a, b, c, d = _exactify(gamma, gamma[cut - 1], gamma[cut], gamma[cut + 1], gamma[cut + 2])
-    lo, hi = b * b / (a * c), b * d / (c * c)
+    try:
+        lo, hi = b * b / (a * c), b * d / (c * c)
+    except ZeroDivisionError:
+        raise PreconditionError(
+            "a product of float moments underflows to 0, so the order-1 bounds "
+            "leave the double range"
+        ) from None
     if lo > hi or hi < 1:
         raise PreconditionError(
             f"float rounding put the order-1 bounds [{fmt_scalar(lo)}, "
@@ -339,13 +346,12 @@ def _pencil_block(
     with the endpoint methods and flags; see `stability_interval`."""
     floaty = not ctx.is_exact or _floaty(gamma)
     size = range(k + 1)
-    vals = [Fraction(gamma[n + i]) for i in range(2 * k + 1)]
-    scale = math.lcm(*(v.denominator for v in vals))
-    h = [[int(vals[i + j] * scale) if n + i + j <= cut else 0 for j in size] for i in size]
-    d = [[int(vals[i + j] * scale) - h[i][j] for j in size] for i in size]
+    vals = _integer_view(gamma[n + i] for i in range(2 * k + 1))[0]
+    h = [[vals[i + j] if n + i + j <= cut else 0 for j in size] for i in size]
+    d = [[vals[i + j] - h[i][j] for j in size] for i in size]
 
     def pencil(t: Fraction | int, idx=size) -> list[list[int]]:
-        # den(t) * scale * (H + t*D): integer, same PSD verdict and det sign.
+        # den(t) * (H + t*D) over the integers: same PSD verdict and det sign.
         a, c = t.numerator, t.denominator
         return [[c * h[i][j] + a * d[i][j] for j in idx] for i in idx]
 

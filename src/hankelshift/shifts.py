@@ -116,8 +116,12 @@ def weights_to_moments(alpha: WeightSequence) -> MomentSequence:
     """gamma_0 = 1, gamma_{n+1} = alpha_n^2 * gamma_n."""
     values: list[Scalar] = [1]
     acc: Scalar = Fraction(1) if not any(isinstance(v, float) for v in alpha.sq) else 1.0
-    for v in alpha.sq:
+    for n, v in enumerate(alpha.sq):
         acc = acc * v
+        if acc == math.inf:
+            raise PreconditionError(
+                f"a moment lies beyond the double range: gamma_{n + 1} of the float weights"
+            )
         values.append(acc)
     return MomentSequence(tuple(values))
 

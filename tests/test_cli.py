@@ -4,7 +4,11 @@ exit codes, JSON determinism."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,62 @@ class TestModeAndTolerances:
         assert "unrecognized arguments: --bisect-eps" in captured.err
 
 
+class TestCountRanges:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--k", "0"], "--k must be >= 1 for analyze, got 0"),
+            (["analyze", "--k", "-3"], "--k must be >= 1 for analyze, got -3"),
+            (["perturb", "--k", "0"], "--k must be >= 1 for perturb, got 0"),
+            (["dets", "--k", "-1"], "--k must be >= 0 for dets, got -1"),
+            (["perturb", "--l", "0"], "--l must be >= 1 for perturb, got 0"),
+            (["perturb", "--l", "-1"], "--l must be >= 1 for perturb, got -1"),
+            (["recursion", "--max-order", "0"], "--max-order must be >= 1 for recursion, got 0"),
+        ],
+    )
+    def test_out_of_range_count_is_an_input_error(self, tmp_path, capsys, argv, message):
+        # rejected before the file is read: the file does not even exist
+        missing = str(tmp_path / "missing.json")
+        assert cli.main([argv[0], missing, *argv[1:], "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_least_counts_still_run(self, bergman_file, capsys):
+        for argv in (
+            ["analyze", "--k", "1"],
+            ["dets", "--k", "0"],
+            ["recursion", "--max-order", "1"],
+            ["perturb", "--l", "1", "--k", "1"],
+        ):
+            assert cli.main([argv[0], bergman_file, *argv[1:], "--json"]) == 0
+            json.loads(capsys.readouterr().out)
+
+
+class TestLazyNumpy:
+    def test_exact_commands_never_import_numpy(self, bergman_file):
+        # a fresh interpreter: exact runs of all four subcommands leave numpy
+        # unloaded, and a float run still works (and loads it)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, io, sys\n"
+            "import hankelshift.cli as cli\n"
+            f"path = {bergman_file!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main([c, path, '--json']) for c in "
+            "('analyze', 'dets', 'recursion', 'perturb')]\n"
+            "    before = 'numpy' in sys.modules\n"
+            "    codes.append(cli.main(['analyze', path, '--float', '--json']))\n"
+            "print(codes, before, 'numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False", "True"]
+
+
 class TestSubcommands:
     def test_dets_table(self, twoatom_file, capsys):
         assert cli.main(["dets", twoatom_file, "--k", "2", "--json", "--no-timestamp"]) == 0
@@ -289,6 +349,46 @@ class TestSubcommands:
             assert captured.out == ""
             assert captured.err.startswith("precondition error: interval endpoint is nan")
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, content, argv, message",
+        [
+            # a * c underflows to 0 in the order-1 closed form
+            (
+                "tiny.json",
+                '{"kind": "weights", "values": [2.74e-201, 1.0, 1.0, 1.0, 1.0]}',
+                ["perturb", "--closed-form"],
+                "underflows to 0",
+            ),
+            # gamma_2 = 1e600 of the float measure
+            ("atom.json", '{"kind": "measure", "atoms": [1e300], "densities": [1]}',
+             ["dets"], "a moment lies beyond the double range: gamma_2 of the float measure"),
+            # gamma_2 = 2 * 1.7e308 of the float weights
+            ("weights.json", '{"kind": "weights", "values": [2.0, 1.7e308, 1.0]}',
+             ["recursion"], "a moment lies beyond the double range: gamma_2 of the float weights"),
+            # the exact right endpoint 1e330 has no double for the cross-check
+            ("wide.csv", "1.0\n1e-300\n1e-300\n1e30\n", ["perturb", "--k", "1", "--exact"],
+             "float cross-check deviation does not exist"),
+        ],
+    )
+    def test_values_past_the_double_range_exit_3(
+        self, tmp_path, capsys, name, content, argv, message
+    ):
+        # each of these used to end in a traceback
+        path = write(tmp_path, name, content)
+        assert cli.main([argv[0], path, *argv[1:], "--json", "--no-timestamp"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:") and message in captured.err
+
+    def test_zero_float_divisor_with_a_nan_scale(self, tmp_path, capsys):
+        # the Hadamard bound of a block holding 1e300 and a zero row is nan,
+        # which used to let a zero condensation divisor through
+        doc = {"kind": "moments", "values": [1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0]}
+        path = write(tmp_path, "m.json", doc)
+        assert cli.main(["dets", path, "--k", "3", "--json", "--no-timestamp"]) == 0
+        table = json.loads(capsys.readouterr().out)["results"]["table"]
+        assert table["methods"] == ["direct"]
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_integers_past_the_int_str_digit_limit(self, tmp_path, capsys, as_json):
