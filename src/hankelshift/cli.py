@@ -741,20 +741,35 @@ def run(args: argparse.Namespace) -> tuple[dict, bool]:
     return report, incident
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
+def _fail(args: argparse.Namespace, exc: Exception, code: int, kind: str, label: str) -> int:
+    # One stderr line; under --json also {"error": ...} on stdout, so every
+    # exit of a run leaves a parseable report.
+    print(f"{label}: {exc}", file=sys.stderr)
+    if args.as_json:
+        error = {"kind": kind, "exit": code, "message": str(exc)}
+        print(json.dumps({"error": error}, indent=2, sort_keys=True))
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built once per process, on the first call, and reused:
+    # it keeps no state between parses and reads nothing from the
+    # environment (HANKELSHIFT_TOL_REL is read per run by resolve_context).
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         report, incident = run(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, 2, "input", "input error")
     except (PreconditionError, InsufficientMomentsError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(args, exc, 3, "precondition", "precondition error")
     except InternalConsistencyError as exc:
-        print(f"internal consistency incident: {exc}", file=sys.stderr)
-        return 4
+        return _fail(args, exc, 4, "consistency", "internal consistency incident")
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

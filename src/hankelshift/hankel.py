@@ -8,6 +8,7 @@ k-positive (up to the horizon) when every feasible block of order k is PSD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -233,12 +234,7 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     horizon = gamma.horizon
     prev2: list[Scalar] = [1] * (horizon + 3)
     prev1: list[Scalar] = list(gamma.values)
-    yield DetTable(
-        k=0,
-        horizon=horizon,
-        dets=tuple(prev1),
-        methods=tuple("direct" for _ in prev1),
-    )
+    yield _finite_table(0, horizon, prev1, ["direct"] * len(prev1))
     for order in range(1, horizon // 2 + 1):
         table: list[Scalar] = []
         methods: list[str] = []
@@ -259,8 +255,23 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
                 num = prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]
                 table.append(num / divisor)
                 methods.append("condensation")
-        yield DetTable(k=order, horizon=horizon, dets=tuple(table), methods=tuple(methods))
+        yield _finite_table(order, horizon, table, methods)
         prev2, prev1 = prev1, table
+
+
+def _finite_table(
+    k: int, horizon: int, dets: Sequence[Scalar], methods: Sequence[str]
+) -> DetTable:
+    # A float table whose entries are all finite: an overflow to inf or nan,
+    # direct or condensed, is a precondition error, never a reported value.
+    # (Library callers may pass ints or Fractions, which are finite.)
+    for n, (d, method) in enumerate(zip(dets, methods)):
+        if isinstance(d, float) and not math.isfinite(d):
+            raise PreconditionError(
+                f"the float order-{k} determinant at anchor {n} ({method}) "
+                f"overflows to {d!r}"
+            )
+    return DetTable(k=k, horizon=horizon, dets=tuple(dets), methods=tuple(methods))
 
 
 def _integer_block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
@@ -346,6 +357,14 @@ class LadderVerdicts:
     - d_j(n) = 0 with j < k: undecided by the minors, so `psd_with_margin`
       runs its pivot elimination on the block.
 
+    In exact mode each table gets one sign pass as it arrives from the walk,
+    which keeps a per-anchor summary: the first order j with d_j(n) <= 0 so
+    far and whether that minor is negative.  Tables arrive in order, so the
+    summary decides block(n, k) in O(1) once orders 0..k are pulled or an
+    entry at order <= k is recorded, and an order-k verdict over N anchors
+    costs O(N) reads; the ladder up to order K is sign-read in O(N K), each
+    entry once, not O(N K^2) Fraction comparisons.
+
     The fallback elimination runs on the integer block of
     `MomentSequence.integer_view`.  Float mode decides every block with
     `psd_with_margin`.
@@ -357,6 +376,22 @@ class LadderVerdicts:
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
+        # Exact mode, per anchor n: (j, d_j(n) < 0) for the first pulled
+        # order j with d_j(n) <= 0, None while every pulled minor is positive.
+        self._first_nonpositive: list[Optional[tuple[int, bool]]] = [None] * len(gamma)
+
+    def _pull(self, k: int) -> DetTable:
+        # Every table comes through here: pulled in order from the walk, and
+        # in exact mode summarised by one sign pass over its numerators.
+        while len(self._tables) <= k:
+            table = next(self._walk)
+            self._tables.append(table)
+            if self.ctx.is_exact:
+                first = self._first_nonpositive
+                for n, d in enumerate(table.dets):
+                    if first[n] is None and d.numerator <= 0:
+                        first[n] = (table.k, d.numerator < 0)
+        return self._tables[k]
 
     def table(self, k: int) -> DetTable:
         """The order-k determinant table."""
@@ -364,9 +399,7 @@ class LadderVerdicts:
             raise PreconditionError("determinant table order must be >= 0")
         if self.gamma.horizon < 2 * k:
             raise InsufficientMomentsError(2 * k, self.gamma.horizon)
-        while len(self._tables) <= k:
-            self._tables.append(next(self._walk))
-        return self._tables[k]
+        return self._pull(k)
 
     def verdict(self, k: int) -> PositivityVerdict:
         """k-positivity on the horizon: the first failing anchor, if any,
@@ -400,19 +433,26 @@ class LadderVerdicts:
                 )
         return PositivityVerdict(k=k, holds=True, horizon=gamma.horizon, flags=tuple(flags))
 
+    def _first_nonpositive_upto(self, n: int, k: int) -> Optional[tuple[int, bool]]:
+        # The summary entry of anchor n if its order is <= k, else None;
+        # orders are pulled only until that is known, as a scan that stops
+        # at a low-order failure needs no higher table.
+        first = self._first_nonpositive
+        while first[n] is None and len(self._tables) <= k:
+            self._pull(len(self._tables))
+        return first[n] if first[n] is not None and first[n][0] <= k else None
+
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
         # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
         if self.ctx.is_exact:
-            for j in range(k + 1):
-                d = self.table(j).dets[n]
-                if d < 0:
-                    return False, False
-                if d == 0:
-                    if j == k:
-                        return True, True
-                    break
-            else:
+            first = self._first_nonpositive_upto(n, k)
+            if first is None:
                 return True, False
+            j, negative = first
+            if negative:
+                return False, False
+            if j == k:
+                return True, True
             return psd_with_margin(_integer_block(self.gamma, n, k))
         return psd_with_margin(block(self.gamma, n, k), self.ctx)
 
@@ -422,7 +462,7 @@ class LadderVerdicts:
         if n + 2 * k > self.gamma.horizon:
             raise InsufficientMomentsError(n + 2 * k, self.gamma.horizon)
         if self.ctx.is_exact:
-            return all(self.table(j).dets[n] > 0 for j in range(k + 1))
+            return self._first_nonpositive_upto(n, k) is None
         return is_pd(block(self.gamma, n, k), self.ctx)
 
     def propagation(self, k: int) -> PropagationReport:

@@ -17,6 +17,8 @@ import hankelshift.hankel as hankel
 from hankelshift import Interval, IntervalReport
 from hankelshift.perturbation import InteriorReport
 
+from test_fuzz_cli import run_main
+
 
 def write(tmp_path, name, content):
     p = tmp_path / name
@@ -25,6 +27,15 @@ def write(tmp_path, name, content):
     else:
         p.write_text(content)
     return str(p)
+
+
+def assert_json_error(captured, code, kind):
+    # Under --json a failed run prints {"error": {"kind", "exit", "message"}}
+    # on stdout and its one labelled line, with the same message, on stderr.
+    doc = json.loads(captured.out)
+    assert doc == {"error": {"kind": kind, "exit": code, "message": doc["error"]["message"]}}
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith(f": {doc['error']['message']}\n")
 
 
 @pytest.fixture
@@ -183,7 +194,7 @@ class TestModeAndTolerances:
         for path in (csv_file, bergman_file):
             assert cli.main(["analyze", path, "--json", "--no-timestamp", *flags]) == 2
             captured = capsys.readouterr()
-            assert captured.out == ""
+            assert_json_error(captured, 2, "input")
             assert "finite and positive" in captured.err
 
     @pytest.mark.parametrize("command", ["perturb", "analyze"])
@@ -215,7 +226,7 @@ class TestCountRanges:
         missing = str(tmp_path / "missing.json")
         assert cli.main([argv[0], missing, *argv[1:], "--json"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert_json_error(captured, 2, "input")
         assert captured.err == f"input error: {message}\n"
 
     def test_least_counts_still_run(self, bergman_file, capsys):
@@ -332,7 +343,7 @@ class TestSubcommands:
         path = write(tmp_path, "big.json", doc)
         assert cli.main(["recursion", path, "--json", "--no-timestamp"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert_json_error(captured, 3, "precondition")
         assert captured.err.startswith("precondition error:")
         assert message in captured.err
 
@@ -346,7 +357,7 @@ class TestSubcommands:
             argv = ["perturb", path, "--l", "4", "--k", "2", "--json", "--no-timestamp"]
             assert cli.main(argv + extra) == 3
             captured = capsys.readouterr()
-            assert captured.out == ""
+            assert_json_error(captured, 3, "precondition")
             assert captured.err.startswith("precondition error: interval endpoint is nan")
             assert captured.err.count("\n") == 1
 
@@ -378,17 +389,30 @@ class TestSubcommands:
         path = write(tmp_path, name, content)
         assert cli.main([argv[0], path, *argv[1:], "--json", "--no-timestamp"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert_json_error(captured, 3, "precondition")
         assert captured.err.startswith("precondition error:") and message in captured.err
 
     def test_zero_float_divisor_with_a_nan_scale(self, tmp_path, capsys):
         # the Hadamard bound of a block holding 1e300 and a zero row is nan,
-        # which used to let a zero condensation divisor through
+        # which used to let a zero condensation divisor through; the order-3
+        # determinant then went direct and printed "-inf" with exit 0.  The
+        # order-1 entry gamma_3 gamma_5 - gamma_4^2 already overflows to -inf,
+        # and a non-finite float determinant is a precondition error.
         doc = {"kind": "moments", "values": [1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0]}
         path = write(tmp_path, "m.json", doc)
-        assert cli.main(["dets", path, "--k", "3", "--json", "--no-timestamp"]) == 0
+        for k in ("1", "3"):
+            argv = ["dets", path, "--k", k, "--float", "--json", "--no-timestamp"]
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert_json_error(captured, 3, "precondition")
+            assert captured.err == (
+                "precondition error: the float order-1 determinant at anchor 3 "
+                "(condensation) overflows to -inf\n"
+            )
+        # exact mode takes 1e300 at its binary value: d_3(0) = -gamma_4^3
+        assert cli.main(["dets", path, "--k", "3", "--exact", "--json", "--no-timestamp"]) == 0
         table = json.loads(capsys.readouterr().out)["results"]["table"]
-        assert table["methods"] == ["direct"]
+        assert table["dets"] == [str(-(int(1e300) ** 3))]
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_integers_past_the_int_str_digit_limit(self, tmp_path, capsys, as_json):
@@ -646,3 +670,106 @@ class TestDeterminism:
         assert cli.main(["analyze", csv_file, "--json", "--no-timestamp"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "timestamp" not in report
+
+
+class TestJsonErrors:
+    """Under --json every failure of a run prints {"error": ...} on stdout;
+    the stderr line and the exit code are those of the human mode, which
+    prints nothing on stdout."""
+
+    def _both_modes(self, argv, capsys, code, kind):
+        assert cli.main([*argv, "--no-timestamp"]) == code
+        human = capsys.readouterr()
+        assert human.out == ""
+        assert cli.main([*argv, "--json", "--no-timestamp"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == human.err
+        assert_json_error(captured, code, kind)
+        return json.loads(captured.out)["error"]["message"]
+
+    def test_input_error_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        message = self._both_modes(["analyze", missing], capsys, 2, "input")
+        assert message.startswith(f"cannot read {missing}")
+
+    def test_precondition_error_exit_3(self, bergman_file, capsys):
+        argv = ["perturb", bergman_file, "--l", "2", "--k", "3", "--closed-form"]
+        message = self._both_modes(argv, capsys, 3, "precondition")
+        assert message == "no closed form at order k=3; rerun without --closed-form"
+
+    def test_horizon_error_exit_3(self, twoatom_file, capsys):
+        message = self._both_modes(["dets", twoatom_file, "--k", "7"], capsys, 3, "precondition")
+        assert message == str(hankel.InsufficientMomentsError(14, 12))
+
+    def test_consistency_incident_exit_4(self, tmp_path, capsys):
+        # the float recovery with a wide relative band misses gamma_1; this
+        # used to exit 4 with nothing on stdout under --json
+        doc = {"kind": "measure", "atoms": ["0/1", "16/5"], "densities": ["1/1", "1/1"]}
+        path = write(tmp_path, "m.json", doc)
+        argv = ["recursion", path, "--float", "--tol-rel", "0.5"]
+        message = self._both_modes(argv, capsys, 4, "consistency")
+        assert message.startswith("recovered measure mismatches gamma_1:")
+
+    def test_usage_error_stays_with_argparse(self, bergman_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", bergman_file, "--k", "x", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid int value: 'x'" in captured.err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; a flag set in one call
+    must not leak into the next."""
+
+    def _sequence(self, bergman_file, csv_file):
+        tail = ["--json", "--no-timestamp"]
+        return [
+            ["analyze", csv_file, "--exact", *tail],
+            ["analyze", csv_file, *tail],
+            ["analyze", bergman_file, "--float", *tail],
+            ["analyze", bergman_file, *tail],
+            ["analyze", csv_file, "--tol-rel", "1e-3", *tail],
+            ["analyze", csv_file, *tail],
+            ["perturb", bergman_file, "--l", "2", "--k", "2", "--closed-form", *tail],
+            ["perturb", bergman_file, "--l", "2", "--k", "2", *tail],
+            ["analyze", bergman_file, "--k", "5", *tail],
+            ["analyze", bergman_file, *tail],
+            ["analyze", bergman_file, "--k", "x", *tail],
+            ["dets", bergman_file, "--k", "1", "--tol-zero"],
+            ["analyze", bergman_file, *tail],
+            ["dets", bergman_file, "--k", "1", *tail],
+        ]
+
+    def test_reused_parser_matches_a_fresh_one(self, bergman_file, csv_file, monkeypatch):
+        monkeypatch.delenv("HANKELSHIFT_TOL_REL", raising=False)
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        sequence = self._sequence(bergman_file, csv_file)
+        fresh = []
+        for argv in sequence:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_main(argv))
+        assert len(builds) == len(sequence)
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [run_main(argv) for argv in sequence]
+        assert len(builds) == len(sequence) + 1
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [0] * 10 + [2, 2, 0, 0]
+        # each flag took effect where it was given and only there
+        modes = [json.loads(out)["mode"] for _, out, _ in reused[:4]]
+        assert modes == ["exact", "float", "float", "exact"]
+        rel = [json.loads(out)["tolerances"]["rel_eps"] for _, out, _ in reused[4:6]]
+        assert rel[0] == 1e-3 and rel[1] != 1e-3
+        assert "bisection" not in json.loads(reused[6][1])["results"]
+        assert "bisection" in json.loads(reused[7][1])["results"]
+        ladders = [len(json.loads(out)["results"]["ladder"]) for _, out, _ in reused[8:10]]
+        assert ladders == [5, 2]

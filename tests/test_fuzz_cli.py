@@ -1,6 +1,7 @@
 """Fuzz of the command line: random JSON and CSV documents under random flag
 sets.  Every run must end in a documented exit code (0, 2, 3 or 4) without a
-traceback, and the `--json` report of a successful run must parse."""
+traceback, and under `--json` every exit of a run must leave a report that
+parses (argparse's own usage errors print nothing on stdout)."""
 
 from __future__ import annotations
 
@@ -78,6 +79,27 @@ def flag_sets(draw) -> list[str]:
     return argv
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    # (exit code, stdout, stderr) of one main() call, argparse exits included
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the flag set
+            code = exc.code
+            assert out.getvalue() == ""
+            return code, "", err.getvalue()
+    if "--json" in argv:
+        # every exit of a run leaves a parseable report on stdout: the
+        # results, or under a raised failure the error object
+        doc = json.loads(out.getvalue())
+        if "error" in doc:
+            assert doc["error"]["exit"] == code != 0
+        else:
+            assert code in (0, 4) and "results" in doc
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -89,13 +111,28 @@ def test_main_ends_in_a_documented_exit(tmp_path, document, flags):
     path = tmp_path / name
     path.write_text(content)
     argv = [flags[0], str(path), *flags[1:]]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the flag set
-            code = exc.code
-    assert code in (0, 2, 3, 4), (argv, content, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 0 and "--json" in argv:
-        json.loads(out.getvalue())
+    code, _, err = run_main(argv)
+    assert code in (0, 2, 3, 4), (argv, content, err)
+    assert "Traceback" not in err
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(st.lists(st.tuples(documents(), flag_sets()), min_size=2, max_size=8), st.randoms())
+def test_reused_parser_gives_the_same_outcomes_in_any_order(tmp_path, runs, rng):
+    # main() reuses one parser per process: running the same calls twice, in
+    # two shuffled orders, gives each call the same (exit, stdout, stderr)
+    argvs = []
+    for i, ((name, content), flags) in enumerate(runs):
+        path = tmp_path / f"{i}-{name}"
+        path.write_text(content)
+        argvs.append([flags[0], str(path), *flags[1:]])
+    outcomes = []
+    for _ in range(2):
+        order = list(range(len(argvs)))
+        rng.shuffle(order)
+        outcomes.append({i: run_main(argvs[i]) for i in order})
+    assert outcomes[0] == outcomes[1]

@@ -3,7 +3,9 @@ vanishing-determinant propagation."""
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -169,6 +171,29 @@ class TestDetSequence:
         flt = det_sequence(g, 3, FLOAT)
         for n in flt.anchors():
             assert flt.dets[n] == pytest.approx(float(exact.dets[n]), rel=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "values, order, message",
+        [
+            # gamma_3 gamma_5 - gamma_4^2 = -1e600 at anchor 3
+            ([1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0], 1, "order-1 determinant at anchor 3 "
+             "(condensation) overflows to -inf"),
+            # d_1(2) = 0 sends anchor 0 of order 3 to numpy's det, which
+            # overflows: the entry holds gamma_1^2 gamma_5^2 = 1e440
+            ([1.0, 1e110, 0.0, 0.0, 0.0, 1e110, 0.0], 3, "order-3 determinant at anchor 0 "
+             "(direct) overflows to inf"),
+        ],
+        ids=["condensed", "direct"],
+    )
+    def test_float_ladder_refuses_non_finite_entries(self, values, order, message):
+        walk = det_ladder(MomentSequence.of(values), FLOAT)
+        for k in range(order):
+            assert all(math.isfinite(d) for d in next(walk).dets), k
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            next(walk)
+        # exact mode takes the doubles at their binary values and yields them
+        assert len(list(det_ladder(MomentSequence.of(values), EXACT))) == 4
 
     def test_det_is_zero_scaling(self):
         g = MomentSequence.of([1.0, 0.5, 0.25])

@@ -1,6 +1,7 @@
 """The determinant-ladder decider of exact k-positivity: differential tests
-against pivot elimination and principal minors, and counts of the work it
-does (ladder walks, pivot fallbacks)."""
+against pivot elimination, principal minors and the per-order minor loop
+that the per-anchor sign summary replaced, and counts of the work it does
+(ladder walks, pivot fallbacks)."""
 
 from __future__ import annotations
 
@@ -57,6 +58,71 @@ def _by_minors(matrix):
 
 def _outcome(verdict):
     return verdict.holds, verdict.first_failure, verdict.flags
+
+
+def _per_order_block_psd(ladder, n, k):
+    # The per-order Fraction loop that the per-anchor sign summary replaced:
+    # d_0(n), ..., d_k(n) read afresh from the tables for every block.
+    for j in range(k + 1):
+        d = ladder.table(j).dets[n]
+        if d < 0:
+            return False, False
+        if d == 0:
+            if j == k:
+                return True, True
+            break
+    else:
+        return True, False
+    return numkit.psd_with_margin(hankel._integer_block(ladder.gamma, n, k))
+
+
+def _per_order_scan(gamma, k):
+    ladder = LadderVerdicts(gamma)
+    flags = []
+    for n in range(gamma.horizon - 2 * k + 1):
+        psd, marginal = _per_order_block_psd(ladder, n, k)
+        if marginal:
+            flags.append(f"singular block at anchor {n}")
+        if not psd:
+            return False, BlockIndex(n, k), tuple(flags)
+    return True, None, tuple(flags)
+
+
+def _questions(gamma):
+    # every verdict, PD and table question the ladder answers on gamma
+    top = gamma.horizon // 2
+    return (
+        [("verdict", k) for k in range(1, top + 1)]
+        + [("pd", n, k) for k in range(top + 1) for n in range(gamma.horizon - 2 * k + 1)]
+        + [("table", j) for j in range(top + 1)]
+    )
+
+
+def _expected_answers(gamma):
+    # every answer from references that share nothing with the summary:
+    # the per-order loop and principal minors by det_bareiss must agree
+    answers = {}
+    fresh = LadderVerdicts(gamma)
+    for question in _questions(gamma):
+        if question[0] == "verdict":
+            k = question[1]
+            answers[question] = _per_order_scan(gamma, k)
+            assert answers[question] == _scan(gamma, k, _by_minors), (gamma.values, k)
+        elif question[0] == "pd":
+            n, k = question[1:]
+            answers[question] = all(fresh.table(j).dets[n] > 0 for j in range(k + 1))
+            assert answers[question] == _by_minors(block(gamma, n, k))[1], (gamma.values, n, k)
+        else:
+            answers[question] = fresh.table(question[1])
+    return answers
+
+
+def _ask(ladder, question):
+    if question[0] == "verdict":
+        return _outcome(ladder.verdict(question[1]))
+    if question[0] == "pd":
+        return ladder.pd(*question[1:])
+    return ladder.table(question[1])
 
 
 def _check_every_order(gamma):
@@ -126,6 +192,21 @@ class TestDifferential:
     def test_zero_moments(self, gamma):
         _check_every_order(gamma)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(atomic_moments(), log_convex_moments(), zeroed_moments()), st.data())
+    def test_answers_do_not_depend_on_question_order(self, gamma, data):
+        # One walk answers verdicts, PD questions and table pulls in any
+        # order: the top order comes first (a verdict, a PD question or a
+        # bare table pull, so every table may arrive before any verdict),
+        # then every question in a random order.
+        expected = _expected_answers(gamma)
+        top = gamma.horizon // 2
+        rest = data.draw(st.permutations(_questions(gamma)))
+        for first in (("verdict", top), ("pd", 0, top), ("table", top)):
+            ladder = LadderVerdicts(gamma)
+            for question in (first, *rest):
+                assert _ask(ladder, question) == expected[question], (gamma.values, first, question)
+
     def test_float_entries_decided_at_binary_values(self):
         # Exact mode takes floats at their binary values, in the ladder as in
         # the pivot elimination.
@@ -192,6 +273,24 @@ class TestWorkCounts:
         rep = propagation_for_shift(alpha, 3, 1)
         assert rep.orders_checked == (1, 2, 3, 4, 5, 6) and rep.orders_all_hold
         assert len(walks) == 1
+
+    def test_low_order_failure_pulls_no_higher_table(self, monkeypatch):
+        # d_1(0) = 1 - 4 < 0: the order-10 verdict and PD question are
+        # decided at order 1, so orders 2..10 are never built
+        pulled = []
+        det_ladder = hankel.det_ladder
+
+        def counting(gamma, ctx):
+            for table in det_ladder(gamma, ctx):
+                pulled.append(table.k)
+                yield table
+
+        monkeypatch.setattr(hankel, "det_ladder", counting)
+        gamma = MomentSequence.of([F(1), F(2), F(1)] + [F(n + 1, n + 2) for n in range(37)])
+        ladder = LadderVerdicts(gamma)
+        assert ladder.verdict(10).first_failure == BlockIndex(0, 10)
+        assert not ladder.pd(0, 10)
+        assert pulled == [0, 1]
 
     def test_pd_blocks_run_no_pivot_elimination(self, monkeypatch):
         calls = _count_pivots(monkeypatch)
