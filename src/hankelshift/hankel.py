@@ -357,13 +357,10 @@ class LadderVerdicts:
     - d_j(n) = 0 with j < k: undecided by the minors, so `psd_with_margin`
       runs its pivot elimination on the block.
 
-    In exact mode each table gets one sign pass as it arrives from the walk,
-    which keeps a per-anchor summary: the first order j with d_j(n) <= 0 so
-    far and whether that minor is negative.  Tables arrive in order, so the
-    summary decides block(n, k) in O(1) once orders 0..k are pulled or an
-    entry at order <= k is recorded, and an order-k verdict over N anchors
-    costs O(N) reads; the ladder up to order K is sign-read in O(N K), each
-    entry once, not O(N K^2) Fraction comparisons.
+    A block reads at most k + 1 signs, each from a minor's integer
+    numerator (an int comparison, no `Fraction` arithmetic), and orders are
+    pulled only up to the first j that decides it, so a scan that fails at
+    a low order builds no higher table.
 
     The fallback elimination runs on the integer block of
     `MomentSequence.integer_view`.  Float mode decides every block with
@@ -376,21 +373,20 @@ class LadderVerdicts:
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
-        # Exact mode, per anchor n: (j, d_j(n) < 0) for the first pulled
-        # order j with d_j(n) <= 0, None while every pulled minor is positive.
-        self._first_nonpositive: list[Optional[tuple[int, bool]]] = [None] * len(gamma)
+        self._stopped: Optional[PreconditionError] = None
 
     def _pull(self, k: int) -> DetTable:
-        # Every table comes through here: pulled in order from the walk, and
-        # in exact mode summarised by one sign pass over its numerators.
+        # Every table comes through here, pulled in order from the one walk.
+        # A float overflow ends the walk, so every later pull past it raises
+        # the same error rather than a bare StopIteration.
         while len(self._tables) <= k:
-            table = next(self._walk)
-            self._tables.append(table)
-            if self.ctx.is_exact:
-                first = self._first_nonpositive
-                for n, d in enumerate(table.dets):
-                    if first[n] is None and d.numerator <= 0:
-                        first[n] = (table.k, d.numerator < 0)
+            if self._stopped is not None:
+                raise self._stopped
+            try:
+                self._tables.append(next(self._walk))
+            except PreconditionError as exc:
+                self._stopped = exc
+                raise
         return self._tables[k]
 
     def table(self, k: int) -> DetTable:
@@ -433,27 +429,18 @@ class LadderVerdicts:
                 )
         return PositivityVerdict(k=k, holds=True, horizon=gamma.horizon, flags=tuple(flags))
 
-    def _first_nonpositive_upto(self, n: int, k: int) -> Optional[tuple[int, bool]]:
-        # The summary entry of anchor n if its order is <= k, else None;
-        # orders are pulled only until that is known, as a scan that stops
-        # at a low-order failure needs no higher table.
-        first = self._first_nonpositive
-        while first[n] is None and len(self._tables) <= k:
-            self._pull(len(self._tables))
-        return first[n] if first[n] is not None and first[n][0] <= k else None
-
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
         # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
         if self.ctx.is_exact:
-            first = self._first_nonpositive_upto(n, k)
-            if first is None:
-                return True, False
-            j, negative = first
-            if negative:
-                return False, False
-            if j == k:
-                return True, True
-            return psd_with_margin(_integer_block(self.gamma, n, k))
+            for j in range(k + 1):
+                num = self._pull(j).dets[n].numerator
+                if num < 0:
+                    return False, False
+                if num == 0:
+                    if j == k:
+                        return True, True
+                    return psd_with_margin(_integer_block(self.gamma, n, k))
+            return True, False
         return psd_with_margin(block(self.gamma, n, k), self.ctx)
 
     def pd(self, n: int, k: int) -> bool:
@@ -462,7 +449,7 @@ class LadderVerdicts:
         if n + 2 * k > self.gamma.horizon:
             raise InsufficientMomentsError(n + 2 * k, self.gamma.horizon)
         if self.ctx.is_exact:
-            return self._first_nonpositive_upto(n, k) is None
+            return all(self._pull(j).dets[n].numerator > 0 for j in range(k + 1))
         return is_pd(block(self.gamma, n, k), self.ctx)
 
     def propagation(self, k: int) -> PropagationReport:

@@ -415,6 +415,26 @@ class TestSubcommands:
         assert table["dets"] == [str(-(int(1e300) ** 3))]
 
     @pytest.mark.parametrize("as_json", [True, False])
+    def test_dets_table_overflow_after_a_holding_float_verdict(self, tmp_path, capsys, as_json):
+        # 1 + t^n with t = 1e50: the float 3-positivity verdict holds (its
+        # floor scales with the 1e300 entry), but d_1(3) = inf - inf = nan.
+        # The overflow stops the ladder walk inside the propagation check, and
+        # dets' fallback pulls the order-2 table again: that must repeat the
+        # overflow (exit 3), not crash on the stopped walk.
+        path = write(tmp_path, "m.csv", "2\n1e50\n1e100\n1e150\n1e200\n1e250\n1e300\n")
+        argv = ["dets", path, "--k", "2", "--float", "--no-timestamp"]
+        assert cli.main(argv + (["--json"] if as_json else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "precondition error: the float order-1 determinant at anchor 3 "
+            "(condensation) overflows to nan\n"
+        )
+        if as_json:
+            assert_json_error(captured, 3, "precondition")
+        else:
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("as_json", [True, False])
     def test_integers_past_the_int_str_digit_limit(self, tmp_path, capsys, as_json):
         # gamma_100 = 3^100 + 10^5000 has 5001 digits, past Python's default
         # int-to-str limit of 4300 (so the expectation is built as a string)

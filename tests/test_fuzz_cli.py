@@ -111,28 +111,10 @@ def test_main_ends_in_a_documented_exit(tmp_path, document, flags):
     path = tmp_path / name
     path.write_text(content)
     argv = [flags[0], str(path), *flags[1:]]
-    code, _, err = run_main(argv)
+    outcome = run_main(argv)
+    code, _, err = outcome
     assert code in (0, 2, 3, 4), (argv, content, err)
     assert "Traceback" not in err
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
-@given(st.lists(st.tuples(documents(), flag_sets()), min_size=2, max_size=8), st.randoms())
-def test_reused_parser_gives_the_same_outcomes_in_any_order(tmp_path, runs, rng):
-    # main() reuses one parser per process: running the same calls twice, in
-    # two shuffled orders, gives each call the same (exit, stdout, stderr)
-    argvs = []
-    for i, ((name, content), flags) in enumerate(runs):
-        path = tmp_path / f"{i}-{name}"
-        path.write_text(content)
-        argvs.append([flags[0], str(path), *flags[1:]])
-    outcomes = []
-    for _ in range(2):
-        order = list(range(len(argvs)))
-        rng.shuffle(order)
-        outcomes.append({i: run_main(argvs[i]) for i in order})
-    assert outcomes[0] == outcomes[1]
+    # main() reuses one parser per process: the same call again, after every
+    # case drawn before it, gives the same (exit, stdout, stderr)
+    assert run_main(argv) == outcome

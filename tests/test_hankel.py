@@ -26,7 +26,7 @@ from hankelshift import (
     propagation_report,
     zero_moment_collapse,
 )
-from hankelshift.hankel import det_is_zero
+from hankelshift.hankel import LadderVerdicts, det_is_zero
 
 from gen import bergman_moments, flat_tail_weights, measure_moments
 from hankelshift import weights_to_moments
@@ -194,6 +194,18 @@ class TestDetSequence:
             next(walk)
         # exact mode takes the doubles at their binary values and yields them
         assert len(list(det_ladder(MomentSequence.of(values), EXACT))) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ladder_repeats_the_overflow_after_its_walk_stops(self):
+        # 1 + t^n with t = 1e50: d_1(3) = inf - inf = nan ends the float
+        # walk; asking again, through any method, raises the same error
+        ladder = LadderVerdicts(MomentSequence.of([2.0] + [1e50**n for n in range(1, 7)]), FLOAT)
+        assert ladder.verdict(3).holds
+        message = "order-1 determinant at anchor 3 (condensation) overflows to nan"
+        for ask in (lambda: ladder.table(2), lambda: ladder.table(1), lambda: ladder.propagation(3)):
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                ask()
+        assert ladder.table(0).dets[0] == 2.0
 
     def test_det_is_zero_scaling(self):
         g = MomentSequence.of([1.0, 0.5, 0.25])

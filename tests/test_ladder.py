@@ -1,6 +1,6 @@
 """The determinant-ladder decider of exact k-positivity: differential tests
-against pivot elimination, principal minors and the per-order minor loop
-that the per-anchor sign summary replaced, and counts of the work it does
+against pivot elimination, principal minors and the per-order Fraction
+loop that the numerator-sign reads replaced, and counts of the work it does
 (ladder walks, pivot fallbacks)."""
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def _outcome(verdict):
 
 
 def _per_order_block_psd(ladder, n, k):
-    # The per-order Fraction loop that the per-anchor sign summary replaced:
-    # d_0(n), ..., d_k(n) read afresh from the tables for every block.
+    # The per-order Fraction loop that the numerator-sign reads replaced:
+    # d_0(n), ..., d_k(n) compared as Fractions through table() for every
+    # block.
     for j in range(k + 1):
         d = ladder.table(j).dets[n]
         if d < 0:
@@ -99,7 +100,7 @@ def _questions(gamma):
 
 
 def _expected_answers(gamma):
-    # every answer from references that share nothing with the summary:
+    # every answer from references that share no code with the sign reads:
     # the per-order loop and principal minors by det_bareiss must agree
     answers = {}
     fresh = LadderVerdicts(gamma)
