@@ -22,7 +22,6 @@ from typing import Any, Optional, Sequence
 
 from .hankel import (
     DetTable,
-    LadderVerdicts,
     MomentSequence,
     PropagationReport,
     log_convexity,
@@ -356,7 +355,7 @@ def cmd_analyze(
     # report; weight inputs have gamma = weights_to_moments(alpha), so it
     # certifies the hyponormality the flatness scan needs as well.
     results: dict[str, Any] = {"horizon": gamma.horizon}
-    ladder = LadderVerdicts(gamma, ctx)
+    ladder = gamma.ladder(ctx)
     entries = []
     top_holding = 0
     for k in range(1, args.k + 1):
@@ -405,7 +404,7 @@ def cmd_dets(
 ) -> dict:
     # The order-(k+1) propagation report carries the order-k table; both
     # come from one ladder walk.
-    ladder = LadderVerdicts(gamma, ctx)
+    ladder = gamma.ladder(ctx)
     try:
         rep = ladder.propagation(args.k + 1)
     except (PreconditionError, InsufficientMomentsError) as exc:

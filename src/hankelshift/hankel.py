@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .numkit import (
     EXACT,
@@ -91,6 +91,42 @@ class MomentSequence:
         nums, den = _integer_view(self.values)
         return tuple(nums), den
 
+    def __getstate__(self) -> dict:
+        # Copies and pickles start with an empty cache: it holds live ladder
+        # walks, generators, which do not pickle.
+        return {name: v for name, v in self.__dict__.items() if name != "_cache"}
+
+    def _memo(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        # The result stored under key (never None), else compute() stored; a
+        # compute() that raises stores nothing, so a retry raises the same
+        # way.  The cache holds results derived from the values alone, keyed
+        # by what else they depend on (the ToleranceContext among it); it is
+        # not a field, so equality and hashing ignore it.
+        cache = self.__dict__.setdefault("_cache", {})
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = compute()
+        return value
+
+    def ladder(self, ctx: ToleranceContext = EXACT) -> "LadderVerdicts":
+        """The sequence's one `LadderVerdicts` under ctx: every verdict,
+        table and PD question asked through it shares one `det_ladder`
+        walk.  Its `gamma` is an equal copy of this sequence."""
+
+        def build() -> LadderVerdicts:
+            # The kept ladder reads a copy without the cache: reading this
+            # sequence would close a cycle (sequence, cache, ladder and its
+            # walk) that refcounting cannot free, leaving every sequence to
+            # the cyclic collector.  The copy shares the values, already
+            # checked, and in exact mode the integer view.
+            twin = object.__new__(MomentSequence)
+            twin.__dict__["values"] = self.values
+            if ctx.is_exact:
+                twin.__dict__["integer_view"] = self.integer_view
+            return LadderVerdicts(twin, ctx)
+
+        return self._memo(("ladder", ctx), build)
+
     def max_abs(self) -> float:
         try:
             return max(abs(float(v)) for v in self.values)
@@ -163,7 +199,7 @@ def is_k_positive(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> PositivityVerdict:
     """Scan all feasible anchors n <= N - 2k for PSD order-k blocks: the
-    order-k verdict of a fresh `LadderVerdicts`.
+    order-k verdict of `gamma.ladder(ctx)`.
 
     The verdict certifies positivity only up to the recorded horizon.  Exact
     mode reads each block from the leading principal minors d_0(n), ...,
@@ -172,7 +208,7 @@ def is_k_positive(
     mode flags anchors whose smallest eigenvalue sits inside the tolerance
     band (the verdict there is tolerance-limited).
     """
-    return LadderVerdicts(gamma, ctx).verdict(k)
+    return gamma.ladder(ctx).verdict(k)
 
 
 def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
@@ -240,15 +276,17 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
         methods: list[str] = []
         for n in range(horizon - 2 * order + 1):
             divisor = prev2[n + 2]
-            scale = (
-                hadamard_bound(block(gamma, n + 2, order - 2))
-                if order >= 2
-                else abs(float(divisor))
-            )
-            # A zero divisor is degenerate whatever its scale (a nan
-            # Hadamard bound, from moments near the double range, bands
-            # nothing).
-            if divisor == 0 or ctx.is_zero(divisor, scale):
+            try:
+                scale = (
+                    hadamard_bound(block(gamma, n + 2, order - 2))
+                    if order >= 2
+                    else abs(float(divisor))
+                )
+            except PreconditionError:
+                # No double holds the divisor's scale, so nothing shows it
+                # is safe to divide by: the entry is taken directly.
+                scale = math.inf
+            if ctx.is_zero(divisor, scale):
                 table.append(_direct_det(gamma, n, order))
                 methods.append("direct")
             else:
@@ -320,8 +358,8 @@ def det_sequence(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> DetTable:
     """Determinants of every feasible order-k block: the order-k table of
-    `det_ladder`."""
-    return LadderVerdicts(gamma, ctx).table(k)
+    `gamma.ladder(ctx)`."""
+    return gamma.ladder(ctx).table(k)
 
 
 def det_is_zero(
@@ -337,8 +375,8 @@ def det_is_zero(
 def propagation_report(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> PropagationReport:
-    """The order-k propagation report of a fresh `LadderVerdicts`."""
-    return LadderVerdicts(gamma, ctx).propagation(k)
+    """The order-k propagation report of `gamma.ladder(ctx)`."""
+    return gamma.ladder(ctx).propagation(k)
 
 
 class LadderVerdicts:
@@ -364,7 +402,8 @@ class LadderVerdicts:
 
     The fallback elimination runs on the integer block of
     `MomentSequence.integer_view`.  Float mode decides every block with
-    `psd_with_margin`.
+    `psd_with_margin`.  `MomentSequence.ladder(ctx)` keeps one instance per
+    sequence and context; constructing one starts a fresh walk.
     """
 
     def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):

@@ -210,11 +210,13 @@ class Interval:
     def __post_init__(self) -> None:
         if any(isinstance(x, float) and math.isnan(x) for x in (self.lo, self.hi)):
             raise PreconditionError(
-                f"interval endpoint is nan, not a finite number ([{self.lo}, "
-                f"{self.hi}]): a float computation left the double range"
+                f"interval endpoint is nan, not a finite number ([{fmt_scalar(self.lo)}, "
+                f"{fmt_scalar(self.hi)}]): a float computation left the double range"
             )
         if not self.empty and self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+            raise ValueError(
+                f"interval endpoints out of order: {fmt_scalar(self.lo)} > {fmt_scalar(self.hi)}"
+            )
 
     @classmethod
     def empty_interval(cls) -> "Interval":
@@ -608,14 +610,23 @@ def solve_vandermonde(
 
 def hadamard_bound(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> float:
     """Product of row 2-norms: a cheap a-priori bound on |det|, used to scale
-    float-mode zero-determinant tests."""
-    import numpy as np
+    float-mode zero-determinant tests.
 
-    arr = _float_array(matrix)
-    if arr.size == 0:
-        return 1.0
-    norms = np.sqrt((arr * arr).sum(axis=1))
-    return float(np.prod(norms))
+    `math.hypot` scales each row by its largest absolute entry, so entries
+    past the square root of the double range do not overflow the norm.  A
+    product of norms beyond the double range is a PreconditionError: an inf
+    scale would band every determinant as zero.
+    """
+    norms = [math.hypot(*(float(x) for x in row)) for row in _as_rows(matrix)]
+    if 0.0 in norms:
+        return 0.0
+    bound = float(math.prod(norms))
+    if math.isinf(bound):
+        raise PreconditionError(
+            "the Hadamard bound of a float block lies beyond the double range, "
+            "so no zero test can be scaled by it"
+        )
+    return bound
 
 
 def _int_str(n: int) -> str:

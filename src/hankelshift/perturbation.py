@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .hankel import (
-    LadderVerdicts,
     MomentSequence,
     block,
     is_k_positive,
@@ -71,6 +71,8 @@ class IntervalReport:
     methods[n] tags how each endpoint of per_block[n] was produced:
     closed_form, quadratic_root, pencil_root (a pencil-determinant root, or
     1 where the pencil pins it), or direct (t-free block or window bound).
+    Both mappings are read-only: `stability_interval` hands the same report
+    to every caller that asks again.
     """
 
     k: int
@@ -433,9 +435,11 @@ def _assemble_report(
         intersection = intersection.intersect(iv)
     contains_one = intersection.contains(1)
     if not contains_one:
+        sets = ", ".join(
+            f"{n}: [{fmt_scalar(iv.lo)}, {fmt_scalar(iv.hi)}]" for n, iv in per_block.items()
+        )
         raise InternalConsistencyError(
-            "admissible-scale intersection lost the point 1; per-block sets "
-            f"were {per_block}"
+            f"admissible-scale intersection lost the point 1; per-block sets were {sets}"
         )
     lo_method = next(
         m[0] for n, m in methods.items() if per_block[n].lo == intersection.lo
@@ -447,8 +451,8 @@ def _assemble_report(
     return IntervalReport(
         k=k,
         cut=cut,
-        per_block=per_block,
-        methods=methods,
+        per_block=MappingProxyType(per_block),
+        methods=MappingProxyType(methods),
         intersection=intersection,
         intersection_methods=(lo_method, hi_method),
         contains_one=contains_one,
@@ -543,8 +547,17 @@ def stability_interval(
     [H; D].  Arithmetic is exact, over the binary values of float moments.
     A root endpoint is the exact rational root, else the double next to it
     on the inside, certified by an exact PSD probe.  t-free blocks give the
-    whole window.
+    whole window.  The report is kept on gamma per (cut, k, ctx), so asking
+    again returns the same report; a call that raises keeps nothing.
     """
+    return gamma._memo(
+        ("stability_interval", cut, k, ctx), lambda: _pencil_report(gamma, cut, k, ctx)
+    )
+
+
+def _pencil_report(
+    gamma: MomentSequence, cut: int, k: int, ctx: ToleranceContext
+) -> IntervalReport:
     cap = _window_cap(gamma, cut, k, ctx)
     per_block: dict[int, Interval] = {}
     methods: dict[int, tuple[str, str]] = {}
@@ -573,7 +586,7 @@ def interiority_report(
     reported as a tolerance incident for the caller to escalate.
     """
     report = stability_interval(gamma, cut, k, ctx)
-    ladder = LadderVerdicts(gamma, ctx)
+    ladder = gamma.ladder(ctx)
     failing = next((n for n in range(cut + 1) if not ladder.pd(n, k)), None)
     pd_all = failing is None
     agreement = pd_all == report.one_interior

@@ -158,7 +158,7 @@ def is_k_hyponormal(
     alpha: WeightSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> HyponormalityVerdict:
     """k-hyponormality of the shift equals k-positivity of its moments."""
-    return _hyponormality(LadderVerdicts(weights_to_moments(alpha), ctx), k)
+    return _hyponormality(weights_to_moments(alpha).ladder(ctx), k)
 
 
 def _hyponormality(ladder: LadderVerdicts, k: int) -> HyponormalityVerdict:
@@ -254,7 +254,7 @@ def propagation_for_shift(
             f"hyponormality order k={k}"
         )
     gamma = weights_to_moments(alpha)
-    ladder = LadderVerdicts(gamma, ctx)
+    ladder = gamma.ladder(ctx)
     verdict = _hyponormality(ladder, k)
     if not verdict.holds:
         raise PreconditionError(

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -393,7 +394,7 @@ class TestSubcommands:
         assert captured.err.startswith("precondition error:") and message in captured.err
 
     def test_zero_float_divisor_with_a_nan_scale(self, tmp_path, capsys):
-        # the Hadamard bound of a block holding 1e300 and a zero row is nan,
+        # the Hadamard bound of a block holding 1e300 and a zero row was nan,
         # which used to let a zero condensation divisor through; the order-3
         # determinant then went direct and printed "-inf" with exit 0.  The
         # order-1 entry gamma_3 gamma_5 - gamma_4^2 already overflows to -inf,
@@ -413,6 +414,27 @@ class TestSubcommands:
         assert cli.main(["dets", path, "--k", "3", "--exact", "--json", "--no-timestamp"]) == 0
         table = json.loads(capsys.readouterr().out)["results"]["table"]
         assert table["dets"] == [str(-(int(1e300) ** 3))]
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_float_zero_test_scale_past_the_square_root_of_the_double_range(
+        self, tmp_path, capsys, as_json
+    ):
+        # 1e160 squared overflows a double, but its Hadamard row norm must
+        # not: an inf scale would band every value as zero and read "vanish
+        # from anchor 2" off nonzero moments, with a numpy RuntimeWarning
+        path = write(tmp_path, "m.csv", "1\n1e80\n1e160\n1e240\n")
+        argv = ["dets", path, "--k", "0", "--float", "--no-timestamp"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + (["--json"] if as_json else [])) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if as_json:
+            prop = json.loads(captured.out)["results"]["propagation"]
+            assert (prop["vanishing_found"], prop["first_zero_anchor"]) == (False, None)
+        else:
+            assert "vanish from" not in captured.out
+            assert "no vanishing determinant" in captured.out
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_dets_table_overflow_after_a_holding_float_verdict(self, tmp_path, capsys, as_json):

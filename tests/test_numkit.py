@@ -386,6 +386,13 @@ class TestIntervalAndMisc:
         wide = Interval(0.0, math.inf)
         assert wide.intersect(Interval(F(1), F(2))) == Interval(F(1), F(2))
 
+    def test_interval_order_error_beyond_the_int_str_digit_limit(self):
+        # str() of a 5001-digit int raises its own ValueError; the order
+        # check must print the endpoints in full instead
+        with pytest.raises(ValueError) as info:
+            Interval(F(10**5000), F(1))
+        assert str(info.value) == "interval endpoints out of order: 1" + "0" * 5000 + " > 1"
+
     def test_fmt_scalar_beyond_the_int_str_digit_limit(self):
         big = 10**5000 + 7
         assert fmt_scalar(big) == "1" + "0" * 4999 + "7"
@@ -402,6 +409,14 @@ class TestIntervalAndMisc:
                     rows[i][j] = rows[j][i]
             m = SymMatrix.from_rows(rows)
             assert hadamard_bound(m) >= abs(float(det_bareiss(m))) - 1e-9
+
+    def test_hadamard_bound_of_entries_past_the_square_root_of_the_double_range(self):
+        # squaring 1e160 overflows; the row norms must not
+        assert hadamard_bound([[1e160]]) == 1e160
+        assert hadamard_bound([[3e200, 4e200], [0.0, 1.0]]) == pytest.approx(5e200)
+        assert hadamard_bound([[1e300, 1e300], [0.0, 0.0]]) == 0.0
+        with pytest.raises(PreconditionError, match="Hadamard bound"):
+            hadamard_bound([[1e200, 0.0], [0.0, 1e200]])
 
     def test_fmt_scalar(self):
         assert fmt_scalar(3) == "3"

@@ -3,14 +3,20 @@ interiority, determinant expansion identities."""
 
 from __future__ import annotations
 
+import copy
+import gc
+import json
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hankelshift.hankel as hankel
 import hankelshift.perturbation as perturbation
 from hankelshift import (
     EXACT,
@@ -28,11 +34,13 @@ from hankelshift import (
     det_quadratic,
     discriminant_diagnostic,
     interiority_report,
+    is_k_positive,
     is_psd,
     moments_of,
     perturb_moments,
     perturb_weights,
     perturbed_block,
+    propagation_report,
     rank_one_det_expansion_holds,
     stability_interval,
     stability_interval_k1,
@@ -41,6 +49,7 @@ from hankelshift import (
 )
 
 from gen import bergman_moments, k_positive_moments, measure_moments, rand_fraction
+from test_fuzz_cli import run_main
 
 
 def all_ones(n: int) -> MomentSequence:
@@ -470,6 +479,146 @@ class TestInteriority:
     def test_order_mismatch_flagged(self):
         rep = interiority_report(bergman_moments(12), 3, 1)
         assert any("the cut" in f for f in rep.flags)
+
+
+_QUERIES = st.sampled_from(
+    ["is_k_positive", "propagation_report", "stability_interval", "interiority_report"]
+)
+
+
+def _outcome(query: str, gamma: MomentSequence, cut: int, k: int, ctx):
+    # The query's result, or the type and message of what it raised.
+    try:
+        if query == "is_k_positive":
+            return is_k_positive(gamma, k, ctx)
+        if query == "propagation_report":
+            return propagation_report(gamma, k, ctx)
+        if query == "stability_interval":
+            return stability_interval(gamma, cut, k, ctx)
+        return interiority_report(gamma, cut, k, ctx)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestSequenceCache:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_perturb_walks_the_ladder_once_and_each_pencil_once(self, tmp_path, k):
+        # One exact perturb run: the closed forms, the pencil intervals and
+        # the interiority report all read one det_ladder walk, and the
+        # interiority report's interval is the one already computed.
+        walks, anchors = [], []
+        ladder, engine = hankel.det_ladder, perturbation._pencil_block
+
+        def counting_ladder(*args):
+            walks.append(args)
+            return ladder(*args)
+
+        def counting_engine(gamma, n, *args):
+            anchors.append(n)
+            return engine(gamma, n, *args)
+
+        path = tmp_path / "bergman.json"
+        path.write_text(json.dumps({"kind": "moments", "values": [f"1/{n + 1}" for n in range(15)]}))
+        cut = 3
+        argv = ["perturb", str(path), "--l", str(cut), "--k", str(k), "--json", "--no-timestamp"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hankel, "det_ladder", counting_ladder)
+            mp.setattr(perturbation, "_pencil_block", counting_engine)
+            code, out, _ = run_main(argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["interiority"]["agreement"]
+        if k == 2:
+            assert not any("pencil engine" in f for f in results["closed_form"]["flags"])
+        assert len(walks) == 1
+        assert sorted(anchors) == list(range(max(0, cut - 2 * k + 1), cut + 1))
+
+    def test_shared_per_context_and_read_only(self):
+        g = bergman_moments(12)
+        assert g.ladder(EXACT) is g.ladder() is not g.ladder(FLOAT)
+        rep = stability_interval(g, 2, 2)
+        assert stability_interval(g, 2, 2, EXACT) is rep
+        assert interiority_report(g, 2, 2).interval is rep
+        assert stability_interval(g, 2, 2, FLOAT) is not rep
+        for mapping in (rep.per_block, rep.methods):
+            with pytest.raises(TypeError):
+                mapping[0] = None
+            with pytest.raises(TypeError):
+                del mapping[0]
+
+    def test_a_used_sequence_is_freed_without_the_cyclic_collector(self):
+        # The kept ladder, its walk and the kept reports must not refer back
+        # to the sequence, or every sequence would wait for a gc pass.
+        g = bergman_moments(12)
+        interiority_report(g, 2, 2)
+        propagation_report(g, 2, FLOAT)
+        ref = weakref.ref(g)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_copies_and_pickles_start_with_an_empty_cache(self):
+        g = bergman_moments(12)
+        verdict = is_k_positive(g, 3)
+        for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert other == g and other.ladder() is not g.ladder()
+            assert is_k_positive(other, 3) == verdict
+
+    def test_a_raising_computation_is_not_kept(self):
+        # The first interval computation fails inside the engine; the next
+        # one must compute afresh, not return or repeat the failure.
+        g = bergman_moments(12)
+        engine, calls = perturbation._pencil_block, []
+
+        def failing_once(*args):
+            calls.append(args[1])
+            if len(calls) == 1:
+                raise PreconditionError("injected")
+            return engine(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perturbation, "_pencil_block", failing_once)
+            with pytest.raises(PreconditionError, match="injected"):
+                stability_interval(g, 2, 2)
+            rep = stability_interval(g, 2, 2)
+        assert rep == stability_interval(MomentSequence(g.values), 2, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        engine_cases(),
+        st.booleans(),
+        st.lists(
+            st.tuples(_QUERIES, st.integers(0, 5), st.integers(0, 4), st.booleans()),
+            min_size=2,
+            max_size=10,
+        ),
+    )
+    def test_reused_sequence_answers_as_a_fresh_one(self, case, as_float, queries):
+        # Queries in any order, some of them raising, each asked in both
+        # modes (in the drawn order) and twice: every answer from the reused
+        # sequence equals a fresh sequence's.
+        gamma, _, _ = case
+        if as_float:
+            gamma = MomentSequence.of(float(v) for v in gamma.values)
+        asked = [
+            (query, cut, k, ctx)
+            for query, cut, k, exact_first in queries
+            for ctx in ((EXACT, FLOAT) if exact_first else (FLOAT, EXACT))
+        ]
+        for query, cut, k, ctx in asked + asked[::-1]:
+            got = _outcome(query, gamma, cut, k, ctx)
+            fresh = _outcome(query, MomentSequence(gamma.values), cut, k, ctx)
+            # repr tells a Fraction endpoint from an equal float one
+            assert repr(got) == repr(fresh)
+            if isinstance(got, (perturbation.IntervalReport, perturbation.InteriorReport)):
+                report = getattr(got, "interval", got)
+                with pytest.raises(TypeError):
+                    report.per_block[cut] = Interval(F(0), F(0))
 
 
 class TestDetExpansion:
