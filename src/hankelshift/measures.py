@@ -16,7 +16,6 @@ from .hankel import (
     _integer_block,
     block,
     det_is_zero,
-    det_ladder,
 )
 from .numkit import (
     EXACT,
@@ -163,18 +162,34 @@ def detect_recursion(
     """Minimal-order linear recursion fitting every feasible index, or None.
 
     Orders are capped at horizon//2 so the fitted system always has more
-    equations than unknowns.  Exact mode demands an exact fit; float mode
-    accepts a least-squares fit whose residual is within rel_eps of the
-    sequence scale.
+    equations than unknowns.  A recursion of order s makes the last column
+    of block(0, s) a combination of the others, so d_s(0) = 0; exact mode
+    therefore reads the sequence's rank structure from `gamma.ladder(EXACT)`:
+    no order below the first r with d_r(0) = 0 carries a recursion, and
+    none is tried when no anchor-0 minor vanishes up to the cap.  As
+    d_{r-1}(0) != 0, the order-r candidate is the one solution of the
+    square system on block(0, r-1), kept when `Recursion.holds_on` confirms
+    it on the whole horizon.  Only when it fails does the overdetermined
+    exact fit run, from order r+1 up.  Float mode tries every order with a
+    least-squares fit whose residual is within rel_eps of the sequence
+    scale.
     """
     if max_order < 1:
         return None
     cap = min(max_order, gamma.horizon // 2)
+    start = 1
+    if ctx.is_exact:
+        if _flat_order(gamma, cap) is None:
+            return None
+        rank = _rank_structure(gamma)
+        if rank.recursion is not None:
+            return rank.recursion
+        start = rank.order + 1
     n = len(gamma)
     # Exact mode fits the integers of integer_view: scaling every moment by
     # one denominator leaves the recursion's coefficients unchanged.
     g = gamma.integer_view[0] if ctx.is_exact else gamma.values
-    for r in range(1, cap + 1):
+    for r in range(start, cap + 1):
         rows = [[g[p + i] for i in range(r)] for p in range(n - r)]
         rhs = [g[p + r] for p in range(n - r)]
         if ctx.is_exact:
@@ -195,26 +210,82 @@ def detect_recursion(
     return None
 
 
+@dataclass(frozen=True)
+class _RankStructure:
+    # order: the first r with d_r(0) = 0 on the horizon, None when no
+    # anchor-0 minor vanishes; recursion: the order-r recursion solved on
+    # block(0, r-1), when it holds on the whole horizon; leading_pd:
+    # d_0(0), ..., d_{r-1}(0) are all positive.
+    order: Optional[int] = None
+    recursion: Optional[Recursion] = None
+    leading_pd: bool = False
+
+
+def _flat_order(gamma: MomentSequence, limit: int) -> Optional[int]:
+    # The first r <= limit with d_r(0) = 0 on the exact ladder, else None.
+    ladder = gamma.ladder(EXACT)
+    return next(
+        (r for r in range(1, limit + 1) if ladder.table(r).dets[0].numerator == 0), None
+    )
+
+
+def _rank_structure(gamma: MomentSequence) -> _RankStructure:
+    # The sequence's exact rank structure, kept on gamma and read from the
+    # tables of its one exact ladder walk.
+    def build() -> _RankStructure:
+        r = _flat_order(gamma, gamma.horizon // 2)
+        if r is None:
+            return _RankStructure()
+        g = gamma.integer_view[0]
+        sol = solve_linear_exact(
+            [[g[p + i] for i in range(r)] for p in range(r)],
+            [g[p + r] for p in range(r)],
+        )
+        if sol is None:
+            raise InternalConsistencyError(
+                f"block(0, {r - 1}) has a nonzero determinant but its system is inconsistent"
+            )
+        rec = Recursion(order=r, coeffs=sol, valid_from=0)
+        return _RankStructure(
+            order=r,
+            recursion=rec if rec.holds_on(gamma, EXACT) else None,
+            leading_pd=gamma.ladder(EXACT).pd(0, r - 1),
+        )
+
+    return gamma._memo(("rank_structure",), build)
+
+
+def _maximal_block_psd(gamma: MomentSequence, anchor: int, ctx: ToleranceContext) -> bool:
+    # The largest feasible block anchored at 0 (even) or 1 (odd) is PSD.
+    # When the order-r recursion of the rank structure holds, column j of
+    # that block is the combination of its first r columns that t^j mod h
+    # gives (h the characteristic polynomial), so the block is W^T C W with
+    # C = block(anchor, r-1) and W of rank r: PSD exactly when C is.  With
+    # block(0, r-1) PD the even block is PSD outright and the odd one takes
+    # the ladder's verdict on block(1, r-1); otherwise one pivot elimination
+    # decides (on the integer block in exact mode).
+    if ctx.is_exact:
+        rank = _rank_structure(gamma)
+        if rank.recursion is not None and rank.leading_pd:
+            return anchor == 0 or gamma.ladder(EXACT)._block_psd(1, rank.order - 1)[0]
+    block_of = _integer_block if ctx.is_exact else block
+    return is_psd(block_of(gamma, anchor, (gamma.horizon - anchor) // 2), ctx)
+
+
 def _stieltjes_screen(gamma: MomentSequence, ctx: ToleranceContext) -> None:
     # Every feasible block of (gamma_{i+j}) is a principal submatrix of the
     # maximal even-anchor block, and every (gamma_{i+j+1}) block of the
     # maximal odd-anchor one, so two PSD checks cover the whole family.
-    # Exact mode checks the integer blocks, D times gamma's.
-    n = gamma.horizon
-    block_of = _integer_block if ctx.is_exact else block
-    even = block_of(gamma, 0, n // 2)
-    if not is_psd(even, ctx):
+    if not _maximal_block_psd(gamma, 0, ctx):
         raise NotStieltjesError(
             "moment blocks anchored at even indices are not all PSD; "
             "not a moment sequence of a positive measure"
         )
-    if n >= 1:
-        odd = block_of(gamma, 1, (n - 1) // 2)
-        if not is_psd(odd, ctx):
-            raise NotStieltjesError(
-                "shifted moment blocks (anchored at odd indices) are not all "
-                "PSD; no representing positive measure lives on the half line"
-            )
+    if gamma.horizon >= 1 and not _maximal_block_psd(gamma, 1, ctx):
+        raise NotStieltjesError(
+            "shifted moment blocks (anchored at odd indices) are not all "
+            "PSD; no representing positive measure lives on the half line"
+        )
 
 
 def is_finite_mass(
@@ -222,15 +293,24 @@ def is_finite_mass(
 ) -> FiniteMassReport:
     """Finite atomic character: some feasible block determinant vanishes.
 
-    Requires the double Hankel positivity screen to pass first; scans
-    (order, anchor) lexicographically and reports the first vanishing
-    determinant as the witness.
+    Requires the double Hankel positivity screen to pass first: the maximal
+    even- and odd-anchored blocks must be PSD.  In exact mode, when the
+    recursion of `detect_recursion`'s rank structure (order r, the first
+    vanishing anchor-0 minor) holds and d_0(0), ..., d_{r-1}(0) > 0, each
+    maximal block is congruent to its r x r corner: the even one is PSD and
+    the odd one is decided by the ladder's verdict on block(1, r-1).  Every
+    other input runs one pivot elimination per block, as float mode does.
+    Then scans (order, anchor) lexicographically over the tables of
+    `gamma.ladder(ctx)` and reports the first vanishing determinant as the
+    witness.
     """
     _stieltjes_screen(gamma, ctx)
-    for table in det_ladder(gamma, ctx):
+    ladder = gamma.ladder(ctx)
+    for k in range(gamma.horizon // 2 + 1):
+        table = ladder.table(k)
         for p in table.anchors():
-            if det_is_zero(gamma, p, table.k, table.dets[p], ctx):
-                return FiniteMassReport(finite=True, witness=BlockIndex(p, table.k))
+            if det_is_zero(gamma, p, k, table.dets[p], ctx):
+                return FiniteMassReport(finite=True, witness=BlockIndex(p, k))
     return FiniteMassReport(finite=False, witness=None)
 
 

@@ -13,7 +13,7 @@ determinant det(H + t(B-H)), and decides whether 1 sits in the interior
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
@@ -84,6 +84,19 @@ class IntervalReport:
     contains_one: bool
     one_interior: bool
     flags: tuple[str, ...] = ()
+
+    def __reduce__(self):
+        # A mappingproxy neither copies nor pickles, so copies and pickles
+        # carry both mappings as dicts and rebuild the read-only views.
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["per_block"] = dict(self.per_block)
+        state["methods"] = dict(self.methods)
+        return _read_only_report, (state,)
+
+
+def _read_only_report(state: dict) -> IntervalReport:
+    views = {name: MappingProxyType(state[name]) for name in ("per_block", "methods")}
+    return IntervalReport(**{**state, **views})
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import hankelshift.measures as measures
+import hankelshift.hankel as hankel
 from hankelshift import (
     EXACT,
     FLOAT,
@@ -279,19 +279,36 @@ class TestFiniteMass:
             is_finite_mass(bad, EXACT)
         del g
 
-    def test_stops_at_witness_order(self, monkeypatch):
+    def test_stops_at_witness_order(self):
+        mu = AtomicMeasure(atoms=(F(1), F(2), F(3), F(5)), densities=(F(1),) * 4)
+        g = moments_of(mu, 16)
+        ladder = g.ladder(EXACT)
         built = []
-        ladder = measures.det_ladder
+        walk = ladder._walk
 
-        def recording(gamma, ctx):
-            for table in ladder(gamma, ctx):
+        def recording():
+            for table in walk:
                 built.append(table.k)
                 yield table
 
-        monkeypatch.setattr(measures, "det_ladder", recording)
-        mu = AtomicMeasure(atoms=(F(1), F(2), F(3), F(5)), densities=(F(1),) * 4)
-        rep = is_finite_mass(moments_of(mu, 16), EXACT)
+        ladder._walk = recording()
+        rep = is_finite_mass(g, EXACT)
         assert rep.witness.k == 4 and built == [0, 1, 2, 3, 4]
+
+    def test_recursion_and_witness_share_one_walk(self, monkeypatch):
+        walks = []
+        det_ladder = hankel.det_ladder
+
+        def counting(gamma, ctx):
+            walks.append(ctx)
+            return det_ladder(gamma, ctx)
+
+        monkeypatch.setattr(hankel, "det_ladder", counting)
+        mu = AtomicMeasure(atoms=(F(0), F(1, 3), F(2)), densities=(F(1), F(2), F(1, 5)))
+        g = moments_of(mu, 12)
+        assert detect_recursion(g, 4, EXACT).order == 3
+        assert is_finite_mass(g, EXACT).witness == (1, 2)
+        assert walks == [EXACT]
 
     def test_zero_moments_witness_at_order_zero(self):
         g = MomentSequence.of([F(1), F(0), F(0), F(0)])

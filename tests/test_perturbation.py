@@ -569,6 +569,21 @@ class TestSequenceCache:
             assert other == g and other.ladder() is not g.ladder()
             assert is_k_positive(other, 3) == verdict
 
+    def test_reports_copy_and_pickle_read_only(self):
+        g = MomentSequence.of([1, 2, 5, 14, 42, 132, 429])
+        for report in (stability_interval(g, 1, 1), interiority_report(g, 1, 1)):
+            copies = (
+                copy.copy(report),
+                copy.deepcopy(report),
+                pickle.loads(pickle.dumps(report)),
+            )
+            for other in copies:
+                assert other == report and repr(other) == repr(report)
+                interval = getattr(other, "interval", other)
+                for mapping in (interval.per_block, interval.methods):
+                    with pytest.raises(TypeError):
+                        mapping[1] = None
+
     def test_a_raising_computation_is_not_kept(self):
         # The first interval computation fails inside the engine; the next
         # one must compute afresh, not return or repeat the failure.
