@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 from .numkit import (
     EXACT,
     InsufficientMomentsError,
+    InternalConsistencyError,
     PreconditionError,
     Scalar,
     SymMatrix,
@@ -26,6 +27,7 @@ from .numkit import (
     hadamard_bound,
     is_pd,
     psd_with_margin,
+    solve_linear_exact,
 )
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "DetTable",
     "PositivityVerdict",
     "PropagationReport",
+    "RankStructure",
     "LadderVerdicts",
     "block",
     "is_k_positive",
@@ -183,12 +186,25 @@ class PropagationReport:
     anchor_zero_allowed_nonzero: bool
 
 
-def block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
-    """The (k+1)x(k+1) block with entry (i, j) = gamma_{n+i+j}."""
+class RankStructure(NamedTuple):
+    """order: the first r with d_r(0) = 0, None when none vanishes; coeffs:
+    the order-r recursion (as `measures.Recursion.coeffs`) solved on
+    block(0, r-1), None unless it holds on the whole horizon."""
+
+    order: Optional[int] = None
+    coeffs: Optional[tuple[Fraction, ...]] = None
+
+
+def _check_block(gamma: MomentSequence, n: int, k: int) -> None:
     if n < 0 or k < 0:
         raise PreconditionError(f"block indices must be nonnegative, got n={n}, k={k}")
     if n + 2 * k > gamma.horizon:
         raise InsufficientMomentsError(n + 2 * k, gamma.horizon)
+
+
+def block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
+    """The (k+1)x(k+1) block with entry (i, j) = gamma_{n+i+j}."""
+    _check_block(gamma, n, k)
     rows = tuple(
         tuple(gamma[n + i + j] for j in range(k + 1)) for i in range(k + 1)
     )
@@ -203,8 +219,9 @@ def is_k_positive(
 
     The verdict certifies positivity only up to the recorded horizon.  Exact
     mode reads each block from the leading principal minors d_0(n), ...,
-    d_k(n) of the determinant ladder and runs pivot elimination only where
-    a lower-order minor vanishes; it flags exactly singular blocks.  Float
+    d_k(n) of the determinant ladder, or where a lower-order minor vanishes
+    from the ladder's `rank`, and runs pivot elimination only on the blocks
+    neither decides; it flags exactly singular blocks.  Float
     mode flags anchors whose smallest eigenvalue sits inside the tolerance
     band (the verdict there is tolerance-limited).
     """
@@ -319,6 +336,18 @@ def _integer_block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
     return SymMatrix.from_rows([[g[n + i + j] for j in range(k + 1)] for i in range(k + 1)])
 
 
+def _recursion_holds(g: Sequence[int], coeffs: Sequence[Scalar], start: int = 0) -> bool:
+    # g[p+r] = sum_i coeffs[i] * g[p+i] for every p >= start on the horizon,
+    # r = len(coeffs), over the integers g of integer_view and the
+    # coefficients scaled by their common denominator: int compares only.
+    c, den = _integer_view(coeffs)
+    r = len(c)
+    return all(
+        g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
+        for p in range(start, len(g) - r)
+    )
+
+
 def _exact_ladder(gamma: MomentSequence) -> Iterator[DetTable]:
     # det_ladder in exact mode: condenses the integers G of integer_view,
     # whose order-k entries det(block of G at n) are D^(k+1) d_k(n).
@@ -392,8 +421,12 @@ class LadderVerdicts:
     - d_j(n) < 0: not PSD, a principal minor is negative;
     - d_k(n) = 0: PSD and singular, the leading k x k block being PD and
       the last pivot d_k(n)/d_{k-1}(n) zero;
-    - d_j(n) = 0 with j < k: undecided by the minors, so `psd_with_margin`
-      runs its pivot elimination on the block.
+    - d_j(n) = 0 with j < k, the recursion of `rank` holding with order
+      r <= k: block(n, k) = W^T block(n, r-1) W with W of rank r (column i
+      is the combination t^i mod h of the first r, h the characteristic
+      polynomial), so it is PSD, and then singular, when block(n, r-1) is;
+    - any other d_j(n) = 0 with j < k: `psd_with_margin` runs its pivot
+      elimination on the block.
 
     A block reads at most k + 1 signs, each from a minor's integer
     numerator (an int comparison, no `Fraction` arithmetic), and orders are
@@ -468,6 +501,27 @@ class LadderVerdicts:
                 )
         return PositivityVerdict(k=k, holds=True, horizon=gamma.horizon, flags=tuple(flags))
 
+    @cached_property
+    def rank(self) -> RankStructure:
+        """The exact rank structure, read once from the anchor-0 column of
+        the kept tables: the first r with d_r(0) = 0 and, as d_{r-1}(0) is
+        nonzero, the one solution of the r x r system on block(0, r-1),
+        kept when it holds on the whole horizon.  Exact mode only."""
+        if not self.ctx.is_exact:
+            raise PreconditionError("the rank structure is read from the exact ladder")
+        top = self.gamma.horizon // 2
+        r = next((j for j in range(1, top + 1) if self._pull(j).dets[0].numerator == 0), None)
+        if r is None:
+            return RankStructure()
+        g = self.gamma.integer_view[0]
+        sol = solve_linear_exact(
+            [[g[p + i] for i in range(r)] for p in range(r)],
+            [g[p + r] for p in range(r)],
+        )
+        if sol is None:
+            raise InternalConsistencyError(f"block(0, {r - 1}) is nonsingular, its system not")
+        return RankStructure(r, sol if _recursion_holds(g, sol) else None)
+
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
         # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
         if self.ctx.is_exact:
@@ -478,15 +532,26 @@ class LadderVerdicts:
                 if num == 0:
                     if j == k:
                         return True, True
+                    rank = self.rank
+                    # r <= k: the corner block(n, r-1) is smaller, so this
+                    # never asks about block(n, k) again.
+                    if rank.coeffs is not None and rank.order <= k:
+                        psd = self._block_psd(n, rank.order - 1)[0]
+                        return psd, psd
                     return psd_with_margin(_integer_block(self.gamma, n, k))
             return True, False
         return psd_with_margin(block(self.gamma, n, k), self.ctx)
 
+    def psd(self, n: int, k: int) -> bool:
+        """block(n, k) is positive semidefinite, decided as the blocks of a
+        k-positivity scan are."""
+        _check_block(self.gamma, n, k)
+        return self._block_psd(n, k)[0]
+
     def pd(self, n: int, k: int) -> bool:
         """block(n, k) is positive definite: in exact mode exactly when
         d_0(n), ..., d_k(n) are all positive, so no elimination runs."""
-        if n + 2 * k > self.gamma.horizon:
-            raise InsufficientMomentsError(n + 2 * k, self.gamma.horizon)
+        _check_block(self.gamma, n, k)
         if self.ctx.is_exact:
             return all(self._pull(j).dets[n].numerator > 0 for j in range(k + 1))
         return is_pd(block(self.gamma, n, k), self.ctx)

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .hankel import (
-    BlockIndex,
-    MomentSequence,
-    _integer_block,
-    block,
-    det_is_zero,
-)
+from .hankel import BlockIndex, MomentSequence, _recursion_holds, det_is_zero
 from .numkit import (
     EXACT,
     FLOAT,
@@ -26,7 +20,6 @@ from .numkit import (
     Scalar,
     ToleranceContext,
     _integer_view,
-    is_psd,
     real_roots,
     solve_linear_exact,
     solve_vandermonde,
@@ -103,14 +96,9 @@ class Recursion:
         exactly in exact mode (over the integers of
         `MomentSequence.integer_view` and the coefficients scaled by their
         common denominator), within the float band otherwise."""
-        r = self.order
         if ctx.is_exact:
-            g = gamma.integer_view[0]
-            c, den = _integer_view(self.coeffs)
-            return all(
-                g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
-                for p in range(self.valid_from, len(g) - r)
-            )
+            return _recursion_holds(gamma.integer_view[0], self.coeffs, self.valid_from)
+        r = self.order
         scale = gamma.max_abs()
         for p in range(self.valid_from, len(gamma) - r):
             predicted = sum(self.coeffs[i] * gamma[p + i] for i in range(r))
@@ -162,29 +150,30 @@ def detect_recursion(
     """Minimal-order linear recursion fitting every feasible index, or None.
 
     Orders are capped at horizon//2 so the fitted system always has more
-    equations than unknowns.  A recursion of order s makes the last column
-    of block(0, s) a combination of the others, so d_s(0) = 0; exact mode
-    therefore reads the sequence's rank structure from `gamma.ladder(EXACT)`:
-    no order below the first r with d_r(0) = 0 carries a recursion, and
-    none is tried when no anchor-0 minor vanishes up to the cap.  As
-    d_{r-1}(0) != 0, the order-r candidate is the one solution of the
-    square system on block(0, r-1), kept when `Recursion.holds_on` confirms
-    it on the whole horizon.  Only when it fails does the overdetermined
-    exact fit run, from order r+1 up.  Float mode tries every order with a
-    least-squares fit whose residual is within rel_eps of the sequence
-    scale.
+    equations than unknowns.  A recursion of order s makes d_s(0) = 0, so
+    exact mode reads `gamma.ladder(EXACT).rank` (r the first order with
+    d_r(0) = 0): nothing is tried when r is above the cap, and nothing is
+    solved when block(0, cap) is PD.  The rank's order-r recursion is
+    returned when it holds; otherwise the overdetermined exact fit runs
+    from order r+2 up, as an order-(r+1) recursion would make the leading
+    r+1 x r+1 block of the extended sequence nonsingular (Kronecker).
+    Float mode tries every order with a least-squares fit whose residual is
+    within rel_eps of the sequence scale.
     """
     if max_order < 1:
         return None
     cap = min(max_order, gamma.horizon // 2)
     start = 1
     if ctx.is_exact:
-        if _flat_order(gamma, cap) is None:
+        ladder = gamma.ladder(EXACT)
+        if ladder.pd(0, cap):
             return None
-        rank = _rank_structure(gamma)
-        if rank.recursion is not None:
-            return rank.recursion
-        start = rank.order + 1
+        rank = ladder.rank
+        if rank.order is None or rank.order > cap:
+            return None
+        if rank.coeffs is not None:
+            return Recursion(order=rank.order, coeffs=rank.coeffs, valid_from=0)
+        start = rank.order + 2
     n = len(gamma)
     # Exact mode fits the integers of integer_view: scaling every moment by
     # one denominator leaves the recursion's coefficients unchanged.
@@ -210,78 +199,18 @@ def detect_recursion(
     return None
 
 
-@dataclass(frozen=True)
-class _RankStructure:
-    # order: the first r with d_r(0) = 0 on the horizon, None when no
-    # anchor-0 minor vanishes; recursion: the order-r recursion solved on
-    # block(0, r-1), when it holds on the whole horizon; leading_pd:
-    # d_0(0), ..., d_{r-1}(0) are all positive.
-    order: Optional[int] = None
-    recursion: Optional[Recursion] = None
-    leading_pd: bool = False
-
-
-def _flat_order(gamma: MomentSequence, limit: int) -> Optional[int]:
-    # The first r <= limit with d_r(0) = 0 on the exact ladder, else None.
-    ladder = gamma.ladder(EXACT)
-    return next(
-        (r for r in range(1, limit + 1) if ladder.table(r).dets[0].numerator == 0), None
-    )
-
-
-def _rank_structure(gamma: MomentSequence) -> _RankStructure:
-    # The sequence's exact rank structure, kept on gamma and read from the
-    # tables of its one exact ladder walk.
-    def build() -> _RankStructure:
-        r = _flat_order(gamma, gamma.horizon // 2)
-        if r is None:
-            return _RankStructure()
-        g = gamma.integer_view[0]
-        sol = solve_linear_exact(
-            [[g[p + i] for i in range(r)] for p in range(r)],
-            [g[p + r] for p in range(r)],
-        )
-        if sol is None:
-            raise InternalConsistencyError(
-                f"block(0, {r - 1}) has a nonzero determinant but its system is inconsistent"
-            )
-        rec = Recursion(order=r, coeffs=sol, valid_from=0)
-        return _RankStructure(
-            order=r,
-            recursion=rec if rec.holds_on(gamma, EXACT) else None,
-            leading_pd=gamma.ladder(EXACT).pd(0, r - 1),
-        )
-
-    return gamma._memo(("rank_structure",), build)
-
-
-def _maximal_block_psd(gamma: MomentSequence, anchor: int, ctx: ToleranceContext) -> bool:
-    # The largest feasible block anchored at 0 (even) or 1 (odd) is PSD.
-    # When the order-r recursion of the rank structure holds, column j of
-    # that block is the combination of its first r columns that t^j mod h
-    # gives (h the characteristic polynomial), so the block is W^T C W with
-    # C = block(anchor, r-1) and W of rank r: PSD exactly when C is.  With
-    # block(0, r-1) PD the even block is PSD outright and the odd one takes
-    # the ladder's verdict on block(1, r-1); otherwise one pivot elimination
-    # decides (on the integer block in exact mode).
-    if ctx.is_exact:
-        rank = _rank_structure(gamma)
-        if rank.recursion is not None and rank.leading_pd:
-            return anchor == 0 or gamma.ladder(EXACT)._block_psd(1, rank.order - 1)[0]
-    block_of = _integer_block if ctx.is_exact else block
-    return is_psd(block_of(gamma, anchor, (gamma.horizon - anchor) // 2), ctx)
-
-
 def _stieltjes_screen(gamma: MomentSequence, ctx: ToleranceContext) -> None:
     # Every feasible block of (gamma_{i+j}) is a principal submatrix of the
     # maximal even-anchor block, and every (gamma_{i+j+1}) block of the
-    # maximal odd-anchor one, so two PSD checks cover the whole family.
-    if not _maximal_block_psd(gamma, 0, ctx):
+    # maximal odd-anchor one, so two PSD questions to the ladder cover the
+    # whole family.
+    ladder = gamma.ladder(ctx)
+    if not ladder.psd(0, gamma.horizon // 2):
         raise NotStieltjesError(
             "moment blocks anchored at even indices are not all PSD; "
             "not a moment sequence of a positive measure"
         )
-    if gamma.horizon >= 1 and not _maximal_block_psd(gamma, 1, ctx):
+    if gamma.horizon >= 1 and not ladder.psd(1, (gamma.horizon - 1) // 2):
         raise NotStieltjesError(
             "shifted moment blocks (anchored at odd indices) are not all "
             "PSD; no representing positive measure lives on the half line"
@@ -294,15 +223,11 @@ def is_finite_mass(
     """Finite atomic character: some feasible block determinant vanishes.
 
     Requires the double Hankel positivity screen to pass first: the maximal
-    even- and odd-anchored blocks must be PSD.  In exact mode, when the
-    recursion of `detect_recursion`'s rank structure (order r, the first
-    vanishing anchor-0 minor) holds and d_0(0), ..., d_{r-1}(0) > 0, each
-    maximal block is congruent to its r x r corner: the even one is PSD and
-    the odd one is decided by the ladder's verdict on block(1, r-1).  Every
-    other input runs one pivot elimination per block, as float mode does.
-    Then scans (order, anchor) lexicographically over the tables of
-    `gamma.ladder(ctx)` and reports the first vanishing determinant as the
-    witness.
+    even- and odd-anchored blocks must be PSD, as `gamma.ladder(ctx).psd`
+    decides them (in exact mode from the minors and the rank structure,
+    with a pivot elimination only where neither decides).  Then scans
+    (order, anchor) lexicographically over the same ladder's tables and
+    reports the first vanishing determinant as the witness.
     """
     _stieltjes_screen(gamma, ctx)
     ladder = gamma.ladder(ctx)

@@ -328,10 +328,10 @@ def psd_with_margin(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> tuple[b
 
     Exact mode decides by fraction-free symmetric pivot elimination over
     the entries scaled to integers (floats at their binary values) and
-    flags exactly singular PSD blocks.  The exact k-positivity scans read
-    most Hankel blocks off their leading principal minors instead
-    (`hankel.LadderVerdicts`) and come here only for a block whose minor of
-    some lower order vanishes.  Float mode flags marginal when the smallest
+    flags exactly singular PSD blocks.  Exact Hankel-block questions read
+    most blocks off their leading principal minors and the rank structure
+    instead (`hankel.LadderVerdicts`), and come here only for a block that
+    neither decides.  Float mode flags marginal when the smallest
     eigenvalue sits inside the tolerance band around zero, i.e. the verdict
     would flip under a band-sized perturbation.
     """

@@ -9,6 +9,7 @@ import json
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +17,13 @@ import hankelshift.cli as cli
 import hankelshift.hankel as hankel
 import hankelshift.numkit as numkit
 from hankelshift import (
+    EXACT,
+    FLOAT,
     AtomicMeasure,
     BlockIndex,
     LadderVerdicts,
     MomentSequence,
+    PreconditionError,
     WeightSequence,
     block,
     det_bareiss,
@@ -300,13 +304,15 @@ class TestWorkCounts:
         assert calls == []
 
     def test_two_atoms_at_order_three_fall_back(self, monkeypatch):
-        # d_2(n) = 0 at every anchor, below the order 3 asked for: only the
-        # pivot elimination can tell PSD-singular from not PSD there.
+        # d_2(n) = 0 at every anchor, below the order 3 asked for, so the
+        # minors cannot tell PSD-singular from not PSD there.  The order-2
+        # recursion holds, so each block is read from its 2 x 2 corner and
+        # no pivot elimination runs.
         gamma = moments_of(AtomicMeasure((F(1), F(3)), (F(1, 2), F(2))), 10)
         expected = _scan(gamma, 3, numkit._pivots)
         calls = _count_pivots(monkeypatch)
         verdict = is_k_positive(gamma, 3)
-        assert len(calls) == 5
+        assert len(calls) == 0
         assert _outcome(verdict) == expected
         assert expected == (
             True,
@@ -326,3 +332,18 @@ class TestWorkCounts:
             None,
             tuple(f"singular block at anchor {n}" for n in range(5)),
         )
+
+
+class TestBlockIndices:
+    @pytest.mark.parametrize("ctx", [EXACT, FLOAT], ids=["exact", "float"])
+    @pytest.mark.parametrize("n, k", [(-1, 1), (0, -1), (-2, 0)])
+    def test_negative_indices_are_rejected(self, ctx, n, k):
+        # a negative index would read the ladder's tables from the end
+        ladder = LadderVerdicts(MomentSequence.of([1, 2, 5, 14, 42, 132, 429]), ctx)
+        for ask in (ladder.pd, ladder.psd):
+            with pytest.raises(PreconditionError, match="block indices must be nonnegative"):
+                ask(n, k)
+
+    def test_the_rank_structure_is_exact_only(self):
+        with pytest.raises(PreconditionError, match="exact ladder"):
+            LadderVerdicts(MomentSequence.of([1, 2, 4]), FLOAT).rank

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hankelshift.hankel as hankel
 import hankelshift.measures as measures
 import hankelshift.numkit as numkit
 from hankelshift import (
@@ -19,6 +20,7 @@ from hankelshift import (
     FLOAT,
     BlockIndex,
     FiniteMassReport,
+    LadderVerdicts,
     MomentSequence,
     NotStieltjesError,
     Recursion,
@@ -27,6 +29,7 @@ from hankelshift import (
     detect_recursion,
     is_finite_mass,
     is_psd,
+    psd_with_margin,
     solve_linear_exact,
 )
 from hankelshift.hankel import _integer_block, det_is_zero
@@ -98,7 +101,7 @@ horizon = st.integers(min_value=0, max_value=12)
 
 
 @st.composite
-def positive_measures(draw):
+def positive_measures(draw, horizons=horizon):
     """1-4 positive densities on distinct nonnegative atoms, sometimes with
     a zero atom and a pair 1e-4 or 1e-10 apart."""
     atoms = set(draw(st.lists(atom, min_size=1, max_size=4)))
@@ -108,11 +111,11 @@ def positive_measures(draw):
         x = draw(st.sampled_from(sorted(atoms)))
         atoms.add(x + F(1, 10 ** draw(st.sampled_from([4, 10]))))
     atoms = sorted(atoms)
-    return _moments(atoms, [draw(density) for _ in atoms], draw(horizon))
+    return _moments(atoms, [draw(density) for _ in atoms], draw(horizons))
 
 
 @st.composite
-def signed_measures(draw):
+def signed_measures(draw, horizons=horizon):
     """A negative density among positive ones, or a positive density on a
     negative atom, kept when every moment is nonnegative: recursive
     sequences that fail the screen, the latter on the odd block only."""
@@ -125,9 +128,34 @@ def signed_measures(draw):
         atoms[0] = -draw(st.fractions(min_value=F(1, 12), max_value=atoms[-1], max_denominator=12))
         assume(atoms[0] != -atoms[-1])
         dens[-1] = max(dens[-1], dens[0])
-    gamma = _moments(atoms, dens, draw(horizon))
+    gamma = _moments(atoms, dens, draw(horizons))
     assume(gamma is not None)
     return gamma
+
+
+wide_horizon = st.integers(min_value=0, max_value=14)
+
+
+@st.composite
+def geometric_sequences(draw):
+    """a * b^n, b >= 0: d_1(0) = 0 and the order-1 recursion holds, so
+    r = 1 and every block of order >= 1 is read from gamma_n."""
+    a, b = draw(density), draw(atom)
+    return MomentSequence.of([a * b**n for n in range(draw(wide_horizon) + 1)])
+
+
+@st.composite
+def mirrored_measures(draw):
+    """Atoms -x and x, the positive one at least as heavy, beside up to two
+    positive atoms.  With equal weights on the pair and nothing else,
+    gamma_n = 0 at odd n, so d_0(n) = 0 in blocks of order k = r - 1:
+    only the guard r <= k keeps the rule from asking about them again."""
+    x = draw(st.fractions(min_value=F(1, 12), max_value=20, max_denominator=12))
+    rho = draw(density)
+    atoms = {-x: rho, x: rho + draw(st.sampled_from([0, 0, F(1, 3)]))}
+    for y in draw(st.lists(atom, max_size=2)):
+        atoms.setdefault(y, draw(density))
+    return _moments(list(atoms), list(atoms.values()), draw(wide_horizon))
 
 
 small_integer_sequences = st.lists(
@@ -229,16 +257,62 @@ class TestDifferential:
         # linear recurrent sequence whose minimal order is r + 1 (an order
         # <= r would have been found), and its r+1 x r+1 leading block is
         # then nonsingular (Kronecker), against d_r(0) = 0.
-        rank = measures._rank_structure(gamma)
-        assume(rank.order is not None and rank.recursion is None)
+        rank = gamma.ladder(EXACT).rank
+        assume(rank.order is not None and rank.coeffs is None)
         found = _per_order_search(gamma, gamma.horizon // 2)
         assert found is None or found.order >= rank.order + 2
 
 
+def _assert_blocks_agree(gamma):
+    # Every block verdict of the exact ladder, asked of a fresh ladder and
+    # of one shared by every question, against one pivot elimination on the
+    # integer block: the minors, the rank-structure rule and the fallback.
+    shared = LadderVerdicts(gamma)
+    for k in range(gamma.horizon // 2 + 1):
+        for n in range(gamma.horizon - 2 * k + 1):
+            expected = psd_with_margin(_integer_block(gamma, n, k))
+            assert LadderVerdicts(gamma)._block_psd(n, k) == expected, (gamma.values, n, k)
+            assert shared._block_psd(n, k) == expected, (gamma.values, n, k)
+            assert shared.psd(n, k) == expected[0]
+
+
+class TestLadderRule:
+    @settings(max_examples=120, deadline=None)
+    @given(gamma=st.one_of(positive_measures(wide_horizon), signed_measures(wide_horizon)))
+    def test_atomic_sequences(self, gamma):
+        # zero atoms, negative atoms and negative densities
+        _assert_blocks_agree(gamma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.one_of(geometric_sequences(), mirrored_measures()))
+    def test_order_one_and_mirrored_atoms(self, gamma):
+        _assert_blocks_agree(gamma)
+
+    @settings(max_examples=120, deadline=None)
+    @given(gamma=st.one_of(failed_candidates(), small_integer_sequences))
+    def test_vanishing_minor_without_recursion(self, gamma):
+        _assert_blocks_agree(gamma)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, 1, 1, 0, 0, 0, 0],
+            [2, 0, 2, 0, 2, 0, 2, 0, 2],
+            [3, 0, 0, 0, 0],
+            [1, 0, 1, 0, 1, 0, 2],
+        ],
+        ids=["failed-order-one", "atoms-minus-one-and-one", "atom-at-zero", "failed-order-two"],
+    )
+    def test_named_corpus(self, values):
+        _assert_blocks_agree(MomentSequence.of(values))
+
+
 class TestWorkSaved:
     def _count(self, monkeypatch):
+        # solve_linear_exact runs in the ladder's rank structure (hankel)
+        # and in the fallback fit (measures); both count.
         calls = {"solve": 0, "pivots": 0}
-        solve, pivots = measures.solve_linear_exact, numkit._pivots
+        solve, pivots = numkit.solve_linear_exact, numkit._pivots
 
         def counting_solve(*args):
             calls["solve"] += 1
@@ -248,6 +322,7 @@ class TestWorkSaved:
             calls["pivots"] += 1
             return pivots(matrix)
 
+        monkeypatch.setattr(hankel, "solve_linear_exact", counting_solve)
         monkeypatch.setattr(measures, "solve_linear_exact", counting_solve)
         monkeypatch.setattr(numkit, "_pivots", counting_pivots)
         return calls
@@ -264,10 +339,28 @@ class TestWorkSaved:
         gamma = bergman_moments(12)
         assert detect_recursion(gamma, 5, EXACT) is None
         assert not is_finite_mass(gamma, EXACT).finite
-        assert calls == {"solve": 0, "pivots": 2}
+        assert calls == {"solve": 0, "pivots": 0}
 
     def test_order_above_the_cap_takes_no_solve(self, monkeypatch):
         calls = self._count(monkeypatch)
         gamma = _moments((F(1), F(2), F(3), F(5)), (F(1),) * 4, 12)
         assert detect_recursion(gamma, 3, EXACT) is None
         assert calls["solve"] == 0
+
+    def test_non_stieltjes_logconvex_runs_no_elimination(self, monkeypatch):
+        # Log-convex inputs that fail the even block, where the first
+        # nonpositive anchor-0 minor on the ladder is negative: it decides
+        # the block, so no elimination runs.  (A vanishing one, from a
+        # geometric prefix, leaves the block to the elimination.)
+        failing = [
+            gamma
+            for gamma in (logconvex_moments(random.Random(seed), 12) for seed in range(1, 13))
+            if _pivot_screen_scan(gamma) == "not Stieltjes: even"
+            and next(t.dets[0] for t in det_ladder(gamma) if t.dets[0] <= 0) < 0
+        ]
+        assert len(failing) >= 3
+        calls = self._count(monkeypatch)
+        for gamma in failing:
+            with pytest.raises(NotStieltjesError, match="even indices"):
+                is_finite_mass(gamma, EXACT)
+        assert calls["pivots"] == 0
