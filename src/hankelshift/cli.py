@@ -13,11 +13,11 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional, Sequence
 
 from .hankel import (
@@ -58,7 +58,6 @@ from .shifts import (
     weights_to_moments,
 )
 
-RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
 DEFAULT_MEASURE_HORIZON = 12
 # The least value of each count option a subcommand reads.
 COUNT_FLOORS = {
@@ -94,40 +93,36 @@ def _parse_int(digits: str) -> int:
         return int(decimal.Decimal(digits))
 
 
-def _parse_entry(raw: Any, where: str) -> tuple[Scalar, bool, bool]:
-    """Returns (value, is_rational_string, is_float_number)."""
+def _parse_entry(raw: Any, where: str) -> Scalar:
+    """An int, a finite float, or a p/q string read into a Fraction."""
     if isinstance(raw, bool):
         raise InputError(f"{where}: booleans are not numbers")
     if isinstance(raw, int):
-        return raw, False, False
+        return raw
     if isinstance(raw, float):
         if not math.isfinite(raw):
             raise InputError(f"{where}: {raw!r} is not a finite number")
-        return raw, False, True
+        return raw
     if isinstance(raw, str):
-        if not RATIONAL_RE.match(raw.strip()):
+        # [+-]?\d+/\d+ after strip, as \d is isdecimal(): Unicode category Nd.
+        head, _, tail = raw.strip().partition("/")
+        digits = head[1:] if head[:1] in ("+", "-") else head
+        if not (digits.isdecimal() and tail.isdecimal()):
             raise InputError(
                 f"{where}: string {raw!r} is not a p/q rational "
                 "(optional sign, digits, '/', digits)"
             )
-        num, den = (_parse_int(part) for part in raw.strip().split("/"))
+        den = _parse_int(tail)
         if den == 0:
             raise InputError(f"{where}: zero denominator in {raw!r}")
-        return Fraction(num, den), True, False
+        return Fraction(_parse_int(head), den)
     raise InputError(f"{where}: unsupported value {raw!r}")
 
 
-def _parse_array(raw: Any, where: str) -> tuple[tuple[Scalar, ...], bool, bool]:
+def _parse_array(raw: Any, where: str) -> tuple[Scalar, ...]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: expected a nonempty array")
-    vals: list[Scalar] = []
-    any_rat = any_flt = False
-    for i, entry in enumerate(raw):
-        v, r, f = _parse_entry(entry, f"{where}[{i}]")
-        vals.append(v)
-        any_rat = any_rat or r
-        any_flt = any_flt or f
-    return tuple(vals), any_rat, any_flt
+    return tuple(_parse_entry(entry, f"{where}[{i}]") for i, entry in enumerate(raw))
 
 
 def load_sequence_file(path: str) -> LoadedInput:
@@ -163,17 +158,12 @@ def _load_json(path: str, digest: str, text: str) -> LoadedInput:
     horizon = doc.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or horizon < 0):
         raise InputError(f"{path}: horizon must be a nonnegative integer")
-    values: tuple[Scalar, ...] = ()
-    atoms: tuple[Scalar, ...] = ()
-    densities: tuple[Scalar, ...] = ()
-    if kind == "measure":
-        atoms, r1, f1 = _parse_array(doc.get("atoms"), f"{path}: atoms")
-        densities, r2, f2 = _parse_array(doc.get("densities"), f"{path}: densities")
-        has_rational, has_float = r1 or r2, f1 or f2
-    else:
-        values, has_rational, has_float = _parse_array(
-            doc.get("values"), f"{path}: values"
-        )
+    names = ("atoms", "densities") if kind == "measure" else ("values",)
+    arrays = {name: _parse_array(doc.get(name), f"{path}: {name}") for name in names}
+    # Every entry has parsed: a str is a p/q rational, a float is finite.
+    entries = [entry for name in names for entry in doc[name]]
+    has_rational = any(isinstance(e, str) for e in entries)
+    has_float = any(isinstance(e, float) for e in entries)
     if has_rational and has_float:
         raise InputError(
             f"{path}: mixed representations (p/q strings alongside floats)"
@@ -184,9 +174,9 @@ def _load_json(path: str, digest: str, text: str) -> LoadedInput:
         path=path,
         sha256=digest,
         kind=kind,
-        values=values,
-        atoms=atoms,
-        densities=densities,
+        values=arrays.get("values", ()),
+        atoms=arrays.get("atoms", ()),
+        densities=arrays.get("densities", ()),
         has_rational=has_rational,
         has_float=has_float,
         exact_hint=exact_hint,
@@ -264,7 +254,7 @@ def resolve_context(args: argparse.Namespace, loaded: LoadedInput) -> ToleranceC
 
 def _coerce(values: Sequence[Scalar], ctx: ToleranceContext) -> tuple[Scalar, ...]:
     if ctx.is_exact:
-        return tuple(Fraction(v) for v in values)
+        return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
     return tuple(float(v) for v in values)
 
 
@@ -531,6 +521,52 @@ def cmd_perturb(
     return results, incident
 
 
+def _dumps(value: Any, newline: str = "\n") -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)` for the
+    report's value types: dict with str keys, list, str, int, float, bool
+    and None; any other value or key raises TypeError.  json's C encoder
+    does not indent, and its Python one pays for options the report never
+    sets, so this writes the one format directly.  newline is a line break
+    and the indentation of the line value starts on."""
+    # The type tests run in json.encoder's order (bool before int).
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [
+            _quote(item) if type(item) is str else _dumps(item, inner) for item in value
+        ]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str.
+        items = [
+            f"{_quote(key)}: {_quote(item) if type(item) is str else _dumps(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _human_interval(iv_json: dict) -> str:
     return f"[{iv_json['lo']}, {iv_json['hi']}]"
 
@@ -749,7 +785,7 @@ def _fail(args: argparse.Namespace, exc: Exception, code: int, kind: str, label:
     print(f"{label}: {exc}", file=sys.stderr)
     if args.as_json:
         error = {"kind": kind, "exit": code, "message": str(exc)}
-        print(json.dumps({"error": error}, indent=2, sort_keys=True))
+        print(_dumps({"error": error}))
     return code
 
 
@@ -770,7 +806,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalConsistencyError as exc:
         return _fail(args, exc, 4, "consistency", "internal consistency incident")
     if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         emit_human(report, sys.stdout)
     return 4 if incident else 0

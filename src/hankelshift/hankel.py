@@ -161,12 +161,30 @@ class DetTable:
     methods[n] records how dets[n] was produced: "condensation" when the
     two-order recurrence applied, "direct" when the entry fell back to a
     standalone determinant (zero or near-zero divisor, or base order).
+
+    An exact-ladder table (`scaled`) also keeps nums[n], the determinant of
+    block(n, k) of G = gamma * D (`MomentSequence.integer_view`), and scale =
+    D^(k+1); exact deciders read nums, and dets = nums / scale on first read.
     """
 
     k: int
     horizon: int
     dets: tuple[Scalar, ...]
     methods: tuple[str, ...]
+
+    @classmethod
+    def scaled(cls, k: int, horizon: int, nums: tuple, scale: int, methods: tuple) -> "DetTable":
+        """The table whose dets[n] = nums[n] / scale are built on first read."""
+        table = object.__new__(cls)
+        table.__dict__.update(k=k, horizon=horizon, methods=methods, nums=nums, scale=scale)
+        return table
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for a missing attribute: a scaled table's unread dets.
+        if name != "dets" or "nums" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dets = self.__dict__["dets"] = tuple(Fraction(d, self.scale) for d in self.nums)
+        return dets
 
     def anchors(self) -> range:
         return range(self.horizon - 2 * self.k + 1)
@@ -277,9 +295,9 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     `MomentSequence.integer_view` (floats at their binary values): the
     identity is homogeneous, so the order-k entry is det(block of G) /
     D^(k+1), every division is an exact `//`, a zero divisor takes
-    `det_bareiss` on the integer block, and each entry becomes a Fraction
-    only when its table is yielded.  An order is built only when the caller
-    asks for it.
+    `det_bareiss` on the integer block, and each table keeps its integers
+    (`DetTable.scaled`): its Fractions are built only when its dets are
+    read.  An order is built only when the caller asks for it.
     """
     if ctx.is_exact:
         yield from _exact_ladder(gamma)
@@ -353,12 +371,7 @@ def _exact_ladder(gamma: MomentSequence) -> Iterator[DetTable]:
     # whose order-k entries det(block of G at n) are D^(k+1) d_k(n).
     g, den = gamma.integer_view
     horizon = gamma.horizon
-    yield DetTable(
-        k=0,
-        horizon=horizon,
-        dets=tuple(v if isinstance(v, Fraction) else Fraction(v) for v in gamma.values),
-        methods=tuple("direct" for _ in g),
-    )
+    yield DetTable.scaled(0, horizon, g, den, ("direct",) * len(g))
     prev2: Sequence[int] = [1] * (horizon + 3)
     prev1: Sequence[int] = g
     scale = den
@@ -374,12 +387,7 @@ def _exact_ladder(gamma: MomentSequence) -> Iterator[DetTable]:
             else:
                 table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)
                 methods.append("condensation")
-        yield DetTable(
-            k=order,
-            horizon=horizon,
-            dets=tuple(Fraction(d, scale) for d in table),
-            methods=tuple(methods),
-        )
+        yield DetTable.scaled(order, horizon, tuple(table), scale, tuple(methods))
         prev2, prev1 = prev1, table
 
 
@@ -428,10 +436,10 @@ class LadderVerdicts:
     - any other d_j(n) = 0 with j < k: `psd_with_margin` runs its pivot
       elimination on the block.
 
-    A block reads at most k + 1 signs, each from a minor's integer
-    numerator (an int comparison, no `Fraction` arithmetic), and orders are
-    pulled only up to the first j that decides it, so a scan that fails at
-    a low order builds no higher table.
+    A block reads at most k + 1 signs, each from a minor's condensed
+    integer in `DetTable.nums` (an int comparison, no `Fraction` is built),
+    and orders are pulled only up to the first j that decides it, so a scan
+    that fails at a low order builds no higher table.
 
     The fallback elimination runs on the integer block of
     `MomentSequence.integer_view`.  Float mode decides every block with
@@ -510,7 +518,7 @@ class LadderVerdicts:
         if not self.ctx.is_exact:
             raise PreconditionError("the rank structure is read from the exact ladder")
         top = self.gamma.horizon // 2
-        r = next((j for j in range(1, top + 1) if self._pull(j).dets[0].numerator == 0), None)
+        r = next((j for j in range(1, top + 1) if self._pull(j).nums[0] == 0), None)
         if r is None:
             return RankStructure()
         g = self.gamma.integer_view[0]
@@ -526,7 +534,7 @@ class LadderVerdicts:
         # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
         if self.ctx.is_exact:
             for j in range(k + 1):
-                num = self._pull(j).dets[n].numerator
+                num = self._pull(j).nums[n]
                 if num < 0:
                     return False, False
                 if num == 0:
@@ -553,8 +561,16 @@ class LadderVerdicts:
         d_0(n), ..., d_k(n) are all positive, so no elimination runs."""
         _check_block(self.gamma, n, k)
         if self.ctx.is_exact:
-            return all(self._pull(j).dets[n].numerator > 0 for j in range(k + 1))
+            return all(self._pull(j).nums[n] > 0 for j in range(k + 1))
         return is_pd(block(self.gamma, n, k), self.ctx)
+
+    def vanishes(self, n: int, k: int) -> bool:
+        """d_k(n) = 0: from the integers in exact mode, by `det_is_zero` in float mode."""
+        _check_block(self.gamma, n, k)
+        table = self._pull(k)
+        if self.ctx.is_exact:
+            return table.nums[n] == 0
+        return det_is_zero(self.gamma, n, k, table.dets[n], self.ctx)
 
     def propagation(self, k: int) -> PropagationReport:
         """For a k-positive sequence, scan the order-(k-1) determinants.
@@ -574,10 +590,7 @@ class LadderVerdicts:
                 f"first failure at block {verdict.first_failure}"
             )
         table = self.table(k - 1)
-        zero = [
-            det_is_zero(self.gamma, n, k - 1, table.dets[n], self.ctx)
-            for n in table.anchors()
-        ]
+        zero = [self.vanishes(n, k - 1) for n in table.anchors()]
         vanishing_found = any(zero)
         first_zero = zero.index(True) if vanishing_found else None
         conclusion: Optional[bool] = None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .hankel import BlockIndex, MomentSequence, _recursion_holds, det_is_zero
+from .hankel import BlockIndex, MomentSequence, _recursion_holds
 from .numkit import (
     EXACT,
     FLOAT,
@@ -227,14 +227,13 @@ def is_finite_mass(
     decides them (in exact mode from the minors and the rank structure,
     with a pivot elimination only where neither decides).  Then scans
     (order, anchor) lexicographically over the same ladder's tables and
-    reports the first vanishing determinant as the witness.
+    reports the first that `LadderVerdicts.vanishes` as the witness.
     """
     _stieltjes_screen(gamma, ctx)
     ladder = gamma.ladder(ctx)
     for k in range(gamma.horizon // 2 + 1):
-        table = ladder.table(k)
-        for p in table.anchors():
-            if det_is_zero(gamma, p, k, table.dets[p], ctx):
+        for p in ladder.table(k).anchors():
+            if ladder.vanishes(p, k):
                 return FiniteMassReport(finite=True, witness=BlockIndex(p, k))
     return FiniteMassReport(finite=False, witness=None)
 

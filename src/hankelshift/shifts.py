@@ -115,10 +115,14 @@ class ShiftPropagationReport:
 def weights_to_moments(alpha: WeightSequence) -> MomentSequence:
     """gamma_0 = 1, gamma_{n+1} = alpha_n^2 * gamma_n."""
     values: list[Scalar] = [1]
-    acc: Scalar = Fraction(1) if not any(isinstance(v, float) for v in alpha.sq) else 1.0
+    exact = not any(isinstance(v, float) for v in alpha.sq)
+    acc: Scalar = Fraction(1) if exact else 1.0
     for n, v in enumerate(alpha.sq):
-        acc = acc * v
-        if acc == math.inf:
+        if exact:
+            # integer products, normalised once, not a Fraction product
+            p, q = v.as_integer_ratio()
+            acc = Fraction(acc.numerator * p, acc.denominator * q)
+        elif (acc := acc * v) == math.inf:
             raise PreconditionError(
                 f"a moment lies beyond the double range: gamma_{n + 1} of the float weights"
             )

@@ -1,7 +1,8 @@
 """Fuzz of the command line: random JSON and CSV documents under random flag
 sets.  Every run must end in a documented exit code (0, 2, 3 or 4) without a
 traceback, and under `--json` every exit of a run must leave a report that
-parses (argparse's own usage errors print nothing on stdout)."""
+parses and whose bytes are those `json.dumps(indent=2, sort_keys=True)`
+gives (argparse's own usage errors print nothing on stdout)."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ _FLOATS = st.floats(0.0, 50.0) | st.sampled_from([1e-300, 5e-324, 1e300, 1.7e308
 _RATIONAL_STRINGS = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 40), st.integers(1, 12))
 _JUNK = st.sampled_from(
     ["", "x", "1/", "/2", "1/0", "1.5/2", "-1/2", -3, -0.5, "nan", "inf", True, None, [1], {}]
-)
+) | st.text(max_size=4)  # echoed into error messages: quotes, controls, non-ASCII
 _CLEAN = st.lists(_RATIONAL_STRINGS | _INTS, min_size=1, max_size=11) | st.lists(
     _FLOATS, min_size=1, max_size=11
 )
@@ -91,8 +92,10 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
             return code, "", err.getvalue()
     if "--json" in argv:
         # every exit of a run leaves a parseable report on stdout: the
-        # results, or under a raised failure the error object
+        # results, or under a raised failure the error object, in the
+        # bytes of json.dumps
         doc = json.loads(out.getvalue())
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if "error" in doc:
             assert doc["error"]["exit"] == code != 0
         else:

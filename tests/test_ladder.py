@@ -1,11 +1,13 @@
 """The determinant-ladder decider of exact k-positivity: differential tests
 against pivot elimination, principal minors and the per-order Fraction
-loop that the numerator-sign reads replaced, and counts of the work it does
-(ladder walks, pivot fallbacks)."""
+loop that the numerator-sign reads replaced, counts of the work it does
+(ladder walks, pivot fallbacks), and the exact tables' lazy Fractions."""
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -21,12 +23,16 @@ from hankelshift import (
     FLOAT,
     AtomicMeasure,
     BlockIndex,
+    DetTable,
     LadderVerdicts,
     MomentSequence,
     PreconditionError,
     WeightSequence,
     block,
     det_bareiss,
+    det_ladder,
+    detect_recursion,
+    is_finite_mass,
     is_k_positive,
     moments_of,
     propagation_for_shift,
@@ -340,10 +346,113 @@ class TestBlockIndices:
     def test_negative_indices_are_rejected(self, ctx, n, k):
         # a negative index would read the ladder's tables from the end
         ladder = LadderVerdicts(MomentSequence.of([1, 2, 5, 14, 42, 132, 429]), ctx)
-        for ask in (ladder.pd, ladder.psd):
+        for ask in (ladder.pd, ladder.psd, ladder.vanishes):
             with pytest.raises(PreconditionError, match="block indices must be nonnegative"):
                 ask(n, k)
 
     def test_the_rank_structure_is_exact_only(self):
         with pytest.raises(PreconditionError, match="exact ladder"):
             LadderVerdicts(MomentSequence.of([1, 2, 4]), FLOAT).rank
+
+
+@st.composite
+def float_moments(draw):
+    # floats in exact mode: the ladder condenses their binary values
+    values = draw(st.lists(st.floats(1 / 64, 64), min_size=1, max_size=10))
+    return MomentSequence.of(values)
+
+
+_any_moments = st.one_of(atomic_moments(), log_convex_moments(), zeroed_moments(), float_moments())
+
+
+def _eager_table(gamma, k, methods):
+    # The table the exact ladder once built eagerly, from determinants taken
+    # directly: dets[n] = Fraction(d, D^(k+1)), d the integer block's.
+    den = gamma.integer_view[1]
+    nums = [
+        det_bareiss(hankel._integer_block(gamma, n, k)).numerator
+        for n in range(gamma.horizon - 2 * k + 1)
+    ]
+    return nums, DetTable(k, gamma.horizon, tuple(F(d, den ** (k + 1)) for d in nums), methods)
+
+
+def _unbuilt(ladder):
+    return all("dets" not in vars(table) for table in ladder._tables)
+
+
+class TestLazyTables:
+    @settings(max_examples=150, deadline=None)
+    @given(_any_moments)
+    def test_tables_equal_the_eager_fractions(self, gamma):
+        tables = list(det_ladder(gamma))
+        assert len(tables) == gamma.horizon // 2 + 1
+        for k, table in enumerate(tables):
+            nums, eager = _eager_table(gamma, k, table.methods)
+            assert list(table.nums) == nums, (gamma.values, k)
+            assert table.scale == gamma.integer_view[1] ** (k + 1)
+            # hash first: it is the first read of the lazy dets
+            assert hash(table) == hash(eager)
+            assert table == eager and eager == table
+            assert repr(table) == repr(eager)
+            assert all(isinstance(d, F) for d in table.dets)
+
+    def test_zero_divisors_take_direct_determinants(self):
+        # two atoms: d_2 vanishes everywhere, so order 4 divides by zero
+        gamma = moments_of(AtomicMeasure((F(1), F(3)), (F(1, 2), F(2))), 10)
+        table = LadderVerdicts(gamma).table(4)
+        assert table.methods == ("direct",) * 3
+        assert table == _eager_table(gamma, 4, table.methods)[1]
+
+    def test_dets_are_built_once_on_first_read(self):
+        table = bergman_moments(8).ladder().table(2)
+        assert "dets" not in vars(table)
+        dets = table.dets
+        assert vars(table)["dets"] is dets is table.dets
+
+    def test_only_scaled_tables_keep_integers(self):
+        eager = DetTable(0, 0, (F(1),), ("direct",))
+        assert not hasattr(eager, "nums") and not hasattr(eager, "scale")
+        with pytest.raises(AttributeError, match="no attribute 'other'"):
+            bergman_moments(4).ladder().table(1).other
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+    )
+    def test_copies_and_pickles_round_trip(self, read_first, clone):
+        gamma = bergman_moments(10)
+        report = LadderVerdicts(gamma).propagation(3)
+        table = LadderVerdicts(gamma).table(2)
+        if read_first:
+            table.dets, report.table.dets
+        for original in (table, report):
+            twin = clone(original)
+            assert twin == original and hash(twin) == hash(original)
+            assert repr(twin) == repr(original)
+        assert clone(table).nums == table.nums and clone(table).scale == table.scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(_any_moments)
+    def test_verdict_pulls_build_no_fractions(self, gamma):
+        ladder = LadderVerdicts(gamma)
+        top = gamma.horizon // 2
+        for k in range(1, top + 1):
+            ladder.verdict(k)
+        for k in range(top + 1):
+            for n in range(gamma.horizon - 2 * k + 1):
+                ladder.pd(n, k), ladder.psd(n, k), ladder.vanishes(n, k)
+        ladder.rank
+        assert len(ladder._tables) == top + 1 and _unbuilt(ladder)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(atomic_moments(), log_convex_moments()))
+    def test_recursion_and_finite_mass_build_no_fractions(self, gamma):
+        detect_recursion(gamma, 4)
+        try:
+            is_finite_mass(gamma)
+        except PreconditionError:
+            pass
+        for k in range(1, gamma.horizon // 2 + 1):
+            if gamma.ladder().verdict(k).holds:
+                gamma.ladder().propagation(k)
+        assert _unbuilt(gamma.ladder())
