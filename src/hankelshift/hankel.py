@@ -22,6 +22,7 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _float_array,
     _integer_view,
     det_bareiss,
     hadamard_bound,
@@ -61,9 +62,11 @@ class MomentSequence:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("a moment sequence needs at least gamma_0")
-        if not self.values[0] > 0:
+        # A Fraction's sign is its numerator's, read without Fraction's compare.
+        signs = [v.numerator if isinstance(v, Fraction) else v for v in self.values]
+        if not signs[0] > 0:
             raise ValueError("gamma_0 must be positive")
-        for n, v in enumerate(self.values):
+        for n, v in enumerate(signs):
             if v < 0:
                 raise ValueError(f"gamma_{n} is negative")
 
@@ -220,13 +223,16 @@ def _check_block(gamma: MomentSequence, n: int, k: int) -> None:
         raise InsufficientMomentsError(n + 2 * k, gamma.horizon)
 
 
+def _rows(values: Sequence[Scalar], n: int, k: int) -> list[Sequence[Scalar]]:
+    # The rows of the order-k block at anchor n of values, as slices: the
+    # one form in which the package hands a Hankel block to numkit.
+    return [values[n + i:n + i + k + 1] for i in range(k + 1)]
+
+
 def block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
     """The (k+1)x(k+1) block with entry (i, j) = gamma_{n+i+j}."""
     _check_block(gamma, n, k)
-    rows = tuple(
-        tuple(gamma[n + i + j] for j in range(k + 1)) for i in range(k + 1)
-    )
-    return SymMatrix(rows)
+    return SymMatrix.from_rows(_rows(gamma.values, n, k))
 
 
 def is_k_positive(
@@ -277,8 +283,9 @@ def _direct_det(gamma: MomentSequence, n: int, k: int) -> float:
     # Float mode's standalone block determinant.
     import numpy as np
 
-    mat = block(gamma, n, k)
-    return float(np.linalg.det(mat.to_numpy())) if k > 0 else float(mat.entry(0, 0))
+    if k == 0:
+        return float(gamma[n])
+    return float(np.linalg.det(_float_array(_rows(gamma.values, n, k))))
 
 
 def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator[DetTable]:
@@ -295,9 +302,10 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     `MomentSequence.integer_view` (floats at their binary values): the
     identity is homogeneous, so the order-k entry is det(block of G) /
     D^(k+1), every division is an exact `//`, a zero divisor takes
-    `det_bareiss` on the integer block, and each table keeps its integers
-    (`DetTable.scaled`): its Fractions are built only when its dets are
-    read.  An order is built only when the caller asks for it.
+    `det_bareiss` on the rows of the integer block (`_integer_block`), and
+    each table keeps its integers (`DetTable.scaled`): its Fractions are
+    built only when its dets are read.  Float blocks go to numkit as row
+    slices of gamma (`_rows`).  An order is built only when asked for.
     """
     if ctx.is_exact:
         yield from _exact_ladder(gamma)
@@ -313,7 +321,7 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
             divisor = prev2[n + 2]
             try:
                 scale = (
-                    hadamard_bound(block(gamma, n + 2, order - 2))
+                    hadamard_bound(_rows(gamma.values, n + 2, order - 2))
                     if order >= 2
                     else abs(float(divisor))
                 )
@@ -347,11 +355,10 @@ def _finite_table(
     return DetTable(k=k, horizon=horizon, dets=tuple(dets), methods=tuple(methods))
 
 
-def _integer_block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
-    # block(gamma, n, k) times D over the integers G of integer_view: the
-    # same PSD verdict, the same singularity, the determinant D^(k+1) times.
-    g = gamma.integer_view[0]
-    return SymMatrix.from_rows([[g[n + i + j] for j in range(k + 1)] for i in range(k + 1)])
+def _integer_block(gamma: MomentSequence, n: int, k: int) -> list[Sequence[int]]:
+    # The rows of block(gamma, n, k) times D, from the integers G of
+    # integer_view: the same PSD verdict, the determinant D^(k+1) times.
+    return _rows(gamma.integer_view[0], n, k)
 
 
 def _recursion_holds(g: Sequence[int], coeffs: Sequence[Scalar], start: int = 0) -> bool:
@@ -406,7 +413,8 @@ def det_is_zero(
     block in float mode."""
     if ctx.is_exact:
         return value == 0
-    return ctx.is_zero(value, hadamard_bound(block(gamma, n, k)))
+    _check_block(gamma, n, k)
+    return ctx.is_zero(value, hadamard_bound(_rows(gamma.values, n, k)))
 
 
 def propagation_report(
@@ -522,10 +530,7 @@ class LadderVerdicts:
         if r is None:
             return RankStructure()
         g = self.gamma.integer_view[0]
-        sol = solve_linear_exact(
-            [[g[p + i] for i in range(r)] for p in range(r)],
-            [g[p + r] for p in range(r)],
-        )
+        sol = solve_linear_exact(_rows(g, 0, r - 1), g[r:2 * r])
         if sol is None:
             raise InternalConsistencyError(f"block(0, {r - 1}) is nonsingular, its system not")
         return RankStructure(r, sol if _recursion_holds(g, sol) else None)
@@ -548,7 +553,7 @@ class LadderVerdicts:
                         return psd, psd
                     return psd_with_margin(_integer_block(self.gamma, n, k))
             return True, False
-        return psd_with_margin(block(self.gamma, n, k), self.ctx)
+        return psd_with_margin(_rows(self.gamma.values, n, k), self.ctx)
 
     def psd(self, n: int, k: int) -> bool:
         """block(n, k) is positive semidefinite, decided as the blocks of a
@@ -562,7 +567,7 @@ class LadderVerdicts:
         _check_block(self.gamma, n, k)
         if self.ctx.is_exact:
             return all(self._pull(j).nums[n] > 0 for j in range(k + 1))
-        return is_pd(block(self.gamma, n, k), self.ctx)
+        return is_pd(_rows(self.gamma.values, n, k), self.ctx)
 
     def vanishes(self, n: int, k: int) -> bool:
         """d_k(n) = 0: from the integers in exact mode, by `det_is_zero` in float mode."""

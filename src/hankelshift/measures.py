@@ -179,8 +179,7 @@ def detect_recursion(
     # one denominator leaves the recursion's coefficients unchanged.
     g = gamma.integer_view[0] if ctx.is_exact else gamma.values
     for r in range(start, cap + 1):
-        rows = [[g[p + i] for i in range(r)] for p in range(n - r)]
-        rhs = [g[p + r] for p in range(n - r)]
+        rows, rhs = [g[p:p + r] for p in range(n - r)], g[r:]
         if ctx.is_exact:
             sol = solve_linear_exact(rows, rhs)
             if sol is not None:

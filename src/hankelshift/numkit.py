@@ -7,11 +7,13 @@ tolerance test controlled by a :class:`ToleranceContext`.
 
 The mode is carried by the context, not by a scalar wrapper type: routines
 coerce their input entries to the representation the context asks for
-(floats are converted to exact binary rationals in exact mode).  Exact
-linear algebra runs over Python ints: the entries are scaled to integers by
-a common denominator once (`_integer_view`), every elimination step divides
-exactly with `//`, and a Fraction is built only for a value that leaves the
-routine.  numpy is imported only by the float-mode routines.
+(floats are converted to exact binary rationals in exact mode).  A matrix
+is a sequence of rows, or a `SymMatrix`; the package passes row slices.
+Exact linear algebra runs over Python ints: the entries are scaled to
+integers once (`_integer_view`) and eliminated fraction-free, every step an
+exact `//`, by `_echelon` (determinants and linear solves) or `_pivots` (the
+symmetric PSD decider); a Fraction is built only for a value that leaves
+the routine.  numpy is imported only by the float-mode routines.
 """
 
 from __future__ import annotations
@@ -125,14 +127,8 @@ EXACT = ToleranceContext(mode="exact")
 FLOAT = ToleranceContext(mode="float")
 
 
-def _as_rows(matrix: "SymMatrix | Sequence[Sequence[Scalar]]") -> list[list[Scalar]]:
-    if isinstance(matrix, SymMatrix):
-        return [list(row) for row in matrix.rows]
-    return [list(row) for row in matrix]
-
-
-def _has_float(rows: Sequence[Sequence[Scalar]]) -> bool:
-    return any(isinstance(x, float) for row in rows for x in row)
+def _rows_of(matrix: _Matrix) -> Sequence[Sequence[Scalar]]:
+    return matrix.rows if isinstance(matrix, SymMatrix) else matrix
 
 
 def _integer_view(values: Iterable[Scalar]) -> tuple[list[int], int]:
@@ -145,10 +141,10 @@ def _integer_view(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _float_array(matrix: "SymMatrix | Sequence[Sequence[Scalar]]") -> np.ndarray:
+def _float_array(matrix: _Matrix) -> np.ndarray:
     import numpy as np
 
-    rows = _as_rows(matrix)
+    rows = _rows_of(matrix)
     n = len(rows)
     return np.array([[float(x) for x in row] for row in rows], dtype=float).reshape(n, n)
 
@@ -192,6 +188,10 @@ class SymMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return _float_array(self)
+
+
+# Every matrix routine below takes the rows, or a SymMatrix.
+_Matrix = SymMatrix | Sequence[Sequence[Scalar]]
 
 
 @dataclass(frozen=True)
@@ -238,44 +238,62 @@ class Interval:
         return Interval(lo, hi)
 
 
-def det_bareiss(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant by fraction-free single-step Bareiss elimination.
+def _echelon(
+    rows: list[list[Scalar]], ncols: int, exact: bool = True
+) -> tuple[list[int], int, Scalar]:
+    # Fraction-free (Bareiss) row echelon form of rows, in place, pivoting
+    # on the first ncols columns only; later columns (a right-hand side) are
+    # carried along.  Returns (pivot columns, the sign of the row swaps, the
+    # last pivot).  By Sylvester's identity each update is a minor of the
+    # input over the pivot rows and columns, so the previous pivot divides
+    # it: exactly with `//` over ints, by `/` when exact is False.  A column
+    # with no nonzero entry left is skipped; its rows below stay zero.
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        pivot = row_r[c]
+        for row_i in rows[r + 1:]:
+            f = row_i[c]
+            for j in range(c + 1, len(row_i)):
+                num = pivot * row_i[j] - f * row_r[j]
+                row_i[j] = num // prev if exact else num / prev
+            row_i[c] = 0
+        pivots.append(c)
+        prev = pivot
+    return pivots, sign, prev
 
-    Exact entries are scaled row by row to integers (`_integer_view`),
-    every division is an exact integer `//`, and the result is the Fraction
-    det / (product of the row scales).  Float entries take ordinary
-    elimination.  The order-0 determinant is 1 by convention.
+
+def det_bareiss(matrix: _Matrix) -> Scalar:
+    """Determinant by fraction-free Bareiss elimination (`_echelon`).
+
+    Exact entries are scaled row by row to integers (`_integer_view`) and
+    the result is the Fraction det / (product of the row scales).  A matrix
+    holding any float takes true division throughout.  A singular matrix
+    gives Fraction(0), or 0.0 with a float; the order-0 determinant is 1.
     """
-    rows = _as_rows(matrix)
+    rows = _rows_of(matrix)
     n = len(rows)
     if n == 0:
         return 1
-    exact = not _has_float(rows)
-    scale = 1
-    if exact:
-        for i, row in enumerate(rows):
-            rows[i], m = _integer_view(row)
-            scale *= m
-    sign = 1
-    prev: Scalar = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0) if exact else 0.0
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                rows[i][j] = num // prev if exact else num / prev
-        prev = pivot
-    det = sign * rows[n - 1][n - 1]
-    return Fraction(det, scale) if exact else det
+    if any(isinstance(x, float) for row in rows for x in row):
+        pivots, sign, last = _echelon([list(row) for row in rows], n, exact=False)
+        return sign * last if len(pivots) == n else 0.0
+    views = [_integer_view(row) for row in rows]
+    pivots, sign, last = _echelon([nums for nums, _ in views], n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * last, math.prod(d for _, d in views))
 
 
-def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
+def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
     """(is PSD, is PD), exactly, by fraction-free symmetric elimination.
 
     The entries (floats at their binary values) are scaled to integers by one
@@ -288,7 +306,7 @@ def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
     then dropped, the previous divisor stays, and the matrix is singular.
     All pivots positive means PD.
     """
-    rows = _as_rows(matrix)
+    rows = _rows_of(matrix)
     n = len(rows)
     flat, _ = _integer_view(x for row in rows for x in row)
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -314,7 +332,7 @@ def _pivots(matrix: SymMatrix) -> tuple[bool, bool]:
     return True, not singular
 
 
-def _eig_min(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[float, float]:
+def _eig_min(matrix: _Matrix) -> tuple[float, float]:
     import numpy as np
 
     arr = _float_array(matrix)
@@ -323,19 +341,20 @@ def _eig_min(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> tuple[float, flo
     return lam_min, scale
 
 
-def psd_with_margin(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
-    """(is PSD, verdict is marginal).
+def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
+    """(is PSD, verdict is marginal) of a symmetric matrix, given by its
+    rows or as a `SymMatrix`.
 
-    Exact mode decides by fraction-free symmetric pivot elimination over
-    the entries scaled to integers (floats at their binary values) and
-    flags exactly singular PSD blocks.  Exact Hankel-block questions read
-    most blocks off their leading principal minors and the rank structure
-    instead (`hankel.LadderVerdicts`), and come here only for a block that
-    neither decides.  Float mode flags marginal when the smallest
-    eigenvalue sits inside the tolerance band around zero, i.e. the verdict
-    would flip under a band-sized perturbation.
+    Exact mode decides by `_pivots` over the entries scaled to integers
+    (floats at their binary values) and flags exactly singular PSD blocks.
+    Exact Hankel-block questions read most blocks off their leading
+    principal minors and the rank structure instead (`hankel.LadderVerdicts`)
+    and come here only for a block that neither decides.  Float mode flags
+    marginal when the smallest eigenvalue sits inside the tolerance band
+    around zero, i.e. the verdict would flip under a band-sized
+    perturbation.  The order-0 matrix is PSD, not marginal.
     """
-    if matrix.order == 0:
+    if not _rows_of(matrix):
         return True, False
     if ctx.is_exact:
         psd, pd = _pivots(matrix)
@@ -345,18 +364,16 @@ def psd_with_margin(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> tuple[b
     return lam_min >= -floor, abs(lam_min) <= floor
 
 
-def is_psd(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> bool:
-    """PSD test: exact mode by symmetric pivot elimination (no negative
-    pivot, and every zero pivot has a zero row), float mode by the smallest
-    eigenvalue against the scaled floor."""
+def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
+    """The PSD verdict of `psd_with_margin` (rows or a `SymMatrix`)."""
     return psd_with_margin(matrix, ctx)[0]
 
 
-def is_pd(matrix: SymMatrix, ctx: ToleranceContext = EXACT) -> bool:
-    """PD test: exact mode by strict positivity of every elimination pivot
-    (the same pass as `is_psd`), float mode by the strict version of the PSD
-    floor."""
-    if matrix.order == 0:
+def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
+    """PD test (rows or a `SymMatrix`): exact mode by strict positivity of
+    every `_pivots` pivot, float mode by the strict version of the PSD
+    floor.  The order-0 matrix is PD."""
+    if not _rows_of(matrix):
         return True
     if ctx.is_exact:
         return _pivots(matrix)[1]
@@ -531,48 +548,26 @@ def solve_linear_exact(
     """One exact solution of A x = b with free variables set to zero, or
     None when the system is inconsistent.
 
-    Each row is scaled to integers together with its right-hand side (floats
-    at their binary values) and reduced to row echelon form by fraction-free
-    elimination, every division an exact `//`.  With d the last pivot,
-    Cramer's rule makes d * x an integer vector, which back substitution
-    finds with exact divisions; it is re-verified by substitution into the
-    scaled rows, so the answer is sound regardless of pivoting order, and
-    the Fractions are built last.
+    Each row is scaled to integers with its right-hand side (floats at their
+    binary values) and brought to echelon form by `_echelon`.  With d the
+    last pivot, Cramer's rule makes d * x an integer vector, which back
+    substitution finds with exact divisions; it is re-verified in the scaled
+    rows, so the answer is sound whatever the pivoting, and the Fractions
+    are built last.
     """
     scaled = [_integer_view([*row, v])[0] for row, v in zip(rows, rhs, strict=True)]
-    m = len(scaled)
-    ncols = len(rows[0]) if m else 0
+    ncols = len(rows[0]) if scaled else 0
     ech = [list(row) for row in scaled]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if ech[i][c] != 0), None)
-        if pr is None:
-            continue
-        ech[r], ech[pr] = ech[pr], ech[r]
-        row_r = ech[r]
-        pv = row_r[c]
-        for i in range(r + 1, m):
-            row_i, f = ech[i], ech[i][c]
-            for j in range(c + 1, ncols + 1):
-                row_i[j] = (pv * row_i[j] - f * row_r[j]) // prev
-            row_i[c] = 0
-        pivots.append(c)
-        prev = pv
-        r += 1
-    # y = d * x with d = prev, the determinant of the pivot block.
+    pivots, _, d = _echelon(ech, ncols)
     y = [0] * ncols
-    for t in range(r - 1, -1, -1):
-        row, c = ech[t], pivots[t]
-        acc = prev * row[ncols] - sum(row[pivots[s]] * y[pivots[s]] for s in range(t + 1, r))
-        y[c] = acc // row[c]
+    for t in range(len(pivots) - 1, -1, -1):
+        row = ech[t]
+        acc = d * row[ncols] - sum(row[c] * y[c] for c in pivots[t + 1:])
+        y[pivots[t]] = acc // row[pivots[t]]
     for row in scaled:
-        if sum(a * yi for a, yi in zip(row, y)) != prev * row[ncols]:
+        if sum(a * yi for a, yi in zip(row, y)) != d * row[ncols]:
             return None
-    return tuple(Fraction(yi, prev) for yi in y)
+    return tuple(Fraction(yi, d) for yi in y)
 
 
 def solve_vandermonde(
@@ -608,7 +603,7 @@ def solve_vandermonde(
     return tuple(float(v) for v in sol)
 
 
-def hadamard_bound(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> float:
+def hadamard_bound(matrix: _Matrix) -> float:
     """Product of row 2-norms: a cheap a-priori bound on |det|, used to scale
     float-mode zero-determinant tests.
 
@@ -617,7 +612,7 @@ def hadamard_bound(matrix: SymMatrix | Sequence[Sequence[Scalar]]) -> float:
     product of norms beyond the double range is a PreconditionError: an inf
     scale would band every determinant as zero.
     """
-    norms = [math.hypot(*(float(x) for x in row)) for row in _as_rows(matrix)]
+    norms = [math.hypot(*(float(x) for x in row)) for row in _rows_of(matrix)]
     if 0.0 in norms:
         return 0.0
     bound = float(math.prod(norms))

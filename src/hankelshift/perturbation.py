@@ -21,7 +21,8 @@ from typing import Mapping, Optional
 
 from .hankel import (
     MomentSequence,
-    block,
+    _check_block,
+    _rows,
     is_k_positive,
     log_convexity,
 )
@@ -34,7 +35,7 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
-    _integer_view,
+    _echelon,
     det_bareiss,
     fmt_scalar,
     hadamard_bound,
@@ -343,27 +344,22 @@ def _interpolate(values: list[int]) -> list[int]:
     return poly
 
 
-def _pivot_columns(rows: list[list[int]]) -> list[int]:
-    # The pivot columns of the row echelon form: a maximal independent set.
-    cols = []
-    for c in range(len(rows[0])):
-        pivot = next((r for r in rows if r[c] != 0), None)
-        if pivot is not None:
-            cols.append(c)
-            rows = [[x * pivot[c] - r[c] * y for x, y in zip(r, pivot)] for r in rows]
-    return cols
-
-
 def _pencil_block(
     gamma: MomentSequence, n: int, k: int, cut: int, cap: Scalar, ctx: ToleranceContext
 ) -> tuple[Interval, tuple[str, str], list[str]]:
     """Admissible scales in the window [0, cap] at one t-dependent anchor,
-    with the endpoint methods and flags; see `stability_interval`."""
+    with the endpoint methods and flags; see `stability_interval`.
+
+    H and D are sliced from the integers G = gamma * D of
+    `MomentSequence.integer_view`: D times the block, so the same PSD
+    verdicts and the same roots of p.  Pencils go to numkit as rows; the
+    pivot-column pass, which eliminates in place, gets a copy of [H; D].
+    """
     floaty = not ctx.is_exact or _floaty(gamma)
     size = range(k + 1)
-    vals = _integer_view(gamma[n + i] for i in range(2 * k + 1))[0]
-    h = [[vals[i + j] if n + i + j <= cut else 0 for j in size] for i in size]
-    d = [[vals[i + j] - h[i][j] for j in size] for i in size]
+    g = gamma.integer_view[0]
+    h = [[g[n + i + j] if n + i + j <= cut else 0 for j in size] for i in size]
+    d = [[g[n + i + j] - h[i][j] for j in size] for i in size]
 
     def pencil(t: Fraction | int, idx=size) -> list[list[int]]:
         # den(t) * (H + t*D) over the integers: same PSD verdict and det sign.
@@ -371,7 +367,7 @@ def _pencil_block(
         return [[c * h[i][j] + a * d[i][j] for j in idx] for i in idx]
 
     def feasible(t: Fraction | int) -> bool:
-        return psd_with_margin(SymMatrix.from_rows(pencil(t)))[0]
+        return psd_with_margin(pencil(t))[0]
 
     one = 1.0 if floaty else Fraction(1)
     if floaty and not feasible(1):
@@ -379,7 +375,8 @@ def _pencil_block(
         return Interval(one, one), ("pencil_root", "pencil_root"), [flag]
     p = _interpolate([int(det_bareiss(pencil(t))) for t in range(k + 2)])
     if not any(p):
-        idx = _pivot_columns(h + d)
+        # the pivot columns of [H; D]: a maximal independent set
+        idx = _echelon([list(row) for row in h + d], k + 1)[0]
         p = _interpolate([int(det_bareiss(pencil(t, idx))) for t in range(k + 2)])
     if not any(p):
         return Interval(one, one), ("pencil_root", "pencil_root"), []
@@ -635,17 +632,18 @@ def rank_one_det_expansion_holds(
     gamma_cut Cof, Cof being the (1,1) cofactor of B."""
     if cut + 2 * k > gamma.horizon:
         raise InsufficientMomentsError(cut + 2 * k, gamma.horizon)
+    _check_block(gamma, cut, k)
     t = _exactify(gamma, scale)[0] if not isinstance(scale, float) else scale
-    lhs = det_bareiss(perturbed_block(gamma, cut, k, cut, t))
-    full = det_bareiss(block(gamma, cut, k))
-    cof = det_bareiss(block(gamma, cut + 2, k - 1)) if k >= 1 else 1
+    rows = _rows(gamma.values, cut, k)
+    # The perturbed block: only the corner gamma_cut lies at or below the cut.
+    scaled = [[v if i + j == 0 else t * v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+    lhs = det_bareiss(scaled)
+    full = det_bareiss(rows)
+    cof = det_bareiss(_rows(gamma.values, cut + 2, k - 1)) if k >= 1 else 1
     rhs = t ** (k + 1) * full + (1 - t) * t**k * gamma[cut] * cof
     if ctx.is_exact and not _floaty(gamma) and not isinstance(t, float):
         return lhs == rhs
-    return ctx.is_zero(
-        float(lhs) - float(rhs),
-        hadamard_bound(perturbed_block(gamma, cut, k, cut, t)),
-    )
+    return ctx.is_zero(float(lhs) - float(rhs), hadamard_bound(scaled))
 
 
 def discriminant_diagnostic(gamma: MomentSequence, cut: int) -> DiscriminantDiagnostic:

@@ -52,7 +52,8 @@ class WeightSequence:
         if not self.sq:
             raise ValueError("a weight sequence needs at least one weight")
         for n, v in enumerate(self.sq):
-            if not v > 0:
+            # A Fraction's sign is its numerator's, read without Fraction's compare.
+            if not (v.numerator if isinstance(v, Fraction) else v) > 0:
                 raise ValueError(f"squared weight at index {n} is not positive")
 
     @classmethod
@@ -152,7 +153,7 @@ def moments_to_weights(gamma: MomentSequence) -> WeightSequence:
 
 def is_hyponormal(alpha: WeightSequence, ctx: ToleranceContext = EXACT) -> bool:
     """Nondecreasing weights; squared weights order the same way."""
-    scale = max(abs(float(v)) for v in alpha.sq)
+    scale = 0.0 if ctx.is_exact else max(abs(float(v)) for v in alpha.sq)
     return all(
         ctx.nonneg(alpha.sq[n + 1] - alpha.sq[n], scale) for n in range(len(alpha) - 1)
     )
@@ -206,7 +207,7 @@ def flat_tail_report(
 ) -> FlatnessReport:
     """The flat-pair scan of `flatness_check` without its k-hyponormality
     check, for a caller that has certified k-hyponormality itself."""
-    scale = max(abs(float(v)) for v in alpha.sq)
+    scale = 0.0 if ctx.is_exact else max(abs(float(v)) for v in alpha.sq)
     pair = next(
         (
             n

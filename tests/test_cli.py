@@ -320,6 +320,15 @@ class TestSubcommands:
             assert res["measure"]["densities"] == ["1", "1"]
             assert res["finite_mass"]["witness"] == {"n": 0, "k": 2}
 
+    def test_exact_weights_beyond_float_range(self, tmp_path, capsys):
+        # squared weights 10^400: exact mode takes no float scale of them
+        doc = {"kind": "weights", "values": ["1" + "0" * 400 + "/1"] * 5}
+        path = write(tmp_path, "big.json", doc)
+        assert cli.main(["analyze", path, "--k", "2", "--json", "--no-timestamp"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["flatness"]["flat_pair_found"] is True
+        assert res["flatness"]["propagation_verified"] is True
+
     @pytest.mark.parametrize(
         "factor, message",
         [

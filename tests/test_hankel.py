@@ -42,6 +42,27 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence.of([])
 
+    def test_validation_reads_numerator_signs(self, monkeypatch):
+        compares = []
+        richcmp = F._richcmp
+
+        def counting(self, other, op):
+            compares.append(op)
+            return richcmp(self, other, op)
+
+        monkeypatch.setattr(F, "_richcmp", counting)
+        MomentSequence.of([F(1), F(0), F(1, 3)])
+        with pytest.raises(ValueError, match="^gamma_0 must be positive$"):
+            MomentSequence.of([F(0), F(1)])
+        with pytest.raises(ValueError, match="^gamma_0 must be positive$"):
+            MomentSequence.of([F(-1, 2), F(1)])
+        with pytest.raises(ValueError, match="^gamma_2 is negative$"):
+            MomentSequence.of([F(1), F(1), F(-1, 7)])
+        assert compares == []
+        # a NaN gamma_0 is not positive
+        with pytest.raises(ValueError, match="^gamma_0 must be positive$"):
+            MomentSequence.of([math.nan, 1.0])
+
     def test_horizon_and_indexing(self):
         g = MomentSequence.of([F(1), F(1, 2), F(1, 3)])
         assert g.horizon == 2

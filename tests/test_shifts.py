@@ -3,6 +3,7 @@ propagation."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from hankelshift import (
     MomentSequence,
     PreconditionError,
     WeightSequence,
+    flat_tail_report,
     flatness_check,
     is_hyponormal,
     is_k_hyponormal,
@@ -53,6 +55,34 @@ def test_weight_positivity_enforced():
 def test_is_hyponormal_monotone_weights():
     assert is_hyponormal(WeightSequence.from_squared((F(1, 2), F(1, 2), F(3, 4))))
     assert not is_hyponormal(WeightSequence.from_squared((F(3, 4), F(1, 2))))
+
+
+def test_exact_weights_beyond_the_double_range():
+    # exact mode takes no float scale, so no weight needs to fit a double
+    big = F(10**400)
+    assert is_hyponormal(WeightSequence.from_squared((big, big, 2 * big)))
+    assert not is_hyponormal(WeightSequence.from_squared((2 * big, big)))
+    report = flat_tail_report(WeightSequence.from_squared((big,) * 5), 2)
+    assert report.flat_pair_found and report.propagation_verified
+
+
+def test_weight_validation_reads_numerator_signs(monkeypatch):
+    compares = []
+    richcmp = F._richcmp
+
+    def counting(self, other, op):
+        compares.append(op)
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(F, "_richcmp", counting)
+    WeightSequence.from_squared((F(1, 2), F(3), F(7, 5)))
+    with pytest.raises(ValueError, match="^squared weight at index 1 is not positive$"):
+        WeightSequence.from_squared((F(1, 2), F(-1, 3)))
+    with pytest.raises(ValueError, match="^squared weight at index 0 is not positive$"):
+        WeightSequence.from_squared((F(0), F(1)))
+    assert compares == []
+    with pytest.raises(ValueError, match="^squared weight at index 1 is not positive$"):
+        WeightSequence.from_squared((1.0, math.nan))
 
 
 def test_k_hyponormal_matches_moment_positivity():
