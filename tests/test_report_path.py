@@ -54,7 +54,10 @@ class TestEmitter:
 
     @pytest.mark.parametrize(
         "value",
-        [F(1, 2), (1, 2), {1, 2}, b"x", object(), {1: "x"}, {None: 1}, [1, [F(1)]], {"k": (1,)}],
+        [
+            F(1, 2), (1, 2), {1, 2}, b"x", pytest.param(object(), id="object()"),
+            {1: "x"}, {None: 1}, [1, [F(1)]], {"k": (1,)},
+        ],
         ids=repr,
     )
     def test_unsupported_values_raise_type_error(self, value):
