@@ -255,7 +255,12 @@ def resolve_context(args: argparse.Namespace, loaded: LoadedInput) -> ToleranceC
 def _coerce(values: Sequence[Scalar], ctx: ToleranceContext) -> tuple[Scalar, ...]:
     if ctx.is_exact:
         return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-    return tuple(float(v) for v in values)
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise PreconditionError(
+            "an input value lies beyond the double range, so float mode cannot hold it"
+        ) from None
 
 
 def materialize(

@@ -13,7 +13,9 @@ Exact linear algebra runs over Python ints: the entries are scaled to
 integers once (`_integer_view`) and eliminated fraction-free, every step an
 exact `//`, by `_echelon` (determinants and linear solves) or `_pivots` (the
 symmetric PSD decider); a Fraction is built only for a value that leaves
-the routine.  numpy is imported only by the float-mode routines.
+the routine.  `real_roots` works over ints too: a content-free integer
+Sturm chain, and quadratic interval refinement at dyadic points.  numpy is
+imported only by the float-mode routines.
 """
 
 from __future__ import annotations
@@ -384,59 +386,70 @@ def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
 # Polynomials below are coefficient lists in descending degree.
 
 
-def _poly_deriv(poly: Sequence[Fraction]) -> list[Fraction]:
-    d = len(poly) - 1
-    return [c * (d - i) for i, c in enumerate(poly[:-1])]
+def _content_free(poly: list[int]) -> list[int]:
+    # poly divided by its positive content: same roots, same signs.
+    g = math.gcd(*poly)
+    return poly if g == 1 else [c // g for c in poly]
 
 
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    # Long division by b, which must have a nonzero lead: (quotient,
-    # remainder), the remainder stripped of leading zeros.
-    rem, quot = list(a), []
-    while len(rem) >= len(b):
-        factor = rem[0] / b[0]
-        quot.append(factor)
-        for i in range(len(b)):
-            rem[i] -= factor * b[i]
-        rem.pop(0)
+def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # -|lead(b)|^j * (a mod b) for some j >= 0, content-free, leading zeros
+    # stripped: a positive multiple of the negated Euclidean remainder.
+    # Each step scales by |lead(b)| rather than lead(b), so no sign flips.
+    lb, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    rem = list(a)
+    for _ in range(len(a) - len(b) + 1):
+        f = sign * rem[0]
+        if f:  # lb * rem - f * b cancels the lead
+            rem = [lb * x - f * y for x, y in zip(rem[1:], b[1:])] + [
+                lb * x for x in rem[len(b):]
+            ]
+        else:
+            rem = rem[1:]
     while rem and rem[0] == 0:
         rem.pop(0)
-    return quot, rem
+    return [-c for c in _content_free(rem)] if rem else []
 
 
-def _sturm_chain(poly: Sequence[Scalar]) -> list[list[Fraction]]:
-    # poly (exact, leading zeros stripped), poly', then the negated
-    # remainders of Euclid's algorithm; the last member is gcd(poly, poly').
+def _sturm_chain(poly: Sequence[Scalar]) -> list[list[int]]:
+    # The primitive integer poly (leading zeros stripped, a positive multiple
+    # of the input), its content-free derivative, then the content-free
+    # negated pseudo-remainders of Euclid's algorithm; the last member is
+    # gcd(poly, poly').  Each member is a positive multiple of the member of
+    # the classical Sturm chain over the rationals, so sign changes agree.
     if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
         raise PreconditionError("polynomial coefficients must be finite")
-    poly = [Fraction(c) for c in poly]
-    while poly and poly[0] == 0:
-        poly.pop(0)
-    if not poly:
+    ints = _integer_view(poly)[0]
+    while ints and ints[0] == 0:
+        ints.pop(0)
+    if not ints:
         raise PreconditionError("the zero polynomial has no isolated roots")
-    chain = [poly, _poly_deriv(poly)]
-    while chain[-1]:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
-    chain.pop()
+    h = _content_free(ints)
+    d = len(h) - 1
+    chain = [h]
+    member = [c * (d - i) for i, c in enumerate(h[:-1])]
+    while member:
+        chain.append(_content_free(member))
+        member = _neg_prem(chain[-2], chain[-1])
     return chain
 
 
-def squarefree(poly: Sequence[Scalar]) -> list[Fraction]:
-    """poly / gcd(poly, poly') (coefficients descending, floats at their
+def squarefree(poly: Sequence[Scalar]) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of
+    poly / gcd(poly, poly') (coefficients descending, floats at their
     binary values): the same distinct roots, each simple, so `real_roots`
-    never returns None on it.  Raises PreconditionError like `real_roots`."""
+    never returns None on it.  Raises PreconditionError like `real_roots`.
+
+    The quotient of the chain's first and last members is taken by exact
+    integer division: both are primitive, so by Gauss's lemma it is."""
     chain = _sturm_chain(poly)
-    return _poly_divmod(chain[0], chain[-1])[0]
-
-
-def _primitive(poly: Sequence[Fraction]) -> list[int]:
-    # A positive multiple with coprime integer coefficients: same roots and
-    # the same sign everywhere.
-    ints, _ = _integer_view(poly)
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    rem, g = list(chain[0]), chain[-1]
+    quot = []
+    while len(rem) >= len(g):
+        f = rem[0] // g[0]
+        quot.append(f)
+        rem = [x - f * y for x, y in zip(rem[1:], g[1:])] + rem[len(g):]
+    return quot
 
 
 def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
@@ -459,21 +472,26 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     Fraction when the root is rational, else the correctly rounded double
     of the certified root.  None when poly has a repeated root.
 
-    With V(x) the sign changes of the Sturm chain at x, a squarefree poly has
+    Everything runs over Python ints.  The Sturm chain is built from the
+    primitive integer poly by content-free pseudo-remainders (`_sturm_chain`).
+    With V(x) the sign changes of the chain at x, a squarefree poly has
     exactly V(a) - V(b) roots in (a, b].  Roots are isolated by halving
-    (-2^E, 2^E], 2^E above every root, at dyadic points, and refined until
-    the interval is narrower than 1/lead: a rational root of the primitive
-    integer poly has the form m/lead, so the one such point inside is the
-    only candidate.  Raises PreconditionError for a nonfinite or all-zero
-    coefficient list, and for an irrational root no double can hold.
+    (-2^E, 2^E], 2^E above every root, at dyadic points, and each is refined
+    by quadratic interval refinement (`_refine_root`) until the interval is
+    narrower than 1/lead: a rational root of the primitive integer poly has
+    the form m/lead, so the one such point inside is the only candidate.  A
+    Fraction is built only for a returned rational root.  Raises
+    PreconditionError for a nonfinite or all-zero coefficient list, and for
+    an irrational root no double can hold.
     """
     chain = _sturm_chain(poly)
-    if len(chain[0]) == 1:
+    h = chain[0]
+    if len(h) == 1:
         return []
+    if len(h) == 2:  # linear: the root is read off
+        return [Fraction(-h[1], h[0])]
     if len(chain[-1]) > 1:
         return None
-    chain = [_primitive(p) for p in chain]
-    h = chain[0]
     lead = abs(h[0])
 
     def changes_at(num: int, e: int) -> int:
@@ -483,20 +501,13 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     # every |root| lies strictly below.
     top = 1 << (-(-max(abs(c) for c in h[1:]) // lead)).bit_length()
     roots: list[Scalar] = []
-    # A rational root m/c has c | lead, so it is a root of h modulo every
-    # prime p not dividing lead: no root modulo one such p proves all roots
-    # irrational, and their refinement skips the lattice test.
-    irrational = any(
-        lead % p and all(_scaled_value([c % p for c in h], x, 1) % p for x in range(p))
-        for p in (13, 17, 19, 23, 29)
-    )
     # (a, b, e, V(a/2^e), V(b/2^e)); the left half is popped first, so the
     # roots come out in ascending order.
     todo = [(-top, top, 0, changes_at(-top, 0), changes_at(top, 0))]
     while todo:
         a, b, e, va, vb = todo.pop()
         if va - vb == 1:
-            roots.append(_refine_root(h, lead, a, b, e, irrational))
+            roots.append(_refine_root(h, lead, a, b, e))
         elif va - vb > 1:
             vm = changes_at(a + b, e + 1)
             todo.append((a + b, 2 * b, e + 1, vm, vb))
@@ -504,18 +515,31 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     return roots
 
 
-def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int, irr: bool) -> Scalar:
-    # The only root of h in (a/2^e, b/2^e], by halving on the sign of h,
-    # which is nonzero at the upper end unless the root sits there.  Once
-    # the interval is narrower than 1/lead, the one lattice point m/lead in
-    # it is the only possible rational root; past that test the root is
-    # irrational, hence never halfway between two doubles, and both ends
-    # rounding to the same double makes that double the rounded root.
-    value = _scaled_value(h, b, 1 << e)
-    if value == 0:
+def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
+    """The only root of h in (a/2^e, b/2^e], by quadratic interval
+    refinement (Abbott 2006) over dyadic endpoints.
+
+    A step splits the interval into 2^s cells and guesses, by the secant
+    through the two endpoint values, the cell that holds the root.  Two
+    signs check the guess: if they bracket the root, the interval becomes
+    that cell and s doubles; otherwise the interval shrinks to the side the
+    signs point to and s halves.  At s = 1 a step is one bisection, and
+    bisection is also the step while h vanishes at the left end (another
+    root sits there).  h is nonzero at the upper end unless the root sits
+    there.  Once the interval is narrower than 1/lead, the one lattice
+    point m/lead in it is the only possible rational root; past that test
+    the root is irrational, hence never halfway between two doubles, and
+    both ends rounding to the same double makes that double the rounded
+    root.  Every value is an int: den^deg * h(x) at the current scale.
+    """
+    deg = len(h) - 1
+    vb = _scaled_value(h, b, 1 << e)
+    if vb == 0:
         return Fraction(b, 1 << e)
-    sign_b = value > 0
-    lattice_tested = irr
+    va = _scaled_value(h, a, 1 << e)
+    sign_b = vb > 0
+    lattice_tested = False
+    s = 1
     while True:
         if not lattice_tested and (b - a) * lead < 1 << e:
             m = (b * lead) >> e
@@ -532,14 +556,38 @@ def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int, irr: bool)
                     "an irrational root lies beyond the double range; no double "
                     "can hold it"
                 ) from None
-        a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
-        value = _scaled_value(h, mid, 1 << e)
-        if value == 0:
-            return Fraction(mid, 1 << e)
-        if (value > 0) == sign_b:
-            b = mid
+        if va == 0:
+            s = 1
+        # The grid x_j = a*n + j*(b - a), j = 0..n, at scale e + s; the
+        # endpoint values rescale by 2^(s*deg).
+        n, w, e = 1 << s, b - a, e + s
+        a, b, va, vb = a * n, b * n, va << s * deg, vb << s * deg
+        if s == 1:
+            m = 1
+        else:  # the grid point nearest the secant's zero
+            num, den = (va, va - vb) if va > vb else (-va, vb - va)
+            m = (2 * n * num + den) // (2 * den)
+        x = a + m * w
+        v = va if m == 0 else vb if m == n else _scaled_value(h, x, 1 << e)
+        if v == 0:
+            return Fraction(x, 1 << e)
+        # The neighbour y on the root's side of x; the cell between them is
+        # the guess, right by definition when y is an end of the interval.
+        left = (v > 0) == sign_b
+        y = x - w if left else x + w
+        if y == a or y == b:
+            u, hit = (va if y == a else vb), True
         else:
-            a = mid
+            u = _scaled_value(h, y, 1 << e)
+            if u == 0:
+                return Fraction(y, 1 << e)
+            hit = ((u > 0) == sign_b) != left
+        if hit:
+            a, va, b, vb = (y, u, x, v) if left else (x, v, y, u)
+            s *= 2
+        else:
+            a, va, b, vb = (a, va, y, u) if left else (y, u, b, vb)
+            s >>= 1
 
 
 def solve_linear_exact(

@@ -151,9 +151,21 @@ def moments_to_weights(gamma: MomentSequence) -> WeightSequence:
     return WeightSequence(sq)
 
 
+def _float_scale(alpha: WeightSequence, ctx: ToleranceContext) -> float:
+    # The float-mode tolerance scale; exact mode takes none.
+    if ctx.is_exact:
+        return 0.0
+    try:
+        return max(abs(float(v)) for v in alpha.sq)
+    except OverflowError:
+        raise PreconditionError(
+            "a squared weight lies beyond the double range, so no float scale exists"
+        ) from None
+
+
 def is_hyponormal(alpha: WeightSequence, ctx: ToleranceContext = EXACT) -> bool:
     """Nondecreasing weights; squared weights order the same way."""
-    scale = 0.0 if ctx.is_exact else max(abs(float(v)) for v in alpha.sq)
+    scale = _float_scale(alpha, ctx)
     return all(
         ctx.nonneg(alpha.sq[n + 1] - alpha.sq[n], scale) for n in range(len(alpha) - 1)
     )
@@ -207,7 +219,7 @@ def flat_tail_report(
 ) -> FlatnessReport:
     """The flat-pair scan of `flatness_check` without its k-hyponormality
     check, for a caller that has certified k-hyponormality itself."""
-    scale = 0.0 if ctx.is_exact else max(abs(float(v)) for v in alpha.sq)
+    scale = _float_scale(alpha, ctx)
     pair = next(
         (
             n

@@ -329,6 +329,18 @@ class TestSubcommands:
         assert res["flatness"]["flat_pair_found"] is True
         assert res["flatness"]["propagation_verified"] is True
 
+    @pytest.mark.parametrize("kind", ["weights", "moments"])
+    def test_float_mode_input_beyond_double_range_exits_3(self, tmp_path, capsys, kind):
+        # 10^400 has no double: float mode rejects it with exit 3 and an
+        # error object, where it used to exit 1 with an OverflowError traceback
+        doc = {"kind": kind, "values": ["1" + "0" * 400 + "/1"] * 5}
+        path = write(tmp_path, "big.json", doc)
+        argv = ["analyze", path, "--float", "--k", "2", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert_json_error(captured, 3, "precondition")
+        assert "beyond the double range" in captured.err
+
     @pytest.mark.parametrize(
         "factor, message",
         [

@@ -11,6 +11,7 @@ import pytest
 
 from hankelshift import (
     EXACT,
+    FLOAT,
     MomentSequence,
     PreconditionError,
     WeightSequence,
@@ -64,6 +65,17 @@ def test_exact_weights_beyond_the_double_range():
     assert not is_hyponormal(WeightSequence.from_squared((2 * big, big)))
     report = flat_tail_report(WeightSequence.from_squared((big,) * 5), 2)
     assert report.flat_pair_found and report.propagation_verified
+
+
+def test_float_scale_of_weights_beyond_the_double_range():
+    # float mode needs a double scale; 10^400 has none, and the error says so
+    # instead of leaking an OverflowError
+    big = F(10**400)
+    alpha = WeightSequence.from_squared((big,) * 5)
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        is_hyponormal(alpha, FLOAT)
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        flat_tail_report(alpha, 2, FLOAT)
 
 
 def test_weight_validation_reads_numerator_signs(monkeypatch):
