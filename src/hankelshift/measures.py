@@ -158,7 +158,8 @@ def detect_recursion(
     from order r+2 up, as an order-(r+1) recursion would make the leading
     r+1 x r+1 block of the extended sequence nonsingular (Kronecker).
     Float mode tries every order with a least-squares fit whose residual is
-    within rel_eps of the sequence scale.
+    within rel_eps of the sequence scale; a fit numpy cannot take
+    (`LinAlgError`) is a PreconditionError.
     """
     if max_order < 1:
         return None
@@ -189,7 +190,13 @@ def detect_recursion(
 
             a = np.array([[float(x) for x in row] for row in rows], dtype=float)
             b = np.array([float(v) for v in rhs], dtype=float)
-            x, *_ = np.linalg.lstsq(a, b, rcond=None)
+            try:
+                x, *_ = np.linalg.lstsq(a, b, rcond=None)
+            except np.linalg.LinAlgError as exc:
+                raise PreconditionError(
+                    f"the float least-squares fit of the order-{r} recursion failed "
+                    f"({exc}); the moments' scale defeats it"
+                ) from None
             residual = float(np.max(np.abs(a @ x - b)))
             if residual <= ctx.rel_eps * gamma.max_abs():
                 return Recursion(

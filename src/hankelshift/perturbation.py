@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .hankel import (
     MomentSequence,
@@ -35,7 +35,9 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _content_free,
     _echelon,
+    _integer_view,
     det_bareiss,
     fmt_scalar,
     hadamard_bound,
@@ -344,16 +346,95 @@ def _interpolate(values: list[int]) -> list[int]:
     return poly
 
 
+def _pencil_poly(
+    gamma: MomentSequence, n: int, k: int, cut: int, ctx: ToleranceContext
+) -> list[int]:
+    """A positive multiple of p(t) = det(H + t*D) at anchor n, over the
+    integers G of `MomentSequence.integer_view`, coefficients descending.
+
+    With s = cut - n + 1, rows i >= s of H are zero and rows i < s - k of
+    D are zero.  So p = t^z q with z = max(0, k+1-s): q's matrix has the
+    rows H_i + t*D_i for i < s and D_i (the rows of the block) for i >= s,
+    and deg q <= min(k+1, 2k+1-s) - z.  q is interpolated at t = 0..deg q.
+    Exact mode reads q(1) = p(1), the block's determinant, off the
+    determinant ladder, and two anchors need no determinant at all: at the
+    cut (s = 1) the rank-one expansion (`rank_one_det_expansion_holds`)
+    gives q(0) = G_cut * det(block(cut+2, k-1)), and at the lowest anchor
+    (s = 2k) D is the corner G_{cut+1}, so p is linear with slope
+    G_{cut+1} * det(block(n, k-1)).  Float mode has no ladder integers and
+    takes every point with `det_bareiss`.
+    """
+    s = cut - n + 1
+    z = max(0, k + 1 - s)
+    deg = min(k + 1, 2 * k + 1 - s) - z
+    g = gamma.integer_view[0]
+    p1 = None
+    if ctx.is_exact:
+        ladder = gamma.ladder(ctx)
+        p1 = ladder.table(k).nums[n]
+        if s == 1:
+            q0 = g[cut] * ladder.table(k - 1).nums[cut + 2]
+            return [p1 - q0, q0] + [0] * z
+        if s == 2 * k:
+            slope = g[cut + 1] * ladder.table(k - 1).nums[n]
+            return [slope, p1 - slope]
+
+    def rows(t: int) -> list[list[int]]:
+        # Entry (i, j) is scaled by t when it lies in D on a row i < s.
+        return [
+            [v * t if i < s <= i + j else v for j, v in enumerate(g[n + i:n + i + k + 1])]
+            for i in range(k + 1)
+        ]
+
+    values = [
+        p1 if t == 1 and p1 is not None else int(det_bareiss(rows(t))) for t in range(deg + 1)
+    ]
+    return _interpolate(values) + [0] * z
+
+
+def _primitive(poly: Sequence[Scalar]) -> tuple[int, ...]:
+    # The primitive integer polynomial with a positive leading coefficient
+    # that poly is a nonzero multiple of (floats at their binary values):
+    # it has the roots of poly, and real_roots answers the same on both.
+    ints = _integer_view(poly)[0]
+    while ints and ints[0] == 0:
+        ints.pop(0)
+    if not ints:
+        return ()
+    return tuple(_content_free([-c for c in ints] if ints[0] < 0 else ints))
+
+
+def _roots(gamma: MomentSequence, poly: Sequence[Scalar]) -> Sequence[Scalar] | None:
+    """`real_roots(poly)`, kept on gamma per primitive polynomial, so the
+    order-2 closed form and the pencil engine isolate a shared polynomial
+    once.  A nonfinite coefficient raises as `real_roots` does."""
+    if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
+        return real_roots(poly)
+    key = _primitive(poly)
+    return gamma._memo(("real_roots", key), lambda: (real_roots(key),))[0]
+
+
+def _shift_to_one(poly: Sequence[int]) -> list[int]:
+    # poly(1 + u), descending: repeated synthetic division by t - 1.
+    a = list(poly)
+    for i in range(len(a) - 1):
+        for j in range(1, len(a) - i):
+            a[j] += a[j - 1]
+    return a
+
+
 def _pencil_block(
     gamma: MomentSequence, n: int, k: int, cut: int, cap: Scalar, ctx: ToleranceContext
 ) -> tuple[Interval, tuple[str, str], list[str]]:
     """Admissible scales in the window [0, cap] at one t-dependent anchor,
     with the endpoint methods and flags; see `stability_interval`.
 
-    H and D are sliced from the integers G = gamma * D of
-    `MomentSequence.integer_view`: D times the block, so the same PSD
-    verdicts and the same roots of p.  Pencils go to numkit as rows; the
-    pivot-column pass, which eliminates in place, gets a copy of [H; D].
+    p comes from `_pencil_poly`, at its true degree, and its roots from
+    `_roots`, once per distinct polynomial on gamma.  The PSD probes run on
+    the pencil over the integers G = gamma * D of
+    `MomentSequence.integer_view`: D times the block, so the same verdicts.
+    Pencils go to numkit as rows; the pivot-column pass, which eliminates
+    in place, gets a copy of [H; D].
     """
     floaty = not ctx.is_exact or _floaty(gamma)
     size = range(k + 1)
@@ -373,7 +454,7 @@ def _pencil_block(
     if floaty and not feasible(1):
         flag = f"anchor {n}: marginal: block not PSD over the binary values; interval [1, 1]"
         return Interval(one, one), ("pencil_root", "pencil_root"), [flag]
-    p = _interpolate([int(det_bareiss(pencil(t))) for t in range(k + 2)])
+    p = _pencil_poly(gamma, n, k, cut, ctx)
     if not any(p):
         # the pivot columns of [H; D]: a maximal independent set
         idx = _echelon([list(row) for row in h + d], k + 1)[0]
@@ -382,37 +463,74 @@ def _pencil_block(
         return Interval(one, one), ("pencil_root", "pencil_root"), []
     while p[-1] == 0:
         p.pop()  # roots at t = 0 lie on the window bound
-    roots = real_roots(p)
+    roots = _roots(gamma, p)
     if roots is None:
-        roots = real_roots(squarefree(p))
-    # Roots at 1, exact or irrational within half an ulp: probes place them.
-    ones = [float(r) if floaty else r for r in roots if r == 1]
-    below, above = [r for r in roots if 0 < r < 1], [r for r in roots if 1 < r < cap]
+        p = squarefree(p)
+        roots = _roots(gamma, p)
+    # Exact mode: a root is 1 only as the Fraction 1.  An irrational root
+    # whose double is 1.0 lies on the side of 1 that the sign of u = root -
+    # 1 shows, u being a root of p(1 + u) whose double keeps its sign.  Each
+    # side root is kept as (far, irrational): far is the exact root, its
+    # double, or for such a near-1 root 1 + u, then nearer 1 than the root.
+    shifted = None
+    if not floaty and any(isinstance(r, float) and r == 1 for r in roots):
+        shifted = _roots(gamma, _shift_to_one(p))
+    ones, below, above = [], [], []
+    for i, r in enumerate(roots):
+        if shifted is not None and isinstance(r, float) and r == 1:
+            u = shifted[i]
+            if u == 0:
+                raise PreconditionError(
+                    f"anchor {n}: a pencil root lies within 2^-1074 of 1, on an unknown side"
+                )
+            (below if u < 0 else above).append((1 + Fraction(u), True))
+        elif r == 1:
+            # Roots at 1, exact or (float mode) irrational within half an
+            # ulp: probes place them.
+            ones.append(float(r) if floaty else r)
+        elif 0 < r < 1 or 1 < r < cap:
+            (below if r < 1 else above).append((Fraction(r), isinstance(r, float)))
     ends, methods = [], []
     for bound, near in ((0, below[-1:]), (cap, above[:1])):
-        far = Fraction(near[0] if near else bound)
+        far, irrational = near[0] if near else (Fraction(bound), False)
         if ones and (far == 1 or not feasible((1 + far) / 2)):
             ends.append(ones[0])
             methods.append("direct" if far == 1 else "pencil_root")
-        elif not near:
+            continue
+        if not near:
             ends.append(float(bound) if floaty else Fraction(bound))
             methods.append("direct")
-        else:
-            # The double next to the root inside: the rounded one or the next.
-            x = float(far)
-            tries = [x, math.nextafter(x, 1.0)] if floaty or isinstance(near[0], float) else [far]
-            end = next((x for x in tries if feasible(Fraction(x))), None)
-            if end is None:
-                raise InternalConsistencyError(f"no feasible endpoint at anchor {n}")
-            ends.append(end)
-            methods.append("pencil_root")
+            continue
+        # The double next to the root inside: the rounded one or the next.
+        x = float(far)
+        tries = [x, math.nextafter(x, 1.0)] if floaty or irrational else [far]
+        if irrational and not floaty:
+            tries = [y for y in tries if y != 1]
+        end = next((y for y in tries if feasible(Fraction(y))), None)
+        if end is None and irrational and not floaty:
+            # That double is 1.0, and the root is not 1: the first dyadic
+            # 1 -+ 2^-m inside, exact.  |root - 1| > 2^-1076, so one exists.
+            step = -1 if bound == 0 else 1
+            end = next(
+                (e for m in range(53, 1077) if feasible(e := 1 + Fraction(step, 1 << m))),
+                None,
+            )
+        if end is None:
+            raise InternalConsistencyError(f"no feasible endpoint at anchor {n}")
+        ends.append(end)
+        methods.append("pencil_root")
     at_cap = methods[1] == "direct"
     flags = [f"anchor {n}: right endpoint at the order-1 bound"] if at_cap else []
     return Interval(ends[0], ends[1]), (methods[0], methods[1]), flags
 
 
 def _window_cap(gamma: MomentSequence, cut: int, k: int, ctx: ToleranceContext) -> Scalar:
-    # The order-1 right endpoint, once k-positivity puts 1 in every set.
+    # The order-1 right endpoint, once k-positivity puts 1 in every set;
+    # kept on gamma per (cut, k, ctx).
+    return gamma._memo(("window_cap", cut, k, ctx), lambda: _order_one_cap(gamma, cut, k, ctx))
+
+
+def _order_one_cap(gamma: MomentSequence, cut: int, k: int, ctx: ToleranceContext) -> Scalar:
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
     if k < 1:
@@ -440,10 +558,11 @@ def _assemble_report(
     # Anchors missing from per_block are t-free: the whole window.
     per_block = {n: per_block.get(n, Interval(0, cap)) for n in range(cut + 1)}
     methods = {n: methods.get(n, ("direct", "direct")) for n in range(cut + 1)}
-    intersection = Interval(0, float("inf"))
-    for iv in per_block.values():
-        intersection = intersection.intersect(iv)
-    contains_one = intersection.contains(1)
+    # One max over the lower ends and one min over the upper ends, from 0
+    # and inf: ties keep the first, as a chain of `Interval.intersect` does.
+    lo = max(0, *(iv.lo for iv in per_block.values()))
+    hi = min(float("inf"), *(iv.hi for iv in per_block.values()))
+    contains_one = lo <= 1 <= hi
     if not contains_one:
         sets = ", ".join(
             f"{n}: [{fmt_scalar(iv.lo)}, {fmt_scalar(iv.hi)}]" for n, iv in per_block.items()
@@ -451,6 +570,7 @@ def _assemble_report(
         raise InternalConsistencyError(
             f"admissible-scale intersection lost the point 1; per-block sets were {sets}"
         )
+    intersection = Interval(lo, hi)
     lo_method = next(
         m[0] for n, m in methods.items() if per_block[n].lo == intersection.lo
     )
@@ -513,7 +633,7 @@ def stability_interval_k2(
             except PreconditionError:
                 return "degenerate bordered determinant"
             return 0, min(bound, ratio(l, l + 4, l + 2, l + 2), cap), (cf, cf)
-        roots = real_roots(det_quadratic(gamma, cut, n))
+        roots = _roots(gamma, det_quadratic(gamma, cut, n))
         if roots is None or len(roots) != 2:
             return "tangent determinant quadratic"
         if _floaty(gamma):
@@ -551,14 +671,21 @@ def stability_interval(
     An anchor's perturbed block is the pencil H + t*D (H the block truncated
     at the cut, D the rest).  lambda_min is concave in t, so the admissible
     set is an interval through 1 ending at the roots of p(t) = det(H + t*D)
-    nearest to 1 (degree <= k+1, interpolated exactly), clipped to the
-    window [0, cap] of the order-1 bound.  p(1) = 0 is decided by one PSD
-    probe per side, p = 0 by restricting the pencil to the pivot columns of
-    [H; D].  Arithmetic is exact, over the binary values of float moments.
-    A root endpoint is the exact rational root, else the double next to it
-    on the inside, certified by an exact PSD probe.  t-free blocks give the
-    whole window.  The report is kept on gamma per (cut, k, ctx), so asking
-    again returns the same report; a call that raises keeps nothing.
+    nearest to 1, clipped to the window [0, cap] of the order-1 bound.  p
+    is t^z times a polynomial q of lower degree, interpolated exactly at
+    deg q + 1 points; in exact mode the determinant ladder gives p(1), and
+    at the cut and lowest anchors all of p (`_pencil_poly`).  Each distinct
+    polynomial's roots are isolated once per sequence (`_roots`), the
+    order-2 closed form's quadratics included.  p(1) = 0 is decided by one
+    PSD probe per side, p = 0 by restricting the pencil to the pivot
+    columns of [H; D].  Arithmetic is exact, over the binary values of
+    float moments.  A root endpoint is the exact rational root, else the
+    double next to it on the inside, certified by an exact PSD probe; in
+    exact mode, where that double is 1.0 but the root is not 1, it is the
+    first dyadic 1 -+ 2^-m (m >= 53) inside, an exact Fraction.  t-free
+    blocks give the whole window.  The report is kept on gamma per (cut,
+    k, ctx), so asking again returns the same report; a call that raises
+    keeps nothing.
     """
     return gamma._memo(
         ("stability_interval", cut, k, ctx), lambda: _pencil_report(gamma, cut, k, ctx)
@@ -629,7 +756,12 @@ def rank_one_det_expansion_holds(
 ) -> bool:
     """Determinant identity at the cut anchor, where the truncated block is
     a single corner: det(t*B + (1-t)*H) == t^(k+1) det(B) + (1-t) t^k
-    gamma_cut Cof, Cof being the (1,1) cofactor of B."""
+    gamma_cut Cof, Cof being the (1,1) cofactor of B.
+
+    The pencil engine reads its cut-anchor polynomial off this identity
+    (`_pencil_poly`, from the ladder's d_k(cut) and d_{k-1}(cut+2)); this
+    function checks the identity itself at one scale and is the tests'
+    oracle for it."""
     if cut + 2 * k > gamma.horizon:
         raise InsufficientMomentsError(cut + 2 * k, gamma.horizon)
     _check_block(gamma, cut, k)

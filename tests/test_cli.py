@@ -329,6 +329,17 @@ class TestSubcommands:
         assert res["flatness"]["flat_pair_found"] is True
         assert res["flatness"]["propagation_verified"] is True
 
+    def test_float_recursion_fit_that_numpy_cannot_take_exits_3(self, tmp_path, capsys):
+        # numpy's least-squares SVD does not converge on these moments at
+        # order 4: exit 3 with the error object, not a LinAlgError traceback
+        path = tmp_path / "in.csv"
+        moments = (1.0, 0.0, 1.7e308, 0.0, 0.0, 1e300, 1.7e308, 1e300, 0.0, 1e300, 0.0)
+        path.write_text("".join(f"{v!r}\n" for v in moments))
+        assert cli.main(["recursion", str(path), "--no-timestamp", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert_json_error(captured, 3, "precondition")
+        assert "least-squares fit" in captured.err
+
     @pytest.mark.parametrize("kind", ["weights", "moments"])
     def test_float_mode_input_beyond_double_range_exits_3(self, tmp_path, capsys, kind):
         # 10^400 has no double: float mode rejects it with exit 3 and an

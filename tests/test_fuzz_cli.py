@@ -10,7 +10,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hankelshift.cli as cli
@@ -109,6 +109,12 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(documents(), flag_sets())
+# Float moments on which numpy's least-squares fit of the recursion raises
+# LinAlgError: drawn only now and then, so kept in every run.
+@example(
+    ("in.csv", "1.0\n0.0\n1.7e308\n0.0\n0.0\n1e300\n1.7e308\n1e300\n0.0\n1e300\n0.0\n"),
+    ["recursion", "--no-timestamp"],
+)
 def test_main_ends_in_a_documented_exit(tmp_path, document, flags):
     name, content = document
     path = tmp_path / name
