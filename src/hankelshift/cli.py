@@ -373,7 +373,7 @@ def cmd_analyze(
             break
     results["ladder"] = entries
     results["log_convex"] = log_convexity(gamma, ctx)
-    results["zero_moment_collapse"] = zero_moment_collapse(gamma, ctx)
+    results["zero_moment_collapse"] = zero_moment_collapse(gamma)
     if not results["zero_moment_collapse"]:
         warnings.append(
             "a zero moment is followed by nonzero ones: not 1-positive"
@@ -435,7 +435,7 @@ def cmd_recursion(
                 warnings.append(
                     f"exact mode: {inexact} irrational atom(s) are the correctly "
                     "rounded doubles of certified roots, and the densities are "
-                    "solved in float from them; neither is exact"
+                    "solved from them and rounded; neither is exact"
                 )
             results["measure"] = {
                 "atomic": True,
@@ -453,6 +453,11 @@ def cmd_recursion(
         else {"n": report.witness.n, "k": report.witness.k},
     }
     return results
+
+
+def _double_endpoints(report: IntervalReport) -> int:
+    # The per-anchor endpoints that are doubles rather than exact values.
+    return sum(isinstance(x, float) for iv in report.per_block.values() for x in (iv.lo, iv.hi))
 
 
 def cmd_perturb(
@@ -474,9 +479,7 @@ def cmd_perturb(
         closed = stability_interval_k2(gamma, args.l, ctx)
         ref_iv = closed.intersection
         results["closed_form"] = _interval_report_json(closed)
-        inexact = sum(
-            isinstance(x, float) for iv in closed.per_block.values() for x in (iv.lo, iv.hi)
-        )
+        inexact = _double_endpoints(closed)
         if ctx.is_exact and inexact:
             warnings.append(
                 f"exact mode: {inexact} closed-form endpoint(s) are the correctly "
@@ -492,6 +495,13 @@ def cmd_perturb(
     if not args.closed_form:
         bis = stability_interval(gamma, args.l, args.k, ctx)
         results["bisection"] = _interval_report_json(bis)
+        inexact = _double_endpoints(bis)
+        if ctx.is_exact and inexact:
+            warnings.append(
+                f"exact mode: {inexact} pencil-engine endpoint(s) are doubles "
+                "(next to irrational roots, inside the admissible set), not "
+                "exact values"
+            )
         if ref_iv is not None:
             try:
                 dev = max(

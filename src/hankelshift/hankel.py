@@ -22,8 +22,8 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
-    _float_array,
     _integer_view,
+    _rounded,
     det_bareiss,
     hadamard_bound,
     is_pd,
@@ -124,11 +124,10 @@ class MomentSequence:
             # sequence would close a cycle (sequence, cache, ladder and its
             # walk) that refcounting cannot free, leaving every sequence to
             # the cyclic collector.  The copy shares the values, already
-            # checked, and in exact mode the integer view.
+            # checked, and the integer view.
             twin = object.__new__(MomentSequence)
             twin.__dict__["values"] = self.values
-            if ctx.is_exact:
-                twin.__dict__["integer_view"] = self.integer_view
+            twin.__dict__["integer_view"] = self.integer_view
             return LadderVerdicts(twin, ctx)
 
         return self._memo(("ladder", ctx), build)
@@ -162,12 +161,15 @@ class DetTable:
     """Determinants of all feasible order-k blocks, anchors n = 0..N-2k.
 
     methods[n] records how dets[n] was produced: "condensation" when the
-    two-order recurrence applied, "direct" when the entry fell back to a
-    standalone determinant (zero or near-zero divisor, or base order).
+    two-order recurrence applied, "direct" when the entry was taken as a
+    standalone determinant (base order, or a divisor that is exactly zero,
+    in float mode too: the ladder runs on the moments' binary values).
 
     An exact-ladder table (`scaled`) also keeps nums[n], the determinant of
     block(n, k) of G = gamma * D (`MomentSequence.integer_view`), and scale =
     D^(k+1); exact deciders read nums, and dets = nums / scale on first read.
+    A float-mode table holds only dets, each nums[n] / scale correctly
+    rounded.
     """
 
     k: int
@@ -269,23 +271,14 @@ def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
     return True
 
 
-def zero_moment_collapse(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
+def zero_moment_collapse(gamma: MomentSequence) -> bool:
     """Zero-tail sanity rule for 1-positive sequences: if any moment
     vanishes, every moment with index >= 1 must vanish.  Returns True when
-    the rule holds on the data (vacuously when no moment vanishes)."""
-    scale = 0.0 if ctx.is_exact else gamma.max_abs()
-    if not any(ctx.is_zero(v, scale) for v in gamma.values):
-        return True
-    return all(ctx.is_zero(gamma[n], scale) for n in range(1, len(gamma)))
-
-
-def _direct_det(gamma: MomentSequence, n: int, k: int) -> float:
-    # Float mode's standalone block determinant.
-    import numpy as np
-
-    if k == 0:
-        return float(gamma[n])
-    return float(np.linalg.det(_float_array(_rows(gamma.values, n, k))))
+    the rule holds on the data (vacuously when no moment vanishes).  A
+    moment vanishes only when it is exactly 0, in either mode: moments are
+    input data, not computed values, so they take no tolerance band."""
+    tail = gamma.values[1:]
+    return all(tail) or not any(tail)
 
 
 def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator[DetTable]:
@@ -296,63 +289,51 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
         d_k(n) * d_{k-2}(n+2) = d_{k-1}(n) * d_{k-1}(n+2) - d_{k-1}(n+1)^2,
 
     with the order-(-1) table identically 1 and the order-0 table equal to
-    gamma itself.  Entries whose divisor d_{k-2}(n+2) is zero (exact) or
-    inside the tolerance band (float) fall back to a direct determinant.
-    Exact mode condenses the integers G = gamma * D of
+    gamma itself.  Both modes condense the integers G = gamma * D of
     `MomentSequence.integer_view` (floats at their binary values): the
     identity is homogeneous, so the order-k entry is det(block of G) /
-    D^(k+1), every division is an exact `//`, a zero divisor takes
-    `det_bareiss` on the rows of the integer block (`_integer_block`), and
-    each table keeps its integers (`DetTable.scaled`): its Fractions are
-    built only when its dets are read.  Float blocks go to numkit as row
-    slices of gamma (`_rows`).  An order is built only when asked for.
+    D^(k+1), and every division is an exact `//`.  A zero divisor takes
+    `det_bareiss` on the rows of the integer block (`_integer_block`).
+    Exact tables keep their integers (`DetTable.scaled`) and build their
+    Fractions only when their dets are read; a float table holds the
+    correctly rounded doubles of the exact entries, and an entry past the
+    double range is a PreconditionError when its table is yielded.  An
+    order is built only when asked for.
     """
-    if ctx.is_exact:
-        yield from _exact_ladder(gamma)
-        return
+    table_of = DetTable.scaled if ctx.is_exact else _rounded_table
+    g, den = gamma.integer_view
     horizon = gamma.horizon
-    prev2: list[Scalar] = [1] * (horizon + 3)
-    prev1: list[Scalar] = list(gamma.values)
-    yield _finite_table(0, horizon, prev1, ["direct"] * len(prev1))
+    yield table_of(0, horizon, g, den, ("direct",) * len(g))
+    prev2: Sequence[int] = [1] * (horizon + 3)
+    prev1: Sequence[int] = g
+    scale = den
     for order in range(1, horizon // 2 + 1):
-        table: list[Scalar] = []
+        scale *= den
+        table: list[int] = []
         methods: list[str] = []
         for n in range(horizon - 2 * order + 1):
             divisor = prev2[n + 2]
-            try:
-                scale = (
-                    hadamard_bound(_rows(gamma.values, n + 2, order - 2))
-                    if order >= 2
-                    else abs(float(divisor))
-                )
-            except PreconditionError:
-                # No double holds the divisor's scale, so nothing shows it
-                # is safe to divide by: the entry is taken directly.
-                scale = math.inf
-            if ctx.is_zero(divisor, scale):
-                table.append(_direct_det(gamma, n, order))
+            if divisor == 0:
+                table.append(det_bareiss(_integer_block(gamma, n, order)).numerator)
                 methods.append("direct")
             else:
-                num = prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]
-                table.append(num / divisor)
+                table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)
                 methods.append("condensation")
-        yield _finite_table(order, horizon, table, methods)
+        yield table_of(order, horizon, tuple(table), scale, tuple(methods))
         prev2, prev1 = prev1, table
 
 
-def _finite_table(
-    k: int, horizon: int, dets: Sequence[Scalar], methods: Sequence[str]
-) -> DetTable:
-    # A float table whose entries are all finite: an overflow to inf or nan,
-    # direct or condensed, is a precondition error, never a reported value.
-    # (Library callers may pass ints or Fractions, which are finite.)
-    for n, (d, method) in enumerate(zip(dets, methods)):
-        if isinstance(d, float) and not math.isfinite(d):
+def _rounded_table(k: int, horizon: int, nums: tuple, scale: int, methods: tuple) -> DetTable:
+    # The float table of the order-k integers nums: each nums[n] / scale
+    # rounded once; an overflow is a precondition error, never a value.
+    dets = tuple(_rounded(num, scale) for num in nums)
+    for n, d in enumerate(dets):
+        if math.isinf(d):
             raise PreconditionError(
-                f"the float order-{k} determinant at anchor {n} ({method}) "
+                f"the float order-{k} determinant at anchor {n} ({methods[n]}) "
                 f"overflows to {d!r}"
             )
-    return DetTable(k=k, horizon=horizon, dets=tuple(dets), methods=tuple(methods))
+    return DetTable(k=k, horizon=horizon, dets=dets, methods=methods)
 
 
 def _integer_block(gamma: MomentSequence, n: int, k: int) -> list[Sequence[int]]:
@@ -371,31 +352,6 @@ def _recursion_holds(g: Sequence[int], coeffs: Sequence[Scalar], start: int = 0)
         g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
         for p in range(start, len(g) - r)
     )
-
-
-def _exact_ladder(gamma: MomentSequence) -> Iterator[DetTable]:
-    # det_ladder in exact mode: condenses the integers G of integer_view,
-    # whose order-k entries det(block of G at n) are D^(k+1) d_k(n).
-    g, den = gamma.integer_view
-    horizon = gamma.horizon
-    yield DetTable.scaled(0, horizon, g, den, ("direct",) * len(g))
-    prev2: Sequence[int] = [1] * (horizon + 3)
-    prev1: Sequence[int] = g
-    scale = den
-    for order in range(1, horizon // 2 + 1):
-        scale *= den
-        table: list[int] = []
-        methods: list[str] = []
-        for n in range(horizon - 2 * order + 1):
-            divisor = prev2[n + 2]
-            if divisor == 0:
-                table.append(det_bareiss(_integer_block(gamma, n, order)).numerator)
-                methods.append("direct")
-            else:
-                table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)
-                methods.append("condensation")
-        yield DetTable.scaled(order, horizon, tuple(table), scale, tuple(methods))
-        prev2, prev1 = prev1, table
 
 
 def det_sequence(

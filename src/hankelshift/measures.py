@@ -157,9 +157,11 @@ def detect_recursion(
     returned when it holds; otherwise the overdetermined exact fit runs
     from order r+2 up, as an order-(r+1) recursion would make the leading
     r+1 x r+1 block of the extended sequence nonsingular (Kronecker).
-    Float mode tries every order with a least-squares fit whose residual is
-    within rel_eps of the sequence scale; a fit numpy cannot take
-    (`LinAlgError`) is a PreconditionError.
+    Float mode tries every order with a least-squares fit: the normal
+    equations A^T A x = A^T b over the integers of integer_view, solved
+    exactly by `solve_linear_exact`, their solution rounded to doubles and
+    kept when its exact residual on every equation is within rel_eps of
+    the sequence scale.
     """
     if max_order < 1:
         return None
@@ -176,32 +178,31 @@ def detect_recursion(
             return Recursion(order=rank.order, coeffs=rank.coeffs, valid_from=0)
         start = rank.order + 2
     n = len(gamma)
-    # Exact mode fits the integers of integer_view: scaling every moment by
+    # Both modes fit the integers of integer_view: scaling every moment by
     # one denominator leaves the recursion's coefficients unchanged.
-    g = gamma.integer_view[0] if ctx.is_exact else gamma.values
+    g, den = gamma.integer_view
     for r in range(start, cap + 1):
         rows, rhs = [g[p:p + r] for p in range(n - r)], g[r:]
         if ctx.is_exact:
             sol = solve_linear_exact(rows, rhs)
             if sol is not None:
                 return Recursion(order=r, coeffs=tuple(sol), valid_from=0)
-        else:
-            import numpy as np
-
-            a = np.array([[float(x) for x in row] for row in rows], dtype=float)
-            b = np.array([float(v) for v in rhs], dtype=float)
-            try:
-                x, *_ = np.linalg.lstsq(a, b, rcond=None)
-            except np.linalg.LinAlgError as exc:
-                raise PreconditionError(
-                    f"the float least-squares fit of the order-{r} recursion failed "
-                    f"({exc}); the moments' scale defeats it"
-                ) from None
-            residual = float(np.max(np.abs(a @ x - b)))
-            if residual <= ctx.rel_eps * gamma.max_abs():
-                return Recursion(
-                    order=r, coeffs=tuple(float(v) for v in x), valid_from=0
-                )
+            continue
+        normal = [[sum(a[i] * a[j] for a in rows) for j in range(r)] for i in range(r)]
+        right = [sum(a[i] * b for a, b in zip(rows, rhs)) for i in range(r)]
+        try:
+            coeffs = tuple(float(c) for c in solve_linear_exact(normal, right))
+        except OverflowError:
+            raise PreconditionError(
+                f"a least-squares coefficient of the order-{r} recursion lies "
+                "beyond the double range"
+            ) from None
+        # The largest residual of the rounded coefficients, exactly: over
+        # the coefficients scaled to integers c / c_den and G / den.
+        c, c_den = _integer_view(coeffs)
+        worst = max(abs(sum(x * y for x, y in zip(c, a)) - c_den * b) for a, b in zip(rows, rhs))
+        if Fraction(worst, c_den * den) <= ctx.rel_eps * gamma.max_abs():
+            return Recursion(order=r, coeffs=coeffs, valid_from=0)
     return None
 
 

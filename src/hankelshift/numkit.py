@@ -9,13 +9,15 @@ The mode is carried by the context, not by a scalar wrapper type: routines
 coerce their input entries to the representation the context asks for
 (floats are converted to exact binary rationals in exact mode).  A matrix
 is a sequence of rows, or a `SymMatrix`; the package passes row slices.
-Exact linear algebra runs over Python ints: the entries are scaled to
-integers once (`_integer_view`) and eliminated fraction-free, every step an
-exact `//`, by `_echelon` (determinants and linear solves) or `_pivots` (the
-symmetric PSD decider); a Fraction is built only for a value that leaves
-the routine.  `real_roots` works over ints too: a content-free integer
-Sturm chain, and quadratic interval refinement at dyadic points.  numpy is
-imported only by the float-mode routines.
+Linear algebra runs over Python ints in both modes: the entries (floats at
+their binary values) are scaled to integers once (`_integer_view`) and
+eliminated fraction-free, every step an exact `//`, by `_echelon`
+(determinants and linear solves) or `_pivots` (the symmetric PSD decider);
+a Fraction, or in float mode its correctly rounded double, is built only
+for a value that leaves the routine.  `real_roots` works over ints too: a
+content-free integer Sturm chain, and quadratic interval refinement at
+dyadic points.  numpy is imported only by the float eigenvalue band
+(`_eig_min`).
 """
 
 from __future__ import annotations
@@ -24,10 +26,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Sequence
 
 Scalar = Fraction | int | float
 
@@ -135,20 +134,16 @@ def _rows_of(matrix: _Matrix) -> Sequence[Sequence[Scalar]]:
 
 def _integer_view(values: Iterable[Scalar]) -> tuple[list[int], int]:
     """(nums, den): den is the lcm of the denominators of the exact values
-    (floats at their binary values) and nums[i] = values[i] * den, an int."""
-    pairs = [x.as_integer_ratio() for x in values]
+    (floats at their binary values) and nums[i] = values[i] * den, an int.
+    A float inf or nan has no exact value: a PreconditionError."""
+    try:
+        pairs = [x.as_integer_ratio() for x in values]
+    except (OverflowError, ValueError):
+        raise PreconditionError("a value is not finite, so it has no exact binary value") from None
     den = math.lcm(*[d for _, d in pairs])
     if den == 1:
         return [n for n, _ in pairs], 1
     return [n * (den // d) for n, d in pairs], den
-
-
-def _float_array(matrix: _Matrix) -> np.ndarray:
-    import numpy as np
-
-    rows = _rows_of(matrix)
-    n = len(rows)
-    return np.array([[float(x) for x in row] for row in rows], dtype=float).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -187,9 +182,6 @@ class SymMatrix:
         if not self.rows:
             return 0.0
         return max(abs(float(x)) for row in self.rows for x in row)
-
-    def to_numpy(self) -> np.ndarray:
-        return _float_array(self)
 
 
 # Every matrix routine below takes the rows, or a SymMatrix.
@@ -240,16 +232,14 @@ class Interval:
         return Interval(lo, hi)
 
 
-def _echelon(
-    rows: list[list[Scalar]], ncols: int, exact: bool = True
-) -> tuple[list[int], int, Scalar]:
-    # Fraction-free (Bareiss) row echelon form of rows, in place, pivoting
-    # on the first ncols columns only; later columns (a right-hand side) are
-    # carried along.  Returns (pivot columns, the sign of the row swaps, the
-    # last pivot).  By Sylvester's identity each update is a minor of the
-    # input over the pivot rows and columns, so the previous pivot divides
-    # it: exactly with `//` over ints, by `/` when exact is False.  A column
-    # with no nonzero entry left is skipped; its rows below stay zero.
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    # Fraction-free (Bareiss) row echelon form of integer rows, in place,
+    # pivoting on the first ncols columns only; later columns (a right-hand
+    # side) are carried along.  Returns (pivot columns, the sign of the row
+    # swaps, the last pivot).  By Sylvester's identity each update is a
+    # minor of the input over the pivot rows and columns, so the previous
+    # pivot divides it exactly.  A column with no nonzero entry left is
+    # skipped; its rows below stay zero.
     pivots: list[int] = []
     sign, prev = 1, 1
     for c in range(ncols):
@@ -265,34 +255,42 @@ def _echelon(
         for row_i in rows[r + 1:]:
             f = row_i[c]
             for j in range(c + 1, len(row_i)):
-                num = pivot * row_i[j] - f * row_r[j]
-                row_i[j] = num // prev if exact else num / prev
+                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
             row_i[c] = 0
         pivots.append(c)
         prev = pivot
     return pivots, sign, prev
 
 
+def _rounded(num: int, den: int) -> float:
+    # num / den (den > 0) correctly rounded, as int true division rounds;
+    # past the double range, the inf that IEEE rounding gives.
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def det_bareiss(matrix: _Matrix) -> Scalar:
     """Determinant by fraction-free Bareiss elimination (`_echelon`).
 
-    Exact entries are scaled row by row to integers (`_integer_view`) and
-    the result is the Fraction det / (product of the row scales).  A matrix
-    holding any float takes true division throughout.  A singular matrix
-    gives Fraction(0), or 0.0 with a float; the order-0 determinant is 1.
+    The entries (floats at their binary values) are scaled row by row to
+    integers (`_integer_view`), so the exact determinant is det / (product
+    of the row scales).  It is returned as a Fraction, or, when any entry
+    is a float, as its correctly rounded double (`_rounded`).  A singular
+    matrix gives 0; the order-0 determinant is 1.
     """
     rows = _rows_of(matrix)
     n = len(rows)
     if n == 0:
         return 1
-    if any(isinstance(x, float) for row in rows for x in row):
-        pivots, sign, last = _echelon([list(row) for row in rows], n, exact=False)
-        return sign * last if len(pivots) == n else 0.0
     views = [_integer_view(row) for row in rows]
     pivots, sign, last = _echelon([nums for nums, _ in views], n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * last, math.prod(d for _, d in views))
+    num = sign * last if len(pivots) == n else 0
+    den = math.prod(d for _, d in views)
+    if any(isinstance(x, float) for row in rows for x in row):
+        return _rounded(num, den)
+    return Fraction(num, den)
 
 
 def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
@@ -335,12 +333,12 @@ def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
 
 
 def _eig_min(matrix: _Matrix) -> tuple[float, float]:
+    # (smallest eigenvalue, largest |entry|) of a nonempty matrix in doubles:
+    # the float PSD/PD band, and the package's one use of numpy.
     import numpy as np
 
-    arr = _float_array(matrix)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    lam_min = float(np.linalg.eigvalsh(arr)[0]) if arr.size else 0.0
-    return lam_min, scale
+    arr = np.array([[float(x) for x in row] for row in _rows_of(matrix)], dtype=float)
+    return float(np.linalg.eigvalsh(arr)[0]), float(np.max(np.abs(arr)))
 
 
 def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
@@ -621,7 +619,13 @@ def solve_linear_exact(
 def solve_vandermonde(
     nodes: Sequence[Scalar], rhs: Sequence[Scalar], ctx: ToleranceContext = EXACT
 ) -> tuple[Scalar, ...]:
-    """Solve sum_j rho_j * nodes_j^i = rhs_i for i = 0..m-1."""
+    """Solve sum_j rho_j * nodes_j^i = rhs_i for i = 0..m-1.
+
+    One exact `solve_linear_exact` over the binary values of float entries.
+    The solution is exact Fractions, or their correctly rounded doubles
+    when a node or a right-hand side is a float or ctx is float mode; a
+    rounded solution past the double range is a PreconditionError.
+    """
     m = len(nodes)
     if len(rhs) != m:
         raise PreconditionError("nodes and rhs must have equal length")
@@ -631,24 +635,17 @@ def solve_vandermonde(
                 raise PreconditionError(f"repeated node {nodes[i]}")
     if m == 0:
         return ()
-    if ctx.is_exact and not any(isinstance(x, float) for x in list(nodes) + list(rhs)):
-        rows = [[Fraction(x) ** i for x in nodes] for i in range(m)]
-        sol = solve_linear_exact(rows, rhs)
-        if sol is None:
-            raise InternalConsistencyError("distinct-node Vandermonde system unsolvable")
+    sol = solve_linear_exact([[Fraction(x) ** i for x in nodes] for i in range(m)], rhs)
+    if sol is None:
+        raise InternalConsistencyError("distinct-node Vandermonde system unsolvable")
+    if ctx.is_exact and not any(isinstance(x, float) for x in (*nodes, *rhs)):
         return sol
-    import numpy as np
-
     try:
-        arr = np.array([[float(x) ** i for x in nodes] for i in range(m)], dtype=float)
-        vec = np.array([float(v) for v in rhs], dtype=float)
+        return tuple(float(v) for v in sol)
     except OverflowError:
         raise PreconditionError(
-            "the float Vandermonde solve needs every node, node power and "
-            "right-hand side as a double, and one lies beyond the double range"
+            "a solution of the float Vandermonde system lies beyond the double range"
         ) from None
-    sol = np.linalg.solve(arr, vec)
-    return tuple(float(v) for v in sol)
 
 
 def hadamard_bound(matrix: _Matrix) -> float:

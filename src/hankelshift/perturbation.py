@@ -644,6 +644,11 @@ def stability_interval_k2(
             key=itemgetter(0),
         )
         hi, hi_m = min([(roots[1], "quadratic_root"), (hi_bound, cf)], key=itemgetter(0))
+        # An exact sequence's float root is irrational: as the double 1.0 it
+        # would hide on which side of 1 it lies.
+        exact = ctx.is_exact and not _floaty(gamma)
+        if exact and 1.0 in [x for x in (lo, hi) if isinstance(x, float)]:
+            return "a determinant-quadratic root rounds to 1.0"
         return lo, hi, (lo_m, hi_m)
 
     for n in range(max(0, cut - 3), cut + 1):

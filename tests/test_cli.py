@@ -242,9 +242,16 @@ class TestCountRanges:
 
 
 class TestLazyNumpy:
-    def test_exact_commands_never_import_numpy(self, bergman_file):
-        # a fresh interpreter: exact runs of all four subcommands leave numpy
-        # unloaded, and a float run still works (and loads it)
+    def test_exact_commands_never_import_numpy(self, tmp_path, bergman_file):
+        # a fresh interpreter: exact runs of all four subcommands, and an
+        # exact recovery of irrational atoms (t^2 - 4t + 2: 2 -+ sqrt(2)),
+        # leave numpy unloaded, and a float run still works (and loads it)
+        vals = [F(1), F(2)]
+        while len(vals) < 9:
+            vals.append(4 * vals[-1] - 2 * vals[-2])
+        irrational = write(
+            tmp_path, "irr.json", {"kind": "moments", "values": [f"{v}/1" for v in vals]}
+        )
         src = str(Path(cli.__file__).resolve().parents[1])
         script = (
             "import contextlib, io, sys\n"
@@ -253,6 +260,7 @@ class TestLazyNumpy:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main([c, path, '--json']) for c in "
             "('analyze', 'dets', 'recursion', 'perturb')]\n"
+            f"    codes.append(cli.main(['recursion', {irrational!r}, '--json']))\n"
             "    before = 'numpy' in sys.modules\n"
             "    codes.append(cli.main(['analyze', path, '--float', '--json']))\n"
             "print(codes, before, 'numpy' in sys.modules)\n"
@@ -262,7 +270,7 @@ class TestLazyNumpy:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False", "True"]
+        assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False", "True"]
 
 
 class TestSubcommands:
@@ -329,16 +337,31 @@ class TestSubcommands:
         assert res["flatness"]["flat_pair_found"] is True
         assert res["flatness"]["propagation_verified"] is True
 
+    def test_float_moments_far_below_the_largest_are_not_zero(self, tmp_path, capsys):
+        # 3 atoms in (3, 6] at horizon 24: gamma_0 = 3 lies far inside
+        # rel_eps times the largest moment, yet no moment is zero
+        doc = {"kind": "measure", "atoms": [3.5, 4.5, 6.0], "densities": [1.0, 1.0, 1.0],
+               "horizon": 24}
+        path = write(tmp_path, "m.json", doc)
+        assert cli.main(["analyze", path, "--float", "--json", "--no-timestamp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "float"
+        assert report["results"]["zero_moment_collapse"] is True
+        assert not any("zero moment" in w for w in report["warnings"])
+
     def test_float_recursion_fit_that_numpy_cannot_take_exits_3(self, tmp_path, capsys):
-        # numpy's least-squares SVD does not converge on these moments at
-        # order 4: exit 3 with the error object, not a LinAlgError traceback
+        # numpy's least-squares SVD did not converge on these moments at
+        # order 4; the exact fit takes them, and the run exits 3 from the
+        # Stieltjes screen with the error object, as exact mode does
         path = tmp_path / "in.csv"
         moments = (1.0, 0.0, 1.7e308, 0.0, 0.0, 1e300, 1.7e308, 1e300, 0.0, 1e300, 0.0)
         path.write_text("".join(f"{v!r}\n" for v in moments))
-        assert cli.main(["recursion", str(path), "--no-timestamp", "--json"]) == 3
-        captured = capsys.readouterr()
-        assert_json_error(captured, 3, "precondition")
-        assert "least-squares fit" in captured.err
+        for mode in ("--float", "--exact"):
+            argv = ["recursion", str(path), mode, "--no-timestamp", "--json"]
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert_json_error(captured, 3, "precondition")
+            assert "not all PSD" in captured.err
 
     @pytest.mark.parametrize("kind", ["weights", "moments"])
     def test_float_mode_input_beyond_double_range_exits_3(self, tmp_path, capsys, kind):
@@ -470,18 +493,20 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_dets_table_overflow_after_a_holding_float_verdict(self, tmp_path, capsys, as_json):
-        # 1 + t^n with t = 1e50: the float 3-positivity verdict holds (its
-        # floor scales with the 1e300 entry), but d_1(3) = inf - inf = nan.
-        # The overflow stops the ladder walk inside the propagation check, and
-        # dets' fallback pulls the order-2 table again: that must repeat the
-        # overflow (exit 3), not crash on the stopped walk.
-        path = write(tmp_path, "m.csv", "2\n1e50\n1e100\n1e150\n1e200\n1e250\n1e300\n")
+        # gamma_n = x^n + y^n with x = 2^170, y = 2^169, exact as doubles:
+        # the float 3-positivity verdict holds (its floor scales with the
+        # largest entry), but d_1(3) = (xy)^3 (x - y)^2 = 2^1355 has no
+        # double.  The overflow stops the ladder walk inside the propagation
+        # check, and dets' fallback pulls the order-2 table again: that must
+        # repeat the overflow (exit 3), not crash on the stopped walk.
+        values = [2.0 ** (170 * n) + 2.0 ** (169 * n) for n in range(7)]
+        path = write(tmp_path, "m.csv", "".join(f"{v!r}\n" for v in values))
         argv = ["dets", path, "--k", "2", "--float", "--no-timestamp"]
         assert cli.main(argv + (["--json"] if as_json else [])) == 3
         captured = capsys.readouterr()
         assert captured.err == (
             "precondition error: the float order-1 determinant at anchor 3 "
-            "(condensation) overflows to nan\n"
+            "(condensation) overflows to inf\n"
         )
         if as_json:
             assert_json_error(captured, 3, "precondition")
@@ -576,7 +601,9 @@ class TestSubcommands:
         assert report["results"]["closed_form"]["intersection"]["lo"] == "0.9972252350708143"
         assert report["warnings"] == [
             "exact mode: 4 closed-form endpoint(s) are the correctly rounded doubles "
-            "of certified irrational roots of the determinant quadratics, not exact values"
+            "of certified irrational roots of the determinant quadratics, not exact values",
+            "exact mode: 3 pencil-engine endpoint(s) are doubles (next to irrational "
+            "roots, inside the admissible set), not exact values",
         ]
         # float mode says nothing, and neither does an all-rational closed form
         assert cli.main([*argv, "--float"]) == 0

@@ -186,9 +186,9 @@ class TestPivotColumns:
             assert det_bareiss(perturbed_block(gamma, n, k, cut, F(t))) == 0
         calls = []
 
-        def recording(rows, ncols, exact=True):
+        def recording(rows, ncols):
             calls.append((copy.deepcopy(rows), ncols))
-            return _echelon(rows, ncols, exact)
+            return _echelon(rows, ncols)
 
         cap = perturbation._window_cap(gamma, cut, k, EXACT)
         with pytest.MonkeyPatch.context() as mp:

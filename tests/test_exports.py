@@ -52,3 +52,34 @@ def test_readme_library_example_runs_and_its_results_hold():
         else:
             exec(source, namespace)
     assert checked >= 3
+
+
+def _numpy_imports(node: ast.AST, scope: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    # The enclosing def/class names of every runtime import of numpy under
+    # node; `if TYPE_CHECKING:` bodies are not run, so they are skipped.
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            found += [s for stmt in child.orelse for s in _numpy_imports(stmt, scope)]
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            found.append(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += _numpy_imports(child, scope + (child.name,) if named else scope)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_float_eigenvalue_band():
+    package = Path(hankelshift.__file__).parent
+    found = [
+        (path.stem, *scope)
+        for path in sorted(package.glob("*.py"))
+        for scope in _numpy_imports(ast.parse(path.read_text()))
+    ]
+    assert found == [("numkit", "_eig_min")]

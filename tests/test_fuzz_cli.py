@@ -109,8 +109,9 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(documents(), flag_sets())
-# Float moments on which numpy's least-squares fit of the recursion raises
-# LinAlgError: drawn only now and then, so kept in every run.
+# Float moments on which numpy's least-squares fit of the recursion raised
+# LinAlgError before the fit became exact: drawn only now and then, so kept
+# in every run.
 @example(
     ("in.csv", "1.0\n0.0\n1.7e308\n0.0\n0.0\n1e300\n1.7e308\n1e300\n0.0\n1e300\n0.0\n"),
     ["recursion", "--no-timestamp"],

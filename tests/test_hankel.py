@@ -110,13 +110,17 @@ class TestPositivity:
         assert not log_convexity(MomentSequence.of([F(1), F(2), F(1)]), EXACT)
 
     def test_zero_moment_collapse(self):
-        assert zero_moment_collapse(MomentSequence.of([F(1), F(0), F(0), F(0)]), EXACT)
-        assert zero_moment_collapse(MomentSequence.of([F(5), F(0), F(0)]), EXACT)
-        assert not zero_moment_collapse(MomentSequence.of([F(1), F(0), F(1)]), EXACT)
+        assert zero_moment_collapse(MomentSequence.of([F(1), F(0), F(0), F(0)]))
+        assert zero_moment_collapse(MomentSequence.of([F(5), F(0), F(0)]))
+        assert not zero_moment_collapse(MomentSequence.of([F(1), F(0), F(1)]))
         # a later zero with a nonzero gamma_1 also violates the rule
-        assert not zero_moment_collapse(MomentSequence.of([F(1), F(1, 2), F(0), F(0)]), EXACT)
+        assert not zero_moment_collapse(MomentSequence.of([F(1), F(1, 2), F(0), F(0)]))
         # vacuous when nothing vanishes
-        assert zero_moment_collapse(bergman_moments(6), EXACT)
+        assert zero_moment_collapse(bergman_moments(6))
+        # float moments vanish only at 0: a tiny moment is data, not noise
+        assert zero_moment_collapse(MomentSequence.of([1.0, 0.0, 0.0]))
+        assert not zero_moment_collapse(MomentSequence.of([1.0, 1e-300, 0.0]))
+        assert zero_moment_collapse(MomentSequence.of([1.0, 1e-300, 1e-300]))
 
 
 class TestDetSequence:
@@ -193,15 +197,14 @@ class TestDetSequence:
         for n in flt.anchors():
             assert flt.dets[n] == pytest.approx(float(exact.dets[n]), rel=1e-8)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "values, order, message",
         [
             # gamma_3 gamma_5 - gamma_4^2 = -1e600 at anchor 3
             ([1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0], 1, "order-1 determinant at anchor 3 "
              "(condensation) overflows to -inf"),
-            # d_1(2) = 0 sends anchor 0 of order 3 to numpy's det, which
-            # overflows: the entry holds gamma_1^2 gamma_5^2 = 1e440
+            # d_1(2) = 0 sends anchor 0 of order 3 to a direct determinant,
+            # whose exact value gamma_1^2 gamma_5^2 = 1e440 has no double
             ([1.0, 1e110, 0.0, 0.0, 0.0, 1e110, 0.0], 3, "order-3 determinant at anchor 0 "
              "(direct) overflows to inf"),
         ],
@@ -216,13 +219,22 @@ class TestDetSequence:
         # exact mode takes the doubles at their binary values and yields them
         assert len(list(det_ladder(MomentSequence.of(values), EXACT))) == 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_nonfinite_float_moment_is_a_precondition_error(self, bad):
+        gamma = MomentSequence.of([1.0, bad, 1.0])
+        for ctx in (EXACT, FLOAT):
+            with pytest.raises(PreconditionError, match="not finite"):
+                det_sequence(gamma, 1, ctx)
+
     def test_ladder_repeats_the_overflow_after_its_walk_stops(self):
-        # 1 + t^n with t = 1e50: d_1(3) = inf - inf = nan ends the float
-        # walk; asking again, through any method, raises the same error
-        ladder = LadderVerdicts(MomentSequence.of([2.0] + [1e50**n for n in range(1, 7)]), FLOAT)
+        # gamma_n = x^n + y^n, x = 2^170 and y = 2^169, exact as doubles:
+        # d_1(3) = (xy)^3 (x - y)^2 = 2^1355 is past the double range and
+        # ends the float walk; asking again, through any method, raises the
+        # same error
+        values = [2.0 ** (170 * n) + 2.0 ** (169 * n) for n in range(7)]
+        ladder = LadderVerdicts(MomentSequence.of(values), FLOAT)
         assert ladder.verdict(3).holds
-        message = "order-1 determinant at anchor 3 (condensation) overflows to nan"
+        message = "order-1 determinant at anchor 3 (condensation) overflows to inf"
         for ask in (lambda: ladder.table(2), lambda: ladder.table(1), lambda: ladder.propagation(3)):
             with pytest.raises(PreconditionError, match=re.escape(message)):
                 ask()

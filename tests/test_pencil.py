@@ -259,3 +259,32 @@ class TestEndpointsNextToOne:
         assert dyadic
         if anchors is not None:
             assert set(anchors) <= set(dyadic)
+
+    def test_order_two_closed_form_hands_near_one_roots_to_the_engine(self, tmp_path):
+        # An irrational root of a determinant quadratic within half an ulp
+        # of 1 would be the closed-form endpoint 1.0 and close the interval
+        # on 1; the anchor goes to the pencil engine, flagged.
+        code, doc = _cli_report(tmp_path, _measure((3, 9, 2000), (3, 3, 1), 13), 9, 2)
+        assert code == 0
+        closed = doc["results"]["closed_form"]
+        lo, hi = (F(closed["intersection"][end]) for end in ("lo", "hi"))
+        assert lo < 1 < hi and closed["one_interior"]
+        assert "anchor 8: a determinant-quadratic root rounds to 1.0; pencil engine used" in (
+            closed["flags"]
+        )
+        assert closed["per_block"]["8"]["lo_method"] == "pencil_root"
+
+    def test_exact_mode_warns_about_double_engine_endpoints(self, tmp_path):
+        code, doc = _cli_report(tmp_path, _measure((1, 2, 3, 5), (1, 1, 1, 1), 14), 6, 3)
+        assert code == 0
+        doubles = [
+            x
+            for iv in doc["results"]["bisection"]["per_block"].values()
+            for x in (iv["lo"], iv["hi"])
+            if "." in x
+        ]
+        assert "0.9999978680431791" in doubles and "1.0000025330026008" in doubles
+        assert doc["warnings"] == [
+            f"exact mode: {len(doubles)} pencil-engine endpoint(s) are doubles (next to "
+            "irrational roots, inside the admissible set), not exact values"
+        ]

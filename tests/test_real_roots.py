@@ -116,6 +116,13 @@ def real_roots_reference(poly):
     return roots
 
 
+def _double(num: int, e: int) -> float | None:
+    try:
+        return num / (1 << e)
+    except OverflowError:
+        return None
+
+
 def refine_reference(h, lead, a, b, e, irr):
     value = _value(h, b, 1 << e)
     if value == 0:
@@ -129,15 +136,16 @@ def refine_reference(h, lead, a, b, e, irr):
                 return F(m, lead)
             lattice_tested = True
         if lattice_tested:
-            try:
-                rounded = b / (1 << e)
-                if a / (1 << e) == rounded:
-                    return rounded
-            except OverflowError:
+            ends = [_double(x, e) for x in (a, b)]
+            if None not in ends and ends[0] == ends[1]:
+                return ends[0]
+            # No double holds the root once both ends lie past the double
+            # range on one side; one end past it says nothing yet.
+            if ends == [None, None] and (a > 0) == (b > 0):
                 raise PreconditionError(
                     "an irrational root lies beyond the double range; no double "
                     "can hold it"
-                ) from None
+                )
         a, b, e, mid = 2 * a, 2 * b, e + 1, a + b
         value = _value(h, mid, 1 << e)
         if value == 0:
@@ -237,6 +245,7 @@ class TestAgainstReference:
     @example([0, 0])
     @example([5])
     @example([0.5, 0, -2])
+    @example([2.225073858507e-311, 0, 0, 1])  # root -3.6e103, isolated from +-2^1033
     def test_mixed_coefficients(self, poly):
         _same_outcome(poly)
 
