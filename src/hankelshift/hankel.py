@@ -23,6 +23,7 @@ from .numkit import (
     SymMatrix,
     ToleranceContext,
     _integer_view,
+    _norm_product,
     _rounded,
     det_bareiss,
     hadamard_bound,
@@ -247,9 +248,10 @@ def is_k_positive(
     mode reads each block from the leading principal minors d_0(n), ...,
     d_k(n) of the determinant ladder, or where a lower-order minor vanishes
     from the ladder's `rank`, and runs pivot elimination only on the blocks
-    neither decides; it flags exactly singular blocks.  Float
-    mode flags anchors whose smallest eigenvalue sits inside the tolerance
-    band (the verdict there is tolerance-limited).
+    neither decides; it flags exactly singular blocks.  Float mode flags
+    anchors whose smallest eigenvalue sits inside the tolerance band (the
+    verdict there is tolerance-limited); that smallest-eigenvalue test is
+    decided by LDL^T of A - f*I and A + f*I (`numkit.psd_with_margin`).
     """
     return gamma.ladder(ctx).verdict(k)
 
@@ -407,8 +409,12 @@ class LadderVerdicts:
 
     The fallback elimination runs on the integer block of
     `MomentSequence.integer_view`.  Float mode decides every block with
-    `psd_with_margin`.  `MomentSequence.ladder(ctx)` keeps one instance per
-    sequence and context; constructing one starts a fresh walk.
+    `psd_with_margin` and `is_pd`, the smallest-eigenvalue band decided by
+    LDL^T of A - f*I and A + f*I, on row slices of the moments converted to
+    doubles once (`_doubles`); its zero tests scale by Hadamard bounds
+    multiplied from row norms computed once per order (`_row_norms`).
+    `MomentSequence.ladder(ctx)` keeps one instance per sequence and context;
+    constructing one starts a fresh walk.
     """
 
     def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):
@@ -417,7 +423,29 @@ class LadderVerdicts:
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
+        self._norms: dict[int, list[float]] = {}
         self._stopped: Optional[PreconditionError] = None
+
+    @cached_property
+    def _doubles(self) -> tuple[float, ...]:
+        # The moments as doubles, each converted once; one past the double
+        # range becomes inf, which the float band refuses.
+        def double(v: Scalar) -> float:
+            try:
+                return float(v)
+            except OverflowError:
+                return math.inf
+
+        return tuple(map(double, self.gamma.values))
+
+    def _row_norms(self, k: int) -> list[float]:
+        # norms[m] = |(gamma_m, ..., gamma_{m+k})|_2, row 0 of block(m, k)
+        # and row i of block(m - i, k): the norms `hadamard_bound` takes.
+        norms = self._norms.get(k)
+        if norms is None:
+            g = self._doubles
+            norms = self._norms[k] = [math.hypot(*g[m:m + k + 1]) for m in range(len(g) - k)]
+        return norms
 
     def _pull(self, k: int) -> DetTable:
         # Every table comes through here, pulled in order from the one walk.
@@ -509,7 +537,7 @@ class LadderVerdicts:
                         return psd, psd
                     return psd_with_margin(_integer_block(self.gamma, n, k))
             return True, False
-        return psd_with_margin(_rows(self.gamma.values, n, k), self.ctx)
+        return psd_with_margin(_rows(self._doubles, n, k), self.ctx)
 
     def psd(self, n: int, k: int) -> bool:
         """block(n, k) is positive semidefinite, decided as the blocks of a
@@ -523,15 +551,16 @@ class LadderVerdicts:
         _check_block(self.gamma, n, k)
         if self.ctx.is_exact:
             return all(self._pull(j).nums[n] > 0 for j in range(k + 1))
-        return is_pd(_rows(self.gamma.values, n, k), self.ctx)
+        return is_pd(_rows(self._doubles, n, k), self.ctx)
 
     def vanishes(self, n: int, k: int) -> bool:
-        """d_k(n) = 0: from the integers in exact mode, by `det_is_zero` in float mode."""
+        """d_k(n) = 0: from the integers in exact mode, in float mode as
+        `det_is_zero` decides it, from the kept row norms."""
         _check_block(self.gamma, n, k)
         table = self._pull(k)
         if self.ctx.is_exact:
             return table.nums[n] == 0
-        return det_is_zero(self.gamma, n, k, table.dets[n], self.ctx)
+        return self.ctx.is_zero(table.dets[n], _norm_product(self._row_norms(k)[n:n + k + 1]))
 
     def propagation(self, k: int) -> PropagationReport:
         """For a k-positive sequence, scan the order-(k-1) determinants.

@@ -16,8 +16,8 @@ eliminated fraction-free, every step an exact `//`, by `_echelon`
 a Fraction, or in float mode its correctly rounded double, is built only
 for a value that leaves the routine.  `real_roots` works over ints too: a
 content-free integer Sturm chain, and quadratic interval refinement at
-dyadic points.  numpy is imported only by the float eigenvalue band
-(`_eig_min`).
+dyadic points.  The one float-only kernel is the PSD/PD band, an LDL^T
+factorisation in doubles (`_shifted_pd`); the package imports no numpy.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ class SymMatrix:
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
 
-    def max_abs(self) -> float:
-        if not self.rows:
-            return 0.0
-        return max(abs(float(x)) for row in self.rows for x in row)
-
 
 # Every matrix routine below takes the rows, or a SymMatrix.
 _Matrix = SymMatrix | Sequence[Sequence[Scalar]]
@@ -332,13 +327,57 @@ def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
     return True, not singular
 
 
-def _eig_min(matrix: _Matrix) -> tuple[float, float]:
-    # (smallest eigenvalue, largest |entry|) of a nonempty matrix in doubles:
-    # the float PSD/PD band, and the package's one use of numpy.
-    import numpy as np
+def _band(matrix: _Matrix, psd_floor: float) -> tuple[float, float]:
+    """(2^-e, f * 2^-e) for the float PSD/PD band of a nonempty matrix:
+    f = psd_floor * (1 + max|entry|) is the floor on the smallest
+    eigenvalue, and 2^e the power of two just above max(max|entry|, f), so
+    the scaled entries lie below 1 and no factorisation step near the
+    double range overflows.  The scaling changes no verdict: it is exact
+    except where a value falls below the normal range, far under the floor.
+    An entry that is nan or inf, or an int or Fraction past the double
+    range, has no float verdict: a PreconditionError."""
+    rows = _rows_of(matrix)
+    try:
+        top = float(max(max(map(max, rows)), -min(map(min, rows))))
+    except OverflowError:  # an int or Fraction past the double range
+        top = math.inf
+    finite = math.isfinite(top)
+    if finite:
+        # total - total is 0 unless an entry is nan or inf, or the sum of
+        # finite doubles overflows.
+        total = sum(map(sum, rows))
+        finite = total - total == 0 or all(math.isfinite(x) for row in rows for x in row)
+    if not finite:
+        raise PreconditionError(
+            "a float block entry is nan, inf or beyond the double range, "
+            "so the block has no float verdict"
+        )
+    floor = psd_floor * (1.0 + top)
+    # e >= -1020 keeps 2^-e a double; values that small stay below 1 anyway.
+    scale = math.ldexp(1.0, -max(math.frexp(max(top, floor))[1], -1020))
+    return scale, floor * scale
 
-    arr = np.array([[float(x) for x in row] for row in _rows_of(matrix)], dtype=float)
-    return float(np.linalg.eigvalsh(arr)[0]), float(np.max(np.abs(arr)))
+
+def _shifted_pd(matrix: _Matrix, scale: float, shift: float) -> bool:
+    """scale * A + shift * I is positive definite, A symmetric: LDL^T
+    without pivoting in doubles on a scaled copy, the right-looking
+    elimination of `_pivots` with float division.  The shift joins each
+    diagonal entry as it becomes the pivot; a pivot that is not positive
+    (nan included) means not PD.  Its backward error is of order n * u *
+    |A| (Demmel 1989; Higham 2002, ch. 10), far inside the band's floor."""
+    a = [[x * scale for x in row] for row in _rows_of(matrix)]
+    n = len(a)
+    # Only the upper triangle (j >= i) is kept current, as in `_pivots`.
+    for k in range(n):
+        row_k = a[k]
+        pivot = row_k[k] + shift
+        if not pivot > 0.0:
+            return False
+        for i in range(k + 1, n):
+            row_i, f = a[i], row_k[i] / pivot
+            for j in range(i, n):
+                row_i[j] -= f * row_k[j]
+    return True
 
 
 def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
@@ -349,19 +388,25 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     (floats at their binary values) and flags exactly singular PSD blocks.
     Exact Hankel-block questions read most blocks off their leading
     principal minors and the rank structure instead (`hankel.LadderVerdicts`)
-    and come here only for a block that neither decides.  Float mode flags
-    marginal when the smallest eigenvalue sits inside the tolerance band
-    around zero, i.e. the verdict would flip under a band-sized
-    perturbation.  The order-0 matrix is PSD, not marginal.
+    and come here only for a block that neither decides.  Float mode is the
+    smallest-eigenvalue test: with the floor f = psd_floor * (1 + max|entry|),
+    the matrix is PSD when lambda_min >= -f, and marginal when |lambda_min|
+    <= f, i.e. the verdict would flip under a band-sized perturbation.  It is
+    decided without eigenvalues, by LDL^T of A - f*I and A + f*I
+    (`_shifted_pd`): A - f*I PD gives (True, False), else A + f*I PD gives
+    (True, True), else (False, False).  A float entry that is not finite is
+    a PreconditionError.  The order-0 matrix is PSD, not marginal.
     """
     if not _rows_of(matrix):
         return True, False
     if ctx.is_exact:
         psd, pd = _pivots(matrix)
         return psd, psd and not pd
-    lam_min, scale = _eig_min(matrix)
-    floor = ctx.psd_floor * (1.0 + scale)
-    return lam_min >= -floor, abs(lam_min) <= floor
+    scale, floor = _band(matrix, ctx.psd_floor)
+    if _shifted_pd(matrix, scale, -floor):
+        return True, False
+    psd = _shifted_pd(matrix, scale, floor)
+    return psd, psd
 
 
 def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
@@ -372,13 +417,14 @@ def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
 def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
     """PD test (rows or a `SymMatrix`): exact mode by strict positivity of
     every `_pivots` pivot, float mode by the strict version of the PSD
-    floor.  The order-0 matrix is PD."""
+    floor, lambda_min > f, decided as A - f*I is PD (`_shifted_pd`).  The
+    order-0 matrix is PD."""
     if not _rows_of(matrix):
         return True
     if ctx.is_exact:
         return _pivots(matrix)[1]
-    lam_min, scale = _eig_min(matrix)
-    return lam_min > ctx.psd_floor * (1.0 + scale)
+    scale, floor = _band(matrix, ctx.psd_floor)
+    return _shifted_pd(matrix, scale, -floor)
 
 
 # Polynomials below are coefficient lists in descending degree.
@@ -657,7 +703,11 @@ def hadamard_bound(matrix: _Matrix) -> float:
     product of norms beyond the double range is a PreconditionError: an inf
     scale would band every determinant as zero.
     """
-    norms = [math.hypot(*(float(x) for x in row)) for row in _rows_of(matrix)]
+    return _norm_product([math.hypot(*(float(x) for x in row)) for row in _rows_of(matrix)])
+
+
+def _norm_product(norms: Sequence[float]) -> float:
+    # `hadamard_bound` from the row norms, multiplied in order.
     if 0.0 in norms:
         return 0.0
     bound = float(math.prod(norms))

@@ -724,7 +724,8 @@ def interiority_report(
     pd_all: every unperturbed block at anchors n <= cut is positive
     definite, read in exact mode from the determinant ladder (all leading
     principal minors d_0(n), ..., d_k(n) positive) and in float mode from
-    the smallest eigenvalue.  The two are equivalent; a mismatch is
+    the smallest eigenvalue against the PSD floor, decided by LDL^T of
+    A - f*I (`numkit.is_pd`).  The two are equivalent; a mismatch is
     reported as a tolerance incident for the caller to escalate.
     """
     report = stability_interval(gamma, cut, k, ctx)
