@@ -26,7 +26,6 @@ from .numkit import (
     _norm_product,
     _rounded,
     det_bareiss,
-    hadamard_bound,
     is_pd,
     psd_with_margin,
     solve_linear_exact,
@@ -85,9 +84,16 @@ class MomentSequence:
     def __getitem__(self, n: int) -> Scalar:
         return self.values[n]
 
-    @property
+    @cached_property
     def strictly_positive(self) -> bool:
-        return all(v > 0 for v in self.values)
+        """Every moment is > 0, read off numerator signs as the constructor
+        reads them, so no `Fraction` is compared."""
+        return all((v.numerator if isinstance(v, Fraction) else v) > 0 for v in self.values)
+
+    @cached_property
+    def has_float(self) -> bool:
+        """Some moment is a float: closed forms then compute in doubles."""
+        return any(isinstance(v, float) for v in self.values)
 
     @cached_property
     def integer_view(self) -> tuple[tuple[int, ...], int]:
@@ -364,17 +370,6 @@ def det_sequence(
     return gamma.ladder(ctx).table(k)
 
 
-def det_is_zero(
-    gamma: MomentSequence, n: int, k: int, value: Scalar, ctx: ToleranceContext
-) -> bool:
-    """Zero test for a block determinant, scaled by the Hadamard bound of the
-    block in float mode."""
-    if ctx.is_exact:
-        return value == 0
-    _check_block(gamma, n, k)
-    return ctx.is_zero(value, hadamard_bound(_rows(gamma.values, n, k)))
-
-
 def propagation_report(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> PropagationReport:
@@ -554,8 +549,10 @@ class LadderVerdicts:
         return is_pd(_rows(self._doubles, n, k), self.ctx)
 
     def vanishes(self, n: int, k: int) -> bool:
-        """d_k(n) = 0: from the integers in exact mode, in float mode as
-        `det_is_zero` decides it, from the kept row norms."""
+        """d_k(n) = 0: from the integers in exact mode; in float mode |d_k(n)|
+        lies within the zero band scaled by the block's Hadamard bound (the
+        product of its row norms, `numkit.hadamard_bound`), multiplied from
+        the kept row norms."""
         _check_block(self.gamma, n, k)
         table = self._pull(k)
         if self.ctx.is_exact:

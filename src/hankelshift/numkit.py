@@ -14,10 +14,13 @@ their binary values) are scaled to integers once (`_integer_view`) and
 eliminated fraction-free, every step an exact `//`, by `_echelon`
 (determinants and linear solves) or `_pivots` (the symmetric PSD decider);
 a Fraction, or in float mode its correctly rounded double, is built only
-for a value that leaves the routine.  `real_roots` works over ints too: a
-content-free integer Sturm chain, and quadratic interval refinement at
-dyadic points.  The one float-only kernel is the PSD/PD band, an LDL^T
-factorisation in doubles (`_shifted_pd`); the package imports no numpy.
+for a value that leaves the routine.  `real_roots` works over ints too:
+linear and quadratic roots are read off (a quadratic's irrational roots
+bracketed by `math.isqrt` of its discriminant); from degree 3 on, a
+content-free integer Sturm chain isolates the roots and quadratic interval
+refinement at dyadic points narrows them.  The one float-only kernel is
+the PSD/PD band, an LDL^T factorisation in doubles (`_shifted_pd`); the
+package imports no numpy.
 """
 
 from __future__ import annotations
@@ -455,12 +458,9 @@ def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in _content_free(rem)] if rem else []
 
 
-def _sturm_chain(poly: Sequence[Scalar]) -> list[list[int]]:
-    # The primitive integer poly (leading zeros stripped, a positive multiple
-    # of the input), its content-free derivative, then the content-free
-    # negated pseudo-remainders of Euclid's algorithm; the last member is
-    # gcd(poly, poly').  Each member is a positive multiple of the member of
-    # the classical Sturm chain over the rationals, so sign changes agree.
+def _primitive_ints(poly: Sequence[Scalar]) -> list[int]:
+    # The primitive integer poly: leading zeros stripped, content-free, a
+    # positive multiple of the input (floats at their binary values).
     if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
         raise PreconditionError("polynomial coefficients must be finite")
     ints = _integer_view(poly)[0]
@@ -468,7 +468,16 @@ def _sturm_chain(poly: Sequence[Scalar]) -> list[list[int]]:
         ints.pop(0)
     if not ints:
         raise PreconditionError("the zero polynomial has no isolated roots")
-    h = _content_free(ints)
+    return _content_free(ints)
+
+
+def _sturm_chain(poly: Sequence[Scalar]) -> list[list[int]]:
+    # The primitive integer poly (`_primitive_ints`), its content-free
+    # derivative, then the content-free negated pseudo-remainders of
+    # Euclid's algorithm; the last member is gcd(poly, poly').  Each member
+    # is a positive multiple of the member of the classical Sturm chain over
+    # the rationals, so sign changes agree.
+    h = _primitive_ints(poly)
     d = len(h) - 1
     chain = [h]
     member = [c * (d - i) for i, c in enumerate(h[:-1])]
@@ -516,24 +525,28 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     Fraction when the root is rational, else the correctly rounded double
     of the certified root.  None when poly has a repeated root.
 
-    Everything runs over Python ints.  The Sturm chain is built from the
-    primitive integer poly by content-free pseudo-remainders (`_sturm_chain`).
-    With V(x) the sign changes of the chain at x, a squarefree poly has
-    exactly V(a) - V(b) roots in (a, b].  Roots are isolated by halving
-    (-2^E, 2^E], 2^E above every root, at dyadic points, and each is refined
-    by quadratic interval refinement (`_refine_root`) until the interval is
-    narrower than 1/lead: a rational root of the primitive integer poly has
-    the form m/lead, so the one such point inside is the only candidate.  A
-    Fraction is built only for a returned rational root.  Raises
-    PreconditionError for a nonfinite or all-zero coefficient list, and for
-    an irrational root no double can hold.
+    Everything runs over Python ints, on the primitive integer poly h
+    (`_primitive_ints`).  Linear and quadratic roots are read off: -h_1/h_0,
+    and for a quadratic its discriminant (`_quadratic_roots`).  From degree
+    3 on, the Sturm chain is built from h by content-free pseudo-remainders
+    (`_sturm_chain`).  With V(x) the sign changes of the chain at x, a
+    squarefree poly has exactly V(a) - V(b) roots in (a, b].  Roots are
+    isolated by halving (-2^E, 2^E], 2^E above every root, at dyadic points,
+    and each is refined by quadratic interval refinement (`_refine_root`)
+    until the interval is narrower than 1/lead: a rational root of the
+    primitive integer poly has the form m/lead, so the one such point inside
+    is the only candidate.  A Fraction is built only for a returned rational
+    root.  Raises PreconditionError for a nonfinite or all-zero coefficient
+    list, and for an irrational root no double can hold.
     """
-    chain = _sturm_chain(poly)
-    h = chain[0]
+    h = _primitive_ints(poly)
     if len(h) == 1:
         return []
-    if len(h) == 2:  # linear: the root is read off
+    if len(h) == 2:
         return [Fraction(-h[1], h[0])]
+    if len(h) == 3:
+        return _quadratic_roots(*h)
+    chain = _sturm_chain(h)
     if len(chain[-1]) > 1:
         return None
     lead = abs(h[0])
@@ -559,6 +572,53 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     return roots
 
 
+def _quadratic_roots(a: int, b: int, c: int) -> list[Scalar] | None:
+    """The roots of a x^2 + b x + c (ints, a != 0) as `real_roots` gives
+    them, read off disc = b^2 - 4ac: none when disc < 0, None (a double
+    root) when disc = 0, two Fractions when disc is a perfect square.
+    Otherwise each root (-b -+ sqrt(disc)) / 2a is irrational, and with
+    s = isqrt(disc * 4^t), sqrt(disc) * 2^t lies strictly between s and
+    s + 1: each root has a bracket of width 1 / (2a * 2^t).  t doubles,
+    from where that width is at most 2^-55, until both ends of a root's
+    bracket give one double (`_same_double`), the rule `_refine_root`
+    stops by."""
+    if a < 0:
+        a, b, c = -a, -b, -c
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    if disc == 0:
+        return None
+    s = math.isqrt(disc)
+    if s * s == disc:
+        return [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    roots: list[float | None] = [None, None]
+    t = max(1, 56 - (2 * a).bit_length())
+    while None in roots:
+        s = math.isqrt(disc << 2 * t)
+        # the lower ends: 2a * 2^t times the roots lie within 1 above them
+        for i, lo in enumerate(((-b << t) - s - 1, (-b << t) + s)):
+            if roots[i] is None:
+                roots[i] = _same_double(lo, lo + 1, 2 * a << t)
+        t *= 2
+    return roots
+
+
+def _same_double(lo: int, hi: int, den: int) -> float | None:
+    # The double that lo/den and hi/den (den > 0) both round to, by int
+    # true division, else None.  An irrational number between them, never
+    # halfway between two doubles, then rounds to it too.  Both past the
+    # double range on one side: no double holds that number.
+    rounded = _rounded(hi, den)
+    if _rounded(lo, den) != rounded:
+        return None
+    if math.isinf(rounded):
+        raise PreconditionError(
+            "an irrational root lies beyond the double range; no double can hold it"
+        )
+    return rounded
+
+
 def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
     """The only root of h in (a/2^e, b/2^e], by quadratic interval
     refinement (Abbott 2006) over dyadic endpoints.
@@ -574,7 +634,8 @@ def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
     point m/lead in it is the only possible rational root; past that test
     the root is irrational, hence never halfway between two doubles, and
     both ends rounding to the same double makes that double the rounded
-    root.  Every value is an int: den^deg * h(x) at the current scale.
+    root (`_same_double`).  Every value is an int: den^deg * h(x) at the
+    current scale.
     """
     deg = len(h) - 1
     vb = _scaled_value(h, b, 1 << e)
@@ -591,15 +652,9 @@ def _refine_root(h: Sequence[int], lead: int, a: int, b: int, e: int) -> Scalar:
                 return Fraction(m, lead)
             lattice_tested = True
         if lattice_tested:
-            try:
-                rounded = b / (1 << e)
-                if a / (1 << e) == rounded:
-                    return rounded
-            except OverflowError:
-                raise PreconditionError(
-                    "an irrational root lies beyond the double range; no double "
-                    "can hold it"
-                ) from None
+            rounded = _same_double(a, b, 1 << e)
+            if rounded is not None:
+                return rounded
         if va == 0:
             s = 1
         # The grid x_j = a*n + j*(b - a), j = 0..n, at scale e + s; the

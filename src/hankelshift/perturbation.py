@@ -129,14 +129,26 @@ class DiscriminantDiagnostic:
     holds: bool
 
 
-def _floaty(gamma: MomentSequence) -> bool:
-    return any(isinstance(v, float) for v in gamma.values)
+def _closed_terms(gamma: MomentSequence, *indices: int) -> list:
+    # The moments at indices, as the closed forms compute on them: doubles
+    # when gamma has a float, else the ints G = D * gamma of
+    # `MomentSequence.integer_view`.  A form of degree m in G is D^m times
+    # its value in gamma, so a ratio of forms of equal degree is unchanged.
+    if gamma.has_float:
+        return [float(gamma[i]) for i in indices]
+    g = gamma.integer_view[0]
+    return [g[i] for i in indices]
 
 
-def _exactify(gamma: MomentSequence, *values: Scalar) -> tuple[Scalar, ...]:
-    if _floaty(gamma) or any(isinstance(v, float) for v in values):
-        return tuple(float(v) for v in values)
-    return tuple(Fraction(v) for v in values)
+def _quotient(gamma: MomentSequence, num: int | float, den: int | float) -> Scalar:
+    # num / den of two `_closed_terms` forms: a double, or one Fraction.
+    return num / den if gamma.has_float else Fraction(num, den)
+
+
+def _form_value(gamma: MomentSequence, form: int | float, degree: int) -> Scalar:
+    # A `_closed_terms` form of the given degree as its value in gamma: a
+    # double as it is, or one Fraction over D^degree.
+    return form if gamma.has_float else Fraction(form, gamma.integer_view[1] ** degree)
 
 
 def perturb_moments(gamma: MomentSequence, cut: int, scale: Scalar) -> MomentSequence:
@@ -216,7 +228,10 @@ def stability_interval_k1(
     t >= gamma_l^2/(gamma_{l-1} gamma_{l+1}), the one at the cut gives
     t <= gamma_l gamma_{l+2}/gamma_{l+1}^2.  Requires 1-positivity, which
     makes the interval well ordered and puts 1 inside it; float bounds that
-    rounding leaves out of order, or below 1, are a PreconditionError.
+    rounding leaves out of order, or below 1, are a PreconditionError.  An
+    exact sequence's bounds are ratios of integer products of
+    `MomentSequence.integer_view`, each built as one Fraction; a sequence
+    with a float computes them in doubles.
     """
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
@@ -228,9 +243,9 @@ def stability_interval_k1(
             "sequence is not 1-positive; admissible scales need not form an "
             "interval around 1"
         )
-    a, b, c, d = _exactify(gamma, gamma[cut - 1], gamma[cut], gamma[cut + 1], gamma[cut + 2])
+    a, b, c, d = _closed_terms(gamma, cut - 1, cut, cut + 1, cut + 2)
     try:
-        lo, hi = b * b / (a * c), b * d / (c * c)
+        lo, hi = _quotient(gamma, b * b, a * c), _quotient(gamma, b * d, c * c)
     except ZeroDivisionError:
         raise PreconditionError(
             "a product of float moments underflows to 0, so the order-1 bounds "
@@ -250,16 +265,24 @@ def det_quadratic(
     """Coefficients (a, b, c) of the quadratic q(t) = a t^2 + b t + c whose
     sign equals that of the order-2 perturbed-block determinant at the given
     anchor (the determinant equals q(t) at anchor cut-2 and t*q(t) at anchor
-    cut-1)."""
+    cut-1).  Each coefficient is a form of degree 3 in the moments: on an
+    exact sequence it is computed over the integers G = D * gamma of
+    `MomentSequence.integer_view` and divided by D^3 once; a sequence with a
+    float computes it in doubles."""
+    a, b, c = _det_quadratic_terms(gamma, cut, anchor)
+    return _form_value(gamma, a, 3), _form_value(gamma, b, 3), _form_value(gamma, c, 3)
+
+
+def _det_quadratic_terms(gamma: MomentSequence, cut: int, anchor: int) -> tuple:
+    # `det_quadratic` over `_closed_terms`: D^3 times it on an exact
+    # sequence, a positive multiple with the same roots.
     l = cut
     if anchor == cut - 2:
         if cut < 2:
             raise PreconditionError("anchor cut-2 needs cut >= 2")
         if cut + 2 > gamma.horizon:
             raise InsufficientMomentsError(cut + 2, gamma.horizon)
-        g2, g1, g0, p1, p2 = _exactify(
-            gamma, gamma[l - 2], gamma[l - 1], gamma[l], gamma[l + 1], gamma[l + 2]
-        )
+        g2, g1, g0, p1, p2 = _closed_terms(gamma, l - 2, l - 1, l, l + 1, l + 2)
         return (
             -g2 * p1 * p1,
             g2 * g0 * p2 + 2 * g1 * g0 * p1 - g1 * g1 * p2,
@@ -270,9 +293,7 @@ def det_quadratic(
             raise PreconditionError("anchor cut-1 needs cut >= 1")
         if cut + 3 > gamma.horizon:
             raise InsufficientMomentsError(cut + 3, gamma.horizon)
-        g1, g0, p1, p2, p3 = _exactify(
-            gamma, gamma[l - 1], gamma[l], gamma[l + 1], gamma[l + 2], gamma[l + 3]
-        )
+        g1, g0, p1, p2, p3 = _closed_terms(gamma, l - 1, l, l + 1, l + 2, l + 3)
         return (
             -p1 * p1 * p1,
             g1 * p1 * p3 + 2 * g0 * p1 * p2 - g1 * p2 * p2,
@@ -289,23 +310,22 @@ def corner_det_lower_bound(gamma: MomentSequence, cut: int) -> Scalar:
     That block has a single scaled entry (the far corner), so its
     determinant is linear in t with slope gamma_{l+1} * d where
     d = gamma_{l-3} gamma_{l-1} - gamma_{l-2}^2.  Degenerate slope (d == 0)
-    is rejected; callers fall back to the pencil engine.
+    is rejected; callers fall back to the pencil engine.  The bound is a
+    ratio of forms of degree 4, taken over `_closed_terms`.
     """
     l = cut
     if cut < 3:
         raise PreconditionError("anchor cut-3 needs cut >= 3")
     if cut + 1 > gamma.horizon:
         raise InsufficientMomentsError(cut + 1, gamma.horizon)
-    g3, g2, g1, g0, p1 = _exactify(
-        gamma, gamma[l - 3], gamma[l - 2], gamma[l - 1], gamma[l], gamma[l + 1]
-    )
+    g3, g2, g1, g0, p1 = _closed_terms(gamma, l - 3, l - 2, l - 1, l, l + 1)
     d = g3 * g1 - g2 * g2
     if d == 0:
         raise PreconditionError(
             "degenerate: the t-free principal minor at anchor cut-3 vanishes"
         )
     big_d = g2 * g0 - g1 * g1
-    return (g0 * g0 * d + big_d * big_d) / (g1 * p1 * d)
+    return _quotient(gamma, g0 * g0 * d + big_d * big_d, g1 * p1 * d)
 
 
 def corner_det_upper_bound(gamma: MomentSequence, cut: int) -> Scalar:
@@ -314,21 +334,25 @@ def corner_det_upper_bound(gamma: MomentSequence, cut: int) -> Scalar:
     determinant det[[0, g_{l+1}, g_{l+2}], [g_{l+1}, g_{l+2}, g_{l+3}],
     [g_{l+2}, g_{l+3}, g_{l+4}]].  A vanishing denominator makes the
     determinant constraint vacuous and is rejected; callers fall back to
-    the pencil engine.
+    the pencil engine.  The bound is a ratio of forms of degree 3, taken
+    over `_closed_terms`; the bordered determinant is 2 g_{l+1} g_{l+2}
+    g_{l+3} - g_{l+1}^2 g_{l+4} - g_{l+2}^3 over the integers, and the
+    correctly rounded `det_bareiss` over doubles.
     """
     l = cut
     if cut + 4 > gamma.horizon:
         raise InsufficientMomentsError(cut + 4, gamma.horizon)
-    g0, p1, p2, p3, p4 = _exactify(
-        gamma, gamma[l], gamma[l + 1], gamma[l + 2], gamma[l + 3], gamma[l + 4]
-    )
+    g0, p1, p2, p3, p4 = _closed_terms(gamma, l, l + 1, l + 2, l + 3, l + 4)
     minor = p2 * p4 - p3 * p3
-    bordered = det_bareiss([[0 * g0, p1, p2], [p1, p2, p3], [p2, p3, p4]])
+    if gamma.has_float:
+        bordered = det_bareiss([[0 * g0, p1, p2], [p1, p2, p3], [p2, p3, p4]])
+    else:
+        bordered = 2 * p1 * p2 * p3 - p1 * p1 * p4 - p2 * p2 * p2
     if bordered == 0:
         raise PreconditionError(
             "degenerate: bordered determinant at the cut anchor vanishes"
         )
-    return -g0 * minor / bordered
+    return _quotient(gamma, -g0 * minor, bordered)
 
 
 def _interpolate(values: list[int]) -> list[int]:
@@ -436,7 +460,7 @@ def _pencil_block(
     Pencils go to numkit as rows; the pivot-column pass, which eliminates
     in place, gets a copy of [H; D].
     """
-    floaty = not ctx.is_exact or _floaty(gamma)
+    floaty = not ctx.is_exact or gamma.has_float
     size = range(k + 1)
     g = gamma.integer_view[0]
     h = [[g[n + i + j] if n + i + j <= cut else 0 for j in size] for i in size]
@@ -605,7 +629,11 @@ def stability_interval_k2(
     anchors at distance >= 4 below the cut are t-free.  Degenerate cases
     (vanishing slope or denominator, tangent quadratics, an interval that
     rounding moved off 1) fall back to the pencil engine for that anchor
-    and are flagged.
+    and are flagged.  On an exact sequence every bound, ratio and quadratic
+    is computed over the integers of `MomentSequence.integer_view`: each
+    bound is one Fraction, and each quadratic is D^3 times `det_quadratic`,
+    with the same roots, read off its discriminant (`numkit.real_roots`).
+    A sequence with a float computes them in doubles.
     """
     cap = _window_cap(gamma, cut, 2, ctx)
     l = cut
@@ -614,8 +642,10 @@ def stability_interval_k2(
     flags: list[str] = []
 
     def ratio(i: int, j: int, a: int, b: int) -> Scalar:
-        num, den = _exactify(gamma, gamma[i] * gamma[j], gamma[a] * gamma[b])
-        return num / den
+        if gamma.has_float:
+            return float(gamma[i] * gamma[j]) / float(gamma[a] * gamma[b])
+        g = gamma.integer_view[0]
+        return Fraction(g[i] * g[j], g[a] * g[b])
 
     def closed(n: int) -> tuple[Scalar, Scalar, tuple[str, str]] | str:
         # The anchor's closed-form interval and methods, or why it has none.
@@ -633,10 +663,10 @@ def stability_interval_k2(
             except PreconditionError:
                 return "degenerate bordered determinant"
             return 0, min(bound, ratio(l, l + 4, l + 2, l + 2), cap), (cf, cf)
-        roots = _roots(gamma, det_quadratic(gamma, cut, n))
+        roots = _roots(gamma, _det_quadratic_terms(gamma, cut, n))
         if roots is None or len(roots) != 2:
             return "tangent determinant quadratic"
-        if _floaty(gamma):
+        if gamma.has_float:
             roots = [float(r) for r in roots]
         hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
         lo, lo_m = max(
@@ -646,7 +676,7 @@ def stability_interval_k2(
         hi, hi_m = min([(roots[1], "quadratic_root"), (hi_bound, cf)], key=itemgetter(0))
         # An exact sequence's float root is irrational: as the double 1.0 it
         # would hide on which side of 1 it lies.
-        exact = ctx.is_exact and not _floaty(gamma)
+        exact = ctx.is_exact and not gamma.has_float
         if exact and 1.0 in [x for x in (lo, hi) if isinstance(x, float)]:
             return "a determinant-quadratic root rounds to 1.0"
         return lo, hi, (lo_m, hi_m)
@@ -771,7 +801,7 @@ def rank_one_det_expansion_holds(
     if cut + 2 * k > gamma.horizon:
         raise InsufficientMomentsError(cut + 2 * k, gamma.horizon)
     _check_block(gamma, cut, k)
-    t = _exactify(gamma, scale)[0] if not isinstance(scale, float) else scale
+    t = scale if isinstance(scale, float) else float(scale) if gamma.has_float else Fraction(scale)
     rows = _rows(gamma.values, cut, k)
     # The perturbed block: only the corner gamma_cut lies at or below the cut.
     scaled = [[v if i + j == 0 else t * v for j, v in enumerate(r)] for i, r in enumerate(rows)]
@@ -779,28 +809,23 @@ def rank_one_det_expansion_holds(
     full = det_bareiss(rows)
     cof = det_bareiss(_rows(gamma.values, cut + 2, k - 1)) if k >= 1 else 1
     rhs = t ** (k + 1) * full + (1 - t) * t**k * gamma[cut] * cof
-    if ctx.is_exact and not _floaty(gamma) and not isinstance(t, float):
+    if ctx.is_exact and not gamma.has_float and not isinstance(t, float):
         return lhs == rhs
     return ctx.is_zero(float(lhs) - float(rhs), hadamard_bound(scaled))
 
 
 def discriminant_diagnostic(gamma: MomentSequence, cut: int) -> DiscriminantDiagnostic:
     """Compare the two quadratic discriminant ingredients; exposed for
-    inspection because the inequality's hypotheses are unclear."""
+    inspection because the inequality's hypotheses are unclear.  Both are
+    forms of degree 4, taken over `_closed_terms`."""
     l = cut
     if cut < 2:
         raise PreconditionError("diagnostic needs cut >= 2")
     if cut + 3 > gamma.horizon:
         raise InsufficientMomentsError(cut + 3, gamma.horizon)
-    g2, g1, g0, p1, p2, p3 = _exactify(
-        gamma,
-        gamma[l - 2],
-        gamma[l - 1],
-        gamma[l],
-        gamma[l + 1],
-        gamma[l + 2],
-        gamma[l + 3],
-    )
+    g2, g1, g0, p1, p2, p3 = _closed_terms(gamma, l - 2, l - 1, l, l + 1, l + 2, l + 3)
     lhs = min(g1 * g1 * p1 * p3, g2 * g0 * p2 * p2)
     rhs = (2 * g0 * p1 - g1 * p2) ** 2
-    return DiscriminantDiagnostic(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
+    return DiscriminantDiagnostic(
+        lhs=_form_value(gamma, lhs, 4), rhs=_form_value(gamma, rhs, 4), holds=lhs >= rhs
+    )

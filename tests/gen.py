@@ -1,4 +1,5 @@
-"""Seeded instance generators shared across test modules."""
+"""Seeded instance generators, and the reference zero test of block
+determinants, shared across test modules."""
 
 from __future__ import annotations
 
@@ -8,11 +9,15 @@ from fractions import Fraction
 from hankelshift import (
     AtomicMeasure,
     MomentSequence,
+    Scalar,
+    ToleranceContext,
     WeightSequence,
+    hadamard_bound,
     is_k_positive,
     moments_of,
     weights_to_moments,
 )
+from hankelshift.hankel import _check_block, _rows
 
 
 def rand_fraction(
@@ -99,3 +104,15 @@ def k_positive_moments(
 def bergman_moments(horizon: int) -> MomentSequence:
     sq = tuple(Fraction(n + 1, n + 2) for n in range(horizon))
     return weights_to_moments(WeightSequence.from_squared(sq))
+
+
+def det_is_zero(
+    gamma: MomentSequence, n: int, k: int, value: Scalar, ctx: ToleranceContext
+) -> bool:
+    """Zero test for the determinant value of block(gamma, n, k), scaled by
+    the Hadamard bound of the block in float mode: the reference that
+    `LadderVerdicts.vanishes` is compared against."""
+    if ctx.is_exact:
+        return value == 0
+    _check_block(gamma, n, k)
+    return ctx.is_zero(value, hadamard_bound(_rows(gamma.values, n, k)))

@@ -22,10 +22,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankelshift import FLOAT, MomentSequence, PreconditionError, is_pd, is_psd, psd_with_margin
-from hankelshift.hankel import _rows, det_is_zero
+from hankelshift.hankel import _rows
 from hankelshift.numkit import _pivots
 
-from gen import bergman_moments
+from gen import bergman_moments, det_is_zero
 
 TOP = sys.float_info.max
 

@@ -26,9 +26,9 @@ from hankelshift import (
     propagation_report,
     zero_moment_collapse,
 )
-from hankelshift.hankel import LadderVerdicts, det_is_zero
+from hankelshift.hankel import LadderVerdicts
 
-from gen import bergman_moments, flat_tail_weights, measure_moments
+from gen import bergman_moments, det_is_zero, flat_tail_weights, measure_moments
 from hankelshift import weights_to_moments
 
 

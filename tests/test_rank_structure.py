@@ -32,9 +32,9 @@ from hankelshift import (
     psd_with_margin,
     solve_linear_exact,
 )
-from hankelshift.hankel import _integer_block, det_is_zero
+from hankelshift.hankel import _integer_block
 
-from gen import bergman_moments, logconvex_moments
+from gen import bergman_moments, det_is_zero, logconvex_moments
 
 
 def _per_order_search(gamma, max_order):

@@ -1,26 +1,38 @@
 """Differential tests of the integer real-root kernel.
 
-`real_roots` builds its Sturm chain from content-free integer
-pseudo-remainders and refines each isolated root by quadratic interval
-refinement.  The Fraction computation it replaced lives on below as the
-reference oracle: the Sturm chain by long division over Fractions, the
-refinement by halving, and the screen that skipped the rational-root test
-when the polynomial has no root modulo some small prime.  Both must return
+`real_roots` reads linear and quadratic roots off directly; from degree 3
+on it builds its Sturm chain from content-free integer pseudo-remainders
+and refines each isolated root by quadratic interval refinement.  The
+Fraction computation it replaced lives on below as the reference oracle:
+the Sturm chain by long division over Fractions, the refinement by
+halving, and the screen that skipped the rational-root test when the
+polynomial has no root modulo some small prime.  Both must return
 the same roots (a Fraction for a rational root, else the correctly rounded
 double), the same None for a repeated root and the same PreconditionError.
 """
 
 from __future__ import annotations
 
+import fractions
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hankelshift.numkit as numkit
-from hankelshift import PreconditionError, real_roots, squarefree
+from hankelshift import (
+    PreconditionError,
+    real_roots,
+    squarefree,
+    stability_interval_k1,
+    stability_interval_k2,
+)
+
+from gen import bergman_moments
 
 # ------------------------------------------------------------ the reference
 
@@ -201,6 +213,9 @@ def _as_kind(poly: list[F], kind: str) -> list:
     return poly
 
 
+# The smallest value that rounds past the largest double: (2 - 2^-53) 2^1023.
+_PAST_DOUBLES = 2**1024 - 2**970
+
 _COEFF = st.one_of(
     st.integers(-60, 60),
     st.fractions(min_value=-60, max_value=60, max_denominator=40),
@@ -246,6 +261,9 @@ class TestAgainstReference:
     @example([5])
     @example([0.5, 0, -2])
     @example([2.225073858507e-311, 0, 0, 1])  # root -3.6e103, isolated from +-2^1033
+    # (x - 1)(x^2 - (E^2 - 1)), E = _PAST_DOUBLES: the irrational roots lie
+    # just inside the double range and round to -+ the largest double
+    @example([1, -1, 1 - _PAST_DOUBLES**2, _PAST_DOUBLES**2 - 1])
     def test_mixed_coefficients(self, poly):
         _same_outcome(poly)
 
@@ -294,19 +312,23 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(min_value=1e-300, max_value=1e300),
-        st.integers(3, 40),
+        st.integers(3, 60),
+        st.sampled_from([3, 2, 5, 7]),
         st.sampled_from([1, -1]),
     )
-    @example(1.0, 3, 1)
-    @example(0.1, 3, -1)
-    def test_roots_next_to_a_rounding_midpoint(self, d, extra, sign):
-        # (x - M)^2 - 3 * 4^-k: the roots M -+ sqrt(3) 2^-k straddle the
+    @example(1.0, 3, 3, 1)
+    @example(0.1, 3, 3, -1)
+    @example(1.0, 5, 7, 1)  # sqrt(7)/16 ulp from the midpoint, inside ulp/4
+    @example(5e-324, 5, 3, -1)  # subnormal roots
+    def test_roots_next_to_a_rounding_midpoint(self, d, extra, c, sign):
+        # (x - M)^2 - c * 4^-k: the roots M -+ sqrt(c) 2^-k straddle the
         # midpoint M between the doubles d and next(d) = d + ulp, within
-        # sqrt(3)/4 ulp of it (2^-k <= ulp/4); they round to d and next(d).
+        # sqrt(c) 2^(1-extra) ulp of it (2^-k <= ulp/4; inside ulp/4 from
+        # extra = 5 on); they round to d and next(d).
         ulp = math.ulp(d)
         mid = F(d) + F(ulp) / 2
         k = -math.frexp(ulp)[1] + extra
-        delta2 = 3 / F(4) ** k
+        delta2 = c / F(4) ** k
         poly = [F(1), -2 * mid, mid * mid - delta2]
         if sign < 0:
             poly = [poly[0], -poly[1], poly[2]]
@@ -322,27 +344,78 @@ class TestAgainstReference:
     def test_roots_beyond_the_double_range(self, e, c, kind):
         # x^2 - c 4^e: the roots -+sqrt(c) 2^e, rational for c = 4
         poly = _as_kind([F(1), F(0), F(-c * 4**e)], kind)
+        _same_outcome(poly)
         if c == 4:
-            _same_outcome(poly)
-        elif e >= 1024:
+            return
+        if e >= 1024:
             # past the largest double: the same error as the reference
-            _same_outcome(poly)
             with pytest.raises(PreconditionError, match="beyond the double range"):
                 real_roots(poly)
         else:
-            # The reference raises here too: its mod-p screen proved the
-            # roots irrational and skipped the lattice test, so it took the
-            # double of the isolating interval's end 2^(2e+2) at once.  The
-            # rounding stop now runs once the interval is narrower than 1.
             x = math.sqrt(c) * 2.0**e
             assert real_roots(poly) == [-x, x]
+
+
+@st.composite
+def _quadratic(draw) -> list[int]:
+    # a x^2 + b x + c over wide ints, times a content and a sign
+    a = draw(st.integers(-(2**80), 2**80).filter(bool))
+    b, c = draw(st.integers(-(2**80), 2**80)), draw(st.integers(-(2**80), 2**80))
+    f = draw(st.sampled_from([1, -1, 6, -35, 2**64 + 13]))
+    return [f * a, f * b, f * c]
+
+
+class TestQuadraticReadOff:
+    """Quadratics leave the Sturm chain: their roots are read off the
+    discriminant, by `math.isqrt` brackets when irrational.  Each must give
+    the reference's outcome and types.  Roots next to a rounding midpoint
+    and past the double range are quadratics in `TestAgainstReference`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_quadratic(), st.lists(_COEFF, min_size=3, max_size=3)))
+    @example([-1, 0, 2])  # negative leading coefficient
+    @example([6, 0, -12])  # content 6
+    @example([12, 12, 3])  # disc 0: None
+    @example([-4, 4, -1])  # disc 0, negative lead
+    @example([1, 1, 1])  # disc < 0
+    @example([0, 0, 7])  # a constant: no roots
+    @example([0, 3, -1])  # linear
+    @example([1.0, 1.0, 5e-324])  # a subnormal root next to -1
+    @example([1, 0, -(_PAST_DOUBLES**2 - 1)])  # just below the rounding edge
+    @example([1, 0, -(_PAST_DOUBLES**2 + 1)])  # just past it
+    def test_quadratics(self, poly):
+        _same_outcome(poly)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(_BIG_LEAD_ROOT, _DYADIC_ROOT, _SMALL_ROOT), min_size=2, max_size=2),
+        st.sampled_from([F(1), F(-3), F(7, 2)]),
+    )
+    def test_rational_roots(self, roots, lead):
+        # (q1 x - m1)(q2 x - m2): two Fractions, or None for a double root
+        poly = [lead]
+        for r in roots:
+            poly = _mul(poly, [F(r.denominator), F(-r.numerator)])
+        _same_outcome(poly)
+        if roots[0] != roots[1]:
+            assert real_roots(poly) == sorted(roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2**40), st.integers(1070, 1140))
+    @example(2, 1074)
+    @example(4, 1075)
+    @example(3, 1100)
+    def test_subnormal_roots(self, c, e):
+        # 4^e x^2 - c: the roots -+sqrt(c) 2^-e, subnormal or below them
+        _same_outcome([4**e, 0, -c])
 
 
 class TestWorkCount:
     """Evaluations of the integer polynomial (`_scaled_value` calls),
     Sturm-chain isolation included.  Refinement by halving spends about
     one evaluation per bit of each root (the reference counts are in the
-    comments); quadratic refinement about two per doubling of the bits."""
+    comments); quadratic refinement about two per doubling of the bits.
+    Linear and quadratic roots are read off and evaluate nothing."""
 
     # the float pencil det(H + tD) of an order-2 block, as float mode passes it
     PENCIL = [
@@ -366,8 +439,13 @@ class TestWorkCount:
         return len(calls)
 
     def test_x_squared_minus_two(self, monkeypatch):
-        # halving: 140 evaluations
-        assert self._count(monkeypatch, [1, 0, -2]) == 36
+        # halving: 140 evaluations; read off the discriminant by isqrt
+        assert self._count(monkeypatch, [1, 0, -2]) == 0
+
+    def test_x_cubed_minus_two(self, monkeypatch):
+        # the smallest cubic: Sturm isolation and quadratic refinement
+        assert self._count(monkeypatch, [1, 0, 0, -2]) == 23
+        assert real_roots([1, 0, 0, -2]) == real_roots_reference([1, 0, 0, -2])
 
     def test_degree_3_pencil(self, monkeypatch):
         # halving: 694 evaluations
@@ -378,21 +456,75 @@ class TestWorkCount:
         assert self._count(monkeypatch, [3, -1]) == 0
 
 
-def test_kernel_does_no_fraction_arithmetic(monkeypatch):
-    # Fraction coefficients are read once as integer ratios; a Fraction is
-    # only built for a returned rational root.
+_COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+
+
+def _record_fraction_ops(monkeypatch) -> list[tuple[str, str, str]]:
+    # (op, module, function) of every Fraction operation from here on; the
+    # function is the first caller outside fractions, comprehensions and
+    # these counters.
     ops = []
-    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "_richcmp"):
+    names = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__", "__pow__", "__eq__", "_richcmp",
+    )
+    for name in names:
         method = getattr(F, name)
 
         def counting(*args, _method=method, _name=name):
-            ops.append(_name)
+            frame = sys._getframe(1)
+            while (
+                frame.f_code.co_filename == fractions.__file__
+                or frame.f_code.co_name in _COMPREHENSIONS
+                or frame.f_code is counting.__code__  # an op inside an op
+            ):
+                frame = frame.f_back
+            module = Path(frame.f_code.co_filename).stem
+            ops.append((_name, module, frame.f_code.co_name))
             return _method(*args)
 
         monkeypatch.setattr(F, name, counting)
+    return ops
+
+
+# Where the closed forms' endpoints are built and compared: the order check
+# of an Interval, the order-1 rounding check, the order-2 choice among
+# candidate bounds, and the intersection.
+_ENDPOINT_COMPARES = {
+    ("numkit", "__post_init__"),
+    ("perturbation", "stability_interval_k1"),
+    ("perturbation", "closed"),
+    ("perturbation", "stability_interval_k2"),
+    ("perturbation", "_assemble_report"),
+}
+
+
+def test_kernel_does_no_fraction_arithmetic(monkeypatch):
+    # Fraction coefficients are read once as integer ratios; a Fraction is
+    # only built for a returned rational root.  The exact closed forms of
+    # the perturbation module compute on the integer view, so Fractions are
+    # only built and compared as endpoints.
+    bergman_8, bergman_14 = bergman_moments(8), bergman_moments(14)
+    ops = _record_fraction_ops(monkeypatch)
     poly = [F(3, 2), F(-7, 4), F(-1), F(1)]  # (3x - 2)(2x^2 - x - 2) / 4
     roots = real_roots(poly)
     squarefree(poly)
-    assert ops == []
+    rational = real_roots([F(1, 3), F(-1, 3), F(-2)])  # (x + 2)(x - 3) / 3
+    irrational = real_roots([F(1, 2), 0, F(-1)])  # (x^2 - 2) / 2
+    positive = [bergman_8.strictly_positive, bergman_14.strictly_positive]
+    kernel_ops = list(ops)
+    k1 = stability_interval_k1(bergman_8, 1)
+    reports = [stability_interval_k2(bergman_14, cut) for cut in range(1, 11)]
+    closed_ops = ops[len(kernel_ops):]
+    monkeypatch.undo()
+
+    assert kernel_ops == []
     assert roots[1] == F(2, 3)
     assert [type(r) for r in roots] == [float, F, float]
+    assert rational == [F(-2), F(3)] and all(type(r) is F for r in rational)
+    assert irrational == [-math.sqrt(2), math.sqrt(2)]
+    assert positive == [True, True]
+    assert closed_ops  # the endpoints were compared
+    assert {tuple(caller) for _, *caller in closed_ops} <= _ENDPOINT_COMPARES
+    assert (k1.lo, k1.hi) == (F(3, 4), F(9, 8))
+    assert all(r.one_interior and not r.flags for r in reports)
