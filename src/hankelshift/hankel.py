@@ -172,11 +172,13 @@ class DetTable:
     standalone determinant (base order, or a divisor that is exactly zero,
     in float mode too: the ladder runs on the moments' binary values).
 
-    An exact-ladder table (`scaled`) also keeps nums[n], the determinant of
-    block(n, k) of G = gamma * D (`MomentSequence.integer_view`), and scale =
-    D^(k+1); exact deciders read nums, and dets = nums / scale on first read.
-    A float-mode table holds only dets, each nums[n] / scale correctly
-    rounded.
+    A ladder table (`scaled`), in either mode, also keeps nums[n], the
+    determinant of block(n, k) of G = gamma * D (`MomentSequence.
+    integer_view`), and scale = D^(k+1); deciders read nums, and dets are
+    built from them on first read: the Fractions nums[n] / scale, or in
+    float mode their correctly rounded doubles.  A double past the range is
+    a PreconditionError at that read, which keeps nothing, so every read of
+    dets raises it again (eq, hash and repr among them).
     """
 
     k: int
@@ -185,17 +187,32 @@ class DetTable:
     methods: tuple[str, ...]
 
     @classmethod
-    def scaled(cls, k: int, horizon: int, nums: tuple, scale: int, methods: tuple) -> "DetTable":
-        """The table whose dets[n] = nums[n] / scale are built on first read."""
+    def scaled(
+        cls, k: int, horizon: int, nums: tuple, scale: int, methods: tuple, rounded: bool = False
+    ) -> "DetTable":
+        """The table whose dets[n] = nums[n] / scale are built on first read,
+        as doubles when rounded."""
         table = object.__new__(cls)
-        table.__dict__.update(k=k, horizon=horizon, methods=methods, nums=nums, scale=scale)
+        table.__dict__.update(
+            k=k, horizon=horizon, methods=methods, nums=nums, scale=scale, rounded=rounded
+        )
         return table
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for a missing attribute: a scaled table's unread dets.
         if name != "dets" or "nums" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        dets = self.__dict__["dets"] = tuple(Fraction(d, self.scale) for d in self.nums)
+        if self.rounded:
+            dets = tuple(_rounded(num, self.scale) for num in self.nums)
+            for n, d in enumerate(dets):
+                if math.isinf(d):
+                    raise PreconditionError(
+                        f"the float order-{self.k} determinant at anchor {n} "
+                        f"({self.methods[n]}) overflows to {d!r}"
+                    )
+        else:
+            dets = tuple(Fraction(d, self.scale) for d in self.nums)
+        self.__dict__["dets"] = dets
         return dets
 
     def anchors(self) -> range:
@@ -302,16 +319,17 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     identity is homogeneous, so the order-k entry is det(block of G) /
     D^(k+1), and every division is an exact `//`.  A zero divisor takes
     `det_bareiss` on the rows of the integer block (`_integer_block`).
-    Exact tables keep their integers (`DetTable.scaled`) and build their
-    Fractions only when their dets are read; a float table holds the
-    correctly rounded doubles of the exact entries, and an entry past the
-    double range is a PreconditionError when its table is yielded.  An
+    Every table keeps its integers (`DetTable.scaled`), so the walk is the
+    same in both modes and raises only for a nonfinite moment, before its
+    first table.  A table builds its dets when they are first read:
+    Fractions in exact mode, correctly rounded doubles in float mode, where
+    an entry past the double range is a PreconditionError at that read.  An
     order is built only when asked for.
     """
-    table_of = DetTable.scaled if ctx.is_exact else _rounded_table
+    rounded = not ctx.is_exact
     g, den = gamma.integer_view
     horizon = gamma.horizon
-    yield table_of(0, horizon, g, den, ("direct",) * len(g))
+    yield DetTable.scaled(0, horizon, g, den, ("direct",) * len(g), rounded)
     prev2: Sequence[int] = [1] * (horizon + 3)
     prev1: Sequence[int] = g
     scale = den
@@ -327,21 +345,8 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
             else:
                 table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)
                 methods.append("condensation")
-        yield table_of(order, horizon, tuple(table), scale, tuple(methods))
+        yield DetTable.scaled(order, horizon, tuple(table), scale, tuple(methods), rounded)
         prev2, prev1 = prev1, table
-
-
-def _rounded_table(k: int, horizon: int, nums: tuple, scale: int, methods: tuple) -> DetTable:
-    # The float table of the order-k integers nums: each nums[n] / scale
-    # rounded once; an overflow is a precondition error, never a value.
-    dets = tuple(_rounded(num, scale) for num in nums)
-    for n, d in enumerate(dets):
-        if math.isinf(d):
-            raise PreconditionError(
-                f"the float order-{k} determinant at anchor {n} ({methods[n]}) "
-                f"overflows to {d!r}"
-            )
-    return DetTable(k=k, horizon=horizon, dets=dets, methods=methods)
 
 
 def _integer_block(gamma: MomentSequence, n: int, k: int) -> list[Sequence[int]]:
@@ -381,7 +386,10 @@ class LadderVerdicts:
     """Block verdicts at every order from one `det_ladder` walk.
 
     Tables are pulled from the walk only as far as a question needs them and
-    are kept, so every order a caller asks about shares the one walk.  The
+    are kept, so every order a caller asks about shares the one walk.  Both
+    modes pull the same integer tables; a float table rounds its dets only
+    when a question reads them, so a question is refused for an entry past
+    the double range only when it reads that entry's table.  The
     leading principal minors of block(n, k) are d_0(n), ..., d_k(n), the
     ladder's entries at anchor n.  Exact mode decides block(n, k) from the
     first j <= k with d_j(n) <= 0:
@@ -413,13 +421,15 @@ class LadderVerdicts:
     """
 
     def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):
+        # A nonfinite moment has no integer view: it raises here, as in
+        # `MomentSequence.ladder`, so the walk itself never raises.
+        gamma.integer_view
         self.gamma = gamma
         self.ctx = ctx
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
         self._norms: dict[int, list[float]] = {}
-        self._stopped: Optional[PreconditionError] = None
 
     @cached_property
     def _doubles(self) -> tuple[float, ...]:
@@ -444,16 +454,8 @@ class LadderVerdicts:
 
     def _pull(self, k: int) -> DetTable:
         # Every table comes through here, pulled in order from the one walk.
-        # A float overflow ends the walk, so every later pull past it raises
-        # the same error rather than a bare StopIteration.
         while len(self._tables) <= k:
-            if self._stopped is not None:
-                raise self._stopped
-            try:
-                self._tables.append(next(self._walk))
-            except PreconditionError as exc:
-                self._stopped = exc
-                raise
+            self._tables.append(next(self._walk))
         return self._tables[k]
 
     def table(self, k: int) -> DetTable:

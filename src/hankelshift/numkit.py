@@ -188,11 +188,12 @@ _Matrix = SymMatrix | Sequence[Sequence[Scalar]]
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; the empty interval is a distinct sentinel.
+    """Closed interval [lo, hi]; empty marks the empty interval.
 
     A nan endpoint, the trace of a float computation that overflowed, is a
     PreconditionError: it compares false with everything, so it would
-    otherwise slip through the order check and out of `intersect`.
+    otherwise slip through the order check and out of any max or min over
+    endpoints.
     """
 
     lo: Scalar
@@ -210,24 +211,8 @@ class Interval:
                 f"interval endpoints out of order: {fmt_scalar(self.lo)} > {fmt_scalar(self.hi)}"
             )
 
-    @classmethod
-    def empty_interval(cls) -> "Interval":
-        return cls(0, 0, empty=True)
-
     def contains(self, x: Scalar) -> bool:
         return (not self.empty) and self.lo <= x <= self.hi
-
-    def width(self) -> Scalar:
-        return 0 if self.empty else self.hi - self.lo
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.empty or other.empty:
-            return Interval.empty_interval()
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return Interval.empty_interval()
-        return Interval(lo, hi)
 
 
 def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:

@@ -35,9 +35,8 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
-    _content_free,
     _echelon,
-    _integer_view,
+    _primitive_ints,
     det_bareiss,
     fmt_scalar,
     hadamard_bound,
@@ -380,28 +379,26 @@ def _pencil_poly(
     D are zero.  So p = t^z q with z = max(0, k+1-s): q's matrix has the
     rows H_i + t*D_i for i < s and D_i (the rows of the block) for i >= s,
     and deg q <= min(k+1, 2k+1-s) - z.  q is interpolated at t = 0..deg q.
-    Exact mode reads q(1) = p(1), the block's determinant, off the
-    determinant ladder, and two anchors need no determinant at all: at the
-    cut (s = 1) the rank-one expansion (`rank_one_det_expansion_holds`)
-    gives q(0) = G_cut * det(block(cut+2, k-1)), and at the lowest anchor
-    (s = 2k) D is the corner G_{cut+1}, so p is linear with slope
-    G_{cut+1} * det(block(n, k-1)).  Float mode has no ladder integers and
-    takes every point with `det_bareiss`.
+    q(1) = p(1), the block's determinant, is read off the determinant
+    ladder, whose integer tables serve both modes, and two anchors need no
+    determinant at all: at the cut (s = 1) the rank-one expansion
+    (`rank_one_det_expansion_holds`) gives q(0) = G_cut * det(block(cut+2,
+    k-1)), and at the lowest anchor (s = 2k) D is the corner G_{cut+1}, so
+    p is linear with slope G_{cut+1} * det(block(n, k-1)).  The other
+    points take `det_bareiss`.
     """
     s = cut - n + 1
     z = max(0, k + 1 - s)
     deg = min(k + 1, 2 * k + 1 - s) - z
     g = gamma.integer_view[0]
-    p1 = None
-    if ctx.is_exact:
-        ladder = gamma.ladder(ctx)
-        p1 = ladder.table(k).nums[n]
-        if s == 1:
-            q0 = g[cut] * ladder.table(k - 1).nums[cut + 2]
-            return [p1 - q0, q0] + [0] * z
-        if s == 2 * k:
-            slope = g[cut + 1] * ladder.table(k - 1).nums[n]
-            return [slope, p1 - slope]
+    ladder = gamma.ladder(ctx)
+    p1 = ladder.table(k).nums[n]
+    if s == 1:
+        q0 = g[cut] * ladder.table(k - 1).nums[cut + 2]
+        return [p1 - q0, q0] + [0] * z
+    if s == 2 * k:
+        slope = g[cut + 1] * ladder.table(k - 1).nums[n]
+        return [slope, p1 - slope]
 
     def rows(t: int) -> list[list[int]]:
         # Entry (i, j) is scaled by t when it lies in D on a row i < s.
@@ -410,30 +407,23 @@ def _pencil_poly(
             for i in range(k + 1)
         ]
 
-    values = [
-        p1 if t == 1 and p1 is not None else int(det_bareiss(rows(t))) for t in range(deg + 1)
-    ]
+    values = [p1 if t == 1 else int(det_bareiss(rows(t))) for t in range(deg + 1)]
     return _interpolate(values) + [0] * z
 
 
 def _primitive(poly: Sequence[Scalar]) -> tuple[int, ...]:
     # The primitive integer polynomial with a positive leading coefficient
-    # that poly is a nonzero multiple of (floats at their binary values):
-    # it has the roots of poly, and real_roots answers the same on both.
-    ints = _integer_view(poly)[0]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    if not ints:
-        return ()
-    return tuple(_content_free([-c for c in ints] if ints[0] < 0 else ints))
+    # that poly is a nonzero multiple of (`numkit._primitive_ints`): it has
+    # the roots of poly, and real_roots answers the same on both.  A
+    # nonfinite or all-zero poly raises as real_roots does.
+    ints = _primitive_ints(poly)
+    return tuple([-c for c in ints] if ints[0] < 0 else ints)
 
 
 def _roots(gamma: MomentSequence, poly: Sequence[Scalar]) -> Sequence[Scalar] | None:
     """`real_roots(poly)`, kept on gamma per primitive polynomial, so the
     order-2 closed form and the pencil engine isolate a shared polynomial
     once.  A nonfinite coefficient raises as `real_roots` does."""
-    if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
-        return real_roots(poly)
     key = _primitive(poly)
     return gamma._memo(("real_roots", key), lambda: (real_roots(key),))[0]
 
@@ -582,10 +572,12 @@ def _assemble_report(
     # Anchors missing from per_block are t-free: the whole window.
     per_block = {n: per_block.get(n, Interval(0, cap)) for n in range(cut + 1)}
     methods = {n: methods.get(n, ("direct", "direct")) for n in range(cut + 1)}
-    # One max over the lower ends and one min over the upper ends, from 0
-    # and inf: ties keep the first, as a chain of `Interval.intersect` does.
-    lo = max(0, *(iv.lo for iv in per_block.values()))
-    hi = min(float("inf"), *(iv.hi for iv in per_block.values()))
+    # The anchors of the largest lower end and the smallest upper end, ties
+    # keeping the first, each picked in one pass; 0 and inf seed the ends.
+    lo_n = max(per_block, key=lambda n: per_block[n].lo)
+    hi_n = min(per_block, key=lambda n: per_block[n].hi)
+    lo = max(0, per_block[lo_n].lo)
+    hi = min(float("inf"), per_block[hi_n].hi)
     contains_one = lo <= 1 <= hi
     if not contains_one:
         sets = ", ".join(
@@ -595,12 +587,6 @@ def _assemble_report(
             f"admissible-scale intersection lost the point 1; per-block sets were {sets}"
         )
     intersection = Interval(lo, hi)
-    lo_method = next(
-        m[0] for n, m in methods.items() if per_block[n].lo == intersection.lo
-    )
-    hi_method = next(
-        m[1] for n, m in methods.items() if per_block[n].hi == intersection.hi
-    )
     one_interior = intersection.lo < 1 < intersection.hi
     return IntervalReport(
         k=k,
@@ -608,7 +594,7 @@ def _assemble_report(
         per_block=MappingProxyType(per_block),
         methods=MappingProxyType(methods),
         intersection=intersection,
-        intersection_methods=(lo_method, hi_method),
+        intersection_methods=(methods[lo_n][0], methods[hi_n][1]),
         contains_one=contains_one,
         one_interior=one_interior,
         flags=tuple(flags),
@@ -708,13 +694,13 @@ def stability_interval(
     set is an interval through 1 ending at the roots of p(t) = det(H + t*D)
     nearest to 1, clipped to the window [0, cap] of the order-1 bound.  p
     is t^z times a polynomial q of lower degree, interpolated exactly at
-    deg q + 1 points; in exact mode the determinant ladder gives p(1), and
-    at the cut and lowest anchors all of p (`_pencil_poly`).  Each distinct
-    polynomial's roots are isolated once per sequence (`_roots`), the
-    order-2 closed form's quadratics included.  p(1) = 0 is decided by one
-    PSD probe per side, p = 0 by restricting the pencil to the pivot
-    columns of [H; D].  Arithmetic is exact, over the binary values of
-    float moments.  A root endpoint is the exact rational root, else the
+    deg q + 1 points; the determinant ladder's integers, the same in both
+    modes, give p(1), and at the cut and lowest anchors all of p
+    (`_pencil_poly`).  Each distinct polynomial's roots are isolated once
+    per sequence (`_roots`), the order-2 closed form's quadratics included.
+    p(1) = 0 is decided by one PSD probe per side, p = 0 by restricting the
+    pencil to the pivot columns of [H; D].  Arithmetic is exact, over the
+    binary values of float moments.  A root endpoint is the exact rational root, else the
     double next to it on the inside, certified by an exact PSD probe; in
     exact mode, where that double is 1.0 but the root is not 1, it is the
     first dyadic 1 -+ 2^-m (m >= 53) inside, an exact Fraction.  t-free

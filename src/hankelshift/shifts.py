@@ -60,10 +60,6 @@ class WeightSequence:
     def from_squared(cls, values: Iterable[Scalar]) -> "WeightSequence":
         return cls(tuple(values))
 
-    @classmethod
-    def from_alphas(cls, alphas: Iterable[float]) -> "WeightSequence":
-        return cls(tuple(float(a) ** 2 for a in alphas))
-
     def __len__(self) -> int:
         return len(self.sq)
 

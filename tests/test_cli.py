@@ -449,20 +449,19 @@ class TestSubcommands:
     def test_zero_float_divisor_with_a_nan_scale(self, tmp_path, capsys):
         # the Hadamard bound of a block holding 1e300 and a zero row was nan,
         # which used to let a zero condensation divisor through; the order-3
-        # determinant then went direct and printed "-inf" with exit 0.  The
-        # order-1 entry gamma_3 gamma_5 - gamma_4^2 already overflows to -inf,
-        # and a non-finite float determinant is a precondition error.
+        # determinant then went direct and printed "-inf" with exit 0.  A
+        # non-finite float determinant is a precondition error, named by the
+        # table the run reads: the order-1 entry gamma_3 gamma_5 - gamma_4^2
+        # and the order-3 entry -gamma_4^3 both overflow to -inf.
         doc = {"kind": "moments", "values": [1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0]}
         path = write(tmp_path, "m.json", doc)
-        for k in ("1", "3"):
+        for k, entry in (("1", "order-1 determinant at anchor 3 (condensation)"),
+                         ("3", "order-3 determinant at anchor 0 (direct)")):
             argv = ["dets", path, "--k", k, "--float", "--json", "--no-timestamp"]
             assert cli.main(argv) == 3
             captured = capsys.readouterr()
             assert_json_error(captured, 3, "precondition")
-            assert captured.err == (
-                "precondition error: the float order-1 determinant at anchor 3 "
-                "(condensation) overflows to -inf\n"
-            )
+            assert captured.err == f"precondition error: the float {entry} overflows to -inf\n"
         # exact mode takes 1e300 at its binary value: d_3(0) = -gamma_4^3
         assert cli.main(["dets", path, "--k", "3", "--exact", "--json", "--no-timestamp"]) == 0
         table = json.loads(capsys.readouterr().out)["results"]["table"]
@@ -494,22 +493,24 @@ class TestSubcommands:
         # gamma_n = x^n + y^n with x = 2^170, y = 2^169, exact as doubles:
         # the float 3-positivity verdict holds (its floor scales with the
         # largest entry), but d_1(3) = (xy)^3 (x - y)^2 = 2^1355 has no
-        # double.  The overflow stops the ladder walk inside the propagation
-        # check, and dets' fallback pulls the order-2 table again: that must
-        # repeat the overflow (exit 3), not crash on the stopped walk.
+        # double.  dets --k 2 never reads the order-1 table: it prints the
+        # two-atom order-2 table, exactly zero, and skips the propagation
+        # check, whose zero test's Hadamard scale has no double.
         values = [2.0 ** (170 * n) + 2.0 ** (169 * n) for n in range(7)]
         path = write(tmp_path, "m.csv", "".join(f"{v!r}\n" for v in values))
         argv = ["dets", path, "--k", "2", "--float", "--no-timestamp"]
-        assert cli.main(argv + (["--json"] if as_json else [])) == 3
+        assert cli.main(argv + (["--json"] if as_json else [])) == 0
         captured = capsys.readouterr()
-        assert captured.err == (
-            "precondition error: the float order-1 determinant at anchor 3 "
-            "(condensation) overflows to inf\n"
-        )
+        skipped = "propagation check skipped: the Hadamard bound of a float block"
         if as_json:
-            assert_json_error(captured, 3, "precondition")
+            report = json.loads(captured.out)
+            assert report["results"]["table"]["dets"] == ["0.0"] * 3
+            assert "propagation" not in report["results"]
+            assert [w for w in report["warnings"] if skipped in w]
         else:
-            assert captured.out == ""
+            assert "  0: 0.0 [condensation]\n  1: 0.0 [condensation]\n" in captured.out
+            assert skipped in captured.out + captured.err
+        assert "overflows" not in captured.out + captured.err
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_integers_past_the_int_str_digit_limit(self, tmp_path, capsys, as_json):

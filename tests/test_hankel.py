@@ -211,13 +211,17 @@ class TestDetSequence:
         ids=["condensed", "direct"],
     )
     def test_float_ladder_refuses_non_finite_entries(self, values, order, message):
-        walk = det_ladder(MomentSequence.of(values), FLOAT)
+        # the walk yields every table; the overflowing one raises when its
+        # dets are read, and the tables it never reads stay readable
+        tables = list(det_ladder(MomentSequence.of(values), FLOAT))
+        assert len(tables) == 4
         for k in range(order):
-            assert all(math.isfinite(d) for d in next(walk).dets), k
+            assert all(math.isfinite(d) for d in tables[k].dets), k
         with pytest.raises(PreconditionError, match=re.escape(message)):
-            next(walk)
-        # exact mode takes the doubles at their binary values and yields them
-        assert len(list(det_ladder(MomentSequence.of(values), EXACT))) == 4
+            tables[order].dets
+        # exact mode takes the doubles at their binary values: the same integers
+        exact = list(det_ladder(MomentSequence.of(values), EXACT))
+        assert [t.nums for t in exact] == [t.nums for t in tables]
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_nonfinite_float_moment_is_a_precondition_error(self, bad):
@@ -225,19 +229,29 @@ class TestDetSequence:
         for ctx in (EXACT, FLOAT):
             with pytest.raises(PreconditionError, match="not finite"):
                 det_sequence(gamma, 1, ctx)
+            # a ladder built by hand refuses at once, as gamma.ladder does,
+            # so its walk never ends on the error
+            with pytest.raises(PreconditionError, match="not finite"):
+                LadderVerdicts(gamma, ctx)
 
     def test_ladder_repeats_the_overflow_after_its_walk_stops(self):
         # gamma_n = x^n + y^n, x = 2^170 and y = 2^169, exact as doubles:
-        # d_1(3) = (xy)^3 (x - y)^2 = 2^1355 is past the double range and
-        # ends the float walk; asking again, through any method, raises the
-        # same error
+        # d_1(3) = (xy)^3 (x - y)^2 = 2^1355 is past the double range.  Only
+        # a read of the order-1 dets raises, every time.  The two-atom
+        # order-2 table is exactly zero; the propagation check reads it, and
+        # refuses only because its zero test's Hadamard scale has no double
         values = [2.0 ** (170 * n) + 2.0 ** (169 * n) for n in range(7)]
         ladder = LadderVerdicts(MomentSequence.of(values), FLOAT)
         assert ladder.verdict(3).holds
         message = "order-1 determinant at anchor 3 (condensation) overflows to inf"
-        for ask in (lambda: ladder.table(2), lambda: ladder.table(1), lambda: ladder.propagation(3)):
+        for _ in range(2):
             with pytest.raises(PreconditionError, match=re.escape(message)):
-                ask()
+                ladder.table(1).dets
+        assert "dets" not in vars(ladder.table(1))
+        assert ladder.table(1).nums[3] == 2**1355
+        assert ladder.table(2).dets == (0.0,) * 3
+        with pytest.raises(PreconditionError, match="Hadamard bound"):
+            ladder.propagation(3)
         assert ladder.table(0).dets[0] == 2.0
 
     def test_det_is_zero_scaling(self):

@@ -1,13 +1,14 @@
 """The determinant-ladder decider of exact k-positivity: differential tests
 against pivot elimination, principal minors and the per-order Fraction
 loop that the numerator-sign reads replaced, counts of the work it does
-(ladder walks, pivot fallbacks), and the exact tables' lazy Fractions."""
+(ladder walks, pivot fallbacks), and the tables' lazy Fractions and doubles."""
 
 from __future__ import annotations
 
 import copy
 import json
 import pickle
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -423,13 +424,16 @@ class TestLazyTables:
         gamma = bergman_moments(10)
         report = LadderVerdicts(gamma).propagation(3)
         table = LadderVerdicts(gamma).table(2)
+        floats = LadderVerdicts(MomentSequence.of(map(float, gamma.values)), FLOAT).table(2)
         if read_first:
-            table.dets, report.table.dets
-        for original in (table, report):
+            table.dets, report.table.dets, floats.dets
+        for original in (table, report, floats):
             twin = clone(original)
             assert twin == original and hash(twin) == hash(original)
             assert repr(twin) == repr(original)
-        assert clone(table).nums == table.nums and clone(table).scale == table.scale
+        for t in (table, floats):
+            assert (clone(t).nums, clone(t).scale, clone(t).rounded) == (t.nums, t.scale, t.rounded)
+        assert all(type(d) is float for d in clone(floats).dets)
 
     @settings(max_examples=100, deadline=None)
     @given(_any_moments)
@@ -456,3 +460,52 @@ class TestLazyTables:
             if gamma.ladder().verdict(k).holds:
                 gamma.ladder().propagation(k)
         assert _unbuilt(gamma.ladder())
+
+
+@st.composite
+def wide_float_moments(draw):
+    # doubles from 1e-200 to 1e200 and zeros: low orders stay finite while
+    # higher ones, and products of the large entries, leave the double range
+    value = st.one_of(st.just(0.0), st.floats(1e-200, 1e200))
+    values = draw(st.lists(value, min_size=1, max_size=9))
+    return MomentSequence.of([draw(st.floats(1e-200, 1e200))] + values)
+
+
+class TestFloatTables:
+    """Float tables are the exact ladder's integer tables, whose dets are
+    the correctly rounded doubles of nums[n] / scale, built on first read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_any_moments, wide_float_moments()))
+    def test_float_tables_keep_the_exact_integers(self, gamma):
+        exact = list(det_ladder(gamma, EXACT))
+        floats = list(det_ladder(gamma, FLOAT))
+        assert len(floats) == len(exact)
+        for e, f in zip(exact, floats):
+            assert (f.k, f.horizon, f.nums, f.scale, f.methods) == (
+                e.k, e.horizon, e.nums, e.scale, e.methods
+            )
+            try:
+                want = tuple(float(F(num, f.scale)) for num in f.nums)
+            except OverflowError:
+                with pytest.raises(PreconditionError, match=f"float order-{f.k} determinant"):
+                    f.dets
+                continue
+            assert f.dets == want and all(type(d) is float for d in f.dets)
+            assert f == DetTable(f.k, f.horizon, want, f.methods)
+
+    def test_an_overflowing_table_raises_on_every_read_and_keeps_nothing(self):
+        # d_1(3) = gamma_3 gamma_5 - gamma_4^2 = -1e600 has no double
+        gamma = MomentSequence.of([1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0])
+        table = gamma.ladder(FLOAT).table(1)
+        message = "the float order-1 determinant at anchor 3 (condensation) overflows to -inf"
+        eager = DetTable(1, 6, (0.0,) * 5, table.methods)
+        reads = (lambda: table.dets, lambda: repr(table), lambda: hash(table),
+                 lambda: table == eager, lambda: eager == table, lambda: table.dets)
+        for read in reads:
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                read()
+            assert "dets" not in vars(table)
+        # the integers stay, and a table without overflow reads as usual
+        assert table.nums[3] == -(int(1e300) ** 2)
+        assert gamma.ladder(FLOAT).table(0).dets == gamma.values

@@ -50,6 +50,23 @@ def reference_poly(gamma: MomentSequence, n: int, k: int, cut: int, ctx=EXACT) -
     return perturbation._interpolate(values)
 
 
+def bareiss_poly(gamma: MomentSequence, n: int, k: int, cut: int) -> list[int]:
+    # The true-degree polynomial as float mode once built it: q at t =
+    # 0..deg q, every point a `det_bareiss` (none read off the ladder).
+    s = cut - n + 1
+    z = max(0, k + 1 - s)
+    deg = min(k + 1, 2 * k + 1 - s) - z
+    g = gamma.integer_view[0]
+
+    def rows(t: int) -> list[list[int]]:
+        return [
+            [v * t if i < s <= i + j else v for j, v in enumerate(g[n + i:n + i + k + 1])]
+            for i in range(k + 1)
+        ]
+
+    return perturbation._interpolate([int(det_bareiss(rows(t))) for t in range(deg + 1)]) + [0] * z
+
+
 def _stripped(poly: list[int]) -> list[int]:
     return poly[next((i for i, c in enumerate(poly) if c), len(poly)):]
 
@@ -121,6 +138,19 @@ class TestAgainstReference:
             reference = _outcome(fresh, cut, k, ctx)
         assert _outcome(MomentSequence(gamma.values), cut, k, ctx) == reference
 
+    @settings(max_examples=100, deadline=None)
+    @given(pencil_cases().filter(lambda case: case[2] <= 3))
+    def test_float_mode_reads_the_ladder_as_exact_mode_does(self, case):
+        # Both modes read q(1), and at the cut and lowest anchors all of q,
+        # off the ladder's integers: the same coefficients as taking every
+        # point with det_bareiss.
+        gamma, cut, k, _ = case
+        for n in range(max(0, cut - 2 * k + 1), cut + 1):
+            want = bareiss_poly(gamma, n, k, cut)
+            for ctx in (FLOAT, EXACT):
+                got = perturbation._pencil_poly(MomentSequence(gamma.values), n, k, cut, ctx)
+                assert got == want, (n, ctx.mode, got, want)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_true_degree_and_zero_order_at_every_anchor(self, k):
         # deg p = min(k+1, 2k+1-s) and p = t^z q with q(0) != 0, z =
@@ -169,6 +199,31 @@ class TestWorkCount:
         # ladder's); anchors cut and cut-3 take none.  k+2 points at each
         # of the 4 anchors took 16.
         assert _count_dets(bergman_moments(14), 3, 2) == 4
+
+    @pytest.mark.parametrize("k, exact, floats", [(1, 0, 0), (2, 4, 5), (3, 8, 8)])
+    def test_float_perturb_takes_the_determinants_exact_mode_takes(
+        self, tmp_path, k, exact, floats
+    ):
+        # Float mode reads the ladder as exact mode does (it took 4, 11 and
+        # 13 determinants when it read none); at k = 2 it adds the bordered
+        # corner determinant of the float closed form.
+        csv = tmp_path / "bergman.csv"
+        csv.write_text("".join(f"{1 / (n + 1)!r}\n" for n in range(15)))
+        counts = []
+        for mode in ("--exact", "--float"):
+            calls = []
+
+            def counting(rows):
+                calls.append(rows)
+                return det_bareiss(rows)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(perturbation, "det_bareiss", counting)
+                mp.setattr(hankel, "det_bareiss", counting)
+                argv = ["perturb", str(csv), "--l", "3", "--k", str(k), mode, "--json"]
+                assert run_main(argv)[0] == 0
+            counts.append(len(calls))
+        assert counts == [exact, floats]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_perturb_isolates_each_polynomial_once(self, tmp_path, k):

@@ -300,7 +300,7 @@ class TestStabilityK2:
         g = measure_moments(random.Random(33), 12, min_atoms=2, max_atoms=2, positive=True)
         rep = stability_interval_k2(g, 3)
         assert rep.contains_one
-        assert float(rep.intersection.width()) <= 1e-9
+        assert float(rep.intersection.hi - rep.intersection.lo) <= 1e-9
 
     def test_nested_in_k1(self):
         rng = random.Random(767)

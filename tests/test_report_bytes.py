@@ -9,7 +9,11 @@ the digests with
 
     PYTHONPATH=src python tests/test_report_bytes.py --write
 
-and says so in CHANGES.md.
+and says so in CHANGES.md.  To see which runs such a change moves, dump
+every run's [exit code, stdout, stderr], keyed by its argv, at two commits
+and diff the dumps:
+
+    PYTHONPATH=src python tests/test_report_bytes.py --dump PATH
 """
 
 from __future__ import annotations
@@ -116,13 +120,17 @@ def corpus() -> list[tuple[str, str]]:
     return files
 
 
-def run_digest(argv: list[str]) -> str:
-    """sha256 of one `cli.main` run's exit code, stdout and stderr."""
+def run_outcome(argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one `cli.main` run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def run_digest(argv: list[str]) -> str:
+    """sha256 of one run's `run_outcome`."""
+    return hashlib.sha256(json.dumps(run_outcome(argv)).encode()).hexdigest()
 
 
 def argvs(name: str) -> list[list[str]]:
@@ -134,11 +142,11 @@ def argvs(name: str) -> list[list[str]]:
     ]
 
 
-def file_digests(name: str, content: str) -> dict[str, str]:
-    """Digest of every run on one input, keyed by its argv.  Runs in the
+def file_digests(name: str, content: str, run=run_digest) -> dict:
+    """run(argv) of every run on one input, keyed by its argv.  Runs in the
     current directory, so the report's path is the bare file name."""
     Path(name).write_text(content, encoding="utf-8")
-    return {" ".join(argv): run_digest(argv) for argv in argvs(name)}
+    return {" ".join(argv): run(argv) for argv in argvs(name)}
 
 
 CORPUS = corpus()
@@ -161,24 +169,33 @@ def test_every_pin_has_its_run(pinned):
     assert set(pinned) == {" ".join(argv) for name, _ in CORPUS for argv in argvs(name)}
 
 
-def _write() -> None:
+def _corpus_runs(run) -> dict:
+    # run(argv) of every corpus run, in a scratch directory, without the
+    # tolerance override the environment might set.
     import tempfile
 
     os.environ.pop("HANKELSHIFT_TOL_REL", None)
-    digests: dict[str, str] = {}
+    runs: dict = {}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for name, content in CORPUS:
-                digests.update(file_digests(name, content))
+                runs.update(file_digests(name, content, run))
         finally:
             os.chdir(here)
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests)} digests written to {DIGESTS}")
+    return runs
+
+
+def _save(path: Path, runs: dict, what: str) -> None:
+    path.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    print(f"{len(runs)} {what} written to {path}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
-    _write()
+    if sys.argv[1:] == ["--write"]:
+        _save(DIGESTS, _corpus_runs(run_digest), "digests")
+    elif len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        _save(Path(sys.argv[2]), _corpus_runs(run_outcome), "outcomes")
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --write | --dump PATH")
