@@ -234,12 +234,14 @@ class PropagationReport:
 
 
 class RankStructure(NamedTuple):
-    """order: the first r with d_r(0) = 0, None when none vanishes; coeffs:
-    the order-r recursion (as `measures.Recursion.coeffs`) solved on
-    block(0, r-1), None unless it holds on the whole horizon."""
+    """order: the first r whose anchor-0 pivot vanishes (`LadderVerdicts.
+    rank`), None when none does; coeffs: the order-r recursion (as
+    `measures.Recursion.coeffs`) solved on block(0, r-1), Fractions in exact
+    mode and their rounded doubles in float mode, None unless it holds on
+    the whole horizon (as `Recursion.holds_on` decides in that mode)."""
 
     order: Optional[int] = None
-    coeffs: Optional[tuple[Fraction, ...]] = None
+    coeffs: Optional[tuple[Scalar, ...]] = None
 
 
 def _check_block(gamma: MomentSequence, n: int, k: int) -> None:
@@ -355,15 +357,25 @@ def _integer_block(gamma: MomentSequence, n: int, k: int) -> list[Sequence[int]]
     return _rows(gamma.integer_view[0], n, k)
 
 
-def _recursion_holds(g: Sequence[int], coeffs: Sequence[Scalar], start: int = 0) -> bool:
-    # g[p+r] = sum_i coeffs[i] * g[p+i] for every p >= start on the horizon,
-    # r = len(coeffs), over the integers g of integer_view and the
-    # coefficients scaled by their common denominator: int compares only.
-    c, den = _integer_view(coeffs)
-    r = len(c)
+def _recursion_holds(
+    gamma: MomentSequence, coeffs: Sequence[Scalar], start: int, ctx: ToleranceContext
+) -> bool:
+    # gamma_{p+r} = sum_i coeffs[i] * gamma_{p+i} for every p >= start on the
+    # horizon, r = len(coeffs): in exact mode over the integers G of
+    # integer_view and the coefficients scaled by their common denominator
+    # (int compares only), in float mode within the zero band of max|gamma|.
+    r = len(coeffs)
+    if ctx.is_exact:
+        g = gamma.integer_view[0]
+        c, den = _integer_view(coeffs)
+        return all(
+            g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
+            for p in range(start, len(g) - r)
+        )
+    scale = gamma.max_abs()
     return all(
-        g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
-        for p in range(start, len(g) - r)
+        ctx.is_zero(gamma[p + r] - sum(coeffs[i] * gamma[p + i] for i in range(r)), scale)
+        for p in range(start, len(gamma) - r)
     )
 
 
@@ -500,21 +512,34 @@ class LadderVerdicts:
 
     @cached_property
     def rank(self) -> RankStructure:
-        """The exact rank structure, read once from the anchor-0 column of
-        the kept tables: the first r with d_r(0) = 0 and, as d_{r-1}(0) is
-        nonzero, the one solution of the r x r system on block(0, r-1),
-        kept when it holds on the whole horizon.  Exact mode only."""
-        if not self.ctx.is_exact:
-            raise PreconditionError("the rank structure is read from the exact ladder")
+        """The rank structure, read once from the anchor-0 column of the
+        kept tables: the first r whose last pivot of block(0, r),
+        d_r(0)/d_{r-1}(0), is at most rel_eps times that block's corner
+        gamma_{2r} (in exact mode, the first r with d_r(0) = 0), compared on
+        the ladder's integers.  As d_{r-1}(0) is nonzero, the r x r system
+        on block(0, r-1) has one exact solution over the moments' binary
+        values, rounded once to doubles in float mode (a coefficient past
+        the double range is a PreconditionError), and kept when it holds on
+        the whole horizon."""
+        exact = self.ctx.is_exact
+        eps, eps_den = (0, 1) if exact else self.ctx.rel_eps.as_integer_ratio()
+        g = self.gamma.integer_view[0]
         top = self.gamma.horizon // 2
-        r = next((j for j in range(1, top + 1) if self._pull(j).nums[0] == 0), None)
+        column = ((j, self._pull(j - 1).nums[0], self._pull(j).nums[0]) for j in range(1, top + 1))
+        r = next((j for j, low, d in column if eps_den * abs(d) <= eps * abs(low) * g[2 * j]), None)
         if r is None:
             return RankStructure()
-        g = self.gamma.integer_view[0]
         sol = solve_linear_exact(_rows(g, 0, r - 1), g[r:2 * r])
         if sol is None:
             raise InternalConsistencyError(f"block(0, {r - 1}) is nonsingular, its system not")
-        return RankStructure(r, sol if _recursion_holds(g, sol) else None)
+        if not exact:
+            try:
+                sol = tuple(float(c) for c in sol)
+            except OverflowError:
+                raise PreconditionError(
+                    f"a coefficient of the order-{r} recursion lies beyond the double range"
+                ) from None
+        return RankStructure(r, sol if _recursion_holds(self.gamma, sol, 0, self.ctx) else None)
 
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
         # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
@@ -551,13 +576,14 @@ class LadderVerdicts:
         return is_pd(_rows(self._doubles, n, k), self.ctx)
 
     def vanishes(self, n: int, k: int) -> bool:
-        """d_k(n) = 0: from the integers in exact mode; in float mode |d_k(n)|
-        lies within the zero band scaled by the block's Hadamard bound (the
-        product of its row norms, `numkit.hadamard_bound`), multiplied from
-        the kept row norms."""
+        """d_k(n) = 0: from the integers in exact mode, and in float mode
+        when the integer is 0; otherwise in float mode |d_k(n)| lies within
+        the zero band scaled by the block's Hadamard bound (the product of
+        its row norms, `numkit.hadamard_bound`), multiplied from the kept
+        row norms."""
         _check_block(self.gamma, n, k)
         table = self._pull(k)
-        if self.ctx.is_exact:
+        if self.ctx.is_exact or table.nums[n] == 0:
             return table.nums[n] == 0
         return self.ctx.is_zero(table.dets[n], _norm_product(self._row_norms(k)[n:n + k + 1]))
 

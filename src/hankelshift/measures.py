@@ -96,15 +96,7 @@ class Recursion:
         exactly in exact mode (over the integers of
         `MomentSequence.integer_view` and the coefficients scaled by their
         common denominator), within the float band otherwise."""
-        if ctx.is_exact:
-            return _recursion_holds(gamma.integer_view[0], self.coeffs, self.valid_from)
-        r = self.order
-        scale = gamma.max_abs()
-        for p in range(self.valid_from, len(gamma) - r):
-            predicted = sum(self.coeffs[i] * gamma[p + i] for i in range(r))
-            if not ctx.is_zero(gamma[p + r] - predicted, scale):
-                return False
-        return True
+        return _recursion_holds(gamma, self.coeffs, self.valid_from, ctx)
 
 
 @dataclass(frozen=True)
@@ -151,58 +143,37 @@ def detect_recursion(
 
     Orders are capped at horizon//2 so the fitted system always has more
     equations than unknowns.  A recursion of order s makes d_s(0) = 0, so
-    exact mode reads `gamma.ladder(EXACT).rank` (r the first order with
-    d_r(0) = 0): nothing is tried when r is above the cap, and nothing is
-    solved when block(0, cap) is PD.  The rank's order-r recursion is
-    returned when it holds; otherwise the overdetermined exact fit runs
-    from order r+2 up, as an order-(r+1) recursion would make the leading
-    r+1 x r+1 block of the extended sequence nonsingular (Kronecker).
-    Float mode tries every order with a least-squares fit: the normal
-    equations A^T A x = A^T b over the integers of integer_view, solved
-    exactly by `solve_linear_exact`, their solution rounded to doubles and
-    kept when its exact residual on every equation is within rel_eps of
-    the sequence scale.
+    both modes read `gamma.ladder(ctx).rank`: its order r is the first with
+    d_r(0) = 0, in float mode the first whose relative anchor-0 pivot
+    d_r(0) / (d_{r-1}(0) gamma_{2r}) is at most rel_eps.  Nothing is tried
+    when r is above the cap, and nothing is solved when block(0, cap) is
+    PD.  The rank's order-r recursion, solved exactly on block(0, r-1) over
+    the moments' binary values and in float mode rounded once, is returned
+    when it holds (`Recursion.holds_on`).  Otherwise exact mode runs the
+    overdetermined exact fit from order r+2 up, as an order-(r+1) recursion
+    would make the leading r+1 x r+1 block of the extended sequence
+    nonsingular (Kronecker), and float mode returns None.
     """
     if max_order < 1:
         return None
     cap = min(max_order, gamma.horizon // 2)
-    start = 1
-    if ctx.is_exact:
-        ladder = gamma.ladder(EXACT)
-        if ladder.pd(0, cap):
-            return None
-        rank = ladder.rank
-        if rank.order is None or rank.order > cap:
-            return None
-        if rank.coeffs is not None:
-            return Recursion(order=rank.order, coeffs=rank.coeffs, valid_from=0)
-        start = rank.order + 2
-    n = len(gamma)
-    # Both modes fit the integers of integer_view: scaling every moment by
-    # one denominator leaves the recursion's coefficients unchanged.
-    g, den = gamma.integer_view
-    for r in range(start, cap + 1):
-        rows, rhs = [g[p:p + r] for p in range(n - r)], g[r:]
-        if ctx.is_exact:
-            sol = solve_linear_exact(rows, rhs)
-            if sol is not None:
-                return Recursion(order=r, coeffs=tuple(sol), valid_from=0)
-            continue
-        normal = [[sum(a[i] * a[j] for a in rows) for j in range(r)] for i in range(r)]
-        right = [sum(a[i] * b for a, b in zip(rows, rhs)) for i in range(r)]
-        try:
-            coeffs = tuple(float(c) for c in solve_linear_exact(normal, right))
-        except OverflowError:
-            raise PreconditionError(
-                f"a least-squares coefficient of the order-{r} recursion lies "
-                "beyond the double range"
-            ) from None
-        # The largest residual of the rounded coefficients, exactly: over
-        # the coefficients scaled to integers c / c_den and G / den.
-        c, c_den = _integer_view(coeffs)
-        worst = max(abs(sum(x * y for x, y in zip(c, a)) - c_den * b) for a, b in zip(rows, rhs))
-        if Fraction(worst, c_den * den) <= ctx.rel_eps * gamma.max_abs():
-            return Recursion(order=r, coeffs=coeffs, valid_from=0)
+    ladder = gamma.ladder(ctx)
+    if ladder.pd(0, cap):
+        return None
+    rank = ladder.rank
+    if rank.order is None or rank.order > cap:
+        return None
+    if rank.coeffs is not None:
+        return Recursion(order=rank.order, coeffs=rank.coeffs, valid_from=0)
+    if not ctx.is_exact:
+        return None
+    # The integers of integer_view: scaling every moment by one denominator
+    # leaves the recursion's coefficients unchanged.
+    g = gamma.integer_view[0]
+    for r in range(rank.order + 2, cap + 1):
+        sol = solve_linear_exact([g[p:p + r] for p in range(len(g) - r)], g[r:])
+        if sol is not None:
+            return Recursion(order=r, coeffs=sol, valid_from=0)
     return None
 
 

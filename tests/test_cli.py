@@ -15,7 +15,7 @@ import pytest
 
 import hankelshift.cli as cli
 import hankelshift.hankel as hankel
-from hankelshift import Interval, IntervalReport
+from hankelshift import AtomicMeasure, Interval, IntervalReport, moments_of
 from hankelshift.perturbation import InteriorReport
 
 from test_fuzz_cli import run_main
@@ -361,6 +361,27 @@ class TestSubcommands:
             assert_json_error(captured, 3, "precondition")
             assert "not all PSD" in captured.err
 
+    @pytest.mark.parametrize(
+        "atoms, densities",
+        [
+            # one atom far above two small ones: an order-1 fit used to pass
+            # the absolute band rel_eps * max|gamma| and exit 4
+            ((F(14, 17), F(19, 17), F(94, 17)), (F(16, 13), F(25, 13), F(24, 13))),
+            # moments up to ~1e18: the order-3 fit used to miss the re-check
+            ((F(60, 17), F(77, 17), F(91, 17)), (F(15, 13), F(25, 13), F(19, 13))),
+        ],
+        ids=["dominant", "wide"],
+    )
+    def test_float_recursion_on_wide_range_moments(self, tmp_path, capsys, atoms, densities):
+        gamma = moments_of(AtomicMeasure(atoms, densities), 24)
+        path = write(tmp_path, "m.csv", "".join(f"{float(g)!r}\n" for g in gamma.values))
+        assert cli.main(["recursion", path, "--json", "--no-timestamp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "float"
+        assert report["results"]["recursion"]["order"] == 3
+        got = [float(x) for x in report["results"]["measure"]["atoms"]]
+        assert got == pytest.approx([float(x) for x in atoms], rel=1e-9)
+
     @pytest.mark.parametrize("kind", ["weights", "moments"])
     def test_float_mode_input_beyond_double_range_exits_3(self, tmp_path, capsys, kind):
         # 10^400 has no double: float mode rejects it with exit 3 and an
@@ -494,23 +515,26 @@ class TestSubcommands:
         # the float 3-positivity verdict holds (its floor scales with the
         # largest entry), but d_1(3) = (xy)^3 (x - y)^2 = 2^1355 has no
         # double.  dets --k 2 never reads the order-1 table: it prints the
-        # two-atom order-2 table, exactly zero, and skips the propagation
-        # check, whose zero test's Hadamard scale has no double.
+        # two-atom order-2 table, exactly zero, and its propagation report,
+        # whose zero test reads the zero integers before any Hadamard scale.
         values = [2.0 ** (170 * n) + 2.0 ** (169 * n) for n in range(7)]
         path = write(tmp_path, "m.csv", "".join(f"{v!r}\n" for v in values))
         argv = ["dets", path, "--k", "2", "--float", "--no-timestamp"]
         assert cli.main(argv + (["--json"] if as_json else [])) == 0
         captured = capsys.readouterr()
-        skipped = "propagation check skipped: the Hadamard bound of a float block"
+        assert captured.err == ""
         if as_json:
             report = json.loads(captured.out)
             assert report["results"]["table"]["dets"] == ["0.0"] * 3
-            assert "propagation" not in report["results"]
-            assert [w for w in report["warnings"] if skipped in w]
+            prop = report["results"]["propagation"]
+            assert (prop["vanishing_found"], prop["first_zero_anchor"]) == (True, 0)
+            assert prop["conclusion_verified"] is True
+            assert report["warnings"] == []
         else:
             assert "  0: 0.0 [condensation]\n  1: 0.0 [condensation]\n" in captured.out
-            assert skipped in captured.out + captured.err
+            assert "vanish from anchor 0; all anchors >= 1 vanish: True" in captured.out
         assert "overflows" not in captured.out + captured.err
+        assert "skipped" not in captured.out + captured.err
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_integers_past_the_int_str_digit_limit(self, tmp_path, capsys, as_json):
@@ -802,13 +826,14 @@ class TestJsonErrors:
         assert message == str(hankel.InsufficientMomentsError(14, 12))
 
     def test_consistency_incident_exit_4(self, tmp_path, capsys):
-        # the float recovery with a wide relative band misses gamma_1; this
-        # used to exit 4 with nothing on stdout under --json
-        doc = {"kind": "measure", "atoms": ["0/1", "16/5"], "densities": ["1/1", "1/1"]}
+        # the float relative pivot at a wide band takes order 1, whose
+        # recursion holds within that band while its one atom misses
+        # gamma_2; this used to exit 4 with nothing on stdout under --json
+        doc = {"kind": "measure", "atoms": ["1/2", "5/2"], "densities": ["1/1", "1/1"]}
         path = write(tmp_path, "m.json", doc)
         argv = ["recursion", path, "--float", "--tol-rel", "0.5"]
         message = self._both_modes(argv, capsys, 4, "consistency")
-        assert message.startswith("recovered measure mismatches gamma_1:")
+        assert message.startswith("recovered measure mismatches gamma_2:")
 
     def test_usage_error_stays_with_argparse(self, bergman_file, capsys):
         with pytest.raises(SystemExit) as exc:

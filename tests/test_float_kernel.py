@@ -1,11 +1,13 @@
 """Float mode on the integer kernel.
 
-Float determinant tables, Vandermonde densities and recursion fits are
-exact results over the moments' binary values, each rounded to a double
-once.  These tests check that contract against exact oracles, and against
-the float routines it replaced, kept here as references: the float
-condensation ladder (Hadamard-scaled divisor test, numpy determinant
-fallback), numpy's `solve` and `lstsq`.  numpy is a test-only oracle here.
+Float determinant tables, Vandermonde densities and recursion
+coefficients are exact results over the moments' binary values, each
+rounded to a double once.  These tests check that contract against exact
+oracles, against exact mode on the source measure, and against the float
+routines it replaced, kept here as references: the float condensation
+ladder (Hadamard-scaled divisor test, numpy determinant fallback), numpy's
+`solve`, and numpy's `lstsq` least-squares fit of a recursion.  numpy is a
+test-only oracle here.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankelshift import (
@@ -27,12 +29,14 @@ from hankelshift import (
     det_ladder,
     detect_recursion,
     moments_of,
+    recover_atoms,
     solve_vandermonde,
 )
 from hankelshift.hankel import _rows
 from hankelshift.numkit import hadamard_bound
 
 from gen import bergman_moments
+from test_integer_kernel import solve_reference
 
 
 def reference_float_ladder(values: list[float], top: int) -> list[list[float]]:
@@ -140,7 +144,52 @@ class TestFloatVandermonde:
         assert solve_vandermonde([F(1), F(3)], [F(1), F(2)], FLOAT) == (0.5, 0.5)
 
 
+@st.composite
+def _gapped_measures(draw) -> AtomicMeasure:
+    # At most 4 rational atoms in (0, 10], at least 1/8 apart.  No atom at
+    # 0: the rounded recursion puts that root at +-1e-16, and a negative
+    # root is not atomic.
+    atom = st.fractions(min_value=F(1, 12), max_value=10, max_denominator=12)
+    atoms = sorted(set(draw(st.lists(atom, min_size=1, max_size=4))))
+    if any(b - a < F(1, 8) for a, b in zip(atoms, atoms[1:])):
+        atoms = atoms[:1]
+    dens = st.fractions(min_value=F(1, 12), max_value=24, max_denominator=12)
+    return AtomicMeasure(tuple(atoms), tuple(draw(dens) for _ in atoms))
+
+
+def _rounded_block_solution(gamma: MomentSequence, r: int) -> tuple[float, ...]:
+    # The r x r system on block(0, r-1) over the binary values, solved by
+    # Fraction Gauss-Jordan and rounded once.
+    g = gamma.values
+    return tuple(map(float, solve_reference(_rows(g, 0, r - 1), g[r:2 * r])))
+
+
 class TestFloatRecursionFit:
+    @settings(max_examples=120, deadline=None)
+    @given(_gapped_measures())
+    @example(AtomicMeasure((F(14, 17), F(19, 17), F(94, 17)), (F(16, 13), F(25, 13), F(24, 13))))
+    @example(AtomicMeasure((F(60, 17), F(77, 17), F(91, 17)), (F(15, 13), F(25, 13), F(19, 13))))
+    def test_float_mode_finds_the_exact_order_and_the_source_atoms(self, mu):
+        r = len(mu.atoms)
+        horizon = 2 * r + 4
+        source = moments_of(mu, horizon)
+        exact = detect_recursion(source, r + 1, EXACT)
+        # Float mode separates orders by the relative pivot against
+        # rel_eps = 1e-10: the claim holds where the source's pivots below
+        # its order sit well above that band.
+        ladder = source.ladder(EXACT)
+        assume(all(
+            ladder.table(j).dets[0] >= 1e-8 * ladder.table(j - 1).dets[0] * source[2 * j]
+            for j in range(1, r)
+        ))
+        floats = AtomicMeasure(tuple(map(float, mu.atoms)), tuple(map(float, mu.densities)))
+        gamma = moments_of(floats, horizon)
+        rec = detect_recursion(gamma, r + 1, FLOAT)
+        assert (exact.order, rec.order) == (r, r)
+        assert rec.coeffs == _rounded_block_solution(gamma, r)
+        back = recover_atoms(rec, gamma, FLOAT)
+        assert back.atoms == pytest.approx(floats.atoms, rel=1e-4)
+
     @settings(max_examples=80, deadline=None)
     @given(_NODES, st.data())
     def test_coefficients_match_numpy_lstsq(self, atoms, data):
@@ -153,6 +202,7 @@ class TestFloatRecursionFit:
         rec = detect_recursion(gamma, r, FLOAT)
         assert rec is not None and rec.order == r
         assert all(type(c) is float for c in rec.coeffs)
+        assert rec.coeffs == _rounded_block_solution(gamma, r)
         values = np.array(gamma.values)
         rows = np.array([values[p:p + r] for p in range(len(values) - r)])
         want, *_ = np.linalg.lstsq(rows, values[r:], rcond=None)

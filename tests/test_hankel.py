@@ -238,8 +238,9 @@ class TestDetSequence:
         # gamma_n = x^n + y^n, x = 2^170 and y = 2^169, exact as doubles:
         # d_1(3) = (xy)^3 (x - y)^2 = 2^1355 is past the double range.  Only
         # a read of the order-1 dets raises, every time.  The two-atom
-        # order-2 table is exactly zero; the propagation check reads it, and
-        # refuses only because its zero test's Hadamard scale has no double
+        # order-2 table is exactly zero, so the propagation check finds it
+        # vanishing from its integers, before any Hadamard scale (which has
+        # no double here) is taken.
         values = [2.0 ** (170 * n) + 2.0 ** (169 * n) for n in range(7)]
         ladder = LadderVerdicts(MomentSequence.of(values), FLOAT)
         assert ladder.verdict(3).holds
@@ -250,8 +251,11 @@ class TestDetSequence:
         assert "dets" not in vars(ladder.table(1))
         assert ladder.table(1).nums[3] == 2**1355
         assert ladder.table(2).dets == (0.0,) * 3
-        with pytest.raises(PreconditionError, match="Hadamard bound"):
-            ladder.propagation(3)
+        rep = ladder.propagation(3)
+        assert (rep.vanishing_found, rep.first_zero_anchor) == (True, 0)
+        assert (rep.conclusion_verified, rep.anchor_zero_allowed_nonzero) == (True, False)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            ladder.table(1).dets
         assert ladder.table(0).dets[0] == 2.0
 
     def test_det_is_zero_scaling(self):

@@ -351,9 +351,24 @@ class TestBlockIndices:
             with pytest.raises(PreconditionError, match="block indices must be nonnegative"):
                 ask(n, k)
 
-    def test_the_rank_structure_is_exact_only(self):
-        with pytest.raises(PreconditionError, match="exact ladder"):
-            LadderVerdicts(MomentSequence.of([1, 2, 4]), FLOAT).rank
+    def test_float_rank_reads_the_relative_pivot_and_rounds_the_solution(self):
+        def rank(values):
+            return LadderVerdicts(MomentSequence.of(values), FLOAT).rank
+
+        # gamma_n = 2^n: d_1(0) = 0, and the solution 2 comes back a double
+        got = rank([1, 2, 4])
+        assert got == (1, (2.0,)) and type(got.coeffs[0]) is float
+        # d_1(0) / (d_0(0) gamma_2) is about 1e-11 <= rel_eps: order 1, and
+        # the recursion gamma_{n+1} = gamma_n holds within the band
+        assert rank([1.0, 1.0, 1.0 + 1e-11]) == (1, (1.0,))
+        # ... unless a later moment leaves it: the order stays, coeffs go
+        assert rank([1.0, 1.0, 1.0 + 1e-11, 5.0, 25.0]) == (1, None)
+        # a relative pivot of about 1e-9 is not within rel_eps = 1e-10
+        assert rank([1.0, 1.0, 1.0 + 1e-9]) == (None, None)
+        # gamma_n = 2^-1074 * x^n, x = 2^1048: d_1(0) = 0, and the exact
+        # solution x has no double
+        with pytest.raises(PreconditionError, match="order-1 recursion lies beyond the double"):
+            rank([2.0**-1074, 2.0**-26, 2.0**1022])
 
 
 @st.composite
