@@ -457,7 +457,7 @@ class LadderVerdicts:
 
     def _row_norms(self, k: int) -> list[float]:
         # norms[m] = |(gamma_m, ..., gamma_{m+k})|_2, row 0 of block(m, k)
-        # and row i of block(m - i, k): the norms `hadamard_bound` takes.
+        # and row i of block(m - i, k): the norms `numkit._norm_product` takes.
         norms = self._norms.get(k)
         if norms is None:
             g = self._doubles
@@ -579,7 +579,7 @@ class LadderVerdicts:
         """d_k(n) = 0: from the integers in exact mode, and in float mode
         when the integer is 0; otherwise in float mode |d_k(n)| lies within
         the zero band scaled by the block's Hadamard bound (the product of
-        its row norms, `numkit.hadamard_bound`), multiplied from the kept
+        its row norms, `numkit._norm_product`), multiplied from the kept
         row norms."""
         _check_block(self.gamma, n, k)
         table = self._pull(k)

@@ -53,7 +53,6 @@ __all__ = [
     "squarefree",
     "solve_vandermonde",
     "solve_linear_exact",
-    "hadamard_bound",
     "fmt_scalar",
 ]
 
@@ -734,20 +733,9 @@ def solve_vandermonde(
         ) from None
 
 
-def hadamard_bound(matrix: _Matrix) -> float:
-    """Product of row 2-norms: a cheap a-priori bound on |det|, used to scale
-    float-mode zero-determinant tests.
-
-    `math.hypot` scales each row by its largest absolute entry, so entries
-    past the square root of the double range do not overflow the norm.  A
-    product of norms beyond the double range is a PreconditionError: an inf
-    scale would band every determinant as zero.
-    """
-    return _norm_product([math.hypot(*(float(x) for x in row)) for row in _rows_of(matrix)])
-
-
 def _norm_product(norms: Sequence[float]) -> float:
-    # `hadamard_bound` from the row norms, multiplied in order.
+    # The Hadamard bound on |det| of a matrix from its row 2-norms,
+    # multiplied in order: a cheap a-priori scale for float zero tests.
     if 0.0 in norms:
         return 0.0
     bound = float(math.prod(norms))

@@ -37,9 +37,9 @@ from .numkit import (
     ToleranceContext,
     _echelon,
     _primitive_ints,
+    _rounded,
     det_bareiss,
     fmt_scalar,
-    hadamard_bound,
     psd_with_margin,
     real_roots,
     squarefree,
@@ -128,26 +128,27 @@ class DiscriminantDiagnostic:
     holds: bool
 
 
-def _closed_terms(gamma: MomentSequence, *indices: int) -> list:
-    # The moments at indices, as the closed forms compute on them: doubles
-    # when gamma has a float, else the ints G = D * gamma of
-    # `MomentSequence.integer_view`.  A form of degree m in G is D^m times
-    # its value in gamma, so a ratio of forms of equal degree is unchanged.
-    if gamma.has_float:
-        return [float(gamma[i]) for i in indices]
+def _closed_terms(gamma: MomentSequence, *indices: int) -> list[int]:
+    # The moments at indices, as the closed forms compute on them in both
+    # modes: the ints G = D * gamma of `MomentSequence.integer_view`, floats
+    # at their binary values.  A form of degree m in G is D^m times its value
+    # in gamma, so a ratio of forms of equal degree is unchanged.
     g = gamma.integer_view[0]
     return [g[i] for i in indices]
 
 
-def _quotient(gamma: MomentSequence, num: int | float, den: int | float) -> Scalar:
-    # num / den of two `_closed_terms` forms: a double, or one Fraction.
-    return num / den if gamma.has_float else Fraction(num, den)
-
-
-def _form_value(gamma: MomentSequence, form: int | float, degree: int) -> Scalar:
-    # A `_closed_terms` form of the given degree as its value in gamma: a
-    # double as it is, or one Fraction over D^degree.
-    return form if gamma.has_float else Fraction(form, gamma.integer_view[1] ** degree)
+def _closed_value(gamma: MomentSequence, num: int, den: int) -> Scalar:
+    # num / den (den != 0) of two `_closed_terms` forms as a closed form
+    # returns it: one Fraction, or on a sequence with a float its correctly
+    # rounded double (`numkit._rounded`), which must be finite.
+    if not gamma.has_float:
+        return Fraction(num, den)
+    value = _rounded(-num, -den) if den < 0 else _rounded(num, den)
+    if math.isinf(value):
+        raise PreconditionError(
+            "a closed-form value of the float moments lies beyond the double range"
+        )
+    return value
 
 
 def perturb_moments(gamma: MomentSequence, cut: int, scale: Scalar) -> MomentSequence:
@@ -225,12 +226,14 @@ def stability_interval_k1(
 
     Only the two anchors straddling the cut constrain t: the one below gives
     t >= gamma_l^2/(gamma_{l-1} gamma_{l+1}), the one at the cut gives
-    t <= gamma_l gamma_{l+2}/gamma_{l+1}^2.  Requires 1-positivity, which
-    makes the interval well ordered and puts 1 inside it; float bounds that
-    rounding leaves out of order, or below 1, are a PreconditionError.  An
-    exact sequence's bounds are ratios of integer products of
-    `MomentSequence.integer_view`, each built as one Fraction; a sequence
-    with a float computes them in doubles.
+    t <= gamma_l gamma_{l+2}/gamma_{l+1}^2.  Requires 1-positivity.  Each
+    bound is a ratio of integer products of `MomentSequence.integer_view`
+    (floats at their binary values): one Fraction, or on a sequence with a
+    float its correctly rounded double.  The interval returned is [min(lo,
+    1), max(hi, 1)].  On an exact sequence 1-positivity already puts 1
+    inside, so the clamp changes nothing; on a float sequence it acts only
+    when the sequence is log-convex within the band but not over its binary
+    values, and its 1 is the double 1.0.
     """
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
@@ -243,19 +246,9 @@ def stability_interval_k1(
             "interval around 1"
         )
     a, b, c, d = _closed_terms(gamma, cut - 1, cut, cut + 1, cut + 2)
-    try:
-        lo, hi = _quotient(gamma, b * b, a * c), _quotient(gamma, b * d, c * c)
-    except ZeroDivisionError:
-        raise PreconditionError(
-            "a product of float moments underflows to 0, so the order-1 bounds "
-            "leave the double range"
-        ) from None
-    if lo > hi or hi < 1:
-        raise PreconditionError(
-            f"float rounding put the order-1 bounds [{fmt_scalar(lo)}, "
-            f"{fmt_scalar(hi)}] out of order or below 1"
-        )
-    return Interval(lo, hi)
+    lo, hi = _closed_value(gamma, b * b, a * c), _closed_value(gamma, b * d, c * c)
+    one = 1.0 if gamma.has_float else Fraction(1)
+    return Interval(min(lo, one), max(hi, one))
 
 
 def det_quadratic(
@@ -264,17 +257,17 @@ def det_quadratic(
     """Coefficients (a, b, c) of the quadratic q(t) = a t^2 + b t + c whose
     sign equals that of the order-2 perturbed-block determinant at the given
     anchor (the determinant equals q(t) at anchor cut-2 and t*q(t) at anchor
-    cut-1).  Each coefficient is a form of degree 3 in the moments: on an
-    exact sequence it is computed over the integers G = D * gamma of
-    `MomentSequence.integer_view` and divided by D^3 once; a sequence with a
-    float computes it in doubles."""
-    a, b, c = _det_quadratic_terms(gamma, cut, anchor)
-    return _form_value(gamma, a, 3), _form_value(gamma, b, 3), _form_value(gamma, c, 3)
+    cut-1).  Each coefficient is a form of degree 3 in the moments, computed
+    over the integers G = D * gamma of `MomentSequence.integer_view` (floats
+    at their binary values) and divided by D^3 once: a Fraction, or on a
+    sequence with a float its correctly rounded double."""
+    cube = gamma.integer_view[1] ** 3
+    return tuple(_closed_value(gamma, c, cube) for c in _det_quadratic_terms(gamma, cut, anchor))
 
 
 def _det_quadratic_terms(gamma: MomentSequence, cut: int, anchor: int) -> tuple:
-    # `det_quadratic` over `_closed_terms`: D^3 times it on an exact
-    # sequence, a positive multiple with the same roots.
+    # `det_quadratic` over `_closed_terms`: D^3 times it, a positive
+    # multiple with the same roots.
     l = cut
     if anchor == cut - 2:
         if cut < 2:
@@ -310,7 +303,8 @@ def corner_det_lower_bound(gamma: MomentSequence, cut: int) -> Scalar:
     determinant is linear in t with slope gamma_{l+1} * d where
     d = gamma_{l-3} gamma_{l-1} - gamma_{l-2}^2.  Degenerate slope (d == 0)
     is rejected; callers fall back to the pencil engine.  The bound is a
-    ratio of forms of degree 4, taken over `_closed_terms`.
+    ratio of forms of degree 4 over `_closed_terms`, rounded once on a
+    sequence with a float (`_closed_value`).
     """
     l = cut
     if cut < 3:
@@ -324,7 +318,7 @@ def corner_det_lower_bound(gamma: MomentSequence, cut: int) -> Scalar:
             "degenerate: the t-free principal minor at anchor cut-3 vanishes"
         )
     big_d = g2 * g0 - g1 * g1
-    return _quotient(gamma, g0 * g0 * d + big_d * big_d, g1 * p1 * d)
+    return _closed_value(gamma, g0 * g0 * d + big_d * big_d, g1 * p1 * d)
 
 
 def corner_det_upper_bound(gamma: MomentSequence, cut: int) -> Scalar:
@@ -333,25 +327,22 @@ def corner_det_upper_bound(gamma: MomentSequence, cut: int) -> Scalar:
     determinant det[[0, g_{l+1}, g_{l+2}], [g_{l+1}, g_{l+2}, g_{l+3}],
     [g_{l+2}, g_{l+3}, g_{l+4}]].  A vanishing denominator makes the
     determinant constraint vacuous and is rejected; callers fall back to
-    the pencil engine.  The bound is a ratio of forms of degree 3, taken
-    over `_closed_terms`; the bordered determinant is 2 g_{l+1} g_{l+2}
-    g_{l+3} - g_{l+1}^2 g_{l+4} - g_{l+2}^3 over the integers, and the
-    correctly rounded `det_bareiss` over doubles.
+    the pencil engine.  The bound is a ratio of forms of degree 3 over
+    `_closed_terms`, rounded once on a sequence with a float
+    (`_closed_value`); the bordered determinant is 2 g_{l+1} g_{l+2} g_{l+3}
+    - g_{l+1}^2 g_{l+4} - g_{l+2}^3.
     """
     l = cut
     if cut + 4 > gamma.horizon:
         raise InsufficientMomentsError(cut + 4, gamma.horizon)
     g0, p1, p2, p3, p4 = _closed_terms(gamma, l, l + 1, l + 2, l + 3, l + 4)
     minor = p2 * p4 - p3 * p3
-    if gamma.has_float:
-        bordered = det_bareiss([[0 * g0, p1, p2], [p1, p2, p3], [p2, p3, p4]])
-    else:
-        bordered = 2 * p1 * p2 * p3 - p1 * p1 * p4 - p2 * p2 * p2
+    bordered = 2 * p1 * p2 * p3 - p1 * p1 * p4 - p2 * p2 * p2
     if bordered == 0:
         raise PreconditionError(
             "degenerate: bordered determinant at the cut anchor vanishes"
         )
-    return _quotient(gamma, -g0 * minor, bordered)
+    return _closed_value(gamma, -g0 * minor, bordered)
 
 
 def _interpolate(values: list[int]) -> list[int]:
@@ -615,23 +606,23 @@ def stability_interval_k2(
     anchors at distance >= 4 below the cut are t-free.  Degenerate cases
     (vanishing slope or denominator, tangent quadratics, an interval that
     rounding moved off 1) fall back to the pencil engine for that anchor
-    and are flagged.  On an exact sequence every bound, ratio and quadratic
-    is computed over the integers of `MomentSequence.integer_view`: each
-    bound is one Fraction, and each quadratic is D^3 times `det_quadratic`,
-    with the same roots, read off its discriminant (`numkit.real_roots`).
-    A sequence with a float computes them in doubles.
+    and are flagged.  Every bound, ratio and quadratic is computed over the
+    integers of `MomentSequence.integer_view`, floats at their binary
+    values: each bound is one Fraction, or on a sequence with a float its
+    correctly rounded double (`_closed_value`), and each quadratic is D^3
+    times `det_quadratic`, with the same roots, read off its discriminant
+    (`numkit.real_roots`) and isolated once with the pencil engine's
+    (`_roots`).
     """
     cap = _window_cap(gamma, cut, 2, ctx)
     l = cut
     per_block: dict[int, Interval] = {}
     methods: dict[int, tuple[str, str]] = {}
     flags: list[str] = []
+    g = gamma.integer_view[0]
 
     def ratio(i: int, j: int, a: int, b: int) -> Scalar:
-        if gamma.has_float:
-            return float(gamma[i] * gamma[j]) / float(gamma[a] * gamma[b])
-        g = gamma.integer_view[0]
-        return Fraction(g[i] * g[j], g[a] * g[b])
+        return _closed_value(gamma, g[i] * g[j], g[a] * g[b])
 
     def closed(n: int) -> tuple[Scalar, Scalar, tuple[str, str]] | str:
         # The anchor's closed-form interval and methods, or why it has none.
@@ -653,7 +644,7 @@ def stability_interval_k2(
         if roots is None or len(roots) != 2:
             return "tangent determinant quadratic"
         if gamma.has_float:
-            roots = [float(r) for r in roots]
+            roots = [_closed_value(gamma, *r.as_integer_ratio()) for r in roots]
         hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
         lo, lo_m = max(
             [(roots[0], "quadratic_root"), (ratio(l, l, n, 2 * l - n), cf)],
@@ -670,7 +661,7 @@ def stability_interval_k2(
     for n in range(max(0, cut - 3), cut + 1):
         got = closed(n)
         # Rounding (float mode, or a root within half an ulp of 1) can leave
-        # 1 outside; a nan bound falls through to Interval, which rejects it.
+        # 1 outside.
         if isinstance(got, tuple) and not (got[0] > 1 or got[1] < 1):
             per_block[n], methods[n] = Interval(got[0], got[1]), got[2]
             continue
@@ -774,7 +765,6 @@ def rank_one_det_expansion_holds(
     cut: int,
     k: int,
     scale: Scalar,
-    ctx: ToleranceContext = EXACT,
 ) -> bool:
     """Determinant identity at the cut anchor, where the truncated block is
     a single corner: det(t*B + (1-t)*H) == t^(k+1) det(B) + (1-t) t^k
@@ -783,27 +773,29 @@ def rank_one_det_expansion_holds(
     The pencil engine reads its cut-anchor polynomial off this identity
     (`_pencil_poly`, from the ladder's d_k(cut) and d_{k-1}(cut+2)); this
     function checks the identity itself at one scale and is the tests'
-    oracle for it."""
+    oracle for it.  The check is exact, over the integers G = D * gamma of
+    `MomentSequence.integer_view` (floats and a float scale at their binary
+    values): both sides are forms of degree k+1 in the moments, so each is
+    D^(k+1) times its value in gamma."""
     if cut + 2 * k > gamma.horizon:
         raise InsufficientMomentsError(cut + 2 * k, gamma.horizon)
     _check_block(gamma, cut, k)
-    t = scale if isinstance(scale, float) else float(scale) if gamma.has_float else Fraction(scale)
-    rows = _rows(gamma.values, cut, k)
-    # The perturbed block: only the corner gamma_cut lies at or below the cut.
+    t = Fraction(scale)
+    g = gamma.integer_view[0]
+    rows = _rows(g, cut, k)
+    # The perturbed block: only the corner G_cut lies at or below the cut.
     scaled = [[v if i + j == 0 else t * v for j, v in enumerate(r)] for i, r in enumerate(rows)]
-    lhs = det_bareiss(scaled)
-    full = det_bareiss(rows)
-    cof = det_bareiss(_rows(gamma.values, cut + 2, k - 1)) if k >= 1 else 1
-    rhs = t ** (k + 1) * full + (1 - t) * t**k * gamma[cut] * cof
-    if ctx.is_exact and not gamma.has_float and not isinstance(t, float):
-        return lhs == rhs
-    return ctx.is_zero(float(lhs) - float(rhs), hadamard_bound(scaled))
+    cof = det_bareiss(_rows(g, cut + 2, k - 1)) if k >= 1 else 1
+    rhs = t ** (k + 1) * det_bareiss(rows) + (1 - t) * t**k * g[cut] * cof
+    return det_bareiss(scaled) == rhs
 
 
 def discriminant_diagnostic(gamma: MomentSequence, cut: int) -> DiscriminantDiagnostic:
     """Compare the two quadratic discriminant ingredients; exposed for
     inspection because the inequality's hypotheses are unclear.  Both are
-    forms of degree 4, taken over `_closed_terms`."""
+    forms of degree 4 over `_closed_terms`, compared exactly and divided by
+    D^4 once: Fractions, or on a sequence with a float their correctly
+    rounded doubles (`_closed_value`)."""
     l = cut
     if cut < 2:
         raise PreconditionError("diagnostic needs cut >= 2")
@@ -812,6 +804,9 @@ def discriminant_diagnostic(gamma: MomentSequence, cut: int) -> DiscriminantDiag
     g2, g1, g0, p1, p2, p3 = _closed_terms(gamma, l - 2, l - 1, l, l + 1, l + 2, l + 3)
     lhs = min(g1 * g1 * p1 * p3, g2 * g0 * p2 * p2)
     rhs = (2 * g0 * p1 - g1 * p2) ** 2
+    quartic = gamma.integer_view[1] ** 4
     return DiscriminantDiagnostic(
-        lhs=_form_value(gamma, lhs, 4), rhs=_form_value(gamma, rhs, 4), holds=lhs >= rhs
+        lhs=_closed_value(gamma, lhs, quartic),
+        rhs=_closed_value(gamma, rhs, quartic),
+        holds=lhs >= rhs,
     )

@@ -1,8 +1,9 @@
 """Seeded instance generators, and the reference zero test of block
-determinants, shared across test modules."""
+determinants with its Hadamard bound, shared across test modules."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,12 +13,12 @@ from hankelshift import (
     Scalar,
     ToleranceContext,
     WeightSequence,
-    hadamard_bound,
     is_k_positive,
     moments_of,
     weights_to_moments,
 )
 from hankelshift.hankel import _check_block, _rows
+from hankelshift.numkit import SymMatrix, _norm_product
 
 
 def rand_fraction(
@@ -104,6 +105,20 @@ def k_positive_moments(
 def bergman_moments(horizon: int) -> MomentSequence:
     sq = tuple(Fraction(n + 1, n + 2) for n in range(horizon))
     return weights_to_moments(WeightSequence.from_squared(sq))
+
+
+def hadamard_bound(matrix) -> float:
+    """Product of row 2-norms (rows, or a `SymMatrix`): a cheap a-priori
+    bound on |det|, the scale of the reference float zero test.
+
+    `math.hypot` scales each row by its largest absolute entry, so entries
+    past the square root of the double range do not overflow the norm.  A
+    product of norms beyond the double range is a PreconditionError
+    (`numkit._norm_product`): an inf scale would band every determinant as
+    zero.
+    """
+    rows = matrix.rows if isinstance(matrix, SymMatrix) else matrix
+    return _norm_product([math.hypot(*(float(x) for x in row)) for row in rows])
 
 
 def det_is_zero(

@@ -422,30 +422,45 @@ class TestSubcommands:
         assert captured.err.startswith("precondition error:")
         assert message in captured.err
 
-    def test_float_overflow_to_nan_exits_3(self, tmp_path, capsys):
-        # moments near 1e80 overflow the order-2 corner bounds to nan, which
-        # used to print "lo": "nan" and "hi": "nan" with exit 0
+    def test_moments_near_1e80_get_finite_closed_form_endpoints(self, tmp_path, capsys):
+        # moments near 1e80 overflowed the double arithmetic of the order-2
+        # corner bounds to nan (exit 3, and exit 0 with "nan" endpoints
+        # before that); on the integer view the closed form is finite and
+        # agrees with the pencil engine to within an ulp.
         path = write(
             tmp_path, "big.csv", "\n".join(repr(1e80 / (n + 1)) for n in range(14)) + "\n"
         )
         for extra in (["--closed-form"], []):
             argv = ["perturb", path, "--l", "4", "--k", "2", "--json", "--no-timestamp"]
-            assert cli.main(argv + extra) == 3
+            assert cli.main(argv + extra) == 0
             captured = capsys.readouterr()
-            assert_json_error(captured, 3, "precondition")
-            assert captured.err.startswith("precondition error: interval endpoint is nan")
-            assert captured.err.count("\n") == 1
+            assert captured.err == ""
+            res = json.loads(captured.out)["results"]
+            closed = res["closed_form"]["intersection"]
+            assert (closed["lo"], closed["hi"]) == ("0.9987457537698562", "1.002073580880346")
+            if extra:
+                continue
+            assert res["interiority"]["agreement"] and res["interiority"]["interior"]
+            assert float(res["cross_check_max_deviation"]) <= 2.3e-16
+
+    def test_weights_near_1e_201_get_finite_order_one_bounds(self, tmp_path, capsys):
+        # a * c underflowed to 0 in the double arithmetic of the order-1
+        # closed form (exit 3); on the integer view both orders are finite.
+        doc = '{"kind": "weights", "values": [2.74e-201, 1.0, 1.0, 1.0, 1.0]}'
+        path = write(tmp_path, "tiny.json", doc)
+        for extra in (["--closed-form"], []):
+            assert cli.main(["perturb", path, *extra, "--json", "--no-timestamp"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            res = json.loads(captured.out)["results"]
+            closed = res["closed_form"]["intersection"]
+            assert float(closed["lo"]) <= 1 <= float(closed["hi"])
+            if not extra:
+                assert res["interiority"]["agreement"]
 
     @pytest.mark.parametrize(
         "name, content, argv, message",
         [
-            # a * c underflows to 0 in the order-1 closed form
-            (
-                "tiny.json",
-                '{"kind": "weights", "values": [2.74e-201, 1.0, 1.0, 1.0, 1.0]}',
-                ["perturb", "--closed-form"],
-                "underflows to 0",
-            ),
             # gamma_2 = 1e600 of the float measure
             ("atom.json", '{"kind": "measure", "atoms": [1e300], "densities": [1]}',
              ["dets"], "a moment lies beyond the double range: gamma_2 of the float measure"),
@@ -719,19 +734,27 @@ class TestPencilEngine:
         "base, ratio, count, cut, k",
         [(F(3, 7), F(12, 7), 9, 4, 1), (F(6, 7), F(1, 7), 12, 3, 3)],
     )
-    def test_crossed_order_one_bounds_are_a_precondition(
+    def test_geometric_order_one_bounds_clamp_to_one(
         self, tmp_path, capsys, base, ratio, count, cut, k
     ):
         # Geometric moments: both order-1 bounds are 1, and rounding crossed
-        # them (0.9999999999999999 > 0.9999999999999998 for the first); the
-        # Interval constructor used to raise an uncaught ValueError.
+        # them (0.9999999999999999 > 0.9999999999999998 for the first),
+        # first an uncaught ValueError, then exit 3.  The bounds are clamped
+        # to [min(lo, 1), max(hi, 1)], and the pencil engine flags the
+        # anchors whose blocks are not PSD over the binary values.
         values = [float(base * ratio**n) for n in range(count)]
         path = write(tmp_path, "geo.csv", "\n".join(map(repr, values)) + "\n")
-        assert cli.main(["perturb", path, "--l", str(cut), "--k", str(k)]) == 3
+        argv = ["perturb", path, "--l", str(cut), "--k", str(k), "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("precondition error: float rounding")
-        assert captured.err.count("\n") == 1
+        assert captured.err == ""
+        res = json.loads(captured.out)["results"]
+        if k == 1:
+            closed = res["closed_form"]["intersection"]
+            # the clamp's 1 is the double 1.0, not the int 1
+            assert (closed["lo"], closed["hi"]) == ("0.9999999999999999", "1.0")
+        assert res["interiority"]["agreement"]
+        assert any("marginal" in f for f in res["bisection"]["flags"])
 
     def test_float_block_singular_at_one_gets_the_point_one(self, tmp_path, capsys):
         # Two atoms at order 2: every block is singular, and over the binary

@@ -1,11 +1,12 @@
 """Differential tests of the order-1 and order-2 closed forms.
 
-On an exact sequence the closed forms compute over the integers of
-`MomentSequence.integer_view` and build one Fraction per bound; their
-quadratics are D^3 times `det_quadratic`, whose roots `real_roots` reads
-off the discriminant.  The Fraction computation they replaced lives on
-below as the reference: every bound and coefficient in Fraction arithmetic
-(doubles for a sequence with a float), the quadratics' roots from the
+The closed forms compute over the integers of `MomentSequence.integer_view`
+(floats at their binary values) and build one Fraction per bound, or on a
+sequence with a float its correctly rounded double; their quadratics are
+D^3 times `det_quadratic`, whose roots `real_roots` reads off the
+discriminant.  The reference below computes every bound and coefficient in
+Fraction arithmetic over the binary values and rounds a float sequence's
+values once with `float(Fraction)`; the quadratics' roots come from the
 test oracle `real_roots_reference` (Sturm chain over Fractions, halving).
 The pencil engine fallback and the report assembly are the package's own.
 Both must give the same report, repr for repr, or the same error.
@@ -17,22 +18,24 @@ import random
 from fractions import Fraction
 from operator import itemgetter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelshift import (
     EXACT,
     FLOAT,
+    DiscriminantDiagnostic,
     Interval,
     MomentSequence,
     PreconditionError,
-    det_bareiss,
+    WeightSequence,
     det_quadratic,
-    fmt_scalar,
+    discriminant_diagnostic,
     is_k_positive,
     log_convexity,
     stability_interval_k1,
     stability_interval_k2,
+    weights_to_moments,
 )
 from hankelshift.numkit import HankelshiftError
 from hankelshift.perturbation import _assemble_report, _pencil_block
@@ -47,10 +50,23 @@ def _floaty(gamma):
     return any(isinstance(v, float) for v in gamma.values)
 
 
-def _exactify(gamma, *values):
-    if _floaty(gamma) or any(isinstance(v, float) for v in values):
-        return tuple(float(v) for v in values)
+def _exactify(*values):
+    # Every value at its exact (binary) value.
     return tuple(Fraction(v) for v in values)
+
+
+_PAST_THE_RANGE = "a closed-form value of the float moments lies beyond the double range"
+
+
+def _round(gamma, x):
+    # A Fraction as a closed form returns it: itself on an exact sequence,
+    # rounded once on a sequence with a float, which must stay finite.
+    if not _floaty(gamma):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        raise PreconditionError(_PAST_THE_RANGE) from None
 
 
 def k1_reference(gamma, cut, ctx=EXACT):
@@ -63,57 +79,48 @@ def k1_reference(gamma, cut, ctx=EXACT):
             "sequence is not 1-positive; admissible scales need not form an "
             "interval around 1"
         )
-    a, b, c, d = _exactify(gamma, gamma[cut - 1], gamma[cut], gamma[cut + 1], gamma[cut + 2])
-    try:
-        lo, hi = b * b / (a * c), b * d / (c * c)
-    except ZeroDivisionError:
-        raise PreconditionError(
-            "a product of float moments underflows to 0, so the order-1 bounds "
-            "leave the double range"
-        ) from None
-    if lo > hi or hi < 1:
-        raise PreconditionError(
-            f"float rounding put the order-1 bounds [{fmt_scalar(lo)}, "
-            f"{fmt_scalar(hi)}] out of order or below 1"
-        )
-    return Interval(lo, hi)
+    a, b, c, d = _exactify(gamma[cut - 1], gamma[cut], gamma[cut + 1], gamma[cut + 2])
+    lo, hi = _round(gamma, b * b / (a * c)), _round(gamma, b * d / (c * c))
+    one = 1.0 if _floaty(gamma) else Fraction(1)
+    return Interval(min(lo, one), max(hi, one))
 
 
 def det_quadratic_reference(gamma, cut, anchor):
     l = cut
     if anchor == cut - 2:
-        g2, g1, g0, p1, p2 = _exactify(
-            gamma, gamma[l - 2], gamma[l - 1], gamma[l], gamma[l + 1], gamma[l + 2]
-        )
+        g2, g1, g0, p1, p2 = _exactify(*(gamma[i] for i in range(l - 2, l + 3)))
         return (-g2 * p1 * p1, g2 * g0 * p2 + 2 * g1 * g0 * p1 - g1 * g1 * p2, -g0 * g0 * g0)
-    g1, g0, p1, p2, p3 = _exactify(
-        gamma, gamma[l - 1], gamma[l], gamma[l + 1], gamma[l + 2], gamma[l + 3]
-    )
+    g1, g0, p1, p2, p3 = _exactify(*(gamma[i] for i in range(l - 1, l + 4)))
     return (-p1 * p1 * p1, g1 * p1 * p3 + 2 * g0 * p1 * p2 - g1 * p2 * p2, -g0 * g0 * p3)
 
 
 def corner_lower_reference(gamma, cut):
     l = cut
-    g3, g2, g1, g0, p1 = _exactify(
-        gamma, gamma[l - 3], gamma[l - 2], gamma[l - 1], gamma[l], gamma[l + 1]
-    )
+    g3, g2, g1, g0, p1 = _exactify(*(gamma[i] for i in range(l - 3, l + 2)))
     d = g3 * g1 - g2 * g2
     if d == 0:
         return None
     big_d = g2 * g0 - g1 * g1
-    return (g0 * g0 * d + big_d * big_d) / (g1 * p1 * d)
+    return _round(gamma, (g0 * g0 * d + big_d * big_d) / (g1 * p1 * d))
 
 
 def corner_upper_reference(gamma, cut):
     l = cut
-    g0, p1, p2, p3, p4 = _exactify(
-        gamma, gamma[l], gamma[l + 1], gamma[l + 2], gamma[l + 3], gamma[l + 4]
-    )
+    g0, p1, p2, p3, p4 = _exactify(*(gamma[i] for i in range(l, l + 5)))
     minor = p2 * p4 - p3 * p3
-    bordered = det_bareiss([[0 * g0, p1, p2], [p1, p2, p3], [p2, p3, p4]])
+    # det [[0, p1, p2], [p1, p2, p3], [p2, p3, p4]] by the first row
+    bordered = -p1 * (p1 * p4 - p3 * p2) + p2 * (p1 * p3 - p2 * p2)
     if bordered == 0:
         return None
-    return -g0 * minor / bordered
+    return _round(gamma, -g0 * minor / bordered)
+
+
+def discriminant_reference(gamma, cut):
+    l = cut
+    g2, g1, g0, p1, p2, p3 = _exactify(*(gamma[i] for i in range(l - 2, l + 4)))
+    lhs = min(g1 * g1 * p1 * p3, g2 * g0 * p2 * p2)
+    rhs = (2 * g0 * p1 - g1 * p2) ** 2
+    return DiscriminantDiagnostic(_round(gamma, lhs), _round(gamma, rhs), lhs >= rhs)
 
 
 def k2_reference(gamma, cut, ctx=EXACT):
@@ -130,8 +137,8 @@ def k2_reference(gamma, cut, ctx=EXACT):
     per_block, methods, flags = {}, {}, []
 
     def ratio(i, j, a, b):
-        num, den = _exactify(gamma, gamma[i] * gamma[j], gamma[a] * gamma[b])
-        return num / den
+        gi, gj, ga, gb = _exactify(gamma[i], gamma[j], gamma[a], gamma[b])
+        return _round(gamma, gi * gj / (ga * gb))
 
     def closed(n):
         cf = "closed_form"
@@ -150,7 +157,7 @@ def k2_reference(gamma, cut, ctx=EXACT):
         if roots is None or len(roots) != 2:
             return "tangent determinant quadratic"
         if _floaty(gamma):
-            roots = [float(r) for r in roots]
+            roots = [_round(gamma, Fraction(r)) for r in roots]
         hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
         lo, lo_m = max(
             [(roots[0], "quadratic_root"), (ratio(l, l, n, 2 * l - n), cf)], key=itemgetter(0)
@@ -175,10 +182,10 @@ def k2_reference(gamma, cut, ctx=EXACT):
 # ---------------------------------------------------------------- helpers
 
 
-def _outcome(fn, values, cut, ctx):
+def _outcome(fn, values, *args):
     # Each side gets its own sequence, so no cached roots or caps are shared.
     try:
-        return "ok", repr(fn(MomentSequence.of(values), cut, ctx))
+        return "ok", repr(fn(MomentSequence.of(values), *args))
     except HankelshiftError as exc:
         return type(exc).__name__, str(exc)
 
@@ -242,8 +249,59 @@ def test_det_quadratic_returns_the_fraction_coefficients():
     rng = random.Random(1900)
     for _ in range(20):
         gamma = measure_moments(rng, 10, min_atoms=3, positive=True)
+        floats = MomentSequence.of([float(v) for v in gamma.values])
         for cut in range(2, 7):
             for anchor in (cut - 2, cut - 1):
                 got = det_quadratic(gamma, cut, anchor)
                 want = det_quadratic_reference(gamma, cut, anchor)
                 assert got == want and all(type(c) is Fraction for c in got)
+                # a float sequence's coefficients are the exact ones over
+                # its binary values, each rounded once
+                want = _rounded_quadratic(floats, cut, anchor)
+                assert repr(det_quadratic(floats, cut, anchor)) == repr(want)
+
+
+# Float moments spread over 1e-200 ... 1e200: a k-positive sequence times
+# c * rho^n (c, rho powers of 10), which keeps every block's PSD verdict,
+# rounded to doubles.
+@st.composite
+def _wide_floats(draw) -> tuple:
+    kind = draw(st.sampled_from(["bergman", "atomic", "few_atoms", "logconvex", "kpositive"]))
+    base = _sequence(kind, draw(st.integers(0, 2**32)))
+    first, last = draw(st.integers(-200, 180)), draw(st.integers(-200, 180))
+    step = (last - first) // (len(base) - 1)
+    return tuple(float(v * Fraction(10) ** (first + step * n)) for n, v in enumerate(base))
+
+
+_BIG = tuple(1e80 / (n + 1) for n in range(14))  # big.csv of the CLI tests
+_TINY = weights_to_moments(WeightSequence.from_squared((2.74e-201, 1.0, 1.0, 1.0, 1.0))).values
+
+
+def _rounded_quadratic(gamma, cut, anchor):
+    return tuple(_round(gamma, c) for c in det_quadratic_reference(gamma, cut, anchor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_floats())
+@example(_BIG)
+@example(_TINY)
+def test_wide_exponent_floats_round_once_or_leave_the_double_range(values):
+    horizon = len(values) - 1
+    outcomes = []
+    for ctx in (EXACT, FLOAT):
+        for cut in range(1, horizon - 1):
+            outcomes.append((_outcome(stability_interval_k1, values, cut, ctx),
+                             _outcome(k1_reference, values, cut, ctx)))
+        for cut in range(1, horizon - 3):
+            outcomes.append((_outcome(stability_interval_k2, values, cut, ctx),
+                             _outcome(k2_reference, values, cut, ctx)))
+    for cut in range(2, horizon - 2):
+        outcomes.append((_outcome(discriminant_diagnostic, values, cut),
+                         _outcome(discriminant_reference, values, cut)))
+        for anchor in (cut - 2, cut - 1):
+            outcomes.append((_outcome(det_quadratic, values, cut, anchor),
+                             _outcome(_rounded_quadratic, values, cut, anchor)))
+    for got, want in outcomes:
+        assert got == want
+        # the one documented error past the double range, never a traceback
+        assert got[0] in ("ok", "PreconditionError")

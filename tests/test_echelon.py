@@ -17,7 +17,6 @@ from hankelshift import (
     FLOAT,
     AtomicMeasure,
     det_bareiss,
-    hadamard_bound,
     is_pd,
     is_psd,
     moments_of,
@@ -27,6 +26,8 @@ from hankelshift import (
     solve_linear_exact,
 )
 from hankelshift.numkit import _echelon
+
+from gen import hadamard_bound
 
 _ints = st.integers(-6, 6)
 _rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))

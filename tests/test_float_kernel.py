@@ -33,9 +33,8 @@ from hankelshift import (
     solve_vandermonde,
 )
 from hankelshift.hankel import _rows
-from hankelshift.numkit import hadamard_bound
 
-from gen import bergman_moments
+from gen import bergman_moments, hadamard_bound
 from test_integer_kernel import solve_reference
 
 

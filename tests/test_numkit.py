@@ -22,7 +22,6 @@ from hankelshift import (
     ToleranceContext,
     det_bareiss,
     fmt_scalar,
-    hadamard_bound,
     is_pd,
     is_psd,
     psd_with_margin,
@@ -31,6 +30,8 @@ from hankelshift import (
     solve_vandermonde,
     squarefree,
 )
+
+from gen import hadamard_bound
 
 
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)

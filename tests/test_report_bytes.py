@@ -14,6 +14,10 @@ every run's [exit code, stdout, stderr], keyed by its argv, at two commits
 and diff the dumps:
 
     PYTHONPATH=src python tests/test_report_bytes.py --dump PATH
+    PYTHONPATH=src python tests/test_report_bytes.py --diff PARENT CHANGE
+
+`--diff` prints each argv whose outcome differs between two dumps, with
+its exit code in each, and then a count of the moved runs.
 """
 
 from __future__ import annotations
@@ -169,6 +173,14 @@ def test_every_pin_has_its_run(pinned):
     assert set(pinned) == {" ".join(argv) for name, _ in CORPUS for argv in argvs(name)}
 
 
+def test_diff_lists_each_moved_run_with_both_exit_codes():
+    parent = {"a": [0, "x", ""], "b": [3, "", "e"], "c": [0, "y", ""]}
+    change = {"a": [0, "x", ""], "b": [0, "z", ""], "d": [2, "", "f"]}
+    assert moved_runs(parent, change) == [
+        "b: exit 3 -> 0", "c: exit 0 -> -", "d: exit - -> 2"
+    ]
+
+
 def _corpus_runs(run) -> dict:
     # run(argv) of every corpus run, in a scratch directory, without the
     # tolerance override the environment might set.
@@ -192,10 +204,26 @@ def _save(path: Path, runs: dict, what: str) -> None:
     print(f"{len(runs)} {what} written to {path}")
 
 
+def moved_runs(parent: dict, change: dict) -> list[str]:
+    """One line per argv whose outcome differs between two dumps: the argv
+    and its exit code in each ("-" where a dump lacks the run)."""
+    def code(runs: dict, argv: str) -> str:
+        return str(runs[argv][0]) if argv in runs else "-"
+
+    return [
+        f"{argv}: exit {code(parent, argv)} -> {code(change, argv)}"
+        for argv in sorted(parent.keys() | change.keys())
+        if parent.get(argv) != change.get(argv)
+    ]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         _save(DIGESTS, _corpus_runs(run_digest), "digests")
     elif len(sys.argv) == 3 and sys.argv[1] == "--dump":
         _save(Path(sys.argv[2]), _corpus_runs(run_outcome), "outcomes")
+    elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        moved = moved_runs(*(json.loads(Path(p).read_text()) for p in sys.argv[2:]))
+        print("\n".join([*moved, f"{len(moved)} run(s) moved"]))
     else:
-        sys.exit(f"usage: {sys.argv[0]} --write | --dump PATH")
+        sys.exit(f"usage: {sys.argv[0]} --write | --dump PATH | --diff PARENT CHANGE")
