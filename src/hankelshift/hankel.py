@@ -25,8 +25,9 @@ from .numkit import (
     _integer_view,
     _norm_product,
     _rounded,
+    _rows,
     det_bareiss,
-    is_pd,
+    hankel_psd_with_margin,
     psd_with_margin,
     solve_linear_exact,
 )
@@ -251,12 +252,6 @@ def _check_block(gamma: MomentSequence, n: int, k: int) -> None:
         raise InsufficientMomentsError(n + 2 * k, gamma.horizon)
 
 
-def _rows(values: Sequence[Scalar], n: int, k: int) -> list[Sequence[Scalar]]:
-    # The rows of the order-k block at anchor n of values, as slices: the
-    # one form in which the package hands a Hankel block to numkit.
-    return [values[n + i:n + i + k + 1] for i in range(k + 1)]
-
-
 def block(gamma: MomentSequence, n: int, k: int) -> SymMatrix:
     """The (k+1)x(k+1) block with entry (i, j) = gamma_{n+i+j}."""
     _check_block(gamma, n, k)
@@ -275,8 +270,9 @@ def is_k_positive(
     from the ladder's `rank`, and runs pivot elimination only on the blocks
     neither decides; it flags exactly singular blocks.  Float mode flags
     anchors whose smallest eigenvalue sits inside the tolerance band (the
-    verdict there is tolerance-limited); that smallest-eigenvalue test is
-    decided by LDL^T of A - f*I and A + f*I (`numkit.psd_with_margin`).
+    verdict there is tolerance-limited), deciding each block by LDL^T of
+    A - f*I and A + f*I from its window of 2k+1 moments
+    (`numkit.hankel_psd_with_margin`).
     """
     return gamma.ladder(ctx).verdict(k)
 
@@ -284,18 +280,20 @@ def is_k_positive(
 def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
     """True iff gamma_n * gamma_{n+2} >= gamma_{n+1}^2 for every n <= N-2.
 
-    For nonnegative sequences this coincides with 1-positivity.  Exact mode
-    compares the integer products of `MomentSequence.integer_view`.
+    For nonnegative sequences this coincides with 1-positivity.  Both modes
+    compare the integer products L = G_n G_{n+2}, R = G_{n+1}^2 of
+    `MomentSequence.integer_view` (D^2 times gamma's); float mode within the
+    band, L - R >= -(zero_eps D^2 + rel_eps max(L, R)), over the binary
+    values of the tolerances, so no product overflows.
     """
+    g, den = gamma.integer_view
     if ctx.is_exact:
-        g = gamma.integer_view[0]
         return all(g[n] * g[n + 2] >= g[n + 1] * g[n + 1] for n in range(len(g) - 2))
-    for n in range(len(gamma) - 2):
-        lhs = gamma[n] * gamma[n + 2]
-        rhs = gamma[n + 1] * gamma[n + 1]
-        if not ctx.nonneg(lhs - rhs, max(abs(float(lhs)), abs(float(rhs)))):
-            return False
-    return True
+    (a, b), (c, d) = ctx.zero_eps.as_integer_ratio(), ctx.rel_eps.as_integer_ratio()
+    return all(
+        (lhs - rhs) * b * d >= -(a * d * den * den + c * b * max(lhs, rhs))
+        for lhs, rhs in ((g[n] * g[n + 2], g[n + 1] * g[n + 1]) for n in range(len(g) - 2))
+    )
 
 
 def zero_moment_collapse(gamma: MomentSequence) -> bool:
@@ -423,10 +421,12 @@ class LadderVerdicts:
     that fails at a low order builds no higher table.
 
     The fallback elimination runs on the integer block of
-    `MomentSequence.integer_view`.  Float mode decides every block with
-    `psd_with_margin` and `is_pd`, the smallest-eigenvalue band decided by
-    LDL^T of A - f*I and A + f*I, on row slices of the moments converted to
-    doubles once (`_doubles`); its zero tests scale by Hadamard bounds
+    `MomentSequence.integer_view`.  Float mode decides block(n, k) by
+    `numkit.hankel_psd_with_margin` on its window gamma_n..gamma_{n+2k} of
+    the moments converted to doubles once (`_doubles`): one band and one
+    scaling per window, then LDL^T of A - f*I and A + f*I.  It keeps each
+    (is PSD, marginal) verdict per (n, k), which `psd` and `pd` read.  Its
+    zero tests (`vanishes`; `zeros` for a table) scale by Hadamard bounds
     multiplied from row norms computed once per order (`_row_norms`).
     `MomentSequence.ladder(ctx)` keeps one instance per sequence and context;
     constructing one starts a fresh walk.
@@ -441,6 +441,7 @@ class LadderVerdicts:
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
+        self._float_psd: dict[tuple[int, int], tuple[bool, bool]] = {}
         self._norms: dict[int, list[float]] = {}
 
     @cached_property
@@ -559,7 +560,11 @@ class LadderVerdicts:
                         return psd, psd
                     return psd_with_margin(_integer_block(self.gamma, n, k))
             return True, False
-        return psd_with_margin(_rows(self._doubles, n, k), self.ctx)
+        verdict = self._float_psd.get((n, k))
+        if verdict is None:
+            window = self._doubles[n:n + 2 * k + 1]
+            verdict = self._float_psd[n, k] = hankel_psd_with_margin(window, self.ctx)
+        return verdict
 
     def psd(self, n: int, k: int) -> bool:
         """block(n, k) is positive semidefinite, decided as the blocks of a
@@ -569,23 +574,32 @@ class LadderVerdicts:
 
     def pd(self, n: int, k: int) -> bool:
         """block(n, k) is positive definite: in exact mode exactly when
-        d_0(n), ..., d_k(n) are all positive, so no elimination runs."""
+        d_0(n), ..., d_k(n) are all positive, so no elimination runs; in
+        float mode when its kept verdict is (PSD, not marginal)."""
         _check_block(self.gamma, n, k)
         if self.ctx.is_exact:
             return all(self._pull(j).nums[n] > 0 for j in range(k + 1))
-        return is_pd(_rows(self._doubles, n, k), self.ctx)
+        return self._block_psd(n, k) == (True, False)
 
     def vanishes(self, n: int, k: int) -> bool:
-        """d_k(n) = 0: from the integers in exact mode, and in float mode
-        when the integer is 0; otherwise in float mode |d_k(n)| lies within
-        the zero band scaled by the block's Hadamard bound (the product of
-        its row norms, `numkit._norm_product`), multiplied from the kept
-        row norms."""
+        """d_k(n) = 0: from the integers in exact mode; in float mode when the
+        integer is 0 or |d_k(n)| lies within the zero band scaled by the
+        block's Hadamard bound (`numkit._norm_product` of its row norms)."""
         _check_block(self.gamma, n, k)
-        table = self._pull(k)
+        return self._zero(self._pull(k), n)
+
+    def zeros(self, k: int) -> Iterator[bool]:
+        """`vanishes(n, k)` of each order-k anchor in order, decided as it is
+        drawn: float dets are read only once some integer is nonzero, so a
+        refused anchor raises where `vanishes` would."""
+        table = self.table(k)
+        return (self._zero(table, n) for n in table.anchors())
+
+    def _zero(self, table: DetTable, n: int) -> bool:
         if self.ctx.is_exact or table.nums[n] == 0:
             return table.nums[n] == 0
-        return self.ctx.is_zero(table.dets[n], _norm_product(self._row_norms(k)[n:n + k + 1]))
+        norms = self._row_norms(table.k)[n:n + table.k + 1]
+        return self.ctx.is_zero(table.dets[n], _norm_product(norms))
 
     def propagation(self, k: int) -> PropagationReport:
         """For a k-positive sequence, scan the order-(k-1) determinants.
@@ -604,20 +618,14 @@ class LadderVerdicts:
                 f"sequence is not {k}-positive on the horizon; "
                 f"first failure at block {verdict.first_failure}"
             )
-        table = self.table(k - 1)
-        zero = [self.vanishes(n, k - 1) for n in table.anchors()]
-        vanishing_found = any(zero)
-        first_zero = zero.index(True) if vanishing_found else None
-        conclusion: Optional[bool] = None
-        exception = False
-        if vanishing_found:
-            conclusion = all(zero[1:])
-            exception = bool(conclusion) and not zero[0]
+        zero = list(self.zeros(k - 1))
+        found = any(zero)
+        conclusion = all(zero[1:]) if found else None
         return PropagationReport(
             k=k,
-            table=table,
-            vanishing_found=vanishing_found,
-            first_zero_anchor=first_zero,
+            table=self.table(k - 1),
+            vanishing_found=found,
+            first_zero_anchor=zero.index(True) if found else None,
             conclusion_verified=conclusion,
-            anchor_zero_allowed_nonzero=exception,
+            anchor_zero_allowed_nonzero=bool(conclusion) and not zero[0],
         )

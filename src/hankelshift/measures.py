@@ -205,14 +205,14 @@ def is_finite_mass(
     decides them (in exact mode from the minors and the rank structure,
     with a pivot elimination only where neither decides).  Then scans
     (order, anchor) lexicographically over the same ladder's tables and
-    reports the first that `LadderVerdicts.vanishes` as the witness.
+    reports the first that vanishes (`LadderVerdicts.zeros`) as the witness.
     """
     _stieltjes_screen(gamma, ctx)
     ladder = gamma.ladder(ctx)
     for k in range(gamma.horizon // 2 + 1):
-        for p in ladder.table(k).anchors():
-            if ladder.vanishes(p, k):
-                return FiniteMassReport(finite=True, witness=BlockIndex(p, k))
+        p = next((p for p, zero in enumerate(ladder.zeros(k)) if zero), None)
+        if p is not None:
+            return FiniteMassReport(finite=True, witness=BlockIndex(p, k))
     return FiniteMassReport(finite=False, witness=None)
 
 

@@ -19,8 +19,10 @@ linear and quadratic roots are read off (a quadratic's irrational roots
 bracketed by `math.isqrt` of its discriminant); from degree 3 on, a
 content-free integer Sturm chain isolates the roots and quadratic interval
 refinement at dyadic points narrows them.  The one float-only kernel is
-the PSD/PD band, an LDL^T factorisation in doubles (`_shifted_pd`); the
-package imports no numpy.
+the PSD/PD band, an LDL^T factorisation in doubles (`_ldlt_pd`) on rows
+scaled once by `_band`: a matrix's rows, or for a Hankel block the 2k+1
+entries of its window (`hankel_psd_with_margin`); the package imports no
+numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction | int | float
 
@@ -49,6 +51,7 @@ __all__ = [
     "is_psd",
     "is_pd",
     "psd_with_margin",
+    "hankel_psd_with_margin",
     "real_roots",
     "squarefree",
     "solve_vandermonde",
@@ -314,26 +317,25 @@ def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
     return True, not singular
 
 
-def _band(matrix: _Matrix, psd_floor: float) -> tuple[float, float]:
-    """(2^-e, f * 2^-e) for the float PSD/PD band of a nonempty matrix:
-    f = psd_floor * (1 + max|entry|) is the floor on the smallest
-    eigenvalue, and 2^e the power of two just above max(max|entry|, f), so
-    the scaled entries lie below 1 and no factorisation step near the
-    double range overflows.  The scaling changes no verdict: it is exact
+def _band(entries: Sequence[Scalar], psd_floor: float) -> tuple[float, float]:
+    """(2^-e, f * 2^-e) for the float PSD/PD band of a matrix, given its
+    entries flat: f = psd_floor * (1 + max|entry|) is the floor on the
+    smallest eigenvalue, and 2^e the power of two just above max(max|entry|,
+    f), so the scaled entries lie below 1 and no factorisation step near
+    the double range overflows.  The scaling changes no verdict: it is exact
     except where a value falls below the normal range, far under the floor.
     An entry that is nan or inf, or an int or Fraction past the double
     range, has no float verdict: a PreconditionError."""
-    rows = _rows_of(matrix)
     try:
-        top = float(max(max(map(max, rows)), -min(map(min, rows))))
+        top = float(max(max(entries), -min(entries)))
     except OverflowError:  # an int or Fraction past the double range
         top = math.inf
     finite = math.isfinite(top)
     if finite:
         # total - total is 0 unless an entry is nan or inf, or the sum of
         # finite doubles overflows.
-        total = sum(map(sum, rows))
-        finite = total - total == 0 or all(math.isfinite(x) for row in rows for x in row)
+        total = sum(entries)
+        finite = total - total == 0 or all(map(math.isfinite, entries))
     if not finite:
         raise PreconditionError(
             "a float block entry is nan, inf or beyond the double range, "
@@ -345,14 +347,13 @@ def _band(matrix: _Matrix, psd_floor: float) -> tuple[float, float]:
     return scale, floor * scale
 
 
-def _shifted_pd(matrix: _Matrix, scale: float, shift: float) -> bool:
-    """scale * A + shift * I is positive definite, A symmetric: LDL^T
-    without pivoting in doubles on a scaled copy, the right-looking
-    elimination of `_pivots` with float division.  The shift joins each
-    diagonal entry as it becomes the pivot; a pivot that is not positive
-    (nan included) means not PD.  Its backward error is of order n * u *
-    |A| (Demmel 1989; Higham 2002, ch. 10), far inside the band's floor."""
-    a = [[x * scale for x in row] for row in _rows_of(matrix)]
+def _ldlt_pd(a: list[list[float]], shift: float) -> bool:
+    """a + shift * I is PD, a the rows of a symmetric matrix scaled by its
+    `_band`: the package's one float factorisation, LDL^T in doubles, in
+    place and without pivoting (the elimination of `_pivots` with float
+    division).  A pivot, shifted as it is taken, that is not positive (nan
+    included) means not PD.  Its backward error is of order n * u * |A|
+    (Demmel 1989; Higham 2002, ch. 10), far inside the band's floor."""
     n = len(a)
     # Only the upper triangle (j >= i) is kept current, as in `_pivots`.
     for k in range(n):
@@ -367,6 +368,14 @@ def _shifted_pd(matrix: _Matrix, scale: float, shift: float) -> bool:
     return True
 
 
+def _margin(fresh: Callable[[], list[list[float]]], floor: float) -> tuple[bool, bool]:
+    # (is PSD, marginal) by LDL^T of A - f*I, then A + f*I, on fresh rows.
+    if _ldlt_pd(fresh(), -floor):
+        return True, False
+    psd = _ldlt_pd(fresh(), floor)
+    return psd, psd
+
+
 def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[bool, bool]:
     """(is PSD, verdict is marginal) of a symmetric matrix, given by its
     rows or as a `SymMatrix`.
@@ -379,21 +388,37 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     smallest-eigenvalue test: with the floor f = psd_floor * (1 + max|entry|),
     the matrix is PSD when lambda_min >= -f, and marginal when |lambda_min|
     <= f, i.e. the verdict would flip under a band-sized perturbation.  It is
-    decided without eigenvalues, by LDL^T of A - f*I and A + f*I
-    (`_shifted_pd`): A - f*I PD gives (True, False), else A + f*I PD gives
-    (True, True), else (False, False).  A float entry that is not finite is
-    a PreconditionError.  The order-0 matrix is PSD, not marginal.
+    decided without eigenvalues, by LDL^T (`_ldlt_pd`) of A - f*I and A +
+    f*I, each on its own copy scaled by `_band`: A - f*I PD gives (True,
+    False), else A + f*I PD gives (True, True), else (False, False).  A
+    float entry that is not finite is a PreconditionError.  The order-0
+    matrix is PSD, not marginal.
     """
-    if not _rows_of(matrix):
+    rows = _rows_of(matrix)
+    if not rows:
         return True, False
     if ctx.is_exact:
-        psd, pd = _pivots(matrix)
+        psd, pd = _pivots(rows)
         return psd, psd and not pd
-    scale, floor = _band(matrix, ctx.psd_floor)
-    if _shifted_pd(matrix, scale, -floor):
-        return True, False
-    psd = _shifted_pd(matrix, scale, floor)
-    return psd, psd
+    scale, floor = _band([x for row in rows for x in row], ctx.psd_floor)
+    return _margin(lambda: [[x * scale for x in row] for row in rows], floor)
+
+
+def hankel_psd_with_margin(
+    window: Sequence[Scalar], ctx: ToleranceContext = EXACT
+) -> tuple[bool, bool]:
+    """`psd_with_margin` of the Hankel block _rows(window, 0, k) of a window
+    of odd length 2k+1, as block(n, k) has gamma_n..gamma_{n+2k}.  The
+    window holds every entry of the block, so float mode takes the same
+    band from it and scales its 2k+1 entries once, not the (k+1)^2 of the
+    rows, each factorisation slicing fresh rows: the same verdict, bit for
+    bit."""
+    k = len(window) // 2
+    if ctx.is_exact:
+        return psd_with_margin(_rows(window, 0, k), ctx)
+    scale, floor = _band(window, ctx.psd_floor)
+    scaled = [x * scale for x in window]
+    return _margin(lambda: _rows(scaled, 0, k), floor)
 
 
 def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
@@ -404,14 +429,21 @@ def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
 def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
     """PD test (rows or a `SymMatrix`): exact mode by strict positivity of
     every `_pivots` pivot, float mode by the strict version of the PSD
-    floor, lambda_min > f, decided as A - f*I is PD (`_shifted_pd`).  The
+    floor, lambda_min > f, decided as A - f*I is PD (`_ldlt_pd`).  The
     order-0 matrix is PD."""
-    if not _rows_of(matrix):
+    rows = _rows_of(matrix)
+    if not rows:
         return True
     if ctx.is_exact:
-        return _pivots(matrix)[1]
-    scale, floor = _band(matrix, ctx.psd_floor)
-    return _shifted_pd(matrix, scale, -floor)
+        return _pivots(rows)[1]
+    scale, floor = _band([x for row in rows for x in row], ctx.psd_floor)
+    return _ldlt_pd([[x * scale for x in row] for row in rows], -floor)
+
+
+def _rows(values: Sequence[Scalar], n: int, k: int) -> list[Sequence[Scalar]]:
+    # The rows of the order-k Hankel block at anchor n of values, as slices:
+    # the one form in which the package hands a Hankel block to numkit.
+    return [values[n + i:n + i + k + 1] for i in range(k + 1)]
 
 
 # Polynomials below are coefficient lists in descending degree.

@@ -458,6 +458,21 @@ class TestSubcommands:
             if not extra:
                 assert res["interiority"]["agreement"]
 
+    def test_moments_near_1e200_are_log_convex(self, tmp_path, capsys):
+        # gamma_n * gamma_{n+2} overflowed to inf in doubles: analyze printed
+        # "log-convex: False" beside "k=1: holds", and perturb refused the
+        # sequence as not 1-positive (exit 3).
+        path = write(
+            tmp_path, "h.csv", "".join(f"{1e200 / (n + 1)!r}\n" for n in range(8))
+        )
+        assert cli.main(["analyze", path, "--k", "1", "--json", "--no-timestamp"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["ladder"][0]["holds"] and res["log_convex"] is True
+        assert cli.main(["perturb", path, "--l", "2", "--k", "1", "--no-timestamp"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "closed form (k=1): [0.888888888888889, 1.0666666666666667]" in captured.out
+
     @pytest.mark.parametrize(
         "name, content, argv, message",
         [

@@ -7,13 +7,19 @@ factorising A - f*I and A + f*I.  These tests check the verdicts against
 the eigenvalue test it replaced (numpy's `eigvalsh`, a test-only oracle
 here) and against exact pivot elimination on A -+ f*I over the entries'
 binary values, on random symmetric matrices and on Hankel blocks over
-scales from 1e-300 to the top of the double range.
+scales from 1e-300 to the top of the double range.  The ladder decides
+each block from its window of 2k+1 moments (`hankel_psd_with_margin`)
+and reads whole tables of zero flags (`LadderVerdicts.zeros`); those are
+checked against a per-anchor scan through the matrix functions and
+`vanishes`, and their work is counted on the float Bergman moments.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,8 +27,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hankelshift import FLOAT, MomentSequence, PreconditionError, is_pd, is_psd, psd_with_margin
-from hankelshift.hankel import _rows
+from hankelshift import (
+    FLOAT,
+    BlockIndex,
+    MomentSequence,
+    PreconditionError,
+    hankel,
+    interiority_report,
+    is_finite_mass,
+    is_pd,
+    is_psd,
+    numkit,
+    psd_with_margin,
+)
+import hankelshift.cli as cli
+from hankelshift.hankel import LadderVerdicts, _rows
+from hankelshift.measures import NotStieltjesError, _stieltjes_screen
 from hankelshift.numkit import _pivots
 
 from gen import bergman_moments, det_is_zero
@@ -246,3 +266,156 @@ class TestLadderReusesItsFloatRows:
                         ladder.vanishes(n, k)
                     continue
                 assert ladder.vanishes(n, k) == want
+
+
+def outcome(ask):
+    """ask()'s value, or the type and text of the PreconditionError it
+    raises."""
+    try:
+        return ask()
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+def reference_verdict(gamma: MomentSequence, k: int) -> tuple:
+    """(holds, first failure, flags) of the order-k scan, one block at a
+    time through `psd_with_margin` on its rows."""
+    flags = []
+    for n in range(gamma.horizon - 2 * k + 1):
+        psd, marginal = psd_with_margin(_rows(gamma.values, n, k), FLOAT)
+        if marginal:
+            flags.append(f"marginal block at anchor {n}")
+        if not psd:
+            return False, BlockIndex(n, k), tuple(flags)
+    return True, None, tuple(flags)
+
+
+def reference_propagation(gamma: MomentSequence, k: int) -> tuple:
+    """The propagation fields from the reference scan and one `vanishes`
+    question per anchor on a fresh walk."""
+    holds, failure, _ = reference_verdict(gamma, k)
+    if not holds:
+        raise PreconditionError(
+            f"sequence is not {k}-positive on the horizon; first failure at block {failure}"
+        )
+    single = LadderVerdicts(gamma, FLOAT)
+    zero = [single.vanishes(n, k - 1) for n in single.table(k - 1).anchors()]
+    if not any(zero):
+        return single.table(k - 1).nums, False, None, None, False
+    rest = all(zero[1:])
+    return single.table(k - 1).nums, True, zero.index(True), rest, rest and not zero[0]
+
+
+def reference_witness(gamma: MomentSequence):
+    """is_finite_mass's witness by one `vanishes` question per anchor, in
+    (order, anchor) order, on a fresh walk after the same screen."""
+    _stieltjes_screen(gamma, FLOAT)
+    single = LadderVerdicts(gamma, FLOAT)
+    for k in range(gamma.horizon // 2 + 1):
+        for p in single.table(k).anchors():
+            if single.vanishes(p, k):
+                return BlockIndex(p, k)
+    return None
+
+
+@st.composite
+def _wide(draw) -> list:
+    # Moment shapes at scales 1e-300..1e300, or arbitrary wide-exponent
+    # doubles; under FLOAT either may meet the band's edges.
+    if draw(st.booleans()):
+        values = [v * 10.0 ** draw(st.integers(-300, 300)) for v in draw(_MOMENTS)]
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+        values = draw(st.lists(entry, min_size=3, max_size=13))
+    assume(values[0] > 0 and all(math.isfinite(v) for v in values))
+    return values
+
+
+@st.composite
+def _past_the_range(draw) -> list:
+    # Fraction moments, one of them pushed past the double range.
+    values = [F(v) for v in draw(_MOMENTS)]
+    i = draw(st.integers(0, len(values) - 1))
+    values[i] *= F(10) ** draw(st.integers(300, 400))
+    return values
+
+
+# block(0, 1) with lambda_min ~ 1e-5: marginal under the floor of its largest
+# entry gamma_2 = 1e6 (f ~ 1e-4), not under that of gamma_0, gamma_1 alone.
+_CORNER_MARGINAL = [1.0, math.sqrt(1e6 - 10.0), 1e6, 1e9, 1e12]
+
+
+class TestWindowKernelAgainstThePerAnchorScan:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_wide(), _past_the_range()))
+    @example(_CORNER_MARGINAL)
+    @example([float(1 + 2**m) for m in range(9)])
+    @example([F(1), F(2), F(5), F(10) ** 400, F(1)])
+    def test_verdicts_and_propagation(self, values):
+        gamma = MomentSequence.of(values)
+        ladder = gamma.ladder(FLOAT)
+        for k in range(1, gamma.horizon // 2 + 1):
+            got = outcome(lambda: (lambda v: (v.holds, v.first_failure, v.flags))(ladder.verdict(k)))
+            assert got == outcome(lambda: reference_verdict(gamma, k)), k
+            got = outcome(
+                lambda: (lambda r: (
+                    r.table.nums, r.vanishing_found, r.first_zero_anchor,
+                    r.conclusion_verified, r.anchor_zero_allowed_nonzero,
+                ))(ladder.propagation(k))
+            )
+            assert got == outcome(lambda: reference_propagation(gamma, k)), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_wide(), _past_the_range()))
+    @example([float(1 + 2**m) for m in range(9)])
+    @example([1.0, 0.0, 0.0, 0.0, 0.0])
+    def test_finite_mass_witness(self, values):
+        try:
+            got = outcome(lambda: is_finite_mass(MomentSequence.of(values), FLOAT).witness)
+        except NotStieltjesError:
+            assume(False)
+        assert got == outcome(lambda: reference_witness(MomentSequence.of(values)))
+
+
+class TestWindowWorkCount:
+    def test_float_bergman_analyze_then_interiority(self, monkeypatch):
+        # fbergman: the float Bergman moments 1/(n+1), horizon 24, under
+        # `analyze --k 3`, then the interiority scan of `perturb --l 3 --k 3`.
+        values = [float(v) for v in bergman_moments(24).values]
+        gamma = MomentSequence.of(values)
+        bands, work, inside = [], Counter(), []
+        real_band, real_ldlt = numkit._band, numkit._ldlt_pd
+
+        def band(entries, psd_floor):
+            bands.append(entries)
+            return real_band(entries, psd_floor)
+
+        def ldlt(rows, shift):
+            work[inside[-1] if inside else None] += 1
+            return real_ldlt(rows, shift)
+
+        def windowed(real):
+            def ask(window, ctx):
+                inside.append(tuple(window))
+                try:
+                    return real(window, ctx)
+                finally:
+                    inside.pop()
+
+            return ask
+
+        monkeypatch.setattr(numkit, "_band", band)
+        monkeypatch.setattr(numkit, "_ldlt_pd", ldlt)
+        monkeypatch.setattr(
+            hankel, "hankel_psd_with_margin", windowed(hankel.hankel_psd_with_margin)
+        )
+        results = cli.cmd_analyze(gamma, None, argparse.Namespace(k=3), FLOAT, [])
+        assert [entry["holds"] for entry in results["ladder"]] == [True, True, True]
+        # every band is taken on a window, never on rows
+        assert bands and all(isinstance(x, float) for entries in bands for x in entries)
+        windows = {tuple(values[n:n + 2 * k + 1]) for k in (1, 2, 3) for n in range(25 - 2 * k)}
+        scanned = dict(work)
+        assert set(scanned) == windows
+        assert max(scanned.values()) <= 2
+        assert interiority_report(gamma, 3, 3, FLOAT).pd_all
+        assert dict(work) == scanned

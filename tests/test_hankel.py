@@ -9,6 +9,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankelshift import (
     EXACT,
@@ -108,6 +110,42 @@ class TestPositivity:
     def test_log_convexity(self):
         assert log_convexity(bergman_moments(8), EXACT)
         assert not log_convexity(MomentSequence.of([F(1), F(2), F(1)]), EXACT)
+
+    def test_float_log_convexity_near_the_top_of_the_double_range(self):
+        # gamma_n * gamma_{n+2} overflowed to inf in doubles, and inf - inf
+        # failed the band: the Bergman shape read as not log-convex.
+        for scale in (1e200, 1e-200, 1e150, 1.0):
+            gamma = MomentSequence.of([scale / (n + 1) for n in range(8)])
+            assert log_convexity(gamma, FLOAT), scale
+        # gamma_4^2 = 1e600 made the band inf, so anything passed
+        assert not log_convexity(MomentSequence.of([1.0, 0, 0, 0, 1e300, 0, 0]), FLOAT)
+        assert not log_convexity(MomentSequence.of([1e200, 2e200, 1e200]), FLOAT)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.integers(-300, 300).map(
+                lambda e: 10.0**e)),
+            min_size=3,
+            max_size=9,
+        ).filter(lambda v: v[0] > 0),
+        st.floats(0.5, 2.0),
+    )
+    @example([1e200 / (n + 1) for n in range(8)], 1.0)
+    @example([1.0, 1.0 + 1e-10, 1.0 + 2e-10 + 1e-20], 1.0)
+    def test_float_log_convexity_is_the_exact_band_test(self, values, tilt):
+        # Every product and the band in Fractions over the binary values:
+        # l - r >= -(zero_eps + rel_eps * max(l, r)).
+        values = [v * tilt**n for n, v in enumerate(values)]
+        gamma = MomentSequence.of(values)
+        zero_eps, rel_eps = F(FLOAT.zero_eps), F(FLOAT.rel_eps)
+        g = [F(v) for v in values]
+        want = all(
+            g[n] * g[n + 2] - g[n + 1] ** 2
+            >= -(zero_eps + rel_eps * max(g[n] * g[n + 2], g[n + 1] ** 2))
+            for n in range(len(g) - 2)
+        )
+        assert log_convexity(gamma, FLOAT) == want
 
     def test_zero_moment_collapse(self):
         assert zero_moment_collapse(MomentSequence.of([F(1), F(0), F(0), F(0)]))
