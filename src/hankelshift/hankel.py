@@ -23,7 +23,6 @@ from .numkit import (
     SymMatrix,
     ToleranceContext,
     _integer_view,
-    _norm_product,
     _rounded,
     _rows,
     det_bareiss,
@@ -377,6 +376,23 @@ def _recursion_holds(
     )
 
 
+def _corner_fit(gamma: MomentSequence, r: int, ctx: ToleranceContext) -> Optional[tuple]:
+    # The order-r recursion's coefficients: one solution of the r x r
+    # system on block(0, r-1) over the moments' binary values (None when it
+    # is inconsistent), rounded once to doubles in float mode, where a
+    # coefficient past the double range is a PreconditionError.
+    g = gamma.integer_view[0]
+    sol = solve_linear_exact(_rows(g, 0, r - 1), g[r:2 * r])
+    if sol is None or ctx.is_exact:
+        return sol
+    try:
+        return tuple(float(c) for c in sol)
+    except OverflowError:
+        raise PreconditionError(
+            f"a coefficient of the order-{r} recursion lies beyond the double range"
+        ) from None
+
+
 def det_sequence(
     gamma: MomentSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> DetTable:
@@ -426,8 +442,8 @@ class LadderVerdicts:
     the moments converted to doubles once (`_doubles`): one band and one
     scaling per window, then LDL^T of A - f*I and A + f*I.  It keeps each
     (is PSD, marginal) verdict per (n, k), which `psd` and `pd` read.  Its
-    zero tests (`vanishes`; `zeros` for a table) scale by Hadamard bounds
-    multiplied from row norms computed once per order (`_row_norms`).
+    zero tests (`vanishes`; `zeros` for a table; `rank`) read the leading
+    pivots of the ladder's integers against rel_eps, with no absolute band.
     `MomentSequence.ladder(ctx)` keeps one instance per sequence and context;
     constructing one starts a fresh walk.
     """
@@ -442,7 +458,6 @@ class LadderVerdicts:
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
         self._float_psd: dict[tuple[int, int], tuple[bool, bool]] = {}
-        self._norms: dict[int, list[float]] = {}
 
     @cached_property
     def _doubles(self) -> tuple[float, ...]:
@@ -455,15 +470,6 @@ class LadderVerdicts:
                 return math.inf
 
         return tuple(map(double, self.gamma.values))
-
-    def _row_norms(self, k: int) -> list[float]:
-        # norms[m] = |(gamma_m, ..., gamma_{m+k})|_2, row 0 of block(m, k)
-        # and row i of block(m - i, k): the norms `numkit._norm_product` takes.
-        norms = self._norms.get(k)
-        if norms is None:
-            g = self._doubles
-            norms = self._norms[k] = [math.hypot(*g[m:m + k + 1]) for m in range(len(g) - k)]
-        return norms
 
     def _pull(self, k: int) -> DetTable:
         # Every table comes through here, pulled in order from the one walk.
@@ -514,32 +520,20 @@ class LadderVerdicts:
     @cached_property
     def rank(self) -> RankStructure:
         """The rank structure, read once from the anchor-0 column of the
-        kept tables: the first r whose last pivot of block(0, r),
-        d_r(0)/d_{r-1}(0), is at most rel_eps times that block's corner
-        gamma_{2r} (in exact mode, the first r with d_r(0) = 0), compared on
-        the ladder's integers.  As d_{r-1}(0) is nonzero, the r x r system
-        on block(0, r-1) has one exact solution over the moments' binary
-        values, rounded once to doubles in float mode (a coefficient past
-        the double range is a PreconditionError), and kept when it holds on
-        the whole horizon."""
-        exact = self.ctx.is_exact
-        eps, eps_den = (0, 1) if exact else self.ctx.rel_eps.as_integer_ratio()
-        g = self.gamma.integer_view[0]
+        kept tables: the first r with `vanishes(0, r)`, so in float mode the
+        first whose last pivot of block(0, r), d_r(0)/d_{r-1}(0), is at most
+        rel_eps times that block's corner gamma_{2r}.  As d_{r-1}(0) is
+        nonzero, the r x r system on block(0, r-1) has one exact solution
+        over the moments' binary values, rounded once to doubles in float
+        mode (a coefficient past the double range is a PreconditionError),
+        and kept when it holds on the whole horizon."""
         top = self.gamma.horizon // 2
-        column = ((j, self._pull(j - 1).nums[0], self._pull(j).nums[0]) for j in range(1, top + 1))
-        r = next((j for j, low, d in column if eps_den * abs(d) <= eps * abs(low) * g[2 * j]), None)
+        r = next((j for j in range(1, top + 1) if self._zero(self._pull(j), 0)), None)
         if r is None:
             return RankStructure()
-        sol = solve_linear_exact(_rows(g, 0, r - 1), g[r:2 * r])
+        sol = _corner_fit(self.gamma, r, self.ctx)
         if sol is None:
             raise InternalConsistencyError(f"block(0, {r - 1}) is nonsingular, its system not")
-        if not exact:
-            try:
-                sol = tuple(float(c) for c in sol)
-            except OverflowError:
-                raise PreconditionError(
-                    f"a coefficient of the order-{r} recursion lies beyond the double range"
-                ) from None
         return RankStructure(r, sol if _recursion_holds(self.gamma, sol, 0, self.ctx) else None)
 
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
@@ -573,33 +567,37 @@ class LadderVerdicts:
         return self._block_psd(n, k)[0]
 
     def pd(self, n: int, k: int) -> bool:
-        """block(n, k) is positive definite: in exact mode exactly when
-        d_0(n), ..., d_k(n) are all positive, so no elimination runs; in
-        float mode when its kept verdict is (PSD, not marginal)."""
+        """block(n, k) is positive definite: (PSD, not singular or marginal),
+        in exact mode exactly when d_0(n), ..., d_k(n) are all positive."""
         _check_block(self.gamma, n, k)
-        if self.ctx.is_exact:
-            return all(self._pull(j).nums[n] > 0 for j in range(k + 1))
         return self._block_psd(n, k) == (True, False)
 
     def vanishes(self, n: int, k: int) -> bool:
-        """d_k(n) = 0: from the integers in exact mode; in float mode when the
-        integer is 0 or |d_k(n)| lies within the zero band scaled by the
-        block's Hadamard bound (`numkit._norm_product` of its row norms)."""
+        """d_k(n) = 0 on the ladder's integers; in float mode also when some
+        leading pivot d_j(n)/d_{j-1}(n) of block(n, k), j = 1..k, d_{j-1}(n)
+        != 0, is at most rel_eps times its corner gamma_{n+2j}: the test of
+        `rank`, unchanged by gamma_n -> c * gamma_n or c^n * gamma_n."""
         _check_block(self.gamma, n, k)
         return self._zero(self._pull(k), n)
 
     def zeros(self, k: int) -> Iterator[bool]:
-        """`vanishes(n, k)` of each order-k anchor in order, decided as it is
-        drawn: float dets are read only once some integer is nonzero, so a
-        refused anchor raises where `vanishes` would."""
+        """`vanishes(n, k)` of each order-k anchor in order, each when drawn."""
         table = self.table(k)
         return (self._zero(table, n) for n in table.anchors())
 
     def _zero(self, table: DetTable, n: int) -> bool:
+        # `vanishes` on the kept tables (d_0(n) = G[n]); d_j, d_{j-1}, G[n+2j] carry D^(j+1), D^j, D
         if self.ctx.is_exact or table.nums[n] == 0:
             return table.nums[n] == 0
-        norms = self._row_norms(table.k)[n:n + table.k + 1]
-        return self.ctx.is_zero(table.dets[n], _norm_product(norms))
+        num, den = self.ctx.rel_eps.as_integer_ratio()
+        g = self.gamma.integer_view[0]
+        low = g[n]
+        for j in range(1, table.k + 1):
+            d = self._tables[j].nums[n]
+            if low and den * abs(d) <= num * abs(low) * g[n + 2 * j]:
+                return True
+            low = d
+        return False
 
     def propagation(self, k: int) -> PropagationReport:
         """For a k-positive sequence, scan the order-(k-1) determinants.

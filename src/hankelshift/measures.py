@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .hankel import BlockIndex, MomentSequence, _recursion_holds
+from .hankel import BlockIndex, MomentSequence, _corner_fit, _recursion_holds
 from .numkit import (
     EXACT,
     FLOAT,
@@ -144,7 +144,7 @@ def detect_recursion(
     Orders are capped at horizon//2 so the fitted system always has more
     equations than unknowns.  A recursion of order s makes d_s(0) = 0, so
     both modes read `gamma.ladder(ctx).rank`: its order r is the first with
-    d_r(0) = 0, in float mode the first whose relative anchor-0 pivot
+    `vanishes(0, r)`, in float mode the first whose relative anchor-0 pivot
     d_r(0) / (d_{r-1}(0) gamma_{2r}) is at most rel_eps.  Nothing is tried
     when r is above the cap, and nothing is solved when block(0, cap) is
     PD.  The rank's order-r recursion, solved exactly on block(0, r-1) over
@@ -152,7 +152,9 @@ def detect_recursion(
     when it holds (`Recursion.holds_on`).  Otherwise exact mode runs the
     overdetermined exact fit from order r+2 up, as an order-(r+1) recursion
     would make the leading r+1 x r+1 block of the extended sequence
-    nonsingular (Kronecker), and float mode returns None.
+    nonsingular (Kronecker).  Float mode, whose r may be a small nonzero
+    pivot, returns the first such rounded fit on block(0, s-1), s = r+1 up
+    to the cap, that holds.
     """
     if max_order < 1:
         return None
@@ -166,6 +168,10 @@ def detect_recursion(
     if rank.coeffs is not None:
         return Recursion(order=rank.order, coeffs=rank.coeffs, valid_from=0)
     if not ctx.is_exact:
+        for r in range(rank.order + 1, cap + 1):
+            coeffs = _corner_fit(gamma, r, ctx)
+            if coeffs is not None and _recursion_holds(gamma, coeffs, 0, ctx):
+                return Recursion(order=r, coeffs=coeffs, valid_from=0)
         return None
     # The integers of integer_view: scaling every moment by one denominator
     # leaves the recursion's coefficients unchanged.
@@ -205,7 +211,8 @@ def is_finite_mass(
     decides them (in exact mode from the minors and the rank structure,
     with a pivot elimination only where neither decides).  Then scans
     (order, anchor) lexicographically over the same ladder's tables and
-    reports the first that vanishes (`LadderVerdicts.zeros`) as the witness.
+    reports the first that vanishes (`LadderVerdicts.zeros`, by relative
+    leading pivots in float mode) as the witness.
     """
     _stieltjes_screen(gamma, ctx)
     ladder = gamma.ladder(ctx)
@@ -216,9 +223,10 @@ def is_finite_mass(
     return FiniteMassReport(finite=False, witness=None)
 
 
-def _nonneg_roots(rec: Recursion) -> list[Scalar]:
+def _nonneg_roots(rec: Recursion, ctx: ToleranceContext) -> list[Scalar]:
     # The roots of h(t) = t^r - a_{r-1} t^{r-1} - ... - a_0, ascending; a
-    # NotAtomicError unless all are real, simple and nonnegative.
+    # NotAtomicError unless all are real, simple and nonnegative, up to the
+    # float rounding of a root at 0 (`recover_atoms`).
     degree = rec.order
     roots = real_roots([1] + [-a for a in reversed(rec.coeffs)])
     if roots is None:
@@ -229,6 +237,9 @@ def _nonneg_roots(rec: Recursion) -> list[Scalar]:
         raise NotAtomicError(
             f"{degree - len(roots)} of {degree} characteristic roots are not real"
         )
+    if not ctx.is_exact:
+        small = ctx.rel_eps * max(abs(x) for x in roots)
+        roots = [0.0 if -small <= x < 0 else x for x in roots]
     negative = sum(x < 0 for x in roots)
     if negative:
         raise NotAtomicError(
@@ -243,9 +254,10 @@ def recover_atoms(
     """Atoms are the roots of the recursion's characteristic polynomial,
     densities solve the Vandermonde system against gamma_0..gamma_{r-1}.
 
-    All roots must be real, distinct and nonnegative and all densities
-    strictly positive, else the input is not a finite positive atomic
-    measure on the half line.  Roots are isolated exactly (Sturm sequences
+    All roots must be real, distinct and nonnegative (in float mode a
+    negative root within rel_eps * max|root| is the atom 0.0) and all
+    densities strictly positive, else the input is not a finite positive
+    atomic measure on the half line.  Roots are isolated exactly (Sturm sequences
     over the exact coefficients, binary rationals in float mode): a
     rational root comes back as an exact Fraction, an irrational one as the
     correctly rounded double of the certified root, with float densities
@@ -261,7 +273,7 @@ def recover_atoms(
     r = rec.order
     if gamma.horizon < r - 1:
         raise PreconditionError("horizon too short to solve for densities")
-    atoms = _nonneg_roots(rec)
+    atoms = _nonneg_roots(rec, ctx)
     exact_atoms = not any(isinstance(x, float) for x in atoms)
 
     vctx = ctx if (ctx.is_exact and exact_atoms) else FLOAT

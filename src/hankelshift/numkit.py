@@ -3,7 +3,8 @@
 Every routine here runs in one of two modes.  Exact mode keeps scalars as
 `fractions.Fraction` and decides signs and singularity without rounding.
 Float mode works in double precision and replaces each sign decision with a
-tolerance test controlled by a :class:`ToleranceContext`.
+tolerance test controlled by a :class:`ToleranceContext` (for a Hankel
+determinant's zero test, the relative pivot test of `hankel`).
 
 The mode is carried by the context, not by a scalar wrapper type: routines
 coerce their input entries to the representation the context asks for
@@ -93,7 +94,9 @@ class ToleranceContext:
 
     A float quantity x is treated as zero iff |x| <= zero_eps + rel_eps*scale,
     where scale is a magnitude representative of the matrix or sequence under
-    test.  psd_floor scales the eigenvalue threshold of the PSD/PD tests.
+    test; a Hankel determinant takes rel_eps alone, as a bound on relative
+    pivots (`hankel.LadderVerdicts.vanishes`).  psd_floor scales the
+    eigenvalue threshold of the PSD/PD tests.
     All three are ignored in exact mode, but must be finite and positive in
     every mode.
     """
@@ -763,20 +766,6 @@ def solve_vandermonde(
         raise PreconditionError(
             "a solution of the float Vandermonde system lies beyond the double range"
         ) from None
-
-
-def _norm_product(norms: Sequence[float]) -> float:
-    # The Hadamard bound on |det| of a matrix from its row 2-norms,
-    # multiplied in order: a cheap a-priori scale for float zero tests.
-    if 0.0 in norms:
-        return 0.0
-    bound = float(math.prod(norms))
-    if math.isinf(bound):
-        raise PreconditionError(
-            "the Hadamard bound of a float block lies beyond the double range, "
-            "so no zero test can be scaled by it"
-        )
-    return bound
 
 
 def _int_str(n: int) -> str:

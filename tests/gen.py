@@ -1,5 +1,5 @@
-"""Seeded instance generators, and the reference zero test of block
-determinants with its Hadamard bound, shared across test modules."""
+"""Seeded instance generators, the reference zero test of block
+determinants, and the Hadamard bound, shared across test modules."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from fractions import Fraction
 from hankelshift import (
     AtomicMeasure,
     MomentSequence,
-    Scalar,
     ToleranceContext,
     WeightSequence,
     is_k_positive,
@@ -18,7 +17,7 @@ from hankelshift import (
     weights_to_moments,
 )
 from hankelshift.hankel import _check_block, _rows
-from hankelshift.numkit import SymMatrix, _norm_product
+from hankelshift.numkit import PreconditionError, SymMatrix, det_bareiss
 
 
 def rand_fraction(
@@ -113,21 +112,37 @@ def hadamard_bound(matrix) -> float:
 
     `math.hypot` scales each row by its largest absolute entry, so entries
     past the square root of the double range do not overflow the norm.  A
-    product of norms beyond the double range is a PreconditionError
-    (`numkit._norm_product`): an inf scale would band every determinant as
-    zero.
+    product of norms beyond the double range is a PreconditionError: an inf
+    scale would band every determinant as zero.
     """
     rows = matrix.rows if isinstance(matrix, SymMatrix) else matrix
-    return _norm_product([math.hypot(*(float(x) for x in row)) for row in rows])
+    norms = [math.hypot(*(float(x) for x in row)) for row in rows]
+    if 0.0 in norms:
+        return 0.0
+    bound = float(math.prod(norms))
+    if math.isinf(bound):
+        raise PreconditionError(
+            "the Hadamard bound of a float block lies beyond the double range, "
+            "so no zero test can be scaled by it"
+        )
+    return bound
 
 
-def det_is_zero(
-    gamma: MomentSequence, n: int, k: int, value: Scalar, ctx: ToleranceContext
-) -> bool:
-    """Zero test for the determinant value of block(gamma, n, k), scaled by
-    the Hadamard bound of the block in float mode: the reference that
-    `LadderVerdicts.vanishes` is compared against."""
-    if ctx.is_exact:
-        return value == 0
+def det_is_zero(gamma: MomentSequence, n: int, k: int, ctx: ToleranceContext) -> bool:
+    """d_k(n) = 0 by the rule of `LadderVerdicts.vanishes`, computed
+    without the ladder: the leading minors d_0(n), ..., d_k(n) of
+    block(gamma, n, k) by `det_bareiss` on Fraction blocks of the moments'
+    binary values.  Exact mode asks d_k(n) = 0; float mode also answers yes
+    when some pivot d_j(n)/d_{j-1}(n), j = 1..k, d_{j-1}(n) != 0, is at most
+    Fraction(rel_eps) times the corner gamma_{n+2j}."""
     _check_block(gamma, n, k)
-    return ctx.is_zero(value, hadamard_bound(_rows(gamma.values, n, k)))
+    values = [Fraction(v) for v in gamma.values]
+    top = det_bareiss(_rows(values, n, k))
+    if ctx.is_exact or top == 0:
+        return top == 0
+    minors = [det_bareiss(_rows(values, n, j)) for j in range(k)] + [top]
+    eps = Fraction(ctx.rel_eps)
+    return any(
+        low != 0 and abs(d) <= eps * abs(low) * values[n + 2 * j]
+        for j, low, d in zip(range(1, k + 1), minors, minors[1:])
+    )

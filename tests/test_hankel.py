@@ -297,9 +297,15 @@ class TestDetSequence:
         assert ladder.table(0).dets[0] == 2.0
 
     def test_det_is_zero_scaling(self):
-        g = MomentSequence.of([1.0, 0.5, 0.25])
-        assert det_is_zero(g, 0, 1, 1e-18, FLOAT)
-        assert not det_is_zero(g, 0, 1, 1e-3, FLOAT)
+        # the pivot d_1(0)/d_0(0) against rel_eps * gamma_2: 2^-36 / (1/4)
+        # is within 1e-10, 1/100 / (26/100) is not; neither verdict moves
+        # when gamma is scaled by c or gamma_n by c^n
+        for values, want in (([1.0, 0.5, 0.25 + 2.0**-36], True), ([1.0, 0.5, 0.26], False)):
+            for c in (2.0**-400, 1.0, 2.0**300):
+                for scaled in ([c * v for v in values], [c**n * v for n, v in enumerate(values)]):
+                    gamma = MomentSequence.of(scaled)
+                    assert det_is_zero(gamma, 0, 1, FLOAT) is want
+                    assert gamma.ladder(FLOAT).vanishes(0, 1) is want
 
 
 class TestPropagation:

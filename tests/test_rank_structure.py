@@ -53,8 +53,9 @@ def _per_order_search(gamma, max_order):
 
 def _pivot_screen_scan(gamma, ctx=EXACT):
     # The replaced finite-mass test: one PSD elimination on each maximal
-    # block (integer blocks in exact mode), then a scan of its own
-    # det_ladder walk.  The failing block's parity stands for the error.
+    # block (integer blocks in exact mode), then a scan of the anchors of
+    # its own det_ladder walk by the reference zero test, which takes its
+    # minors by det_bareiss.  The failing block's parity stands for the error.
     n = gamma.horizon
     block_of = _integer_block if ctx.is_exact else block
     if not is_psd(block_of(gamma, 0, n // 2), ctx):
@@ -63,7 +64,7 @@ def _pivot_screen_scan(gamma, ctx=EXACT):
         return "not Stieltjes: odd"
     for table in det_ladder(gamma, ctx):
         for p in table.anchors():
-            if det_is_zero(gamma, p, table.k, table.dets[p], ctx):
+            if det_is_zero(gamma, p, table.k, ctx):
                 return FiniteMassReport(finite=True, witness=BlockIndex(p, table.k))
     return FiniteMassReport(finite=False, witness=None)
 

@@ -17,7 +17,8 @@ and diff the dumps:
     PYTHONPATH=src python tests/test_report_bytes.py --diff PARENT CHANGE
 
 `--diff` prints each argv whose outcome differs between two dumps, with
-its exit code in each, and then a count of the moved runs.
+its exit code in each and the first stdout or stderr line that differs on
+each side, and then a count of the moved runs.
 """
 
 from __future__ import annotations
@@ -174,10 +175,27 @@ def test_every_pin_has_its_run(pinned):
 
 
 def test_diff_lists_each_moved_run_with_both_exit_codes():
-    parent = {"a": [0, "x", ""], "b": [3, "", "e"], "c": [0, "y", ""]}
-    change = {"a": [0, "x", ""], "b": [0, "z", ""], "d": [2, "", "f"]}
+    parent = {
+        "a": [0, "x", ""], "b": [3, "", "e"], "c": [0, "y", ""],
+        "e": [0, "same\nold\ntail\n", ""], "f": [0, "one\n", ""], "g": [0, "x", ""],
+    }
+    change = {
+        "a": [0, "x", ""], "b": [0, "z", ""], "d": [2, "", "f"],
+        "e": [0, "same\nnew\ntail\n", ""], "f": [0, "one\ntwo\n", ""], "g": [3, "x", ""],
+    }
     assert moved_runs(parent, change) == [
-        "b: exit 3 -> 0", "c: exit 0 -> -", "d: exit - -> 2"
+        "b: exit 3 -> 0",
+        "  - stdout line 1: (no line)",
+        "  + stdout line 1: z",
+        "c: exit 0 -> -",
+        "d: exit - -> 2",
+        "e: exit 0 -> 0",
+        "  - stdout line 2: old",
+        "  + stdout line 2: new",
+        "f: exit 0 -> 0",
+        "  - stdout line 2: (no line)",
+        "  + stdout line 2: two",
+        "g: exit 0 -> 3",
     ]
 
 
@@ -204,17 +222,33 @@ def _save(path: Path, runs: dict, what: str) -> None:
     print(f"{len(runs)} {what} written to {path}")
 
 
+def first_difference(parent: list, change: list) -> list[str]:
+    """The first stdout line that differs between two outcomes of one run,
+    else the first stderr line, as a "-" (parent) and a "+" (change) line;
+    no lines when both streams match."""
+    for name, before, after in zip(("stdout", "stderr"), parent[1:], change[1:]):
+        before, after = before.splitlines(), after.splitlines()
+        for i in range(max(len(before), len(after))):
+            pair = [lines[i] if i < len(lines) else "(no line)" for lines in (before, after)]
+            if pair[0] != pair[1]:
+                return [f"  {sign} {name} line {i + 1}: {line}" for sign, line in zip("-+", pair)]
+    return []
+
+
 def moved_runs(parent: dict, change: dict) -> list[str]:
     """One line per argv whose outcome differs between two dumps: the argv
-    and its exit code in each ("-" where a dump lacks the run)."""
+    and its exit code in each ("-" where a dump lacks the run), followed,
+    when both dumps have the run, by its `first_difference`."""
     def code(runs: dict, argv: str) -> str:
         return str(runs[argv][0]) if argv in runs else "-"
 
-    return [
-        f"{argv}: exit {code(parent, argv)} -> {code(change, argv)}"
-        for argv in sorted(parent.keys() | change.keys())
-        if parent.get(argv) != change.get(argv)
-    ]
+    lines = []
+    for argv in sorted(parent.keys() | change.keys()):
+        if parent.get(argv) != change.get(argv):
+            lines.append(f"{argv}: exit {code(parent, argv)} -> {code(change, argv)}")
+            if argv in parent and argv in change:
+                lines += first_difference(parent[argv], change[argv])
+    return lines
 
 
 if __name__ == "__main__":
@@ -224,6 +258,7 @@ if __name__ == "__main__":
         _save(Path(sys.argv[2]), _corpus_runs(run_outcome), "outcomes")
     elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
         moved = moved_runs(*(json.loads(Path(p).read_text()) for p in sys.argv[2:]))
-        print("\n".join([*moved, f"{len(moved)} run(s) moved"]))
+        count = sum(not line.startswith(" ") for line in moved)
+        print("\n".join([*moved, f"{count} run(s) moved"]))
     else:
         sys.exit(f"usage: {sys.argv[0]} --write | --dump PATH | --diff PARENT CHANGE")
