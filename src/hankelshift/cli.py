@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional, Sequence
 
@@ -31,6 +30,7 @@ from .measures import (
     AtomicMeasure,
     NotAtomicError,
     detect_recursion,
+    exact_moments,
     is_finite_mass,
     moments_of,
     recover_atoms,
@@ -41,8 +41,8 @@ from .numkit import (
     InternalConsistencyError,
     Interval,
     PreconditionError,
-    Scalar,
     ToleranceContext,
+    _over_lcm,
     fmt_scalar,
 )
 from .perturbation import (
@@ -70,14 +70,18 @@ COUNT_FLOORS = {
 __all__ = ["main"]
 
 
+# A parsed entry: an int, a finite float, or a p/q string as (p, q).
+Entry = int | float | tuple[int, int]
+
+
 @dataclass(frozen=True)
 class LoadedInput:
     path: str
     sha256: str
     kind: str
-    values: tuple[Scalar, ...]
-    atoms: tuple[Scalar, ...]
-    densities: tuple[Scalar, ...]
+    values: tuple[Entry, ...]
+    atoms: tuple[Entry, ...]
+    densities: tuple[Entry, ...]
     has_rational: bool
     has_float: bool
     exact_hint: Optional[bool]
@@ -93,8 +97,9 @@ def _parse_int(digits: str) -> int:
         return int(decimal.Decimal(digits))
 
 
-def _parse_entry(raw: Any, where: str) -> Scalar:
-    """An int, a finite float, or a p/q string read into a Fraction."""
+def _parse_entry(raw: Any, where: str) -> Entry:
+    """An int, a finite float, or a p/q string read into its integer pair
+    (p, q) in lowest terms, q > 0."""
     if isinstance(raw, bool):
         raise InputError(f"{where}: booleans are not numbers")
     if isinstance(raw, int):
@@ -115,11 +120,13 @@ def _parse_entry(raw: Any, where: str) -> Scalar:
         den = _parse_int(tail)
         if den == 0:
             raise InputError(f"{where}: zero denominator in {raw!r}")
-        return Fraction(_parse_int(head), den)
+        num = _parse_int(head)
+        g = math.gcd(num, den)
+        return num // g, den // g
     raise InputError(f"{where}: unsupported value {raw!r}")
 
 
-def _parse_array(raw: Any, where: str) -> tuple[Scalar, ...]:
+def _parse_array(raw: Any, where: str) -> tuple[Entry, ...]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: expected a nonempty array")
     return tuple(_parse_entry(entry, f"{where}[{i}]") for i, entry in enumerate(raw))
@@ -185,7 +192,7 @@ def _load_json(path: str, digest: str, text: str) -> LoadedInput:
 
 
 def _load_csv(path: str, digest: str, text: str) -> LoadedInput:
-    values: list[Scalar] = []
+    values: list[Entry] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token:
@@ -252,11 +259,15 @@ def resolve_context(args: argparse.Namespace, loaded: LoadedInput) -> ToleranceC
         raise InputError(f"bad tolerance: {exc}") from exc
 
 
-def _coerce(values: Sequence[Scalar], ctx: ToleranceContext) -> tuple[Scalar, ...]:
-    if ctx.is_exact:
-        return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+def _pairs(values: Sequence[Entry]) -> list[tuple[int, int]]:
+    # Exact mode: each entry as (p, q), floats at their binary values.
+    return [v if type(v) is tuple else v.as_integer_ratio() for v in values]
+
+
+def _floats(values: Sequence[Entry]) -> tuple[float, ...]:
+    # Float mode: each entry correctly rounded, as float() rounds a Fraction.
     try:
-        return tuple(float(v) for v in values)
+        return tuple(v[0] / v[1] if type(v) is tuple else float(v) for v in values)
     except OverflowError:
         raise PreconditionError(
             "an input value lies beyond the double range, so float mode cannot hold it"
@@ -265,27 +276,39 @@ def _coerce(values: Sequence[Scalar], ctx: ToleranceContext) -> tuple[Scalar, ..
 
 def materialize(
     loaded: LoadedInput, ctx: ToleranceContext, warnings: list[str]
-) -> tuple[MomentSequence, Optional[WeightSequence], Optional[AtomicMeasure], int]:
+) -> tuple[MomentSequence, Optional[WeightSequence], int]:
+    """The moment sequence of the input (with its weights, for weight
+    input) and its horizon.  Exact values go from their integer pairs to
+    the integer view of the moments (`MomentSequence.scaled`), building no
+    Fraction; float mode reads the entries as doubles."""
+    exact = ctx.is_exact
     try:
         if loaded.kind == "weights":
-            alpha = WeightSequence.from_squared(_coerce(loaded.values, ctx))
+            if exact:
+                alpha = WeightSequence.scaled(_pairs(loaded.values))
+            else:
+                alpha = WeightSequence.from_squared(_floats(loaded.values))
             gamma = weights_to_moments(alpha)
-            return gamma, alpha, None, gamma.horizon
+            return gamma, alpha, gamma.horizon
         if loaded.kind == "moments":
-            gamma = MomentSequence(_coerce(loaded.values, ctx))
-            return gamma, None, None, gamma.horizon
-        mu = AtomicMeasure(
-            atoms=_coerce(loaded.atoms, ctx),
-            densities=_coerce(loaded.densities, ctx),
-        )
+            if exact:
+                gamma = MomentSequence.scaled(*_over_lcm(_pairs(loaded.values)))
+            else:
+                gamma = MomentSequence(_floats(loaded.values))
+            return gamma, None, gamma.horizon
         horizon = loaded.horizon if loaded.horizon is not None else DEFAULT_MEASURE_HORIZON
         if loaded.horizon is None:
             warnings.append(
                 f"measure input: moments materialized to default horizon "
                 f"{DEFAULT_MEASURE_HORIZON}"
             )
-        gamma = moments_of(mu, horizon)
-        return gamma, None, mu, horizon
+        if exact:
+            atoms, densities = _pairs(loaded.atoms), _pairs(loaded.densities)
+            gamma = exact_moments(_over_lcm(atoms), _over_lcm(densities), horizon)
+        else:
+            mu = AtomicMeasure(atoms=_floats(loaded.atoms), densities=_floats(loaded.densities))
+            gamma = moments_of(mu, horizon)
+        return gamma, None, horizon
     except ValueError as exc:
         raise InputError(f"{loaded.path}: {exc}") from exc
 
@@ -320,7 +343,7 @@ def _propagation_json(rep: PropagationReport) -> dict:
     return {
         "k": rep.k,
         "det_order": rep.table.k,
-        "dets": [fmt_scalar(d) for d in rep.table.dets],
+        "dets": list(rep.table.texts),
         "methods": list(rep.table.methods),
         "vanishing_found": rep.vanishing_found,
         "first_zero_anchor": rep.first_zero_anchor,
@@ -334,7 +357,7 @@ def _det_table_json(table: DetTable) -> dict:
         "k": table.k,
         "horizon": table.horizon,
         "anchors": list(table.anchors()),
-        "dets": [fmt_scalar(d) for d in table.dets],
+        "dets": list(table.texts),
         "methods": list(table.methods),
     }
 
@@ -446,6 +469,21 @@ def cmd_recursion(
         except NotAtomicError as exc:
             results["measure"] = {"atomic": False, "reason": str(exc)}
     report = is_finite_mass(gamma, ctx)
+    w = report.witness
+    # An anchor-0 witness below the recursion's order with a nonzero integer
+    # is a float small relative pivot (an exact witness's integer is 0).
+    if (
+        w is not None
+        and w.n == 0
+        and rec is not None
+        and w.k < rec.order
+        and gamma.ladder(ctx).table(w.k).nums[0] != 0
+    ):
+        warnings.append(
+            f"float mode: the finite-mass witness (anchor 0, order {w.k}), below the "
+            f"order-{rec.order} recursion, is a relative pivot within rel_eps = "
+            f"{ctx.rel_eps!r}, not an exactly vanishing determinant"
+        )
     results["finite_mass"] = {
         "finite": report.finite,
         "witness": None
@@ -759,7 +797,7 @@ def run(args: argparse.Namespace) -> tuple[dict, bool]:
     loaded = load_sequence_file(args.file)
     ctx = resolve_context(args, loaded)
     warnings: list[str] = []
-    gamma, alpha, _mu, horizon = materialize(loaded, ctx, warnings)
+    gamma, alpha, horizon = materialize(loaded, ctx, warnings)
     incident = False
     if args.command == "analyze":
         results = cmd_analyze(gamma, alpha, args, ctx, warnings)

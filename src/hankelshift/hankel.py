@@ -23,9 +23,11 @@ from .numkit import (
     SymMatrix,
     ToleranceContext,
     _integer_view,
+    _ratio_str,
     _rounded,
     _rows,
     det_bareiss,
+    fmt_scalar,
     hankel_psd_with_margin,
     psd_with_margin,
     solve_linear_exact,
@@ -60,35 +62,50 @@ class MomentSequence:
     values: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("a moment sequence needs at least gamma_0")
         # A Fraction's sign is its numerator's, read without Fraction's compare.
-        signs = [v.numerator if isinstance(v, Fraction) else v for v in self.values]
-        if not signs[0] > 0:
-            raise ValueError("gamma_0 must be positive")
-        for n, v in enumerate(signs):
-            if v < 0:
-                raise ValueError(f"gamma_{n} is negative")
+        _check_signs([v.numerator if isinstance(v, Fraction) else v for v in self.values])
 
     @classmethod
     def of(cls, values: Iterable[Scalar]) -> "MomentSequence":
         return cls(tuple(values))
 
-    @property
+    @classmethod
+    def scaled(cls, nums: Sequence[int], den: int) -> "MomentSequence":
+        """The exact sequence gamma_n = nums[n] / den whose integer view is
+        (nums, den): den > 0 must be the lcm of the denominators of the
+        gamma_n in lowest terms.  Its values, Fractions, are built on first
+        read, as `DetTable.scaled` builds dets; verdicts read the integer
+        view."""
+        _check_signs(nums)
+        seq = object.__new__(cls)
+        seq.__dict__.update(
+            integer_view=(tuple(nums), den), horizon=len(nums) - 1, has_float=False
+        )
+        return seq
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for a missing attribute: a scaled sequence's unread values.
+        if name != "values" or "integer_view" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nums, den = self.integer_view
+        values = self.__dict__["values"] = tuple(Fraction(num, den) for num in nums)
+        return values
+
+    @cached_property
     def horizon(self) -> int:
         return len(self.values) - 1
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.horizon + 1
 
     def __getitem__(self, n: int) -> Scalar:
         return self.values[n]
 
     @cached_property
     def strictly_positive(self) -> bool:
-        """Every moment is > 0, read off numerator signs as the constructor
-        reads them, so no `Fraction` is compared."""
-        return all((v.numerator if isinstance(v, Fraction) else v) > 0 for v in self.values)
+        """Every moment is > 0, read off the integer view, so no `Fraction`
+        is compared."""
+        return all(g > 0 for g in self.integer_view[0])
 
     @cached_property
     def has_float(self) -> bool:
@@ -130,11 +147,11 @@ class MomentSequence:
             # The kept ladder reads a copy without the cache: reading this
             # sequence would close a cycle (sequence, cache, ladder and its
             # walk) that refcounting cannot free, leaving every sequence to
-            # the cyclic collector.  The copy shares the values, already
-            # checked, and the integer view.
+            # the cyclic collector.  The copy shares what this sequence
+            # holds, the integer view among it, and builds no values.
+            self.integer_view
             twin = object.__new__(MomentSequence)
-            twin.__dict__["values"] = self.values
-            twin.__dict__["integer_view"] = self.integer_view
+            twin.__dict__.update(self.__getstate__())
             return LadderVerdicts(twin, ctx)
 
         return self._memo(("ladder", ctx), build)
@@ -146,6 +163,17 @@ class MomentSequence:
             raise PreconditionError(
                 "a moment lies beyond the double range, so no float scale exists"
             ) from None
+
+
+def _check_signs(signs: Sequence[Scalar]) -> None:
+    # The moments' conditions, on values or numerators of one sign each.
+    if not signs:
+        raise ValueError("a moment sequence needs at least gamma_0")
+    if not signs[0] > 0:
+        raise ValueError("gamma_0 must be positive")
+    for n, v in enumerate(signs):
+        if v < 0:
+            raise ValueError(f"gamma_{n} is negative")
 
 
 class BlockIndex(NamedTuple):
@@ -178,7 +206,9 @@ class DetTable:
     built from them on first read: the Fractions nums[n] / scale, or in
     float mode their correctly rounded doubles.  A double past the range is
     a PreconditionError at that read, which keeps nothing, so every read of
-    dets raises it again (eq, hash and repr among them).
+    dets raises it again (eq, hash and repr among them).  texts, the
+    `fmt_scalar` text of each entry, is built once on first read; an exact
+    ladder table writes it from nums and scale, building no Fraction.
     """
 
     k: int
@@ -214,6 +244,12 @@ class DetTable:
             dets = tuple(Fraction(d, self.scale) for d in self.nums)
         self.__dict__["dets"] = dets
         return dets
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        if "nums" in self.__dict__ and not self.rounded:
+            return tuple(_ratio_str(num, self.scale) for num in self.nums)
+        return tuple(map(fmt_scalar, self.dets))
 
     def anchors(self) -> range:
         return range(self.horizon - 2 * self.k + 1)
@@ -300,8 +336,9 @@ def zero_moment_collapse(gamma: MomentSequence) -> bool:
     vanishes, every moment with index >= 1 must vanish.  Returns True when
     the rule holds on the data (vacuously when no moment vanishes).  A
     moment vanishes only when it is exactly 0, in either mode: moments are
-    input data, not computed values, so they take no tolerance band."""
-    tail = gamma.values[1:]
+    input data, not computed values, so they take no tolerance band.  It
+    reads the integer view, where a moment is 0 exactly when its value is."""
+    tail = gamma.integer_view[0][1:]
     return all(tail) or not any(tail)
 
 

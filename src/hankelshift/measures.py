@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .hankel import BlockIndex, MomentSequence, _corner_fit, _recursion_holds
 from .numkit import (
@@ -20,6 +20,8 @@ from .numkit import (
     Scalar,
     ToleranceContext,
     _integer_view,
+    _over_lcm,
+    _solve_integer,
     real_roots,
     solve_linear_exact,
     solve_vandermonde,
@@ -33,6 +35,7 @@ __all__ = [
     "NotAtomicError",
     "NotStieltjesError",
     "moments_of",
+    "exact_moments",
     "detect_recursion",
     "is_finite_mass",
     "recover_atoms",
@@ -60,22 +63,28 @@ class AtomicMeasure:
     densities: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("an atomic measure needs at least one atom")
-        if len(self.atoms) != len(self.densities):
-            raise ValueError("atoms and densities must have equal length")
-        if self.atoms[0] < 0:
-            raise ValueError("atoms must be nonnegative")
-        for i in range(len(self.atoms) - 1):
-            if not self.atoms[i] < self.atoms[i + 1]:
-                raise ValueError("atoms must be strictly increasing")
-        for rho in self.densities:
-            if not rho > 0:
-                raise ValueError("densities must be strictly positive")
+        _check_measure(self.atoms, self.densities)
 
     @property
     def mass(self) -> Scalar:
         return sum(self.densities)
+
+
+def _check_measure(atoms: Sequence[Scalar], densities: Sequence[Scalar]) -> None:
+    # The conditions of `AtomicMeasure`, on its values or on the integer
+    # views of atoms and densities (a common denominator keeps every order).
+    if not atoms:
+        raise ValueError("an atomic measure needs at least one atom")
+    if len(atoms) != len(densities):
+        raise ValueError("atoms and densities must have equal length")
+    if atoms[0] < 0:
+        raise ValueError("atoms must be nonnegative")
+    for i in range(len(atoms) - 1):
+        if not atoms[i] < atoms[i + 1]:
+            raise ValueError("atoms must be strictly increasing")
+    for rho in densities:
+        if not rho > 0:
+            raise ValueError("densities must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -108,21 +117,13 @@ class FiniteMassReport:
 def moments_of(mu: AtomicMeasure, horizon: int) -> MomentSequence:
     """gamma_n = sum_j rho_j * x_j^n for n = 0..horizon.
 
-    Exact measures (no float atom or density) are summed over the integers:
-    with x_j = a_j / A and rho_j = r_j / R over common denominators,
-    gamma_n = (sum_j r_j a_j^n) / (R A^n), one Fraction per moment.
+    Exact measures (no float atom or density) are summed over the integers
+    (`exact_moments`) into a `MomentSequence.scaled`.
     """
     if horizon < 0:
         raise PreconditionError("horizon must be >= 0")
     if not any(isinstance(v, float) for v in list(mu.atoms) + list(mu.densities)):
-        atoms, a_den = _integer_view(mu.atoms)
-        powers, den = _integer_view(mu.densities)
-        exact: list[Scalar] = []
-        for _ in range(horizon + 1):
-            exact.append(Fraction(sum(powers), den))
-            powers = [p * a for p, a in zip(powers, atoms)]
-            den *= a_den
-        return MomentSequence(tuple(exact))
+        return exact_moments(_integer_view(mu.atoms), _integer_view(mu.densities), horizon)
     floats = [float(x) for x in mu.atoms]
     values: list[Scalar] = []
     powers = [float(r) for r in mu.densities]
@@ -134,6 +135,33 @@ def moments_of(mu: AtomicMeasure, horizon: int) -> MomentSequence:
             )
         powers = [p * x for p, x in zip(powers, floats)]
     return MomentSequence(tuple(values))
+
+
+def exact_moments(
+    atoms: tuple[Sequence[int], int], densities: tuple[Sequence[int], int], horizon: int
+) -> MomentSequence:
+    """`moments_of` the exact measure given by the integer views (nums,
+    den) of its atoms and of its densities, which must satisfy the
+    conditions of `AtomicMeasure` (a ValueError names the first that
+    fails), without building it or any Fraction.
+
+    With x_j = a_j / A and rho_j = r_j / R, gamma_n = S_n / (R A^n), S_n =
+    sum_j r_j a_j^n; each is put in lowest terms, one gcd, and all over the
+    lcm of the reduced denominators, the integer view of the values.
+    """
+    _check_measure(atoms[0], densities[0])
+    if horizon < 0:
+        raise PreconditionError("horizon must be >= 0")
+    a, a_den = atoms
+    powers, den = densities
+    moments = []
+    for _ in range(horizon + 1):
+        total = sum(powers)
+        g = math.gcd(total, den)
+        moments.append((total // g, den // g))
+        powers = [p * x for p, x in zip(powers, a)]
+        den *= a_den
+    return MomentSequence.scaled(*_over_lcm(moments))
 
 
 def detect_recursion(
@@ -264,7 +292,9 @@ def recover_atoms(
     solved from it (the CLI warns when exact mode returns such atoms).  The
     recovered measure is re-verified against every moment on the horizon
     before it is returned (exactly when the atoms are rational in exact
-    mode, within the float band otherwise).
+    mode, within the float band otherwise).  Rational atoms in exact mode
+    are solved and re-verified over the integer view of the moments, and
+    Fractions are built only for the densities returned.
     """
     if rec.valid_from != 0:
         raise PreconditionError("recursion must be valid from index 0")
@@ -274,23 +304,57 @@ def recover_atoms(
     if gamma.horizon < r - 1:
         raise PreconditionError("horizon too short to solve for densities")
     atoms = _nonneg_roots(rec, ctx)
-    exact_atoms = not any(isinstance(x, float) for x in atoms)
+    if ctx.is_exact and not any(isinstance(x, float) for x in atoms):
+        return _exact_measure(atoms, gamma)
 
-    vctx = ctx if (ctx.is_exact and exact_atoms) else FLOAT
-    densities = solve_vandermonde(atoms, [gamma[i] for i in range(r)], vctx)
+    densities = solve_vandermonde(atoms, [gamma[i] for i in range(r)], FLOAT)
     for x, rho in zip(atoms, densities):
         if not rho > 0:
             raise NotAtomicError(f"density {rho} at atom {x} is not positive")
     mu = AtomicMeasure(atoms=tuple(atoms), densities=tuple(densities))
 
     check = moments_of(mu, gamma.horizon)
-    scale = 0.0 if vctx.is_exact else gamma.max_abs()
-    for n in range(len(gamma)):
-        if not vctx.is_zero(check[n] - gamma[n], scale):
+    scale = gamma.max_abs()
+    # The moments as doubles, each converted once: a double minus a Fraction
+    # would convert it there anyway.
+    doubles = [float(v) for v in gamma.values]
+    for n, (c, v) in enumerate(zip(check, doubles)):
+        if not FLOAT.is_zero(c - v, scale):
             raise InternalConsistencyError(
-                f"recovered measure mismatches gamma_{n}: {check[n]} != {gamma[n]}"
+                f"recovered measure mismatches gamma_{n}: {c} != {gamma[n]}"
             )
     return mu
+
+
+def _exact_measure(atoms: Sequence[Scalar], gamma: MomentSequence) -> AtomicMeasure:
+    # `recover_atoms` for rational atoms x_j = a_j / A in exact mode, on the
+    # integers G = D * gamma of the integer view: Sum_j c_j a_j^i = C G_i A^i,
+    # i < r, is solved as integers (c_j, C = lead), so rho_j = c_j / (C D),
+    # and Sum_j c_j a_j^n = C G_n A^n is re-checked at every n on the horizon.
+    # Fractions are built only for the densities returned.
+    g, den = gamma.integer_view
+    a, a_den = _integer_view(atoms)
+    r = len(a)
+    sol = _solve_integer(
+        [[x**i for x in a] for i in range(r)], [g[i] * a_den**i for i in range(r)]
+    )
+    if sol is None:
+        raise InternalConsistencyError("distinct-node Vandermonde system unsolvable")
+    c, lead = sol
+    for x, cj in zip(atoms, c):
+        if not cj * lead > 0:
+            raise NotAtomicError(f"density {Fraction(cj, lead * den)} at atom {x} is not positive")
+    powers, factor = c, lead
+    for n in range(len(g)):
+        if sum(powers) != factor * g[n]:
+            raise InternalConsistencyError(
+                f"recovered measure mismatches gamma_{n}: "
+                f"{Fraction(sum(powers), factor * den)} != {gamma[n]}"
+            )
+        powers = [p * x for p, x in zip(powers, a)]
+        factor *= a_den
+    densities = tuple(Fraction(cj, lead * den) for cj in c)
+    return AtomicMeasure(atoms=tuple(atoms), densities=densities)
 
 
 def measure_represents_weights(

@@ -148,6 +148,11 @@ def _integer_view(values: Iterable[Scalar]) -> tuple[list[int], int]:
         pairs = [x.as_integer_ratio() for x in values]
     except (OverflowError, ValueError):
         raise PreconditionError("a value is not finite, so it has no exact binary value") from None
+    return _over_lcm(pairs)
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The integer view of the values p/q, (p, q) in pairs with q > 0."""
     den = math.lcm(*[d for _, d in pairs])
     if den == 1:
         return [n for n, _ in pairs], 1
@@ -721,6 +726,17 @@ def solve_linear_exact(
     rows, so the answer is sound whatever the pivoting, and the Fractions
     are built last.
     """
+    sol = _solve_integer(rows, rhs)
+    if sol is None:
+        return None
+    y, d = sol
+    return tuple(Fraction(yi, d) for yi in y)
+
+
+def _solve_integer(
+    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
+) -> tuple[list[int], int] | None:
+    # `solve_linear_exact` as (y, d), d != 0, the solution being y / d.
     scaled = [_integer_view([*row, v])[0] for row, v in zip(rows, rhs, strict=True)]
     ncols = len(rows[0]) if scaled else 0
     ech = [list(row) for row in scaled]
@@ -733,7 +749,7 @@ def solve_linear_exact(
     for row in scaled:
         if sum(a * yi for a, yi in zip(row, y)) != d * row[ncols]:
             return None
-    return tuple(Fraction(yi, d) for yi in y)
+    return y, d
 
 
 def solve_vandermonde(
@@ -777,15 +793,22 @@ def _int_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
+def _ratio_str(num: int, den: int) -> str:
+    # fmt_scalar(Fraction(num, den)), den > 0, without building the Fraction.
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return _int_str(num)
+    return f"{_int_str(num)}/{_int_str(den)}"
+
+
 def fmt_scalar(x: Scalar) -> str:
     """Stable display form: integers bare, rationals as p/q, floats as repr.
     Integers and rationals are printed in full whatever their digit count."""
     if isinstance(x, bool):
         return str(x)
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return _int_str(x.numerator)
-        return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+        return _ratio_str(x.numerator, x.denominator)
     if isinstance(x, int):
         return _int_str(x)
     return repr(float(x))

@@ -9,9 +9,11 @@ closed over the rationals.  Plain weights appear only in float display.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Any, Iterable, Optional, Sequence
 
 from .hankel import (
     BlockIndex,
@@ -25,6 +27,7 @@ from .numkit import (
     PreconditionError,
     Scalar,
     ToleranceContext,
+    _over_lcm,
 )
 
 __all__ = [
@@ -49,16 +52,37 @@ class WeightSequence:
     sq: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        if not self.sq:
-            raise ValueError("a weight sequence needs at least one weight")
-        for n, v in enumerate(self.sq):
-            # A Fraction's sign is its numerator's, read without Fraction's compare.
-            if not (v.numerator if isinstance(v, Fraction) else v) > 0:
-                raise ValueError(f"squared weight at index {n} is not positive")
+        # A Fraction's sign is its numerator's, read without Fraction's compare.
+        _check_positive([v.numerator if isinstance(v, Fraction) else v for v in self.sq])
 
     @classmethod
     def from_squared(cls, values: Iterable[Scalar]) -> "WeightSequence":
         return cls(tuple(values))
+
+    @classmethod
+    def scaled(cls, pairs: Sequence[tuple[int, int]]) -> "WeightSequence":
+        """The exact squared weights sq[n] = p / q, (p, q) = pairs[n] in
+        lowest terms with q > 0.  sq, Fractions, is built on first read, as
+        `MomentSequence.scaled` builds its values."""
+        _check_positive([p for p, _ in pairs])
+        seq = object.__new__(cls)
+        seq.__dict__["pairs"] = tuple(pairs)
+        return seq
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for a missing attribute: a scaled sequence's unread sq.
+        if name != "sq" or "pairs" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sq = self.__dict__["sq"] = tuple(Fraction(p, q) for p, q in self.pairs)
+        return sq
+
+    @cached_property
+    def pairs(self) -> Optional[tuple[tuple[int, int], ...]]:
+        """The squared weights as (p, q) in lowest terms, q > 0; None when
+        one is a float."""
+        if any(isinstance(v, float) for v in self.sq):
+            return None
+        return tuple(v.as_integer_ratio() for v in self.sq)
 
     def __len__(self) -> int:
         return len(self.sq)
@@ -110,21 +134,30 @@ class ShiftPropagationReport:
 
 
 def weights_to_moments(alpha: WeightSequence) -> MomentSequence:
-    """gamma_0 = 1, gamma_{n+1} = alpha_n^2 * gamma_n."""
-    values: list[Scalar] = [1]
-    exact = not any(isinstance(v, float) for v in alpha.sq)
-    acc: Scalar = Fraction(1) if exact else 1.0
-    for n, v in enumerate(alpha.sq):
-        if exact:
-            # integer products, normalised once, not a Fraction product
-            p, q = v.as_integer_ratio()
-            acc = Fraction(acc.numerator * p, acc.denominator * q)
-        elif (acc := acc * v) == math.inf:
-            raise PreconditionError(
-                f"a moment lies beyond the double range: gamma_{n + 1} of the float weights"
-            )
-        values.append(acc)
-    return MomentSequence(tuple(values))
+    """gamma_0 = 1, gamma_{n+1} = alpha_n^2 * gamma_n.
+
+    Exact weights give a `MomentSequence.scaled`: the running product of
+    their (p, q) pairs, kept in lowest terms (gamma_n and alpha_n^2 are,
+    so the two cross gcds reduce it), is put over the lcm of its
+    denominators; no Fraction is built."""
+    pairs = alpha.pairs
+    if pairs is None:
+        values: list[Scalar] = [1]
+        acc = 1.0
+        for n, v in enumerate(alpha.sq):
+            if (acc := acc * v) == math.inf:
+                raise PreconditionError(
+                    f"a moment lies beyond the double range: gamma_{n + 1} of the float weights"
+                )
+            values.append(acc)
+        return MomentSequence(tuple(values))
+    num, den = 1, 1
+    products = [(1, 1)]
+    for p, q in pairs:
+        g, h = math.gcd(num, q), math.gcd(p, den)
+        num, den = (num // g) * (p // h), (den // h) * (q // g)
+        products.append((num, den))
+    return MomentSequence.scaled(*_over_lcm(products))
 
 
 def moments_to_weights(gamma: MomentSequence) -> WeightSequence:
@@ -145,6 +178,15 @@ def moments_to_weights(gamma: MomentSequence) -> WeightSequence:
             Fraction(gamma[n + 1]) / Fraction(gamma[n]) for n in range(len(gamma) - 1)
         )
     return WeightSequence(sq)
+
+
+def _check_positive(signs: Sequence[Scalar]) -> None:
+    # The weights' condition, on values or numerators of one sign each.
+    if not signs:
+        raise ValueError("a weight sequence needs at least one weight")
+    for n, v in enumerate(signs):
+        if not v > 0:
+            raise ValueError(f"squared weight at index {n} is not positive")
 
 
 def _float_scale(alpha: WeightSequence, ctx: ToleranceContext) -> float:
@@ -188,10 +230,6 @@ def _hyponormality(ladder: LadderVerdicts, k: int) -> HyponormalityVerdict:
     )
 
 
-def _weights_equal(a: Scalar, b: Scalar, scale: float, ctx: ToleranceContext) -> bool:
-    return ctx.is_zero(a - b, scale)
-
-
 def flatness_check(
     alpha: WeightSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> FlatnessReport:
@@ -214,16 +252,19 @@ def flat_tail_report(
     alpha: WeightSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> FlatnessReport:
     """The flat-pair scan of `flatness_check` without its k-hyponormality
-    check, for a caller that has certified k-hyponormality itself."""
-    scale = _float_scale(alpha, ctx)
-    pair = next(
-        (
-            n
-            for n in range(len(alpha) - 1)
-            if _weights_equal(alpha.sq[n], alpha.sq[n + 1], scale, ctx)
-        ),
-        None,
-    )
+    check, for a caller that has certified k-hyponormality itself.  Exact
+    weights are compared as their (p, q) pairs in lowest terms, equal
+    exactly when the weights are."""
+    sq = alpha.pairs if ctx.is_exact else None
+    if sq is not None:
+        equal = operator.eq
+    else:
+        sq, scale = alpha.sq, _float_scale(alpha, ctx)
+
+        def equal(a: Scalar, b: Scalar) -> bool:
+            return ctx.is_zero(a - b, scale)
+
+    pair = next((n for n in range(len(sq) - 1) if equal(sq[n], sq[n + 1])), None)
     if pair is None:
         return FlatnessReport(
             k=k,
@@ -232,11 +273,9 @@ def flat_tail_report(
             propagation_verified=None,
             alpha0_exception=False,
         )
-    level = alpha.sq[pair]
-    verified = all(
-        _weights_equal(alpha.sq[n], level, scale, ctx) for n in range(1, len(alpha))
-    )
-    exception = len(alpha) > 1 and not _weights_equal(alpha.sq[0], level, scale, ctx)
+    level = sq[pair]
+    verified = all(equal(sq[n], level) for n in range(1, len(sq)))
+    exception = len(sq) > 1 and not equal(sq[0], level)
     return FlatnessReport(
         k=k,
         flat_pair_found=True,

@@ -164,3 +164,25 @@ class TestReports:
         assert code == 0
         assert "recursion: order 4, coefficients (-6174.85" in out
         assert "measure: 1.31249" in out
+
+    @pytest.mark.parametrize("horizon", [8, 12, 16])
+    def test_float_witness_below_the_recursion_is_named(self, tmp_path, horizon):
+        # the same input: the float witness, anchor 0 at order 3, is the
+        # rank's small relative pivot, below the order-4 recursion printed
+        # beside it; a warning says so, and no verdict moves
+        atoms = (F(25, 3), F(26, 3), F(9), F(19, 2))
+        values = _moments(atoms, (F(21, 16), F(1, 84), F(47, 12), F(11, 8)), horizon)
+        path = tmp_path / "m.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in values))
+        code, out, _ = run_main(["recursion", str(path), "--no-timestamp"])
+        assert code == 0
+        assert "recursion: order 4, " in out
+        assert "finite mass: yes (vanishing determinant at anchor 0, order 3)\n" in out
+        assert out.endswith(
+            "warning: float mode: the finite-mass witness (anchor 0, order 3), below the "
+            "order-4 recursion, is a relative pivot within rel_eps = 1e-10, not an exactly "
+            "vanishing determinant\n"
+        )
+        # exact mode on the doubles' binary values names no such witness
+        _, out, _ = run_main(["recursion", str(path), "--exact", "--no-timestamp"])
+        assert "relative pivot" not in out

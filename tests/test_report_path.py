@@ -1,7 +1,8 @@
 """The exact report path's fast pieces against the code they replaced: the
 report emitter against `json.dumps(indent=2, sort_keys=True)`, the one-pass
-p/q reader against the regex reader, and the integer running product of
-`weights_to_moments` against the Fraction product."""
+p/q reader (to a pair in lowest terms) against the regex reader (to a
+Fraction), and the integer running product of `weights_to_moments` against
+the Fraction product."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelshift.cli as cli
-from hankelshift import EXACT, FLOAT, InputError, WeightSequence, weights_to_moments
+from hankelshift import InputError, PreconditionError, WeightSequence, weights_to_moments
 
 # -------------------------------------------------------------------- emitter
 
@@ -71,7 +72,8 @@ RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
 
 
 def _regex_entry(raw: str):
-    # The reader the one-pass parse replaced.
+    # The reader the one-pass parse replaced, its Fraction as the pair the
+    # one-pass reader gives.
     where = "f: values[0]"
     if not RATIONAL_RE.match(raw.strip()):
         raise InputError(
@@ -80,7 +82,8 @@ def _regex_entry(raw: str):
     num, den = (cli._parse_int(part) for part in raw.strip().split("/"))
     if den == 0:
         raise InputError(f"{where}: zero denominator in {raw!r}")
-    return F(num, den)
+    value = F(num, den)
+    return value.numerator, value.denominator
 
 
 def _outcome(read, raw):
@@ -103,7 +106,7 @@ _PQ_TEXT = st.text(
 
 class TestRationalReader:
     @settings(max_examples=600, deadline=None)
-    @given(_PQ_TEXT | st.text(max_size=6))
+    @given(_PQ_TEXT | st.text(max_size=6) | st.from_regex(r"\A\s?[+-]?\d{1,5}/\d{1,5}\s?\Z"))
     def test_accepts_and_refuses_as_the_regex(self, raw):
         got = _outcome(lambda r: cli._parse_entry(r, "f: values[0]"), raw)
         assert got == _outcome(_regex_entry, raw)
@@ -111,14 +114,15 @@ class TestRationalReader:
     @pytest.mark.parametrize(
         "raw, value",
         [
-            ("+3/6", F(1, 2)),
-            (" -4/2\n", F(-2)),
-            ("\u0661/\u0663", F(1, 3)),
-            ("0/7", F(0)),
-            ("1/2\n", F(1, 2)),
+            ("+3/6", (1, 2)),
+            (" -4/2\n", (-2, 1)),
+            ("\u0661/\u0663", (1, 3)),
+            ("0/7", (0, 1)),
+            ("1/2\n", (1, 2)),
         ],
     )
     def test_reads_normalised_fractions(self, raw, value):
+        # The pair in lowest terms, denominator positive: a Fraction's.
         assert cli._parse_entry(raw, "f") == value == _regex_entry(raw)
 
     @pytest.mark.parametrize(
@@ -152,8 +156,8 @@ class TestWeightsToMoments:
     def test_equals_the_fraction_product(self, sq):
         values = weights_to_moments(WeightSequence.from_squared(sq)).values
         assert values == _fraction_product(sq)
-        assert values[0] == 1 and type(values[0]) is int
-        assert all(type(v) is F for v in values[1:])
+        # Exact moments are built from their integer view, gamma_0 = 1 as well.
+        assert values[0] == 1 and all(type(v) is F for v in values)
 
     def test_float_weights_stay_float(self):
         values = weights_to_moments(WeightSequence.from_squared([0.5, 3, 0.25])).values
@@ -161,9 +165,10 @@ class TestWeightsToMoments:
         assert [type(v) for v in values] == [int, float, float, float]
 
 
-def test_coerce_keeps_fractions_and_converts_the_rest():
-    half = F(1, 2)
-    exact = cli._coerce((half, 3, 0.25), EXACT)
-    assert exact == (half, F(3), F(1, 4)) and exact[0] is half
-    assert all(type(v) is F for v in exact)
-    assert cli._coerce((half, 3), FLOAT) == (0.5, 3.0)
+def test_entries_become_pairs_or_doubles():
+    # Exact mode reads each parsed entry as (p, q), floats at their binary
+    # values; float mode as its correctly rounded double.
+    assert cli._pairs(((1, 2), 3, 0.25)) == [(1, 2), (3, 1), (1, 4)]
+    assert cli._floats(((1, 3), 3, 0.25)) == (1 / 3, 3.0, 0.25) == (float(F(1, 3)), 3.0, 0.25)
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        cli._floats([(10**400, 3)])
