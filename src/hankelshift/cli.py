@@ -40,6 +40,7 @@ from .numkit import (
     InsufficientMomentsError,
     InternalConsistencyError,
     Interval,
+    PSD_FLOOR,
     PreconditionError,
     ToleranceContext,
     _over_lcm,
@@ -253,7 +254,6 @@ def resolve_context(args: argparse.Namespace, loaded: LoadedInput) -> ToleranceC
             mode=mode,
             zero_eps=args.tol_zero if args.tol_zero is not None else defaults.zero_eps,
             rel_eps=rel if rel is not None else defaults.rel_eps,
-            psd_floor=defaults.psd_floor,
         )
     except ValueError as exc:
         raise InputError(f"bad tolerance: {exc}") from exc
@@ -819,7 +819,7 @@ def run(args: argparse.Namespace) -> tuple[dict, bool]:
         "tolerances": {
             "zero_eps": ctx.zero_eps,
             "rel_eps": ctx.rel_eps,
-            "psd_floor": ctx.psd_floor,
+            "psd_floor": PSD_FLOOR,
         },
         "results": results,
         "warnings": warnings,

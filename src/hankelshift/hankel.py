@@ -9,7 +9,7 @@ k-positive (up to the horizon) when every feasible block of order k is PSD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -51,49 +51,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentSequence:
     """Finite prefix gamma_0..gamma_N of a moment sequence.
 
     gamma_0 must be positive and every entry nonnegative; operations that
     divide by moments additionally require strict positivity and say so.
+
+    The sequence holds one form, its integer view (G, D): D > 0 is the lcm
+    of the denominators of the exact values (floats at their binary values)
+    and G[n] = gamma_n * D, an int.  Exact mode computes on G; a block of G
+    is D times the block of gamma, so every sign and every vanishing carries
+    over.  has_float records that some moment was given as a float; values
+    are derived from the view on first read.  Equality and hashing read the
+    view alone.
     """
 
-    values: tuple[Scalar, ...]
+    integer_view: tuple[tuple[int, ...], int]
+    has_float: bool = field(compare=False)
 
-    def __post_init__(self) -> None:
-        # A Fraction's sign is its numerator's, read without Fraction's compare.
-        _check_signs([v.numerator if isinstance(v, Fraction) else v for v in self.values])
+    def __init__(self, values: Iterable[Scalar]) -> None:
+        # A float inf or nan has no integer view: a PreconditionError here.
+        values = tuple(values)
+        self._init(*_integer_view(values), any(isinstance(v, float) for v in values))
 
     @classmethod
     def of(cls, values: Iterable[Scalar]) -> "MomentSequence":
-        return cls(tuple(values))
+        return cls(values)
 
     @classmethod
     def scaled(cls, nums: Sequence[int], den: int) -> "MomentSequence":
         """The exact sequence gamma_n = nums[n] / den whose integer view is
         (nums, den): den > 0 must be the lcm of the denominators of the
-        gamma_n in lowest terms.  Its values, Fractions, are built on first
-        read, as `DetTable.scaled` builds dets; verdicts read the integer
-        view."""
-        _check_signs(nums)
+        gamma_n in lowest terms."""
         seq = object.__new__(cls)
-        seq.__dict__.update(
-            integer_view=(tuple(nums), den), horizon=len(nums) - 1, has_float=False
-        )
+        seq._init(nums, den, False)
         return seq
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for a missing attribute: a scaled sequence's unread values.
-        if name != "values" or "integer_view" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _init(self, nums: Sequence[int], den: int, has_float: bool) -> None:
+        # Every constructor ends here; the signs are read on the integers.
+        _check_signs(nums)
+        self.__dict__.update(integer_view=(tuple(nums), den), has_float=has_float)
+
+    @cached_property
+    def values(self) -> tuple[Scalar, ...]:
+        """The moments G[n] / D: Fractions, or when some moment is a float
+        their correctly rounded doubles, which give back the given doubles
+        exactly."""
+        if self.has_float:
+            return self._doubles
         nums, den = self.integer_view
-        values = self.__dict__["values"] = tuple(Fraction(num, den) for num in nums)
-        return values
+        return tuple(Fraction(num, den) for num in nums)
+
+    @cached_property
+    def _doubles(self) -> tuple[float, ...]:
+        # The moments G[n] / D correctly rounded, inf past the double range.
+        nums, den = self.integer_view
+        return tuple(_rounded(num, den) for num in nums)
 
     @cached_property
     def horizon(self) -> int:
-        return len(self.values) - 1
+        return len(self.integer_view[0]) - 1
 
     def __len__(self) -> int:
         return self.horizon + 1
@@ -106,20 +124,6 @@ class MomentSequence:
         """Every moment is > 0, read off the integer view, so no `Fraction`
         is compared."""
         return all(g > 0 for g in self.integer_view[0])
-
-    @cached_property
-    def has_float(self) -> bool:
-        """Some moment is a float: closed forms then compute in doubles."""
-        return any(isinstance(v, float) for v in self.values)
-
-    @cached_property
-    def integer_view(self) -> tuple[tuple[int, ...], int]:
-        """(G, D): D > 0 is the lcm of the denominators of the exact values
-        (floats at their binary values) and G[n] = gamma_n * D, an int.
-        Exact mode computes on G; a block of G is D times the block of
-        gamma, so every sign and every vanishing carries over."""
-        nums, den = _integer_view(self.values)
-        return tuple(nums), den
 
     def __getstate__(self) -> dict:
         # Copies and pickles start with an empty cache: it holds live ladder
@@ -148,8 +152,7 @@ class MomentSequence:
             # sequence would close a cycle (sequence, cache, ladder and its
             # walk) that refcounting cannot free, leaving every sequence to
             # the cyclic collector.  The copy shares what this sequence
-            # holds, the integer view among it, and builds no values.
-            self.integer_view
+            # holds.
             twin = object.__new__(MomentSequence)
             twin.__dict__.update(self.__getstate__())
             return LadderVerdicts(twin, ctx)
@@ -157,16 +160,16 @@ class MomentSequence:
         return self._memo(("ladder", ctx), build)
 
     def max_abs(self) -> float:
-        try:
-            return max(abs(float(v)) for v in self.values)
-        except OverflowError:
+        top = max(self._doubles)  # the moments are nonnegative
+        if math.isinf(top):
             raise PreconditionError(
                 "a moment lies beyond the double range, so no float scale exists"
-            ) from None
+            )
+        return top
 
 
-def _check_signs(signs: Sequence[Scalar]) -> None:
-    # The moments' conditions, on values or numerators of one sign each.
+def _check_signs(signs: Sequence[int]) -> None:
+    # The moments' conditions, on the integers G of the view.
     if not signs:
         raise ValueError("a moment sequence needs at least gamma_0")
     if not signs[0] > 0:
@@ -195,61 +198,47 @@ class PositivityVerdict:
 class DetTable:
     """Determinants of all feasible order-k blocks, anchors n = 0..N-2k.
 
-    methods[n] records how dets[n] was produced: "condensation" when the
-    two-order recurrence applied, "direct" when the entry was taken as a
+    methods[n] records how the entry at n was produced: "condensation" when
+    the two-order recurrence applied, "direct" when the entry was taken as a
     standalone determinant (base order, or a divisor that is exactly zero,
     in float mode too: the ladder runs on the moments' binary values).
 
-    A ladder table (`scaled`), in either mode, also keeps nums[n], the
-    determinant of block(n, k) of G = gamma * D (`MomentSequence.
-    integer_view`), and scale = D^(k+1); deciders read nums, and dets are
-    built from them on first read: the Fractions nums[n] / scale, or in
-    float mode their correctly rounded doubles.  A double past the range is
-    a PreconditionError at that read, which keeps nothing, so every read of
-    dets raises it again (eq, hash and repr among them).  texts, the
-    `fmt_scalar` text of each entry, is built once on first read; an exact
-    ladder table writes it from nums and scale, building no Fraction.
+    The table holds its integers: nums[n] is the determinant of block(n, k)
+    of G = gamma * D (`MomentSequence.integer_view`), and scale = D^(k+1).
+    Deciders read nums.  dets, built on first read, are the Fractions
+    nums[n] / scale, or when rounded (a float-mode table) their correctly
+    rounded doubles; a double past the range is a PreconditionError at that
+    read, which keeps nothing, so every read of dets raises it again.
+    texts, the `fmt_scalar` text of each entry, is built once on first
+    read; an exact table writes it from nums and scale, building no
+    Fraction.
     """
 
     k: int
     horizon: int
-    dets: tuple[Scalar, ...]
+    nums: tuple[int, ...]
+    scale: int
     methods: tuple[str, ...]
+    rounded: bool = False
 
-    @classmethod
-    def scaled(
-        cls, k: int, horizon: int, nums: tuple, scale: int, methods: tuple, rounded: bool = False
-    ) -> "DetTable":
-        """The table whose dets[n] = nums[n] / scale are built on first read,
-        as doubles when rounded."""
-        table = object.__new__(cls)
-        table.__dict__.update(
-            k=k, horizon=horizon, methods=methods, nums=nums, scale=scale, rounded=rounded
-        )
-        return table
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for a missing attribute: a scaled table's unread dets.
-        if name != "dets" or "nums" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if self.rounded:
-            dets = tuple(_rounded(num, self.scale) for num in self.nums)
-            for n, d in enumerate(dets):
-                if math.isinf(d):
-                    raise PreconditionError(
-                        f"the float order-{self.k} determinant at anchor {n} "
-                        f"({self.methods[n]}) overflows to {d!r}"
-                    )
-        else:
-            dets = tuple(Fraction(d, self.scale) for d in self.nums)
-        self.__dict__["dets"] = dets
+    @cached_property
+    def dets(self) -> tuple[Scalar, ...]:
+        if not self.rounded:
+            return tuple(Fraction(num, self.scale) for num in self.nums)
+        dets = tuple(_rounded(num, self.scale) for num in self.nums)
+        for n, d in enumerate(dets):
+            if math.isinf(d):
+                raise PreconditionError(
+                    f"the float order-{self.k} determinant at anchor {n} "
+                    f"({self.methods[n]}) overflows to {d!r}"
+                )
         return dets
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        if "nums" in self.__dict__ and not self.rounded:
-            return tuple(_ratio_str(num, self.scale) for num in self.nums)
-        return tuple(map(fmt_scalar, self.dets))
+        if self.rounded:
+            return tuple(map(fmt_scalar, self.dets))
+        return tuple(_ratio_str(num, self.scale) for num in self.nums)
 
     def anchors(self) -> range:
         return range(self.horizon - 2 * self.k + 1)
@@ -355,17 +344,16 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     identity is homogeneous, so the order-k entry is det(block of G) /
     D^(k+1), and every division is an exact `//`.  A zero divisor takes
     `det_bareiss` on the rows of the integer block (`_integer_block`).
-    Every table keeps its integers (`DetTable.scaled`), so the walk is the
-    same in both modes and raises only for a nonfinite moment, before its
-    first table.  A table builds its dets when they are first read:
-    Fractions in exact mode, correctly rounded doubles in float mode, where
-    an entry past the double range is a PreconditionError at that read.  An
-    order is built only when asked for.
+    Every table keeps its integers (`DetTable`), so the walk is the same in
+    both modes and never raises.  A table builds its dets when they are
+    first read: Fractions in exact mode, correctly rounded doubles in float
+    mode, where an entry past the double range is a PreconditionError at
+    that read.  An order is built only when asked for.
     """
     rounded = not ctx.is_exact
     g, den = gamma.integer_view
     horizon = gamma.horizon
-    yield DetTable.scaled(0, horizon, g, den, ("direct",) * len(g), rounded)
+    yield DetTable(0, horizon, g, den, ("direct",) * len(g), rounded)
     prev2: Sequence[int] = [1] * (horizon + 3)
     prev1: Sequence[int] = g
     scale = den
@@ -381,7 +369,7 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
             else:
                 table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)
                 methods.append("condensation")
-        yield DetTable.scaled(order, horizon, tuple(table), scale, tuple(methods), rounded)
+        yield DetTable(order, horizon, tuple(table), scale, tuple(methods), rounded)
         prev2, prev1 = prev1, table
 
 
@@ -411,6 +399,15 @@ def _recursion_holds(
         ctx.is_zero(gamma[p + r] - sum(coeffs[i] * gamma[p + i] for i in range(r)), scale)
         for p in range(start, len(gamma) - r)
     )
+
+
+def _kept_recursion(gamma: MomentSequence, ctx: ToleranceContext) -> Optional[tuple]:
+    # The coefficients of the recursion that the rank of gamma's kept ladder
+    # under ctx has verified on the whole horizon; None when no such ladder
+    # is kept, its rank is unread, or no recursion holds.
+    ladder = gamma.__dict__.get("_cache", {}).get(("ladder", ctx))
+    rank = None if ladder is None else ladder.__dict__.get("rank")
+    return None if rank is None else rank.coeffs
 
 
 def _corner_fit(gamma: MomentSequence, r: int, ctx: ToleranceContext) -> Optional[tuple]:
@@ -470,14 +467,15 @@ class LadderVerdicts:
 
     A block reads at most k + 1 signs, each from a minor's condensed
     integer in `DetTable.nums` (an int comparison, no `Fraction` is built),
-    and orders are pulled only up to the first j that decides it, so a scan
+    and an order is pulled only when a block first reads it, so a scan
     that fails at a low order builds no higher table.
 
     The fallback elimination runs on the integer block of
     `MomentSequence.integer_view`.  Float mode decides block(n, k) by
     `numkit.hankel_psd_with_margin` on its window gamma_n..gamma_{n+2k} of
-    the moments converted to doubles once (`_doubles`): one band and one
-    scaling per window, then LDL^T of A - f*I and A + f*I.  It keeps each
+    the moments rounded to doubles once (inf past the range, which the band
+    refuses): one band and one scaling per window, then LDL^T of A - f*I
+    and A + f*I.  It keeps each
     (is PSD, marginal) verdict per (n, k), which `psd` and `pd` read.  Its
     zero tests (`vanishes`; `zeros` for a table; `rank`) read the leading
     pivots of the ladder's integers against rel_eps, with no absolute band.
@@ -486,27 +484,12 @@ class LadderVerdicts:
     """
 
     def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):
-        # A nonfinite moment has no integer view: it raises here, as in
-        # `MomentSequence.ladder`, so the walk itself never raises.
-        gamma.integer_view
         self.gamma = gamma
         self.ctx = ctx
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
         self._float_psd: dict[tuple[int, int], tuple[bool, bool]] = {}
-
-    @cached_property
-    def _doubles(self) -> tuple[float, ...]:
-        # The moments as doubles, each converted once; one past the double
-        # range becomes inf, which the float band refuses.
-        def double(v: Scalar) -> float:
-            try:
-                return float(v)
-            except OverflowError:
-                return math.inf
-
-        return tuple(map(double, self.gamma.values))
 
     def _pull(self, k: int) -> DetTable:
         # Every table comes through here, pulled in order from the one walk.
@@ -576,8 +559,11 @@ class LadderVerdicts:
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
         # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
         if self.ctx.is_exact:
+            tables = self._tables
             for j in range(k + 1):
-                num = self._pull(j).nums[n]
+                if j == len(tables):
+                    self._pull(j)
+                num = tables[j].nums[n]
                 if num < 0:
                     return False, False
                 if num == 0:
@@ -593,7 +579,7 @@ class LadderVerdicts:
             return True, False
         verdict = self._float_psd.get((n, k))
         if verdict is None:
-            window = self._doubles[n:n + 2 * k + 1]
+            window = self.gamma._doubles[n:n + 2 * k + 1]
             verdict = self._float_psd[n, k] = hankel_psd_with_margin(window, self.ctx)
         return verdict
 

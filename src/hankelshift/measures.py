@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hankel import BlockIndex, MomentSequence, _corner_fit, _recursion_holds
+from .hankel import BlockIndex, MomentSequence, _corner_fit, _kept_recursion, _recursion_holds
 from .numkit import (
     EXACT,
     FLOAT,
@@ -294,11 +294,13 @@ def recover_atoms(
     before it is returned (exactly when the atoms are rational in exact
     mode, within the float band otherwise).  Rational atoms in exact mode
     are solved and re-verified over the integer view of the moments, and
-    Fractions are built only for the densities returned.
+    Fractions are built only for the densities returned.  The recursion is
+    first checked against gamma, unless it is the one that the rank of
+    gamma's kept ladder under ctx has verified (`LadderVerdicts.rank`).
     """
     if rec.valid_from != 0:
         raise PreconditionError("recursion must be valid from index 0")
-    if not rec.holds_on(gamma, ctx):
+    if rec.coeffs != _kept_recursion(gamma, ctx) and not rec.holds_on(gamma, ctx):
         raise PreconditionError("recursion does not fit the sequence it came with")
     r = rec.order
     if gamma.horizon < r - 1:
@@ -315,10 +317,8 @@ def recover_atoms(
 
     check = moments_of(mu, gamma.horizon)
     scale = gamma.max_abs()
-    # The moments as doubles, each converted once: a double minus a Fraction
-    # would convert it there anyway.
-    doubles = [float(v) for v in gamma.values]
-    for n, (c, v) in enumerate(zip(check, doubles)):
+    # The moments as doubles: a double minus a Fraction would convert it there.
+    for n, (c, v) in enumerate(zip(check, gamma._doubles)):
         if not FLOAT.is_zero(c - v, scale):
             raise InternalConsistencyError(
                 f"recovered measure mismatches gamma_{n}: {c} != {gamma[n]}"

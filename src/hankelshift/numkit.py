@@ -46,6 +46,7 @@ __all__ = [
     "ToleranceContext",
     "EXACT",
     "FLOAT",
+    "PSD_FLOOR",
     "SymMatrix",
     "Interval",
     "det_bareiss",
@@ -95,21 +96,19 @@ class ToleranceContext:
     A float quantity x is treated as zero iff |x| <= zero_eps + rel_eps*scale,
     where scale is a magnitude representative of the matrix or sequence under
     test; a Hankel determinant takes rel_eps alone, as a bound on relative
-    pivots (`hankel.LadderVerdicts.vanishes`).  psd_floor scales the
-    eigenvalue threshold of the PSD/PD tests.
-    All three are ignored in exact mode, but must be finite and positive in
-    every mode.
+    pivots (`hankel.LadderVerdicts.vanishes`).  Both are ignored in exact
+    mode, but must be finite and positive in every mode.  The float PSD/PD
+    tests scale their eigenvalue threshold by the constant `PSD_FLOOR`.
     """
 
     mode: str = "exact"
     zero_eps: float = 1e-12
     rel_eps: float = 1e-10
-    psd_floor: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("zero_eps", "rel_eps", "psd_floor"):
+        for name in ("zero_eps", "rel_eps"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -132,6 +131,8 @@ class ToleranceContext:
         return x >= -self.band(scale)
 
 
+PSD_FLOOR = 1e-10  # the float PSD/PD tests' eigenvalue floor, per 1 + max|entry|
+
 EXACT = ToleranceContext(mode="exact")
 FLOAT = ToleranceContext(mode="float")
 
@@ -144,11 +145,16 @@ def _integer_view(values: Iterable[Scalar]) -> tuple[list[int], int]:
     """(nums, den): den is the lcm of the denominators of the exact values
     (floats at their binary values) and nums[i] = values[i] * den, an int.
     A float inf or nan has no exact value: a PreconditionError."""
+    return _over_lcm(_ratios(values))
+
+
+def _ratios(values: Iterable[Scalar]) -> list[tuple[int, int]]:
+    """Each value as (p, q) in lowest terms with q > 0, floats at their
+    binary values; a float inf or nan is a PreconditionError."""
     try:
-        pairs = [x.as_integer_ratio() for x in values]
+        return [x.as_integer_ratio() for x in values]
     except (OverflowError, ValueError):
         raise PreconditionError("a value is not finite, so it has no exact binary value") from None
-    return _over_lcm(pairs)
 
 
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -325,9 +331,9 @@ def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
     return True, not singular
 
 
-def _band(entries: Sequence[Scalar], psd_floor: float) -> tuple[float, float]:
+def _band(entries: Sequence[Scalar]) -> tuple[float, float]:
     """(2^-e, f * 2^-e) for the float PSD/PD band of a matrix, given its
-    entries flat: f = psd_floor * (1 + max|entry|) is the floor on the
+    entries flat: f = PSD_FLOOR * (1 + max|entry|) is the floor on the
     smallest eigenvalue, and 2^e the power of two just above max(max|entry|,
     f), so the scaled entries lie below 1 and no factorisation step near
     the double range overflows.  The scaling changes no verdict: it is exact
@@ -349,7 +355,7 @@ def _band(entries: Sequence[Scalar], psd_floor: float) -> tuple[float, float]:
             "a float block entry is nan, inf or beyond the double range, "
             "so the block has no float verdict"
         )
-    floor = psd_floor * (1.0 + top)
+    floor = PSD_FLOOR * (1.0 + top)
     # e >= -1020 keeps 2^-e a double; values that small stay below 1 anyway.
     scale = math.ldexp(1.0, -max(math.frexp(max(top, floor))[1], -1020))
     return scale, floor * scale
@@ -393,7 +399,7 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     Exact Hankel-block questions read most blocks off their leading
     principal minors and the rank structure instead (`hankel.LadderVerdicts`)
     and come here only for a block that neither decides.  Float mode is the
-    smallest-eigenvalue test: with the floor f = psd_floor * (1 + max|entry|),
+    smallest-eigenvalue test: with the floor f = PSD_FLOOR * (1 + max|entry|),
     the matrix is PSD when lambda_min >= -f, and marginal when |lambda_min|
     <= f, i.e. the verdict would flip under a band-sized perturbation.  It is
     decided without eigenvalues, by LDL^T (`_ldlt_pd`) of A - f*I and A +
@@ -408,7 +414,7 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     if ctx.is_exact:
         psd, pd = _pivots(rows)
         return psd, psd and not pd
-    scale, floor = _band([x for row in rows for x in row], ctx.psd_floor)
+    scale, floor = _band([x for row in rows for x in row])
     return _margin(lambda: [[x * scale for x in row] for row in rows], floor)
 
 
@@ -424,7 +430,7 @@ def hankel_psd_with_margin(
     k = len(window) // 2
     if ctx.is_exact:
         return psd_with_margin(_rows(window, 0, k), ctx)
-    scale, floor = _band(window, ctx.psd_floor)
+    scale, floor = _band(window)
     scaled = [x * scale for x in window]
     return _margin(lambda: _rows(scaled, 0, k), floor)
 
@@ -444,7 +450,7 @@ def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
         return True
     if ctx.is_exact:
         return _pivots(rows)[1]
-    scale, floor = _band([x for row in rows for x in row], ctx.psd_floor)
+    scale, floor = _band([x for row in rows for x in row])
     return _ldlt_pd([[x * scale for x in row] for row in rows], -floor)
 
 

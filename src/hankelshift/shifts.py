@@ -1,19 +1,20 @@
 """Weighted-shift layer: weight/moment conversion, the k-hyponormality
 ladder, and the flatness and determinant-propagation consequences.
 
-Weights are stored and exchanged as squared weights: every formula below
-consumes moment ratios, which are squares, so the exact pipeline stays
-closed over the rationals.  Plain weights appear only in float display.
+Weights are stored and exchanged as squared weights, each held as its
+(p, q) pair in lowest terms: every formula below consumes moment ratios,
+which are squares, so the exact pipeline stays closed over the rationals.
+Plain weights appear only in float display.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .hankel import (
     BlockIndex,
@@ -28,6 +29,8 @@ from .numkit import (
     Scalar,
     ToleranceContext,
     _over_lcm,
+    _ratios,
+    _rounded,
 )
 
 __all__ = [
@@ -45,47 +48,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightSequence:
-    """Squared weights sq[n] = alpha_n^2 > 0 for n = 0..N-1."""
+    """Squared weights sq[n] = alpha_n^2 > 0 for n = 0..N-1.
 
-    sq: tuple[Scalar, ...]
+    The sequence holds one form, the pairs (p, q) of its squared weights in
+    lowest terms with q > 0 (floats at their binary values), and has_float,
+    which records that some weight was given as a float.  sq is derived
+    from the pairs on first read: Fractions, or with a float weight their
+    correctly rounded doubles, which give back the given doubles exactly.
+    Equality and hashing read the pairs alone.
+    """
 
-    def __post_init__(self) -> None:
-        # A Fraction's sign is its numerator's, read without Fraction's compare.
-        _check_positive([v.numerator if isinstance(v, Fraction) else v for v in self.sq])
+    pairs: tuple[tuple[int, int], ...]
+    has_float: bool = field(compare=False)
+
+    def __init__(self, sq: Iterable[Scalar]) -> None:
+        # A float inf or nan has no pair: a PreconditionError here.
+        sq = tuple(sq)
+        self._init(_ratios(sq), any(isinstance(v, float) for v in sq))
 
     @classmethod
     def from_squared(cls, values: Iterable[Scalar]) -> "WeightSequence":
-        return cls(tuple(values))
+        return cls(values)
 
     @classmethod
     def scaled(cls, pairs: Sequence[tuple[int, int]]) -> "WeightSequence":
         """The exact squared weights sq[n] = p / q, (p, q) = pairs[n] in
-        lowest terms with q > 0.  sq, Fractions, is built on first read, as
-        `MomentSequence.scaled` builds its values."""
-        _check_positive([p for p, _ in pairs])
+        lowest terms with q > 0."""
         seq = object.__new__(cls)
-        seq.__dict__["pairs"] = tuple(pairs)
+        seq._init(pairs, False)
         return seq
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for a missing attribute: a scaled sequence's unread sq.
-        if name != "sq" or "pairs" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        sq = self.__dict__["sq"] = tuple(Fraction(p, q) for p, q in self.pairs)
-        return sq
+    def _init(self, pairs: Sequence[tuple[int, int]], has_float: bool) -> None:
+        # Every constructor ends here; the signs are read on the numerators.
+        _check_positive([p for p, _ in pairs])
+        self.__dict__.update(pairs=tuple(pairs), has_float=has_float)
 
     @cached_property
-    def pairs(self) -> Optional[tuple[tuple[int, int], ...]]:
-        """The squared weights as (p, q) in lowest terms, q > 0; None when
-        one is a float."""
-        if any(isinstance(v, float) for v in self.sq):
-            return None
-        return tuple(v.as_integer_ratio() for v in self.sq)
+    def sq(self) -> tuple[Scalar, ...]:
+        if self.has_float:
+            return tuple(_rounded(p, q) for p, q in self.pairs)
+        return tuple(Fraction(p, q) for p, q in self.pairs)
 
     def __len__(self) -> int:
-        return len(self.sq)
+        return len(self.pairs)
 
     def alphas(self) -> tuple[float, ...]:
         """Float display form; exact computations never take square roots."""
@@ -139,10 +146,10 @@ def weights_to_moments(alpha: WeightSequence) -> MomentSequence:
     Exact weights give a `MomentSequence.scaled`: the running product of
     their (p, q) pairs, kept in lowest terms (gamma_n and alpha_n^2 are,
     so the two cross gcds reduce it), is put over the lcm of its
-    denominators; no Fraction is built."""
-    pairs = alpha.pairs
-    if pairs is None:
-        values: list[Scalar] = [1]
+    denominators; no Fraction is built.  Float weights multiply as
+    doubles."""
+    if alpha.has_float:
+        values = [1.0]
         acc = 1.0
         for n, v in enumerate(alpha.sq):
             if (acc := acc * v) == math.inf:
@@ -153,7 +160,7 @@ def weights_to_moments(alpha: WeightSequence) -> MomentSequence:
         return MomentSequence(tuple(values))
     num, den = 1, 1
     products = [(1, 1)]
-    for p, q in pairs:
+    for p, q in alpha.pairs:
         g, h = math.gcd(num, q), math.gcd(p, den)
         num, den = (num // g) * (p // h), (den // h) * (q // g)
         products.append((num, den))
@@ -165,23 +172,20 @@ def moments_to_weights(gamma: MomentSequence) -> WeightSequence:
     positive moments."""
     if len(gamma) < 2:
         raise PreconditionError("need at least gamma_0 and gamma_1 to form a weight")
-    for n, v in enumerate(gamma.values):
-        if v == 0:
-            raise PreconditionError(
-                f"gamma_{n} = 0: a vanishing moment collapses every later moment "
-                "to zero, so no positive weight sequence generates this prefix"
-            )
-    if any(isinstance(v, float) for v in gamma.values):
-        sq = tuple(float(gamma[n + 1]) / float(gamma[n]) for n in range(len(gamma) - 1))
-    else:
-        sq = tuple(
-            Fraction(gamma[n + 1]) / Fraction(gamma[n]) for n in range(len(gamma) - 1)
+    g = gamma.integer_view[0]
+    if 0 in g:
+        raise PreconditionError(
+            f"gamma_{g.index(0)} = 0: a vanishing moment collapses every later moment "
+            "to zero, so no positive weight sequence generates this prefix"
         )
-    return WeightSequence(sq)
+    if gamma.has_float:
+        v = gamma.values
+        return WeightSequence(v[n + 1] / v[n] for n in range(len(v) - 1))
+    return WeightSequence(Fraction(g[n + 1], g[n]) for n in range(len(g) - 1))
 
 
-def _check_positive(signs: Sequence[Scalar]) -> None:
-    # The weights' condition, on values or numerators of one sign each.
+def _check_positive(signs: Sequence[int]) -> None:
+    # The weights' condition, on the numerators of their pairs.
     if not signs:
         raise ValueError("a weight sequence needs at least one weight")
     for n, v in enumerate(signs):
@@ -193,12 +197,12 @@ def _float_scale(alpha: WeightSequence, ctx: ToleranceContext) -> float:
     # The float-mode tolerance scale; exact mode takes none.
     if ctx.is_exact:
         return 0.0
-    try:
-        return max(abs(float(v)) for v in alpha.sq)
-    except OverflowError:
+    top = max(_rounded(p, q) for p, q in alpha.pairs)
+    if math.isinf(top):
         raise PreconditionError(
             "a squared weight lies beyond the double range, so no float scale exists"
-        ) from None
+        )
+    return top
 
 
 def is_hyponormal(alpha: WeightSequence, ctx: ToleranceContext = EXACT) -> bool:
@@ -253,11 +257,10 @@ def flat_tail_report(
 ) -> FlatnessReport:
     """The flat-pair scan of `flatness_check` without its k-hyponormality
     check, for a caller that has certified k-hyponormality itself.  Exact
-    weights are compared as their (p, q) pairs in lowest terms, equal
-    exactly when the weights are."""
-    sq = alpha.pairs if ctx.is_exact else None
-    if sq is not None:
-        equal = operator.eq
+    mode compares the weights' (p, q) pairs in lowest terms, equal exactly
+    when the weights are."""
+    if ctx.is_exact:
+        sq, equal = alpha.pairs, operator.eq
     else:
         sq, scale = alpha.sq, _float_scale(alpha, ctx)
 

@@ -19,12 +19,14 @@ import math
 import pickle
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hankelshift.cli as cli
+import hankelshift.shifts as shifts
 from hankelshift import (
     EXACT,
     FLOAT,
@@ -136,6 +138,23 @@ def _fraction_product(sq) -> MomentSequence:
     return MomentSequence(tuple(values))
 
 
+@st.composite
+def _coprime_growing_weights(draw) -> list[F]:
+    # Squared weights p_i / q_i whose denominators are increasing distinct
+    # primes, and whose numerators take factors of earlier denominators, so
+    # that the running product cancels across steps.
+    n = draw(st.integers(1, 8))
+    dens = sorted(draw(st.lists(st.sampled_from(_PRIMES), min_size=n, max_size=n, unique=True)))
+    sq = []
+    for i, q in enumerate(dens):
+        factors = draw(st.lists(st.sampled_from(dens[:i]), max_size=3)) if i else []
+        sq.append(F(math.prod(factors) * draw(st.integers(1, 6)), q))
+    return sq
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
 def _assert_same(built: MomentSequence, ref: MomentSequence) -> None:
     """built (from integers) against ref (from Fractions): the ladder's
     answers first, with built's values still unbuilt, then every field."""
@@ -186,6 +205,39 @@ class TestIntegerBuiltSequences:
         assert weights_to_moments(ref_alpha) == built
         assert alpha == ref_alpha and hash(alpha) == hash(ref_alpha) and len(alpha) == len(sq)
         assert pickle.loads(pickle.dumps(alpha)) == ref_alpha
+
+    def test_each_constructor_stores_the_one_form(self):
+        exact = {"integer_view": ((2, 1), 2), "has_float": False}
+        assert vars(MomentSequence.of([1, F(1, 2)])) == exact
+        assert vars(MomentSequence.scaled([2, 1], 2)) == exact
+        assert vars(MomentSequence.of([1.0, 0.5])) == {**exact, "has_float": True}
+        pairs = {"pairs": ((1, 2), (3, 1)), "has_float": False}
+        assert vars(WeightSequence.from_squared([F(1, 2), 3])) == pairs
+        assert vars(WeightSequence.scaled([(1, 2), (3, 1)])) == pairs
+        assert vars(WeightSequence.from_squared([0.5, 3])) == {**pairs, "has_float": True}
+
+    @settings(max_examples=100, deadline=None)
+    @given(_coprime_growing_weights())
+    @example([F(1, 2), F(2, 3)])
+    def test_running_product_stays_in_lowest_terms(self, sq):
+        # Both cross gcds are needed: with the second, gcd(p, den), dropped,
+        # 1/2 * 2/3 would stay 2/6.  The integer view cannot show it (the
+        # lcm of the denominators comes out the same), so the products are
+        # read where they are put over their lcm.
+        seen = []
+
+        def spy(pairs):
+            seen.append(list(pairs))
+            return _over_lcm(pairs)
+
+        with mock.patch.object(shifts, "_over_lcm", spy):
+            built = weights_to_moments(WeightSequence.scaled([_pair(v) for v in sq]))
+        want, acc = [(1, 1)], F(1)
+        for v in sq:
+            acc *= v
+            want.append(_pair(acc))
+        assert seen == [want]
+        assert built == _fraction_product(sq)
 
     @settings(max_examples=60, deadline=None)
     @given(_POSITIVE, st.lists(_NONNEG, max_size=10))

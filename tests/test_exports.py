@@ -83,3 +83,21 @@ def test_no_runtime_numpy_import_under_the_package():
         for scope in _numpy_imports(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def test_no_class_under_the_package_defines_getattr():
+    # Each sequence and table holds one stored form and derives the rest as
+    # cached properties; a `__getattr__` hook would be a second, lazy form.
+    package = Path(hankelshift.__file__).parent
+    found = [
+        (path.stem, node.name)
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name == "__getattr__"
+            for item in node.body
+        )
+    ]
+    assert found == []

@@ -1,7 +1,7 @@
 """The float PSD/PD band by LDL^T in doubles.
 
 Float `psd_with_margin` and `is_pd` are the smallest-eigenvalue test with
-the floor f = psd_floor * (1 + max|entry|): PSD when lambda_min >= -f,
+the floor f = PSD_FLOOR * (1 + max|entry|): PSD when lambda_min >= -f,
 marginal when |lambda_min| <= f, PD when lambda_min > f.  They decide it by
 factorising A - f*I and A + f*I.  These tests check the verdicts against
 the eigenvalue test it replaced (numpy's `eigvalsh`, a test-only oracle
@@ -55,7 +55,7 @@ def eig_verdicts(rows: list[list[float]]) -> tuple[bool, bool, bool, float, floa
     factorisation replaced."""
     arr = np.array(rows, dtype=float)
     lam = float(np.linalg.eigvalsh(arr)[0])
-    floor = FLOAT.psd_floor * (1.0 + float(np.max(np.abs(arr))))
+    floor = numkit.PSD_FLOOR * (1.0 + float(np.max(np.abs(arr))))
     return lam >= -floor, abs(lam) <= floor, lam > floor, lam, floor
 
 
@@ -197,7 +197,7 @@ class TestBandEdges:
             assert eig_verdicts(rows)[:3] == (*margin, pd), rows
 
     def test_entries_far_below_one(self):
-        # the floor psd_floor * (1 + max|entry|) is absolute here: every
+        # the floor PSD_FLOOR * (1 + max|entry|) is absolute here: every
         # block is marginal, and none is PD
         for rows in ([[1e-300, 0.0], [0.0, 1e-300]], [[5e-324]], [[0.0, 0.0], [0.0, 0.0]]):
             assert psd_with_margin(rows, FLOAT) == (True, True)
@@ -380,9 +380,9 @@ class TestWindowWorkCount:
         bands, work, inside = [], Counter(), []
         real_band, real_ldlt = numkit._band, numkit._ldlt_pd
 
-        def band(entries, psd_floor):
+        def band(entries):
             bands.append(entries)
-            return real_band(entries, psd_floor)
+            return real_band(entries)
 
         def ldlt(rows, shift):
             work[inside[-1] if inside else None] += 1

@@ -382,14 +382,13 @@ _any_moments = st.one_of(atomic_moments(), log_convex_moments(), zeroed_moments(
 
 
 def _eager_table(gamma, k, methods):
-    # The table the exact ladder once built eagerly, from determinants taken
-    # directly: dets[n] = Fraction(d, D^(k+1)), d the integer block's.
-    den = gamma.integer_view[1]
-    nums = [
+    # The table from determinants taken directly: nums[n] = d, the integer
+    # block's, over the scale D^(k+1).
+    nums = tuple(
         det_bareiss(hankel._integer_block(gamma, n, k)).numerator
         for n in range(gamma.horizon - 2 * k + 1)
-    ]
-    return nums, DetTable(k, gamma.horizon, tuple(F(d, den ** (k + 1)) for d in nums), methods)
+    )
+    return DetTable(k, gamma.horizon, nums, gamma.integer_view[1] ** (k + 1), methods)
 
 
 def _unbuilt(ladder):
@@ -403,13 +402,13 @@ class TestLazyTables:
         tables = list(det_ladder(gamma))
         assert len(tables) == gamma.horizon // 2 + 1
         for k, table in enumerate(tables):
-            nums, eager = _eager_table(gamma, k, table.methods)
-            assert list(table.nums) == nums, (gamma.values, k)
+            eager = _eager_table(gamma, k, table.methods)
+            assert table.nums == eager.nums, (gamma.values, k)
             assert table.scale == gamma.integer_view[1] ** (k + 1)
-            # hash first: it is the first read of the lazy dets
             assert hash(table) == hash(eager)
             assert table == eager and eager == table
             assert repr(table) == repr(eager)
+            assert table.dets == tuple(F(d, table.scale) for d in eager.nums)
             assert all(isinstance(d, F) for d in table.dets)
 
     def test_zero_divisors_take_direct_determinants(self):
@@ -417,7 +416,7 @@ class TestLazyTables:
         gamma = moments_of(AtomicMeasure((F(1), F(3)), (F(1, 2), F(2))), 10)
         table = LadderVerdicts(gamma).table(4)
         assert table.methods == ("direct",) * 3
-        assert table == _eager_table(gamma, 4, table.methods)[1]
+        assert table == _eager_table(gamma, 4, table.methods)
 
     def test_dets_are_built_once_on_first_read(self):
         table = bergman_moments(8).ladder().table(2)
@@ -425,9 +424,13 @@ class TestLazyTables:
         dets = table.dets
         assert vars(table)["dets"] is dets is table.dets
 
-    def test_only_scaled_tables_keep_integers(self):
-        eager = DetTable(0, 0, (F(1),), ("direct",))
-        assert not hasattr(eager, "nums") and not hasattr(eager, "scale")
+    def test_a_table_built_by_hand_holds_its_integers(self):
+        table = DetTable(0, 1, (3, 1), 2, ("direct",) * 2)
+        assert vars(table) == {
+            "k": 0, "horizon": 1, "nums": (3, 1), "scale": 2,
+            "methods": ("direct",) * 2, "rounded": False,
+        }
+        assert table.dets == (F(3, 2), F(1, 2)) and table.texts == ("3/2", "1/2")
         with pytest.raises(AttributeError, match="no attribute 'other'"):
             bergman_moments(4).ladder().table(1).other
 
@@ -507,20 +510,20 @@ class TestFloatTables:
                     f.dets
                 continue
             assert f.dets == want and all(type(d) is float for d in f.dets)
-            assert f == DetTable(f.k, f.horizon, want, f.methods)
 
     def test_an_overflowing_table_raises_on_every_read_and_keeps_nothing(self):
         # d_1(3) = gamma_3 gamma_5 - gamma_4^2 = -1e600 has no double
         gamma = MomentSequence.of([1.0, 0.0, 0.0, 0.0, 1e300, 0.0, 0.0])
         table = gamma.ladder(FLOAT).table(1)
         message = "the float order-1 determinant at anchor 3 (condensation) overflows to -inf"
-        eager = DetTable(1, 6, (0.0,) * 5, table.methods)
-        reads = (lambda: table.dets, lambda: repr(table), lambda: hash(table),
-                 lambda: table == eager, lambda: eager == table, lambda: table.dets)
-        for read in reads:
+        for read in (lambda: table.dets, lambda: table.texts, lambda: table.dets):
             with pytest.raises(PreconditionError, match=re.escape(message)):
                 read()
             assert "dets" not in vars(table)
+        # equality, hashing and repr read the integers, not dets
+        twin = copy.copy(table)
+        assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
+        assert "dets" not in vars(table)
         # the integers stay, and a table without overflow reads as usual
         assert table.nums[3] == -(int(1e300) ** 2)
         assert gamma.ladder(FLOAT).table(0).dets == gamma.values

@@ -310,6 +310,52 @@ class TestFiniteMass:
         assert is_finite_mass(g, EXACT).witness == (1, 2)
         assert walks == [EXACT]
 
+    def _count_recursion_checks(self, monkeypatch):
+        # Both the ladder's rank and `Recursion.holds_on` check through
+        # `_recursion_holds`, each under its own module's name.
+        import hankelshift.measures as measures
+
+        calls = []
+        real = hankel._recursion_holds
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(hankel, "_recursion_holds", counting)
+        monkeypatch.setattr(measures, "_recursion_holds", counting)
+        return calls
+
+    def test_recursion_run_checks_its_recursion_once(self, tmp_path, capsys, monkeypatch):
+        # `recover_atoms` takes the recursion that the kept ladder's rank
+        # has verified as checked; it checked it a second time before.
+        import hankelshift.cli as cli
+
+        calls = self._count_recursion_checks(monkeypatch)
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"kind": "measure", "atoms": ["1/2", "3/2", "5/2"], '
+            '"densities": ["1/3", "1/3", "1/3"], "horizon": 14}'
+        )
+        assert cli.main(["recursion", str(path), "--json", "--no-timestamp"]) == 0
+        assert '"order": 3' in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_a_foreign_recursion_is_still_checked(self, monkeypatch):
+        mu = AtomicMeasure(atoms=(F(1, 2), F(3, 2), F(5, 2)), densities=(F(1, 3),) * 3)
+        g = moments_of(mu, 14)
+        own = detect_recursion(g, 7, EXACT)
+        calls = self._count_recursion_checks(monkeypatch)
+        assert recover_atoms(own, g, EXACT) == mu and calls == []
+        foreign = Recursion(order=3, coeffs=(own.coeffs[0] + 1, *own.coeffs[1:]))
+        with pytest.raises(PreconditionError, match="does not fit"):
+            recover_atoms(foreign, g, EXACT)
+        assert calls == [foreign.coeffs]
+        # the sequence's own recursion, on an equal sequence with no kept
+        # ladder, is checked as well
+        assert recover_atoms(own, MomentSequence(g.values), EXACT) == mu
+        assert calls == [foreign.coeffs, own.coeffs]
+
     def test_zero_moments_witness_at_order_zero(self):
         g = MomentSequence.of([F(1), F(0), F(0), F(0)])
         rep = is_finite_mass(g, EXACT)

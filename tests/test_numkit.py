@@ -423,7 +423,7 @@ class TestIntervalAndMisc:
         assert EXACT.is_zero(0) and not EXACT.is_zero(F(1, 10**30))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("field", ["zero_eps", "rel_eps", "psd_floor"])
+    @pytest.mark.parametrize("field", ["zero_eps", "rel_eps"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, mode, field, value):
         with pytest.raises(ValueError):

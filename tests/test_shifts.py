@@ -93,8 +93,10 @@ def test_weight_validation_reads_numerator_signs(monkeypatch):
     with pytest.raises(ValueError, match="^squared weight at index 0 is not positive$"):
         WeightSequence.from_squared((F(0), F(1)))
     assert compares == []
-    with pytest.raises(ValueError, match="^squared weight at index 1 is not positive$"):
-        WeightSequence.from_squared((1.0, math.nan))
+    # a nan or inf weight has no (p, q) pair
+    for sq in ((1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(PreconditionError, match="is not finite"):
+            WeightSequence.from_squared(sq)
 
 
 def test_k_hyponormal_matches_moment_positivity():
