@@ -544,8 +544,10 @@ def _scaled_value(poly: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def _sign_changes(values: Sequence[int]) -> int:
-    signs = [v > 0 for v in values if v != 0]
+def _changes_at(chain: Sequence[Sequence[int]], num: int, den: int) -> int:
+    # V(num/den), den > 0: the chain's sign changes there, zeros skipped.
+    # (num, den) = (1, 0) gives V(+inf), read off the leading coefficients.
+    signs = [v > 0 for v in (_scaled_value(p, num, den) for p in chain) if v != 0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -559,15 +561,16 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     (`_primitive_ints`).  Linear and quadratic roots are read off: -h_1/h_0,
     and for a quadratic its discriminant (`_quadratic_roots`).  From degree
     3 on, the Sturm chain is built from h by content-free pseudo-remainders
-    (`_sturm_chain`).  With V(x) the sign changes of the chain at x, a
-    squarefree poly has exactly V(a) - V(b) roots in (a, b].  Roots are
-    isolated by halving (-2^E, 2^E], 2^E above every root, at dyadic points,
-    and each is refined by quadratic interval refinement (`_refine_root`)
-    until the interval is narrower than 1/lead: a rational root of the
-    primitive integer poly has the form m/lead, so the one such point inside
-    is the only candidate.  A Fraction is built only for a returned rational
-    root.  Raises PreconditionError for a nonfinite or all-zero coefficient
-    list, and for an irrational root no double can hold.
+    (`_sturm_chain`).  With V(x) the sign changes of the chain at x
+    (`_changes_at`), a squarefree poly has exactly V(a) - V(b) roots in (a,
+    b].  Roots are isolated by halving (-2^E, 2^E], 2^E above every root, at
+    dyadic points, and each is refined by quadratic interval refinement
+    (`_refine_root`) until the interval is narrower than 1/lead: a rational
+    root of the primitive integer poly has the form m/lead, so the one such
+    point inside is the only candidate.  A Fraction is built only for a
+    returned rational root.  Raises PreconditionError for a nonfinite or
+    all-zero coefficient list, and for an irrational root no double can
+    hold.
     """
     h = _primitive_ints(poly)
     if len(h) == 1:
@@ -580,23 +583,19 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     if len(chain[-1]) > 1:
         return None
     lead = abs(h[0])
-
-    def changes_at(num: int, e: int) -> int:
-        return _sign_changes([_scaled_value(p, num, 1 << e) for p in chain])
-
     # top = 2^E is at least the Cauchy bound 1 + max|h_i| / lead, which
     # every |root| lies strictly below.
     top = 1 << (-(-max(abs(c) for c in h[1:]) // lead)).bit_length()
     roots: list[Scalar] = []
     # (a, b, e, V(a/2^e), V(b/2^e)); the left half is popped first, so the
     # roots come out in ascending order.
-    todo = [(-top, top, 0, changes_at(-top, 0), changes_at(top, 0))]
+    todo = [(-top, top, 0, _changes_at(chain, -top, 1), _changes_at(chain, top, 1))]
     while todo:
         a, b, e, va, vb = todo.pop()
         if va - vb == 1:
             roots.append(_refine_root(h, lead, a, b, e))
         elif va - vb > 1:
-            vm = changes_at(a + b, e + 1)
+            vm = _changes_at(chain, a + b, 2 << e)
             todo.append((a + b, 2 * b, e + 1, vm, vb))
             todo.append((2 * a, a + b, e + 1, va, vm))
     return roots

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import count
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -35,9 +36,11 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _changes_at,
     _echelon,
     _primitive_ints,
     _rounded,
+    _sturm_chain,
     det_bareiss,
     fmt_scalar,
     psd_with_margin,
@@ -49,7 +52,6 @@ from .shifts import WeightSequence
 __all__ = [
     "IntervalReport",
     "InteriorReport",
-    "DiscriminantDiagnostic",
     "perturb_moments",
     "perturb_weights",
     "truncated_block",
@@ -62,7 +64,6 @@ __all__ = [
     "stability_interval",
     "interiority_report",
     "rank_one_det_expansion_holds",
-    "discriminant_diagnostic",
 ]
 
 @dataclass(frozen=True)
@@ -115,17 +116,6 @@ class InteriorReport:
     agreement: bool
     interval: IntervalReport
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class DiscriminantDiagnostic:
-    """min(gamma_{l-1}^2 gamma_{l+1} gamma_{l+3}, gamma_{l-2} gamma_l
-    gamma_{l+2}^2) against (2 gamma_l gamma_{l+1} - gamma_{l-1}
-    gamma_{l+2})^2: reported for inspection only, never asserted."""
-
-    lhs: Scalar
-    rhs: Scalar
-    holds: bool
 
 
 def _closed_terms(gamma: MomentSequence, *indices: int) -> list[int]:
@@ -419,13 +409,9 @@ def _roots(gamma: MomentSequence, poly: Sequence[Scalar]) -> Sequence[Scalar] | 
     return gamma._memo(("real_roots", key), lambda: (real_roots(key),))[0]
 
 
-def _shift_to_one(poly: Sequence[int]) -> list[int]:
-    # poly(1 + u), descending: repeated synthetic division by t - 1.
-    a = list(poly)
-    for i in range(len(a) - 1):
-        for j in range(1, len(a) - i):
-            a[j] += a[j - 1]
-    return a
+def _chain(gamma: MomentSequence, poly: Sequence[Scalar]) -> list[list[int]]:
+    key = _primitive(poly)
+    return gamma._memo(("sturm_chain", key), lambda: (_sturm_chain(key),))[0]
 
 
 def _pencil_block(
@@ -434,12 +420,12 @@ def _pencil_block(
     """Admissible scales in the window [0, cap] at one t-dependent anchor,
     with the endpoint methods and flags; see `stability_interval`.
 
-    p comes from `_pencil_poly`, at its true degree, and its roots from
-    `_roots`, once per distinct polynomial on gamma.  The PSD probes run on
-    the pencil over the integers G = gamma * D of
-    `MomentSequence.integer_view`: D times the block, so the same verdicts.
-    Pencils go to numkit as rows; the pivot-column pass, which eliminates
-    in place, gets a copy of [H; D].
+    p comes from `_pencil_poly`, at its true degree, and its roots and
+    Sturm chain from `_roots` and `_chain`, once per distinct polynomial on
+    gamma.  The PSD probes run on the pencil over the integers G = gamma *
+    D of `MomentSequence.integer_view`: D times the block, so the same
+    verdicts.  Pencils go to numkit as rows; the pivot-column pass, which
+    eliminates in place, gets a copy of [H; D].
     """
     floaty = not ctx.is_exact or gamma.has_float
     size = range(k + 1)
@@ -472,23 +458,26 @@ def _pencil_block(
     if roots is None:
         p = squarefree(p)
         roots = _roots(gamma, p)
+
+    def dyadic(step: int) -> Fraction:
+        # The first 1 + step * 2^-m, m >= 53, with no root of p strictly
+        # between it and 1: (x, 1] holds V(x) - V(1) roots, a root at 1
+        # included, and (1, x] V(1) - V(x).
+        chain = _chain(gamma, p)
+        clear = _changes_at(chain, 1, 1) + (len(ones) if step < 0 else 0)
+        m = next(m for m in count(53) if _changes_at(chain, (1 << m) + step, 1 << m) == clear)
+        return 1 + Fraction(step, 1 << m)
+
     # Exact mode: a root is 1 only as the Fraction 1.  An irrational root
-    # whose double is 1.0 lies on the side of 1 that the sign of u = root -
-    # 1 shows, u being a root of p(1 + u) whose double keeps its sign.  Each
-    # side root is kept as (far, irrational): far is the exact root, its
-    # double, or for such a near-1 root 1 + u, then nearer 1 than the root.
-    shifted = None
-    if not floaty and any(isinstance(r, float) and r == 1 for r in roots):
-        shifted = _roots(gamma, _shift_to_one(p))
+    # whose double is 1.0 lies above 1 iff it is among the last V(1) -
+    # V(+inf) of the ascending roots; it is kept as None.  Other side roots
+    # are kept as (far, irrational): far is the exact root or its double.
     ones, below, above = [], [], []
     for i, r in enumerate(roots):
-        if shifted is not None and isinstance(r, float) and r == 1:
-            u = shifted[i]
-            if u == 0:
-                raise PreconditionError(
-                    f"anchor {n}: a pencil root lies within 2^-1074 of 1, on an unknown side"
-                )
-            (below if u < 0 else above).append((1 + Fraction(u), True))
+        if not floaty and isinstance(r, float) and r == 1:
+            chain = _chain(gamma, p)
+            above_one = _changes_at(chain, 1, 1) - _changes_at(chain, 1, 0)
+            (below if i < len(roots) - above_one else above).append((None, False))
         elif r == 1:
             # Roots at 1, exact or (float mode) irrational within half an
             # ulp: probes place them.
@@ -496,8 +485,10 @@ def _pencil_block(
         elif 0 < r < 1 or 1 < r < cap:
             (below if r < 1 else above).append((Fraction(r), isinstance(r, float)))
     ends, methods = [], []
-    for bound, near in ((0, below[-1:]), (cap, above[:1])):
+    for step, bound, near in ((-1, 0, below[-1:]), (1, cap, above[:1])):
         far, irrational = near[0] if near else (Fraction(bound), False)
+        if far is None:
+            far = dyadic(step)
         if ones and (far == 1 or not feasible((1 + far) / 2)):
             ends.append(ones[0])
             methods.append("direct" if far == 1 else "pencil_root")
@@ -513,13 +504,8 @@ def _pencil_block(
             tries = [y for y in tries if y != 1]
         end = next((y for y in tries if feasible(Fraction(y))), None)
         if end is None and irrational and not floaty:
-            # That double is 1.0, and the root is not 1: the first dyadic
-            # 1 -+ 2^-m inside, exact.  |root - 1| > 2^-1076, so one exists.
-            step = -1 if bound == 0 else 1
-            end = next(
-                (e for m in range(53, 1077) if feasible(e := 1 + Fraction(step, 1 << m))),
-                None,
-            )
+            # That double is 1.0, and the root is not 1: the dyadic inside.
+            end = e if feasible(e := dyadic(step)) else None
         if end is None:
             raise InternalConsistencyError(f"no feasible endpoint at anchor {n}")
         ends.append(end)
@@ -691,13 +677,14 @@ def stability_interval(
     per sequence (`_roots`), the order-2 closed form's quadratics included.
     p(1) = 0 is decided by one PSD probe per side, p = 0 by restricting the
     pencil to the pivot columns of [H; D].  Arithmetic is exact, over the
-    binary values of float moments.  A root endpoint is the exact rational root, else the
-    double next to it on the inside, certified by an exact PSD probe; in
-    exact mode, where that double is 1.0 but the root is not 1, it is the
-    first dyadic 1 -+ 2^-m (m >= 53) inside, an exact Fraction.  t-free
-    blocks give the whole window.  The report is kept on gamma per (cut,
-    k, ctx), so asking again returns the same report; a call that raises
-    keeps nothing.
+    binary values of float moments.  A root endpoint is the exact rational
+    root, else the double next to it on the inside, certified by an exact
+    PSD probe; in exact mode, where that double is 1.0 but the root is not
+    1, the first dyadic 1 -+ 2^-m (m >= 53) with no root of p between it
+    and 1, found, like the side of 1 such a root is on, by Sturm counts on
+    p.  t-free blocks give the whole window.  The report is kept on gamma
+    per (cut, k, ctx), so asking again returns the same report; a call that
+    raises keeps nothing.
     """
     return gamma._memo(
         ("stability_interval", cut, k, ctx), lambda: _pencil_report(gamma, cut, k, ctx)
@@ -729,11 +716,12 @@ def interiority_report(
     endpoints are certified feasible, so strict inequalities certify
     interior points).
     pd_all: every unperturbed block at anchors n <= cut is positive
-    definite, read in exact mode from the determinant ladder (all leading
-    principal minors d_0(n), ..., d_k(n) positive) and in float mode from
-    the smallest eigenvalue against the PSD floor, decided by LDL^T of
-    A - f*I (`numkit.is_pd`).  The two are equivalent; a mismatch is
-    reported as a tolerance incident for the caller to escalate.
+    definite, read off the sequence's ladder (`LadderVerdicts.pd`): in
+    exact mode all leading principal minors d_0(n), ..., d_k(n) are
+    positive, in float mode the band verdict on the block's 2k+1 moments
+    (`numkit.hankel_psd_with_margin`) is PSD and not marginal.  The two are
+    equivalent; a mismatch is reported as a tolerance incident for the
+    caller to escalate.
     """
     report = stability_interval(gamma, cut, k, ctx)
     ladder = gamma.ladder(ctx)
@@ -788,25 +776,3 @@ def rank_one_det_expansion_holds(
     cof = det_bareiss(_rows(g, cut + 2, k - 1)) if k >= 1 else 1
     rhs = t ** (k + 1) * det_bareiss(rows) + (1 - t) * t**k * g[cut] * cof
     return det_bareiss(scaled) == rhs
-
-
-def discriminant_diagnostic(gamma: MomentSequence, cut: int) -> DiscriminantDiagnostic:
-    """Compare the two quadratic discriminant ingredients; exposed for
-    inspection because the inequality's hypotheses are unclear.  Both are
-    forms of degree 4 over `_closed_terms`, compared exactly and divided by
-    D^4 once: Fractions, or on a sequence with a float their correctly
-    rounded doubles (`_closed_value`)."""
-    l = cut
-    if cut < 2:
-        raise PreconditionError("diagnostic needs cut >= 2")
-    if cut + 3 > gamma.horizon:
-        raise InsufficientMomentsError(cut + 3, gamma.horizon)
-    g2, g1, g0, p1, p2, p3 = _closed_terms(gamma, l - 2, l - 1, l, l + 1, l + 2, l + 3)
-    lhs = min(g1 * g1 * p1 * p3, g2 * g0 * p2 * p2)
-    rhs = (2 * g0 * p1 - g1 * p2) ** 2
-    quartic = gamma.integer_view[1] ** 4
-    return DiscriminantDiagnostic(
-        lhs=_closed_value(gamma, lhs, quartic),
-        rhs=_closed_value(gamma, rhs, quartic),
-        holds=lhs >= rhs,
-    )

@@ -106,6 +106,32 @@ def bergman_moments(horizon: int) -> MomentSequence:
     return weights_to_moments(WeightSequence.from_squared(sq))
 
 
+# The scale inputs: Hausdorff moments, whose blocks are all PD, and two
+# finite-rank measures, whose blocks of order >= 3 or >= 6 are singular.
+
+
+def hausdorff_moments(horizon: int) -> MomentSequence:
+    """gamma_n = 1/(n+1), the moments of Lebesgue measure on [0, 1]."""
+    return MomentSequence.of(tuple(Fraction(1, n + 1) for n in range(horizon + 1)))
+
+
+THREE_ATOMS = AtomicMeasure(
+    atoms=(Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)), densities=(Fraction(1, 3),) * 3
+)
+SIX_ATOMS = AtomicMeasure(
+    atoms=tuple(map(Fraction, ("5/2", "19/5", "39/5", "83/5", "203/10", "167/5"))),
+    densities=tuple(map(Fraction, (9, 9, 2, 6, 1, 4))),
+)
+
+
+def three_atom_moments(horizon: int) -> MomentSequence:
+    return moments_of(THREE_ATOMS, horizon)
+
+
+def six_atom_moments(horizon: int) -> MomentSequence:
+    return moments_of(SIX_ATOMS, horizon)
+
+
 def hadamard_bound(matrix) -> float:
     """Product of row 2-norms (rows, or a `SymMatrix`): a cheap a-priori
     bound on |det|, the scale of the reference float zero test.

@@ -32,7 +32,6 @@ from hankelshift import (
     corner_det_upper_bound,
     det_bareiss,
     det_quadratic,
-    discriminant_diagnostic,
     interiority_report,
     is_k_positive,
     is_psd,
@@ -269,12 +268,6 @@ class TestCornerBounds:
     def test_upper_bound_degenerate(self):
         with pytest.raises(PreconditionError):
             corner_det_upper_bound(all_ones(9), 3)
-
-    def test_discriminant_diagnostic(self):
-        diag = discriminant_diagnostic(bergman_moments(8), 3)
-        assert diag.holds
-        assert diag.lhs == F(1, 315)
-        assert diag.rhs == F(4, 2025)
 
 
 class TestStabilityK2:
