@@ -15,9 +15,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .hankel import (
     DetTable,
@@ -25,15 +24,6 @@ from .hankel import (
     PropagationReport,
     log_convexity,
     zero_moment_collapse,
-)
-from .measures import (
-    AtomicMeasure,
-    NotAtomicError,
-    detect_recursion,
-    exact_moments,
-    is_finite_mass,
-    moments_of,
-    recover_atoms,
 )
 from .numkit import (
     InputError,
@@ -46,18 +36,12 @@ from .numkit import (
     _over_lcm,
     fmt_scalar,
 )
-from .perturbation import (
-    IntervalReport,
-    interiority_report,
-    stability_interval,
-    stability_interval_k1,
-    stability_interval_k2,
-)
-from .shifts import (
-    WeightSequence,
-    flat_tail_report,
-    weights_to_moments,
-)
+
+# The measure, shift and perturbation modules load where a run first uses
+# them, so each subcommand and input kind imports only what it runs.
+if TYPE_CHECKING:
+    from .perturbation import IntervalReport
+    from .shifts import WeightSequence
 
 DEFAULT_MEASURE_HORIZON = 12
 # The least value of each count option a subcommand reads.
@@ -284,6 +268,8 @@ def materialize(
     exact = ctx.is_exact
     try:
         if loaded.kind == "weights":
+            from .shifts import WeightSequence, weights_to_moments
+
             if exact:
                 alpha = WeightSequence.scaled(_pairs(loaded.values))
             else:
@@ -302,6 +288,8 @@ def materialize(
                 f"measure input: moments materialized to default horizon "
                 f"{DEFAULT_MEASURE_HORIZON}"
             )
+        from .measures import AtomicMeasure, exact_moments, moments_of
+
         if exact:
             atoms, densities = _pairs(loaded.atoms), _pairs(loaded.densities)
             gamma = exact_moments(_over_lcm(atoms), _over_lcm(densities), horizon)
@@ -402,6 +390,8 @@ def cmd_analyze(
             "a zero moment is followed by nonzero ones: not 1-positive"
         )
     if alpha is not None and args.k >= 2 and top_holding >= 2:
+        from .shifts import flat_tail_report
+
         rep = flat_tail_report(alpha, 2, ctx)
         results["flatness"] = {
             "flat_pair_found": rep.flat_pair_found,
@@ -438,6 +428,8 @@ def cmd_recursion(
     ctx: ToleranceContext,
     warnings: list[str],
 ) -> dict:
+    from .measures import NotAtomicError, detect_recursion, is_finite_mass, recover_atoms
+
     results: dict[str, Any] = {}
     rec = detect_recursion(gamma, args.max_order, ctx)
     if rec is None:
@@ -505,6 +497,13 @@ def cmd_perturb(
     ctx: ToleranceContext,
     warnings: list[str],
 ) -> tuple[dict, bool]:
+    from .perturbation import (
+        interiority_report,
+        stability_interval,
+        stability_interval_k1,
+        stability_interval_k2,
+    )
+
     results: dict[str, Any] = {"cut": args.l, "k": args.k}
     incident = False
     ref_iv: Optional[Interval] = None
@@ -825,6 +824,8 @@ def run(args: argparse.Namespace) -> tuple[dict, bool]:
         "warnings": warnings,
     }
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     return report, incident
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .hankel import BlockIndex, MomentSequence, _corner_fit, _kept_recursion, _recursion_holds
 from .numkit import (
@@ -26,7 +26,9 @@ from .numkit import (
     solve_linear_exact,
     solve_vandermonde,
 )
-from .shifts import WeightSequence, weights_to_moments
+
+if TYPE_CHECKING:
+    from .shifts import WeightSequence
 
 __all__ = [
     "AtomicMeasure",
@@ -363,6 +365,8 @@ def measure_represents_weights(
     """True iff the measure's moments reproduce the shift's moments on the
     whole prefix and the largest atom respects the squared-weight norm
     surrogate (support bound)."""
+    from .shifts import weights_to_moments
+
     gamma = weights_to_moments(alpha)
     mg = moments_of(mu, gamma.horizon)
     scale = 0.0 if ctx.is_exact else gamma.max_abs()

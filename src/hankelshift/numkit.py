@@ -572,16 +572,24 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
     all-zero coefficient list, and for an irrational root no double can
     hold.
     """
+    return _isolate(poly)[0]
+
+
+def _isolate(
+    poly: Sequence[Scalar],
+) -> tuple[list[Scalar] | None, list[list[int]] | None]:
+    # `real_roots(poly)` and the Sturm chain it isolated with, None below
+    # degree 3, where no chain is built.
     h = _primitive_ints(poly)
     if len(h) == 1:
-        return []
+        return [], None
     if len(h) == 2:
-        return [Fraction(-h[1], h[0])]
+        return [Fraction(-h[1], h[0])], None
     if len(h) == 3:
-        return _quadratic_roots(*h)
+        return _quadratic_roots(*h), None
     chain = _sturm_chain(h)
     if len(chain[-1]) > 1:
-        return None
+        return None, chain
     lead = abs(h[0])
     # top = 2^E is at least the Cauchy bound 1 + max|h_i| / lead, which
     # every |root| lies strictly below.
@@ -598,7 +606,7 @@ def real_roots(poly: Sequence[Scalar]) -> list[Scalar] | None:
             vm = _changes_at(chain, a + b, 2 << e)
             todo.append((a + b, 2 * b, e + 1, vm, vb))
             todo.append((2 * a, a + b, e + 1, va, vm))
-    return roots
+    return roots, chain
 
 
 def _quadratic_roots(a: int, b: int, c: int) -> list[Scalar] | None:

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import count
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .hankel import (
     MomentSequence,
@@ -38,16 +37,18 @@ from .numkit import (
     ToleranceContext,
     _changes_at,
     _echelon,
+    _isolate,
     _primitive_ints,
     _rounded,
     _sturm_chain,
     det_bareiss,
     fmt_scalar,
     psd_with_margin,
-    real_roots,
     squarefree,
 )
-from .shifts import WeightSequence
+
+if TYPE_CHECKING:
+    from .shifts import WeightSequence
 
 __all__ = [
     "IntervalReport",
@@ -167,6 +168,8 @@ def perturb_weights(alpha: WeightSequence, cut: int, scale: Scalar) -> WeightSeq
             "weight-side scale must be > 0 (a zero weight breaks injectivity); "
             "use perturb_moments for the boundary case"
         )
+    from .shifts import WeightSequence
+
     sq = list(alpha.sq)
     sq[cut] = scale * sq[cut]
     return WeightSequence(tuple(sq))
@@ -401,17 +404,51 @@ def _primitive(poly: Sequence[Scalar]) -> tuple[int, ...]:
     return tuple([-c for c in ints] if ints[0] < 0 else ints)
 
 
+def _isolated(gamma: MomentSequence, poly: Sequence[Scalar]) -> tuple:
+    # `numkit._isolate(poly)`: the roots and the Sturm chain they were
+    # isolated with, kept on gamma per primitive polynomial.
+    key = _primitive(poly)
+    return gamma._memo(("real_roots", key), lambda: _isolate(key))
+
+
 def _roots(gamma: MomentSequence, poly: Sequence[Scalar]) -> Sequence[Scalar] | None:
     """`real_roots(poly)`, kept on gamma per primitive polynomial, so the
     order-2 closed form and the pencil engine isolate a shared polynomial
     once.  A nonfinite coefficient raises as `real_roots` does."""
-    key = _primitive(poly)
-    return gamma._memo(("real_roots", key), lambda: (real_roots(key),))[0]
+    return _isolated(gamma, poly)[0]
 
 
-def _chain(gamma: MomentSequence, poly: Sequence[Scalar]) -> list[list[int]]:
+def _sturm(gamma: MomentSequence, poly: Sequence[Scalar]) -> tuple[list[list[int]], int, int]:
+    # poly's Sturm chain with V(1) and V(+inf), kept on gamma per primitive
+    # polynomial: the chain its isolation built, or below degree 3 one
+    # built here.
     key = _primitive(poly)
-    return gamma._memo(("sturm_chain", key), lambda: (_sturm_chain(key),))[0]
+
+    def counts() -> tuple[list[list[int]], int, int]:
+        chain = _isolated(gamma, key)[1] or _sturm_chain(key)
+        return chain, _changes_at(chain, 1, 1), _changes_at(chain, 1, 0)
+
+    return gamma._memo(("sturm", key), counts)
+
+
+def _first_dyadic(chain: Sequence[Sequence[int]], clear: int, step: int) -> Fraction:
+    """1 + step * 2^-m for the least m >= 53 with V(1 + step * 2^-m) =
+    clear, V the sign changes of chain (`numkit._changes_at`).
+
+    The count of roots between 1 and 1 + step * 2^-m only falls as m
+    grows, so m - 52 doubles until the count is clear and the last
+    doubling is then halved: about 2 log2(m - 52) counts, not m - 52."""
+
+    def is_clear(m: int) -> bool:
+        return _changes_at(chain, (1 << m) + step, 1 << m) == clear
+
+    lo, hi = 52, 53  # no m <= lo qualifies; hi is the next to try
+    while not is_clear(hi):
+        lo, hi = hi, 2 * hi - 52
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if is_clear(mid) else (mid, hi)
+    return 1 + Fraction(step, 1 << hi)
 
 
 def _pencil_block(
@@ -420,12 +457,12 @@ def _pencil_block(
     """Admissible scales in the window [0, cap] at one t-dependent anchor,
     with the endpoint methods and flags; see `stability_interval`.
 
-    p comes from `_pencil_poly`, at its true degree, and its roots and
-    Sturm chain from `_roots` and `_chain`, once per distinct polynomial on
-    gamma.  The PSD probes run on the pencil over the integers G = gamma *
-    D of `MomentSequence.integer_view`: D times the block, so the same
-    verdicts.  Pencils go to numkit as rows; the pivot-column pass, which
-    eliminates in place, gets a copy of [H; D].
+    p comes from `_pencil_poly`, at its true degree, and its roots,
+    Sturm chain, V(1) and V(+inf) from `_roots` and `_sturm`, once per
+    distinct polynomial on gamma.  The PSD probes run on the pencil over
+    the integers G = gamma * D of `MomentSequence.integer_view`: D times
+    the block, so the same verdicts.  Pencils go to numkit as rows; the
+    pivot-column pass, which eliminates in place, gets a copy of [H; D].
     """
     floaty = not ctx.is_exact or gamma.has_float
     size = range(k + 1)
@@ -463,10 +500,8 @@ def _pencil_block(
         # The first 1 + step * 2^-m, m >= 53, with no root of p strictly
         # between it and 1: (x, 1] holds V(x) - V(1) roots, a root at 1
         # included, and (1, x] V(1) - V(x).
-        chain = _chain(gamma, p)
-        clear = _changes_at(chain, 1, 1) + (len(ones) if step < 0 else 0)
-        m = next(m for m in count(53) if _changes_at(chain, (1 << m) + step, 1 << m) == clear)
-        return 1 + Fraction(step, 1 << m)
+        chain, v_one, _ = _sturm(gamma, p)
+        return _first_dyadic(chain, v_one + (len(ones) if step < 0 else 0), step)
 
     # Exact mode: a root is 1 only as the Fraction 1.  An irrational root
     # whose double is 1.0 lies above 1 iff it is among the last V(1) -
@@ -475,9 +510,8 @@ def _pencil_block(
     ones, below, above = [], [], []
     for i, r in enumerate(roots):
         if not floaty and isinstance(r, float) and r == 1:
-            chain = _chain(gamma, p)
-            above_one = _changes_at(chain, 1, 1) - _changes_at(chain, 1, 0)
-            (below if i < len(roots) - above_one else above).append((None, False))
+            _, v_one, v_inf = _sturm(gamma, p)
+            (below if i < len(roots) - (v_one - v_inf) else above).append((None, False))
         elif r == 1:
             # Roots at 1, exact or (float mode) irrational within half an
             # ulp: probes place them.
@@ -546,15 +580,26 @@ def _assemble_report(
     methods: dict[int, tuple[str, str]],
     flags: list[str],
 ) -> IntervalReport:
-    # Anchors missing from per_block are t-free: the whole window.
-    per_block = {n: per_block.get(n, Interval(0, cap)) for n in range(cut + 1)}
+    # Anchors missing from per_block are t-free: one whole-window interval
+    # serves them all.
+    whole = Interval(0, cap)
+    per_block = {n: per_block.get(n, whole) for n in range(cut + 1)}
     methods = {n: methods.get(n, ("direct", "direct")) for n in range(cut + 1)}
     # The anchors of the largest lower end and the smallest upper end, ties
-    # keeping the first, each picked in one pass; 0 and inf seed the ends.
-    lo_n = max(per_block, key=lambda n: per_block[n].lo)
-    hi_n = min(per_block, key=lambda n: per_block[n].hi)
-    lo = max(0, per_block[lo_n].lo)
-    hi = min(float("inf"), per_block[hi_n].hi)
+    # keeping the first, both picked in one pass from anchor 0; an anchor
+    # sharing anchor 0's interval (t-free ones) cannot beat it.  0 and inf
+    # then clip the ends.
+    first = per_block[0]
+    lo_n, lo, hi_n, hi = 0, first.lo, 0, first.hi
+    for n in range(1, cut + 1):
+        iv = per_block[n]
+        if iv is first:
+            continue
+        if iv.lo > lo:
+            lo_n, lo = n, iv.lo
+        if iv.hi < hi:
+            hi_n, hi = n, iv.hi
+    lo, hi = max(0, lo), min(float("inf"), hi)
     contains_one = lo <= 1 <= hi
     if not contains_one:
         sets = ", ".join(

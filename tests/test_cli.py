@@ -15,6 +15,8 @@ import pytest
 
 import hankelshift.cli as cli
 import hankelshift.hankel as hankel
+import hankelshift.measures as measures
+import hankelshift.perturbation as perturbation
 from hankelshift import AtomicMeasure, Interval, IntervalReport, moments_of
 from hankelshift.perturbation import InteriorReport
 
@@ -269,6 +271,68 @@ class TestLazyNumpy:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[0,", *["0,"] * 7, "0]", "False"]
+
+
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestColdStart:
+    # The modules a fresh `python -m hankelshift.cli` run imports, as
+    # `-X importtime` lists them on stderr (cli itself runs as __main__):
+    # numkit and hankel always, shifts for weights, measures for a measure
+    # or `recursion`, perturbation for `perturb`.
+    BASE = {"hankelshift", "hankelshift.numkit", "hankelshift.hankel"}
+    BY_KIND = {"moments": set(), "weights": {"shifts"}, "measure": {"measures"}, "csv": set()}
+    BY_COMMAND = {
+        "analyze": set(),
+        "dets": set(),
+        "recursion": {"measures"},
+        "perturb": {"perturbation"},
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path, bergman_file, twoatom_file, csv_file):
+        moments = write(
+            tmp_path, "hausdorff.json",
+            {"kind": "moments", "values": [f"1/{n + 1}" for n in range(15)]},
+        )
+        return {"moments": moments, "weights": bergman_file, "measure": twoatom_file,
+                "csv": csv_file}
+
+    @pytest.mark.parametrize("command", list(BY_COMMAND))
+    def test_a_run_imports_only_what_its_command_and_input_use(self, inputs, command):
+        for kind, path in inputs.items():
+            done = _fresh_python(
+                "-X", "importtime", "-m", "hankelshift.cli", command, path,
+                "--json", "--no-timestamp",
+            )
+            assert done.returncode == 0, done.stderr
+            imported = {
+                line.rpartition("|")[2].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            extra = self.BY_KIND[kind] | self.BY_COMMAND[command]
+            want = self.BASE | {f"hankelshift.{name}" for name in extra}
+            assert {m for m in imported if m.startswith("hankelshift")} == want, kind
+            assert "datetime" not in imported, kind
+
+    def test_importing_the_package_loads_no_module_of_it(self):
+        done = _fresh_python(
+            "-c",
+            "import sys, hankelshift\n"
+            "print(sorted(m for m in sys.modules if m.startswith('hankelshift')))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["['hankelshift']"]
 
 
 class TestSubcommands:
@@ -629,7 +693,7 @@ class TestSubcommands:
         def boom(*a, **kw):
             raise NotAtomicError("characteristic root is not admissible")
 
-        monkeypatch.setattr(cli, "recover_atoms", boom)
+        monkeypatch.setattr(measures, "recover_atoms", boom)
         assert cli.main(["recursion", twoatom_file, "--json", "--no-timestamp"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["measure"]["atomic"] is False
@@ -808,7 +872,7 @@ class TestConsistencyIncident:
             interval=dummy_interval,
             flags=("tolerance incident",),
         )
-        monkeypatch.setattr(cli, "interiority_report", lambda *a, **kw: fake)
+        monkeypatch.setattr(perturbation, "interiority_report", lambda *a, **kw: fake)
         rc = cli.main(["perturb", bergman_file, "--l", "1", "--k", "1"])
         assert rc == 4
         assert "incident" in capsys.readouterr().out

@@ -26,6 +26,16 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_package_exports_the_five_modules_and_the_version():
+    # The package binds its names on first access; the list is theirs.
+    modules = (numkit, hankel, shifts, measures, perturbation)
+    assert hankelshift.__all__ == [*(n for m in modules for n in m.__all__), "__version__"]
+    assert set(hankelshift.__all__) <= set(dir(hankelshift))
+    star: dict = {}
+    exec("from hankelshift import *", star)
+    assert set(star) - {"__builtins__"} == set(hankelshift.__all__)
+
+
 def _library_block() -> str:
     text = README.read_text()
     section = text[text.index("## Library"):]

@@ -8,7 +8,9 @@ above 1.  The reference below is the path this replaced: the side from the
 roots of the shifted polynomial p(1 + u), which refuses a root within
 2^-1074 of 1, and m found by one PSD probe per m from 53 up.  Both must
 give the same endpoints and methods at every anchor, and the count rule
-takes one PSD probe per dyadic endpoint.
+takes one PSD probe per dyadic endpoint.  The least m is found by
+galloping over m, checked against the scan of one Sturm count per m from
+53 up that it replaced.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
+import hankelshift.numkit as numkit
 import hankelshift.perturbation as perturbation
 from hankelshift import (
     EXACT,
@@ -116,6 +120,28 @@ def retired_block(gamma, n, k, cut, cap, probes: Counter | None = None):
     return Interval(ends[0], ends[1]), tuple(methods)
 
 
+def linear_dyadic(chain, clear: int, step: int) -> F:
+    # The scan `perturbation._first_dyadic` replaced: one Sturm count per m
+    # from 53 up.
+    m = next(m for m in count(53) if numkit._changes_at(chain, (1 << m) + step, 1 << m) == clear)
+    return 1 + F(step, 1 << m)
+
+
+def _checking_gallop(monkeypatch) -> list:
+    # Every `_first_dyadic` answer checked against the linear scan.
+    seen = []
+    gallop = perturbation._first_dyadic
+
+    def checked(chain, clear, step):
+        got = gallop(chain, clear, step)
+        assert got == linear_dyadic(chain, clear, step)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(perturbation, "_first_dyadic", checked)
+    return seen
+
+
 def _measure(atoms, dens, horizon):
     return moments_of(AtomicMeasure(tuple(map(F, atoms)), tuple(map(F, dens))), horizon)
 
@@ -160,16 +186,66 @@ def _blocks(gamma, cut, k):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_count_rule_matches_the_shifted_isolation_and_probe_search(case):
+def test_count_rule_matches_the_shifted_isolation_and_probe_search(monkeypatch, case):
     gamma, cut, k = _case(case)
     cap, anchors = _blocks(gamma, cut, k)
+    gallops = _checking_gallop(monkeypatch)
     dyadic = 0
     for n in anchors:
         iv, methods, _ = perturbation._pencil_block(gamma, n, k, cut, cap, EXACT)
         want_iv, want_methods = retired_block(gamma, n, k, cut, cap)
         assert (repr(iv), methods) == (repr(want_iv), want_methods), n
         dyadic += sum(_dyadic_gap(t) is not None for t in (iv.lo, iv.hi))
-    assert dyadic
+    assert dyadic and gallops
+
+
+@pytest.mark.parametrize("gap", [1, 50, 52, 53, 54, 55, 60, 117, 300, 1100])
+@pytest.mark.parametrize("root_at_one", [False, True])
+def test_gallop_finds_the_first_clear_dyadic(gap, root_at_one):
+    # Roots 1 - 3 * 2^-gap and 1 + 2^-gap, beside sqrt(2) and 5 (and 1):
+    # below, 1 - 2^-m clears the root from m = gap - 1 on; above, 1 + 2^-m
+    # is the root at m = gap and clears it from m = gap + 1 on.
+    scale = 1 << gap
+    poly = [scale, -(scale - 3)]  # scale * t - (scale - 3)
+    for factor in ([scale, -(scale + 1)], [1, 0, -2], [1, -5], *([[1, -1]] if root_at_one else [])):
+        poly = [
+            sum(poly[i] * factor[j - i] for i in range(len(poly)) if 0 <= j - i < len(factor))
+            for j in range(len(poly) + len(factor) - 1)
+        ]
+    chain = numkit._sturm_chain(poly)
+    v_one = numkit._changes_at(chain, 1, 1)
+    for step, clear, first in ((-1, v_one + root_at_one, gap - 1), (1, v_one, gap + 1)):
+        want = 1 + F(step, 1 << max(53, first))
+        assert perturbation._first_dyadic(chain, clear, step) == want
+        assert linear_dyadic(chain, clear, step) == want
+
+
+def test_near_one_sturm_work_on_hausdorff_moments(monkeypatch):
+    # Exact Hausdorff moments at horizon 80, cut 40, k = 14: 26 polynomials,
+    # 52 dyadic endpoints.  Outside isolation, V(x) is counted twice per
+    # polynomial (V(1), V(+inf)) and about 2 log2(m - 52) times per dyadic
+    # endpoint: 648 counts (2 297 with one count per m and V(1), V(+inf)
+    # per near-1 root), and each Sturm chain is built once (26 chains, 50
+    # when isolation dropped its chain).
+    chains, outside = [], []
+    sturm_chain, changes_at = numkit._sturm_chain, numkit._changes_at
+
+    def recording_chain(poly):
+        chains.append(tuple(numkit._primitive_ints(poly)))
+        return sturm_chain(poly)
+
+    def counted(*args):
+        outside.append(None)
+        return changes_at(*args)
+
+    for module in (numkit, perturbation):
+        monkeypatch.setattr(module, "_sturm_chain", recording_chain)
+    monkeypatch.setattr(perturbation, "_changes_at", counted)
+    gallops = _checking_gallop(monkeypatch)
+    report = stability_interval(hausdorff_moments(80), 40, 14)
+    assert report.one_interior and len(gallops) == 52
+    assert (len(chains), len(set(chains))) == (26, 26)
+    assert len(outside) == 648
 
 
 def test_a_root_nearer_one_than_its_inside_double_takes_the_dyadic_path():

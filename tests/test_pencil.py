@@ -232,18 +232,18 @@ class TestWorkCount:
         # pencil polynomials there once t is divided out: one isolation
         # serves both, and no polynomial is isolated twice.
         seen = []
-        roots = perturbation.real_roots
+        isolate = perturbation._isolate
 
         def recording(poly):
             seen.append(perturbation._primitive(poly))
-            return roots(poly)
+            return isolate(poly)
 
         path = tmp_path / "bergman.json"
         path.write_text(
             json.dumps({"kind": "moments", "values": [f"1/{n + 1}" for n in range(15)]})
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(perturbation, "real_roots", recording)
+            mp.setattr(perturbation, "_isolate", recording)
             code, _, _ = run_main(["perturb", str(path), "--l", "3", "--k", str(k), "--json"])
         assert code == 0
         assert len(seen) == len(set(seen))

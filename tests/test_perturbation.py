@@ -383,6 +383,35 @@ class TestStabilityGeneric:
         assert float(r3.intersection.lo) >= float(r2.intersection.lo) - eps
         assert float(r3.intersection.hi) <= float(r2.intersection.hi) + eps
 
+    def test_assembly_compares_each_endpoint_once(self, monkeypatch):
+        # Anchors 0-2 are t-free and share one window interval; anchors 4
+        # and 5 tie on both ends, so the first of them names the methods.
+        cap = F(5, 2)
+        per_block = {
+            3: Interval(F(1, 2), F(2)),
+            4: Interval(F(3, 4), F(3, 2)),
+            5: Interval(F(3, 4), F(3, 2)),
+            6: Interval(F(1, 3), cap),
+        }
+        methods = {n: (f"lo{n}", f"hi{n}") for n in per_block}
+        compares = []
+        richcmp = F._richcmp
+
+        def counting(self, other, op):
+            compares.append(op)
+            return richcmp(self, other, op)
+
+        monkeypatch.setattr(F, "_richcmp", counting)
+        rep = perturbation._assemble_report(2, 6, cap, per_block, methods, [])
+        monkeypatch.undo()
+        assert rep.intersection == Interval(F(3, 4), F(3, 2))
+        assert rep.intersection_methods == ("lo4", "hi4")
+        assert rep.per_block[0] is rep.per_block[2]
+        # one window check, two per t-dependent anchor, two clips and five
+        # for the point 1 and the intersection (24 with a window interval
+        # built per anchor and max/min over every anchor)
+        assert len(compares) == 1 + 2 * 4 + 2 + 5
+
     def test_requires_k_positive(self):
         bad = MomentSequence.of([F(1), F(2), F(1), F(2), F(1), F(2)])
         with pytest.raises(PreconditionError):
