@@ -50,10 +50,12 @@ DIGESTS = Path(__file__).with_name("report_digests.json")
 OPTION_SETS: tuple[tuple[str, ...], ...] = (
     ("analyze",),
     ("analyze", "--k", "3"),
+    ("analyze", "--k", "3", "--float", "--tol-rel", "1e-6"),
     ("dets", "--k", "1"),
     ("dets", "--k", "3"),
     ("recursion",),
     ("recursion", "--max-order", "2"),
+    ("recursion", "--float", "--tol-rel", "1e-6"),
     ("perturb", "--k", "1"),
     ("perturb", "--l", "3", "--k", "2"),
     ("perturb", "--k", "3", "--closed-form"),
