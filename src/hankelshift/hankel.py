@@ -9,6 +9,7 @@ k-positive (up to the horizon) when every feasible block of order k is PSD.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -159,14 +160,6 @@ class MomentSequence:
 
         return self._memo(("ladder", ctx), build)
 
-    def max_abs(self) -> float:
-        top = max(self._doubles)  # the moments are nonnegative
-        if math.isinf(top):
-            raise PreconditionError(
-                "a moment lies beyond the double range, so no float scale exists"
-            )
-        return top
-
 
 def _check_signs(signs: Sequence[int]) -> None:
     # The moments' conditions, on the integers G of the view.
@@ -307,17 +300,13 @@ def log_convexity(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
     For nonnegative sequences this coincides with 1-positivity.  Both modes
     compare the integer products L = G_n G_{n+2}, R = G_{n+1}^2 of
     `MomentSequence.integer_view` (D^2 times gamma's); float mode within the
-    band, L - R >= -(zero_eps D^2 + rel_eps max(L, R)), over the binary
-    values of the tolerances, so no product overflows.
+    band, L - R >= -(zero_eps D^2 + rel_eps max(L, R)) (`ToleranceContext.
+    _in_band`), so no product overflows.  The scale is R: where L > R, the
+    test holds whatever the scale.
     """
     g, den = gamma.integer_view
-    if ctx.is_exact:
-        return all(g[n] * g[n + 2] >= g[n + 1] * g[n + 1] for n in range(len(g) - 2))
-    (a, b), (c, d) = ctx.zero_eps.as_integer_ratio(), ctx.rel_eps.as_integer_ratio()
-    return all(
-        (lhs - rhs) * b * d >= -(a * d * den * den + c * b * max(lhs, rhs))
-        for lhs, rhs in ((g[n] * g[n + 2], g[n + 1] * g[n + 1]) for n in range(len(g) - 2))
-    )
+    products = ((g[n] * g[n + 2] - (r := g[n + 1] * g[n + 1]), r) for n in range(len(g) - 2))
+    return all(ctx._in_band(products, den * den, signed=True))
 
 
 def zero_moment_collapse(gamma: MomentSequence) -> bool:
@@ -383,22 +372,19 @@ def _recursion_holds(
     gamma: MomentSequence, coeffs: Sequence[Scalar], start: int, ctx: ToleranceContext
 ) -> bool:
     # gamma_{p+r} = sum_i coeffs[i] * gamma_{p+i} for every p >= start on the
-    # horizon, r = len(coeffs): in exact mode over the integers G of
-    # integer_view and the coefficients scaled by their common denominator
-    # (int compares only), in float mode within the zero band of max|gamma|.
-    r = len(coeffs)
-    if ctx.is_exact:
-        g = gamma.integer_view[0]
-        c, den = _integer_view(coeffs)
-        return all(
-            g[p + r] * den == sum(c[i] * g[p + i] for i in range(r))
-            for p in range(start, len(g) - r)
-        )
-    scale = gamma.max_abs()
-    return all(
-        ctx.is_zero(gamma[p + r] - sum(coeffs[i] * gamma[p + i] for i in range(r)), scale)
-        for p in range(start, len(gamma) - r)
+    # horizon, r = len(coeffs), on one integer residual in both modes: the
+    # integers G of integer_view and the coefficients c / C at their binary
+    # values give G[p+r] C - sum_i c_i G[p+i], C D times gamma's residual.
+    # Exact mode needs it 0, float mode within the band of max gamma.
+    g, den = gamma.integer_view
+    c, c_den = _integer_view(coeffs)
+    r = len(c)
+    top, den = max(g) * c_den, den * c_den
+    residuals = (
+        (g[p + r] * c_den - sum(map(operator.mul, c, g[p:p + r])), top)
+        for p in range(start, len(g) - r)
     )
+    return all(ctx._in_band(residuals, den))
 
 
 def _kept_recursion(gamma: MomentSequence, ctx: ToleranceContext) -> Optional[tuple]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .hankel import BlockIndex, MomentSequence, _corner_fit, _kept_recursion, _recursion_holds
 from .numkit import (
@@ -21,10 +21,10 @@ from .numkit import (
     ToleranceContext,
     _integer_view,
     _over_lcm,
+    _rounded,
     _solve_integer,
     real_roots,
     solve_linear_exact,
-    solve_vandermonde,
 )
 
 if TYPE_CHECKING:
@@ -103,10 +103,11 @@ class Recursion:
             raise ValueError("recursion needs exactly `order` coefficients")
 
     def holds_on(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> bool:
-        """The recursion fits every index from valid_from on the horizon:
-        exactly in exact mode (over the integers of
+        """The recursion fits every index from valid_from on the horizon,
+        decided on one integer residual per index (over
         `MomentSequence.integer_view` and the coefficients scaled by their
-        common denominator), within the float band otherwise."""
+        common denominator): 0 in exact mode, within the float band of the
+        largest moment otherwise."""
         return _recursion_holds(gamma, self.coeffs, self.valid_from, ctx)
 
 
@@ -290,15 +291,17 @@ def recover_atoms(
     atomic measure on the half line.  Roots are isolated exactly (Sturm sequences
     over the exact coefficients, binary rationals in float mode): a
     rational root comes back as an exact Fraction, an irrational one as the
-    correctly rounded double of the certified root, with float densities
-    solved from it (the CLI warns when exact mode returns such atoms).  The
-    recovered measure is re-verified against every moment on the horizon
-    before it is returned (exactly when the atoms are rational in exact
-    mode, within the float band otherwise).  Rational atoms in exact mode
-    are solved and re-verified over the integer view of the moments, and
-    Fractions are built only for the densities returned.  The recursion is
-    first checked against gamma, unless it is the one that the rank of
-    gamma's kept ladder under ctx has verified (`LadderVerdicts.rank`).
+    correctly rounded double of the certified root (the CLI warns when
+    exact mode returns such atoms).  The densities are solved once, on the
+    integers of the moments and atoms (floats at their binary values): as
+    Fractions when the atoms are rational in exact mode, else each rounded
+    once to a double (past the double range, a PreconditionError).  The
+    measure is re-checked against every moment on the horizon on integers
+    (`_mismatch`): exactly when it is exact, else within the default
+    `FLOAT` band of the largest moment, whatever ctx's tolerances.  The
+    recursion is first checked against gamma, unless it is the one that
+    the rank of gamma's kept ladder under ctx has verified
+    (`LadderVerdicts.rank`).
     """
     if rec.valid_from != 0:
         raise PreconditionError("recursion must be valid from index 0")
@@ -308,55 +311,59 @@ def recover_atoms(
     if gamma.horizon < r - 1:
         raise PreconditionError("horizon too short to solve for densities")
     atoms = _nonneg_roots(rec, ctx)
-    if ctx.is_exact and not any(isinstance(x, float) for x in atoms):
-        return _exact_measure(atoms, gamma)
-
-    densities = solve_vandermonde(atoms, [gamma[i] for i in range(r)], FLOAT)
-    for x, rho in zip(atoms, densities):
-        if not rho > 0:
-            raise NotAtomicError(f"density {rho} at atom {x} is not positive")
-    mu = AtomicMeasure(atoms=tuple(atoms), densities=tuple(densities))
-
-    check = moments_of(mu, gamma.horizon)
-    scale = gamma.max_abs()
-    # The moments as doubles: a double minus a Fraction would convert it there.
-    for n, (c, v) in enumerate(zip(check, gamma._doubles)):
-        if not FLOAT.is_zero(c - v, scale):
-            raise InternalConsistencyError(
-                f"recovered measure mismatches gamma_{n}: {c} != {gamma[n]}"
-            )
-    return mu
-
-
-def _exact_measure(atoms: Sequence[Scalar], gamma: MomentSequence) -> AtomicMeasure:
-    # `recover_atoms` for rational atoms x_j = a_j / A in exact mode, on the
-    # integers G = D * gamma of the integer view: Sum_j c_j a_j^i = C G_i A^i,
-    # i < r, is solved as integers (c_j, C = lead), so rho_j = c_j / (C D),
-    # and Sum_j c_j a_j^n = C G_n A^n is re-checked at every n on the horizon.
-    # Fractions are built only for the densities returned.
-    g, den = gamma.integer_view
     a, a_den = _integer_view(atoms)
-    r = len(a)
+    if any(x == y for x, y in zip(a, a[1:])):  # merged by rounding, or by the snap to 0.0
+        raise PreconditionError("repeated node: two roots give one atom")
+    exact = ctx.is_exact and not any(isinstance(x, float) for x in atoms)
+    # Sum_j c_j a_j^i = C G_i A^i, i < r, for x_j = a_j / A and the integers
+    # G = D * gamma, is solved as integers (c_j, C), so rho_j = c_j / (C D).
+    g, den = gamma.integer_view
     sol = _solve_integer(
         [[x**i for x in a] for i in range(r)], [g[i] * a_den**i for i in range(r)]
     )
     if sol is None:
         raise InternalConsistencyError("distinct-node Vandermonde system unsolvable")
     c, lead = sol
-    for x, cj in zip(atoms, c):
-        if not cj * lead > 0:
-            raise NotAtomicError(f"density {Fraction(cj, lead * den)} at atom {x} is not positive")
-    powers, factor = c, lead
-    for n in range(len(g)):
-        if sum(powers) != factor * g[n]:
-            raise InternalConsistencyError(
-                f"recovered measure mismatches gamma_{n}: "
-                f"{Fraction(sum(powers), factor * den)} != {gamma[n]}"
-            )
-        powers = [p * x for p, x in zip(powers, a)]
-        factor *= a_den
-    densities = tuple(Fraction(cj, lead * den) for cj in c)
+    densities = tuple((Fraction if exact else _rounded)(cj, lead * den) for cj in c)
+    if not exact and any(map(math.isinf, densities)):
+        raise PreconditionError(
+            "a solution of the float Vandermonde system lies beyond the double range"
+        )
+    for x, rho in zip(atoms, densities):
+        if not rho > 0:
+            raise NotAtomicError(f"density {rho} at atom {x} is not positive")
+    n = _mismatch(atoms, densities, gamma, EXACT if exact else FLOAT)
+    if n is not None:
+        m = sum(Fraction(d) * Fraction(x) ** n for x, d in zip(atoms, densities))
+        moment = m if exact else _rounded(m.numerator, m.denominator)
+        raise InternalConsistencyError(
+            f"recovered measure mismatches gamma_{n}: {moment} != {gamma[n]}"
+        )
     return AtomicMeasure(atoms=tuple(atoms), densities=densities)
+
+
+def _mismatch(
+    atoms: Sequence[Scalar], densities: Sequence[Scalar], gamma: MomentSequence,
+    ctx: ToleranceContext,
+) -> Optional[int]:
+    # The first n at which the measure's moment sum_j rho_j x_j^n is not
+    # gamma_n within ctx's band of max gamma, else None.  With x_j = a_j / A,
+    # rho_j = r_j / R and gamma_n = G_n / D, the residual over the one
+    # denominator R A^N D (N the horizon) is sum_j r_j a_j^n A^(N-n) D - G_n R A^N.
+    (a, a_den), (r, r_den) = _integer_view(atoms), _integer_view(densities)
+    g, den = gamma.integer_view
+    lift = a_den ** (len(g) - 1)
+    full = r_den * lift
+    top = max(g) * full
+
+    def residuals(terms: list[int], lift: int) -> Iterator[tuple[int, int]]:
+        for gn in g:
+            yield sum(terms) * lift * den - gn * full, top
+            terms = [t * x for t, x in zip(terms, a)]
+            lift //= a_den
+
+    verdicts = ctx._in_band(residuals(r, lift), full * den)
+    return next((n for n, ok in enumerate(verdicts) if not ok), None)
 
 
 def measure_represents_weights(
@@ -364,14 +371,12 @@ def measure_represents_weights(
 ) -> bool:
     """True iff the measure's moments reproduce the shift's moments on the
     whole prefix and the largest atom respects the squared-weight norm
-    surrogate (support bound)."""
+    surrogate (support bound), both compared on integers (`_mismatch`),
+    exactly in exact mode and within ctx's band otherwise."""
     from .shifts import weights_to_moments
 
     gamma = weights_to_moments(alpha)
-    mg = moments_of(mu, gamma.horizon)
-    scale = 0.0 if ctx.is_exact else gamma.max_abs()
-    for n in range(len(gamma)):
-        if not ctx.is_zero(mg[n] - gamma[n], scale):
-            return False
-    sup = alpha.sq_sup
-    return bool(ctx.nonneg(sup - max(mu.atoms), 0.0 if ctx.is_exact else float(sup)))
+    if _mismatch(mu.atoms, mu.densities, gamma, ctx) is not None:
+        return False
+    (sup, top), den = _integer_view([alpha.sq_sup, max(mu.atoms)])
+    return next(ctx._in_band([(sup - top, sup)], den, signed=True))

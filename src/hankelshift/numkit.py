@@ -32,7 +32,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Scalar = Fraction | int | float
 
@@ -93,12 +93,13 @@ class InternalConsistencyError(HankelshiftError):
 class ToleranceContext:
     """Computation mode plus the float-mode tolerance policy.
 
-    A float quantity x is treated as zero iff |x| <= zero_eps + rel_eps*scale,
-    where scale is a magnitude representative of the matrix or sequence under
-    test; a Hankel determinant takes rel_eps alone, as a bound on relative
-    pivots (`hankel.LadderVerdicts.vanishes`).  Both are ignored in exact
-    mode, but must be finite and positive in every mode.  The float PSD/PD
-    tests scale their eigenvalue threshold by the constant `PSD_FLOOR`.
+    A float quantity x is treated as zero iff |x| <= zero_eps + rel_eps*scale
+    (nonnegative iff x >= -(zero_eps + rel_eps*scale)), scale a magnitude
+    representative of the matrix or sequence under test, decided exactly on
+    integers (`_in_band`); a Hankel determinant takes rel_eps alone, as a
+    bound on relative pivots (`hankel.LadderVerdicts.vanishes`).  Both are
+    ignored in exact mode, but must be finite and positive in every mode.
+    The float PSD/PD tests scale their eigenvalue threshold by `PSD_FLOOR`.
     """
 
     mode: str = "exact"
@@ -117,18 +118,30 @@ class ToleranceContext:
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
-    def band(self, scale: float = 0.0) -> float:
-        return self.zero_eps + self.rel_eps * abs(scale)
+    def _in_band(
+        self, pairs: Iterable[tuple[int, int]], den: int, signed: bool = False
+    ) -> Iterator[bool]:
+        # The package's one tolerance test outside the PSD band, lazily per
+        # (x, s) of pairs, for x / den and the scale s / den >= 0: |x| <=
+        # zero_eps + rel_eps * s, or signed, x >= -(zero_eps + rel_eps * s),
+        # on ints over the tolerances' binary values; exact mode's band is 0.
+        zero, rel, unit = 0, 0, 1
+        if not self.is_exact:
+            (a, b), (c, d) = self.zero_eps.as_integer_ratio(), self.rel_eps.as_integer_ratio()
+            zero, rel, unit = a * d * den, c * b, b * d  # the band over b d
+        if signed:
+            return (x * unit >= -(zero + rel * s) for x, s in pairs)
+        return (abs(x) * unit <= zero + rel * s for x, s in pairs)
 
-    def is_zero(self, x: Scalar, scale: float = 0.0) -> bool:
-        if self.is_exact:
-            return x == 0
-        return abs(x) <= self.band(scale)
+    def is_zero(self, x: Scalar, scale: Scalar = 0.0) -> bool:
+        """`_in_band` of x and |scale|; a nonfinite float is a PreconditionError."""
+        (x, s), den = _integer_view([x, abs(scale)])
+        return next(self._in_band([(x, s)], den))
 
-    def nonneg(self, x: Scalar, scale: float = 0.0) -> bool:
-        if self.is_exact:
-            return x >= 0
-        return x >= -self.band(scale)
+    def nonneg(self, x: Scalar, scale: Scalar = 0.0) -> bool:
+        """The signed `_in_band` of x and |scale|, as `is_zero`."""
+        (x, s), den = _integer_view([x, abs(scale)])
+        return next(self._in_band([(x, s)], den, signed=True))
 
 
 PSD_FLOOR = 1e-10  # the float PSD/PD tests' eigenvalue floor, per 1 + max|entry|
@@ -441,17 +454,11 @@ def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
 
 
 def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
-    """PD test (rows or a `SymMatrix`): exact mode by strict positivity of
-    every `_pivots` pivot, float mode by the strict version of the PSD
-    floor, lambda_min > f, decided as A - f*I is PD (`_ldlt_pd`).  The
-    order-0 matrix is PD."""
-    rows = _rows_of(matrix)
-    if not rows:
-        return True
-    if ctx.is_exact:
-        return _pivots(rows)[1]
-    scale, floor = _band([x for row in rows for x in row])
-    return _ldlt_pd([[x * scale for x in row] for row in rows], -floor)
+    """PD test (rows or a `SymMatrix`): `psd_with_margin` answers PSD and
+    not marginal, in exact mode every `_pivots` pivot positive, in float
+    mode the strict version of the PSD floor, lambda_min > f, decided as
+    A - f*I is PD (`_ldlt_pd`).  The order-0 matrix is PD."""
+    return psd_with_margin(matrix, ctx) == (True, False)
 
 
 def _rows(values: Sequence[Scalar], n: int, k: int) -> list[Sequence[Scalar]]:

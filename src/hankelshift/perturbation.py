@@ -455,7 +455,20 @@ def _pencil_block(
     gamma: MomentSequence, n: int, k: int, cut: int, cap: Scalar, ctx: ToleranceContext
 ) -> tuple[Interval, tuple[str, str], list[str]]:
     """Admissible scales in the window [0, cap] at one t-dependent anchor,
-    with the endpoint methods and flags; see `stability_interval`.
+    with the endpoint methods and flags; see `stability_interval`.  Kept on
+    gamma per (n, k, cut, ctx), which fix cap (`_window_cap`), so the order-2
+    fallback and the pencil report share a pass; each call gets its own list
+    of the kept flags.
+    """
+    key = ("pencil_block", n, k, cut, ctx)
+    iv, methods, flags = gamma._memo(key, lambda: _pencil_pass(gamma, n, k, cut, cap, ctx))
+    return iv, methods, list(flags)
+
+
+def _pencil_pass(
+    gamma: MomentSequence, n: int, k: int, cut: int, cap: Scalar, ctx: ToleranceContext
+) -> tuple[Interval, tuple[str, str], tuple[str, ...]]:
+    """`_pencil_block`, computed.
 
     p comes from `_pencil_poly`, at its true degree, and its roots,
     Sturm chain, V(1) and V(+inf) from `_roots` and `_sturm`, once per
@@ -481,14 +494,14 @@ def _pencil_block(
     one = 1.0 if floaty else Fraction(1)
     if floaty and not feasible(1):
         flag = f"anchor {n}: marginal: block not PSD over the binary values; interval [1, 1]"
-        return Interval(one, one), ("pencil_root", "pencil_root"), [flag]
+        return Interval(one, one), ("pencil_root", "pencil_root"), (flag,)
     p = _pencil_poly(gamma, n, k, cut, ctx)
     if not any(p):
         # the pivot columns of [H; D]: a maximal independent set
         idx = _echelon([list(row) for row in h + d], k + 1)[0]
         p = _interpolate([int(det_bareiss(pencil(t, idx))) for t in range(k + 2)])
     if not any(p):
-        return Interval(one, one), ("pencil_root", "pencil_root"), []
+        return Interval(one, one), ("pencil_root", "pencil_root"), ()
     while p[-1] == 0:
         p.pop()  # roots at t = 0 lie on the window bound
     roots = _roots(gamma, p)
@@ -545,7 +558,7 @@ def _pencil_block(
         ends.append(end)
         methods.append("pencil_root")
     at_cap = methods[1] == "direct"
-    flags = [f"anchor {n}: right endpoint at the order-1 bound"] if at_cap else []
+    flags = (f"anchor {n}: right endpoint at the order-1 bound",) if at_cap else ()
     return Interval(ends[0], ends[1]), (methods[0], methods[1]), flags
 
 

@@ -4,13 +4,15 @@ ladder, and the flatness and determinant-propagation consequences.
 Weights are stored and exchanged as squared weights, each held as its
 (p, q) pair in lowest terms: every formula below consumes moment ratios,
 which are squares, so the exact pipeline stays closed over the rationals.
-Plain weights appear only in float display.
+Weights are compared on the same pairs, as integers over one denominator:
+exactly in exact mode, within the tolerance band of the largest squared
+weight in float mode (`ToleranceContext._in_band`), so no weight needs to
+fit a double.  Plain weights appear only in float display.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -193,24 +195,13 @@ def _check_positive(signs: Sequence[int]) -> None:
             raise ValueError(f"squared weight at index {n} is not positive")
 
 
-def _float_scale(alpha: WeightSequence, ctx: ToleranceContext) -> float:
-    # The float-mode tolerance scale; exact mode takes none.
-    if ctx.is_exact:
-        return 0.0
-    top = max(_rounded(p, q) for p, q in alpha.pairs)
-    if math.isinf(top):
-        raise PreconditionError(
-            "a squared weight lies beyond the double range, so no float scale exists"
-        )
-    return top
-
-
 def is_hyponormal(alpha: WeightSequence, ctx: ToleranceContext = EXACT) -> bool:
-    """Nondecreasing weights; squared weights order the same way."""
-    scale = _float_scale(alpha, ctx)
-    return all(
-        ctx.nonneg(alpha.sq[n + 1] - alpha.sq[n], scale) for n in range(len(alpha) - 1)
-    )
+    """Nondecreasing weights; squared weights order the same way, and are
+    compared as the integers of their pairs over one denominator, exactly
+    or within ctx's band of the largest."""
+    sq, den = _over_lcm(alpha.pairs)
+    top = max(sq)
+    return all(ctx._in_band(((b - a, top) for a, b in zip(sq, sq[1:])), den, signed=True))
 
 
 def is_k_hyponormal(
@@ -256,18 +247,13 @@ def flat_tail_report(
     alpha: WeightSequence, k: int, ctx: ToleranceContext = EXACT
 ) -> FlatnessReport:
     """The flat-pair scan of `flatness_check` without its k-hyponormality
-    check, for a caller that has certified k-hyponormality itself.  Exact
-    mode compares the weights' (p, q) pairs in lowest terms, equal exactly
-    when the weights are."""
-    if ctx.is_exact:
-        sq, equal = alpha.pairs, operator.eq
-    else:
-        sq, scale = alpha.sq, _float_scale(alpha, ctx)
-
-        def equal(a: Scalar, b: Scalar) -> bool:
-            return ctx.is_zero(a - b, scale)
-
-    pair = next((n for n in range(len(sq) - 1) if equal(sq[n], sq[n + 1])), None)
+    check, for a caller that has certified k-hyponormality itself.  Weights
+    are compared as `is_hyponormal` compares them: equal exactly when their
+    pairs are, or within ctx's band of the largest in float mode."""
+    sq, den = _over_lcm(alpha.pairs)
+    top = max(sq)
+    steps = ctx._in_band(((b - a, top) for a, b in zip(sq, sq[1:])), den)
+    pair = next((n for n, flat in enumerate(steps) if flat), None)
     if pair is None:
         return FlatnessReport(
             k=k,
@@ -277,14 +263,13 @@ def flat_tail_report(
             alpha0_exception=False,
         )
     level = sq[pair]
-    verified = all(equal(sq[n], level) for n in range(1, len(sq)))
-    exception = len(sq) > 1 and not equal(sq[0], level)
+    same = list(ctx._in_band(((x - level, top) for x in sq), den))
     return FlatnessReport(
         k=k,
         flat_pair_found=True,
         pair_index=pair,
-        propagation_verified=verified,
-        alpha0_exception=exception,
+        propagation_verified=all(same[1:]),
+        alpha0_exception=not same[0],
     )
 
 

@@ -465,11 +465,8 @@ class TestSubcommands:
             (lambda n: 10**400, "Vandermonde"),
             # atoms (2 -+ sqrt(2)) 2^1100: no double holds the atoms
             (lambda n: 2 ** (1100 * n), "beyond the double range"),
-            # densities 10^305: gamma_7 and up leave the double range, and the
-            # float re-check of the irrational atoms needs them
-            (lambda n: 10**305, "moment lies beyond the double range"),
         ],
-        ids=["densities", "atoms", "moments"],
+        ids=["densities", "atoms"],
     )
     def test_irrational_atoms_beyond_double_range_exit_3(
         self, tmp_path, capsys, factor, message
@@ -485,6 +482,26 @@ class TestSubcommands:
         assert_json_error(captured, 3, "precondition")
         assert captured.err.startswith("precondition error:")
         assert message in captured.err
+
+    def test_irrational_atoms_with_moments_beyond_double_range(self, tmp_path, capsys):
+        # The same atoms with densities 10^305: gamma_7 and up leave the
+        # double range.  The re-check of the irrational atoms compares the
+        # measure's moments with gamma on integers, so it needs no double of
+        # them (it rebuilt the moments in doubles and exited 3).
+        vals = [2, 4]
+        while len(vals) < 9:
+            vals.append(4 * vals[-1] - 2 * vals[-2])
+        doc = {"kind": "moments", "values": [f"{v * 10**305}/1" for v in vals]}
+        path = write(tmp_path, "big.json", doc)
+        assert cli.main(["recursion", path, "--json", "--no-timestamp"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        measure = report["results"]["measure"]
+        assert measure["atoms"] == ["0.585786437626905", "3.414213562373095"]
+        assert measure["densities"] == ["1e+305", "1.0000000000000001e+305"]
+        (warning,) = report["warnings"]
+        assert warning.startswith("exact mode: 2 irrational atom(s) are the correctly rounded")
 
     def test_moments_near_1e80_get_finite_closed_form_endpoints(self, tmp_path, capsys):
         # moments near 1e80 overflowed the double arithmetic of the order-2

@@ -412,6 +412,32 @@ class TestStabilityGeneric:
         # built per anchor and max/min over every anchor)
         assert len(compares) == 1 + 2 * 4 + 2 + 5
 
+    def test_each_order_two_pencil_anchor_runs_once(self, monkeypatch):
+        # One atom: every anchor's closed form degenerates, so the order-2
+        # closed form falls back to the pencil engine at all four anchors,
+        # and the pencil report then asks for the same four passes (8 passes
+        # when each ran its own).
+        gamma = moments_of(AtomicMeasure((F(26, 3),), (F(1, 10),)), 10)
+        polys = []
+        pencil_poly = perturbation._pencil_poly
+
+        def recording(gamma, n, k, cut, ctx):
+            polys.append(n)
+            return pencil_poly(gamma, n, k, cut, ctx)
+
+        monkeypatch.setattr(perturbation, "_pencil_poly", recording)
+        closed = stability_interval_k2(gamma, 3)
+        assert sum("pencil engine used" in f for f in closed.flags) == 4
+        report = interiority_report(gamma, 3, 2)
+        assert polys == [0, 1, 2, 3]
+        assert report.interval.per_block == closed.per_block
+        assert report.interval.methods == closed.methods
+        # a caller's flags list is its own, not the kept one
+        cap = perturbation._window_cap(gamma, 3, 2, EXACT)
+        perturbation._pencil_block(gamma, 0, 2, 3, cap, EXACT)[2].append("x")
+        assert "x" not in perturbation._pencil_block(gamma, 0, 2, 3, cap, EXACT)[2]
+        assert polys == [0, 1, 2, 3]
+
     def test_requires_k_positive(self):
         bad = MomentSequence.of([F(1), F(2), F(1), F(2), F(1), F(2)])
         with pytest.raises(PreconditionError):

@@ -67,15 +67,14 @@ def test_exact_weights_beyond_the_double_range():
     assert report.flat_pair_found and report.propagation_verified
 
 
-def test_float_scale_of_weights_beyond_the_double_range():
-    # float mode needs a double scale; 10^400 has none, and the error says so
-    # instead of leaking an OverflowError
+def test_float_weights_beyond_the_double_range_are_compared():
+    # float mode compares the weights' pairs on integers, so 10^400 needs no
+    # double scale (it was refused for want of one)
     big = F(10**400)
     alpha = WeightSequence.from_squared((big,) * 5)
-    with pytest.raises(PreconditionError, match="beyond the double range"):
-        is_hyponormal(alpha, FLOAT)
-    with pytest.raises(PreconditionError, match="beyond the double range"):
-        flat_tail_report(alpha, 2, FLOAT)
+    assert is_hyponormal(alpha, FLOAT)
+    report = flat_tail_report(alpha, 2, FLOAT)
+    assert report.flat_pair_found and report.pair_index == 0
 
 
 def test_weight_validation_reads_numerator_signs(monkeypatch):
