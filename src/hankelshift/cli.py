@@ -114,7 +114,14 @@ def _parse_entry(raw: Any, where: str) -> Entry:
 def _parse_array(raw: Any, where: str) -> tuple[Entry, ...]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: expected a nonempty array")
-    return tuple(_parse_entry(entry, f"{where}[{i}]") for i, entry in enumerate(raw))
+    try:
+        return tuple(_parse_entry(entry, where) for entry in raw)
+    except InputError:
+        # The error names its entry: parse again with each entry's location
+        # until the one that fails raises.
+        for i, entry in enumerate(raw):
+            _parse_entry(entry, f"{where}[{i}]")
+        raise
 
 
 def load_sequence_file(path: str) -> LoadedInput:

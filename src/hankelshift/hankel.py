@@ -23,11 +23,11 @@ from .numkit import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _int_det,
     _integer_view,
     _ratio_str,
     _rounded,
     _rows,
-    det_bareiss,
     fmt_scalar,
     hankel_psd_with_margin,
     psd_with_margin,
@@ -332,7 +332,8 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
     `MomentSequence.integer_view` (floats at their binary values): the
     identity is homogeneous, so the order-k entry is det(block of G) /
     D^(k+1), and every division is an exact `//`.  A zero divisor takes
-    `det_bareiss` on the rows of the integer block (`_integer_block`).
+    `numkit._int_det` on a copy of the integer block's rows
+    (`_integer_block`), with no conversion.
     Every table keeps its integers (`DetTable`), so the walk is the same in
     both modes and never raises.  A table builds its dets when they are
     first read: Fractions in exact mode, correctly rounded doubles in float
@@ -353,7 +354,7 @@ def det_ladder(gamma: MomentSequence, ctx: ToleranceContext = EXACT) -> Iterator
         for n in range(horizon - 2 * order + 1):
             divisor = prev2[n + 2]
             if divisor == 0:
-                table.append(det_bareiss(_integer_block(gamma, n, order)).numerator)
+                table.append(_int_det([list(row) for row in _integer_block(gamma, n, order)]))
                 methods.append("direct")
             else:
                 table.append((prev1[n] * prev1[n + 2] - prev1[n + 1] * prev1[n + 1]) // divisor)

@@ -10,10 +10,13 @@ The mode is carried by the context, not by a scalar wrapper type: routines
 coerce their input entries to the representation the context asks for
 (floats are converted to exact binary rationals in exact mode).  A matrix
 is a sequence of rows, or a `SymMatrix`; the package passes row slices.
-Linear algebra runs over Python ints in both modes: the entries (floats at
-their binary values) are scaled to integers once (`_integer_view`) and
-eliminated fraction-free, every step an exact `//`, by `_echelon`
-(determinants and linear solves) or `_pivots` (the symmetric PSD decider);
+Linear algebra runs over Python ints in both modes, one kernel per
+question on integer rows, every step an exact `//`: `_echelon`
+(determinants, `_int_det`), `_pivots` (the symmetric PSD decider) and
+`_solve_integer` (linear solves).  A public entry point (`det_bareiss`,
+`psd_with_margin`, `solve_linear_exact`) scales its entries to integers
+once (floats at their binary values), and only where they are not ints
+already, so a caller holding an integer view passes it as it is;
 a Fraction, or in float mode its correctly rounded double, is built only
 for a value that leaves the routine.  `real_roots` works over ints too:
 linear and quadratic roots are read off (a quadratic's irrational roots
@@ -178,6 +181,14 @@ def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
+def _ints(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """`_integer_view(values)` as a fresh list; values that are all ints
+    already are copied as they are, over 1, with no conversion."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    return _integer_view(values)
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """A square symmetric matrix with scalar entries, immutable.
@@ -274,6 +285,12 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, sign, prev
 
 
+def _int_det(rows: list[list[int]]) -> int:
+    # The determinant of square integer rows, by `_echelon` in place.
+    pivots, sign, last = _echelon(rows, len(rows))
+    return sign * last if len(pivots) == len(rows) else 0
+
+
 def _rounded(num: int, den: int) -> float:
     # num / den (den > 0) correctly rounded, as int true division rounds;
     # past the double range, the inf that IEEE rounding gives.
@@ -284,32 +301,30 @@ def _rounded(num: int, den: int) -> float:
 
 
 def det_bareiss(matrix: _Matrix) -> Scalar:
-    """Determinant by fraction-free Bareiss elimination (`_echelon`).
+    """Determinant by fraction-free Bareiss elimination (`_int_det`).
 
-    The entries (floats at their binary values) are scaled row by row to
-    integers (`_integer_view`), so the exact determinant is det / (product
-    of the row scales).  It is returned as a Fraction, or, when any entry
-    is a float, as its correctly rounded double (`_rounded`).  A singular
-    matrix gives 0; the order-0 determinant is 1.
+    Each row that is not all ints is scaled to integers over its own
+    denominator (`_ints`; floats at their binary values), so the exact
+    determinant is the integer one over the product of the row scales.  It
+    is returned as a Fraction, or, when any entry is a float, as its
+    correctly rounded double (`_rounded`).  A singular matrix gives 0; the
+    order-0 determinant is 1.
     """
     rows = _rows_of(matrix)
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return 1
-    views = [_integer_view(row) for row in rows]
-    pivots, sign, last = _echelon([nums for nums, _ in views], n)
-    num = sign * last if len(pivots) == n else 0
+    views = [_ints(row) for row in rows]
+    num = _int_det([nums for nums, _ in views])
     den = math.prod(d for _, d in views)
     if any(isinstance(x, float) for row in rows for x in row):
         return _rounded(num, den)
     return Fraction(num, den)
 
 
-def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
-    """(is PSD, is PD), exactly, by fraction-free symmetric elimination.
+def _pivots(rows: Sequence[Sequence[int]]) -> tuple[bool, bool]:
+    """(is PSD, is PD) of a symmetric matrix given by integer rows, exactly,
+    by fraction-free symmetric elimination; the rows are not modified.
 
-    The entries (floats at their binary values) are scaled to integers by one
-    common denominator, which keeps the matrix symmetric and its verdicts.
     Step k takes the diagonal entry as the pivot; by Sylvester's identity it
     is the Schur-complement pivot times the previous positive pivot, which
     divides every update exactly.  A negative pivot means not PSD.  A zero
@@ -318,28 +333,26 @@ def _pivots(matrix: _Matrix) -> tuple[bool, bool]:
     then dropped, the previous divisor stays, and the matrix is singular.
     All pivots positive means PD.
     """
-    rows = _rows_of(matrix)
-    n = len(rows)
-    flat, _ = _integer_view(x for row in rows for x in row)
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    # Only the upper triangle of the block left to eliminate is kept, by
+    # symmetry every entry the elimination reads: upper[i] holds row i from
+    # the diagonal on, so upper[0][0] is the next pivot.
+    upper = [row[i:] for i, row in enumerate(rows)]
     singular = False
     prev = 1
-    # Only the upper triangle (j >= i) is kept current; by symmetry it holds
-    # every entry the elimination reads.
-    for k in range(n):
-        row_k = a[k]
-        pivot = row_k[k]
+    while upper:
+        top, rest = upper[0], upper[1:]
+        pivot = top[0]
         if pivot < 0:
             return False, False
         if pivot == 0:
-            if any(row_k[k + 1:]):
+            if any(top[1:]):
                 return False, False
-            singular = True
+            upper, singular = rest, True
             continue
-        for i in range(k + 1, n):
-            row_i, f = a[i], row_k[i]
-            for j in range(i, n):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+        upper = [
+            [(pivot * x - top[i] * y) // prev for x, y in zip(row, top[i:])]
+            for i, row in enumerate(rest, 1)
+        ]
         prev = pivot
     return True, not singular
 
@@ -407,8 +420,10 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     """(is PSD, verdict is marginal) of a symmetric matrix, given by its
     rows or as a `SymMatrix`.
 
-    Exact mode decides by `_pivots` over the entries scaled to integers
-    (floats at their binary values) and flags exactly singular PSD blocks.
+    Exact mode decides by `_pivots` on integer rows and flags exactly
+    singular PSD blocks: rows of ints as they are, else every entry scaled
+    by one common denominator (`_integer_view`; floats at their binary
+    values), which keeps the matrix symmetric and its verdicts.
     Exact Hankel-block questions read most blocks off their leading
     principal minors and the rank structure instead (`hankel.LadderVerdicts`)
     and come here only for a block that neither decides.  Float mode is the
@@ -425,6 +440,10 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     if not rows:
         return True, False
     if ctx.is_exact:
+        if not all(type(x) is int for row in rows for x in row):
+            n = len(rows)
+            flat = _integer_view([x for row in rows for x in row])[0]
+            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         psd, pd = _pivots(rows)
         return psd, psd and not pd
     scale, floor = _band([x for row in rows for x in row])
@@ -500,7 +519,7 @@ def _primitive_ints(poly: Sequence[Scalar]) -> list[int]:
     # positive multiple of the input (floats at their binary values).
     if any(isinstance(c, float) and not math.isfinite(c) for c in poly):
         raise PreconditionError("polynomial coefficients must be finite")
-    ints = _integer_view(poly)[0]
+    ints = _ints(poly)[0]
     while ints and ints[0] == 0:
         ints.pop(0)
     if not ints:
@@ -739,14 +758,12 @@ def solve_linear_exact(
     """One exact solution of A x = b with free variables set to zero, or
     None when the system is inconsistent.
 
-    Each row is scaled to integers with its right-hand side (floats at their
-    binary values) and brought to echelon form by `_echelon`.  With d the
-    last pivot, Cramer's rule makes d * x an integer vector, which back
-    substitution finds with exact divisions; it is re-verified in the scaled
-    rows, so the answer is sound whatever the pivoting, and the Fractions
-    are built last.
+    Each row that is not all ints is scaled to integers with its right-hand
+    side (`_ints`; floats at their binary values), and the integer system
+    goes to `_solve_integer`; the Fractions are built last.
     """
-    sol = _solve_integer(rows, rhs)
+    scaled = [_ints([*row, v])[0] for row, v in zip(rows, rhs, strict=True)]
+    sol = _solve_integer([row[:-1] for row in scaled], [row[-1] for row in scaled])
     if sol is None:
         return None
     y, d = sol
@@ -754,20 +771,25 @@ def solve_linear_exact(
 
 
 def _solve_integer(
-    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[list[int], int] | None:
-    # `solve_linear_exact` as (y, d), d != 0, the solution being y / d.
-    scaled = [_integer_view([*row, v])[0] for row, v in zip(rows, rhs, strict=True)]
-    ncols = len(rows[0]) if scaled else 0
-    ech = [list(row) for row in scaled]
+    """`solve_linear_exact` of integer rows and right-hand side, as (y, d)
+    with d != 0, the solution being y / d; None when inconsistent.
+
+    The augmented rows go to echelon form by `_echelon`.  With d the last
+    pivot, Cramer's rule makes d * x an integer vector, which back
+    substitution finds with exact divisions; it is re-verified in the given
+    rows, so the answer is sound whatever the pivoting."""
+    ncols = len(rows[0]) if rows else 0
+    ech = [[*row, v] for row, v in zip(rows, rhs, strict=True)]
     pivots, _, d = _echelon(ech, ncols)
     y = [0] * ncols
     for t in range(len(pivots) - 1, -1, -1):
         row = ech[t]
         acc = d * row[ncols] - sum(row[c] * y[c] for c in pivots[t + 1:])
         y[pivots[t]] = acc // row[pivots[t]]
-    for row in scaled:
-        if sum(a * yi for a, yi in zip(row, y)) != d * row[ncols]:
+    for row, v in zip(rows, rhs):
+        if sum(a * yi for a, yi in zip(row, y)) != d * v:
             return None
     return y, d
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -37,6 +36,7 @@ from .numkit import (
     ToleranceContext,
     _changes_at,
     _echelon,
+    _int_det,
     _isolate,
     _primitive_ints,
     _rounded,
@@ -126,6 +126,15 @@ def _closed_terms(gamma: MomentSequence, *indices: int) -> list[int]:
     # in gamma, so a ratio of forms of equal degree is unchanged.
     g = gamma.integer_view[0]
     return [g[i] for i in indices]
+
+
+def _less(x: Scalar, y: Scalar) -> bool:
+    # x < y for finite Scalars, exactly, by the integer cross product of
+    # their ratios: no Fraction is built, as comparing a float with one
+    # does, and none is compared.
+    a, b = x.as_integer_ratio()
+    c, d = y.as_integer_ratio()
+    return a * d < c * b
 
 
 def _closed_value(gamma: MomentSequence, num: int, den: int) -> Scalar:
@@ -226,8 +235,14 @@ def stability_interval_k1(
     1), max(hi, 1)].  On an exact sequence 1-positivity already puts 1
     inside, so the clamp changes nothing; on a float sequence it acts only
     when the sequence is log-convex within the band but not over its binary
-    values, and its 1 is the double 1.0.
+    values, and its 1 is the double 1.0.  The interval is kept on gamma per
+    (cut, ctx), so the window cap of `stability_interval` at k = 1 and a
+    caller that asks for it too share one computation.
     """
+    return gamma._memo(("interval_k1", cut, ctx), lambda: _order_one(gamma, cut, ctx))
+
+
+def _order_one(gamma: MomentSequence, cut: int, ctx: ToleranceContext) -> Interval:
     if cut < 1:
         raise PreconditionError("cut index must be >= 1")
     if cut + 2 > gamma.horizon:
@@ -369,7 +384,7 @@ def _pencil_poly(
     (`rank_one_det_expansion_holds`) gives q(0) = G_cut * det(block(cut+2,
     k-1)), and at the lowest anchor (s = 2k) D is the corner G_{cut+1}, so
     p is linear with slope G_{cut+1} * det(block(n, k-1)).  The other
-    points take `det_bareiss`.
+    points take `numkit._int_det` on their integer rows, unconverted.
     """
     s = cut - n + 1
     z = max(0, k + 1 - s)
@@ -391,7 +406,7 @@ def _pencil_poly(
             for i in range(k + 1)
         ]
 
-    values = [p1 if t == 1 else int(det_bareiss(rows(t))) for t in range(deg + 1)]
+    values = [p1 if t == 1 else _int_det(rows(t)) for t in range(deg + 1)]
     return _interpolate(values) + [0] * z
 
 
@@ -474,8 +489,12 @@ def _pencil_pass(
     Sturm chain, V(1) and V(+inf) from `_roots` and `_sturm`, once per
     distinct polynomial on gamma.  The PSD probes run on the pencil over
     the integers G = gamma * D of `MomentSequence.integer_view`: D times
-    the block, so the same verdicts.  Pencils go to numkit as rows; the
-    pivot-column pass, which eliminates in place, gets a copy of [H; D].
+    the block, so the same verdicts.  A probe point t is read as its exact
+    pair t.as_integer_ratio() (int, Fraction or float alike), and the
+    pencil's integer rows go to `psd_with_margin` as they are, so no probe
+    converts; a degenerate pencil's determinants take `numkit._int_det`,
+    and the pivot-column pass, which eliminates in place, gets a copy of
+    [H; D].
     """
     floaty = not ctx.is_exact or gamma.has_float
     size = range(k + 1)
@@ -483,13 +502,13 @@ def _pencil_pass(
     h = [[g[n + i + j] if n + i + j <= cut else 0 for j in size] for i in size]
     d = [[g[n + i + j] - h[i][j] for j in size] for i in size]
 
-    def pencil(t: Fraction | int, idx=size) -> list[list[int]]:
-        # den(t) * (H + t*D) over the integers: same PSD verdict and det sign.
-        a, c = t.numerator, t.denominator
+    def pencil(a: int, c: int = 1, idx=size) -> list[list[int]]:
+        # c * (H + t*D) at t = a / c, c > 0, over the integers: the same PSD
+        # verdict and determinant sign.
         return [[c * h[i][j] + a * d[i][j] for j in idx] for i in idx]
 
-    def feasible(t: Fraction | int) -> bool:
-        return psd_with_margin(pencil(t))[0]
+    def feasible(a: int, c: int = 1) -> bool:
+        return psd_with_margin(pencil(a, c))[0]
 
     one = 1.0 if floaty else Fraction(1)
     if floaty and not feasible(1):
@@ -499,7 +518,7 @@ def _pencil_pass(
     if not any(p):
         # the pivot columns of [H; D]: a maximal independent set
         idx = _echelon([list(row) for row in h + d], k + 1)[0]
-        p = _interpolate([int(det_bareiss(pencil(t, idx))) for t in range(k + 2)])
+        p = _interpolate([_int_det(pencil(t, 1, idx)) for t in range(k + 2)])
     if not any(p):
         return Interval(one, one), ("pencil_root", "pencil_root"), ()
     while p[-1] == 0:
@@ -516,30 +535,36 @@ def _pencil_pass(
         chain, v_one, _ = _sturm(gamma, p)
         return _first_dyadic(chain, v_one + (len(ones) if step < 0 else 0), step)
 
-    # Exact mode: a root is 1 only as the Fraction 1.  An irrational root
-    # whose double is 1.0 lies above 1 iff it is among the last V(1) -
-    # V(+inf) of the ascending roots; it is kept as None.  Other side roots
-    # are kept as (far, irrational): far is the exact root or its double.
+    # Each root r = num / den (den > 0) is placed against 0, 1 and cap on
+    # integers.  Exact mode: a root is 1 only as the Fraction 1.  An
+    # irrational root whose double is 1.0 lies above 1 iff it is among the
+    # last V(1) - V(+inf) of the ascending roots; it is kept as None.  Other
+    # side roots are kept as (far, irrational): far is the root as found,
+    # exact or its double.
     ones, below, above = [], [], []
+    cap_num, cap_den = cap.as_integer_ratio()
     for i, r in enumerate(roots):
-        if not floaty and isinstance(r, float) and r == 1:
+        num, den = r.as_integer_ratio()
+        if num == den and not floaty and isinstance(r, float):
             _, v_one, v_inf = _sturm(gamma, p)
             (below if i < len(roots) - (v_one - v_inf) else above).append((None, False))
-        elif r == 1:
+        elif num == den:
             # Roots at 1, exact or (float mode) irrational within half an
             # ulp: probes place them.
             ones.append(float(r) if floaty else r)
-        elif 0 < r < 1 or 1 < r < cap:
-            (below if r < 1 else above).append((Fraction(r), isinstance(r, float)))
+        elif 0 < num < den or den < num and num * cap_den < cap_num * den:
+            (below if num < den else above).append((r, isinstance(r, float)))
     ends, methods = [], []
     for step, bound, near in ((-1, 0, below[-1:]), (1, cap, above[:1])):
-        far, irrational = near[0] if near else (Fraction(bound), False)
+        far, irrational = near[0] if near else (bound, False)
         if far is None:
             far = dyadic(step)
-        if ones and (far == 1 or not feasible((1 + far) / 2)):
-            ends.append(ones[0])
-            methods.append("direct" if far == 1 else "pencil_root")
-            continue
+        if ones:
+            a, c = far.as_integer_ratio()  # the probe (1 + far) / 2 is (a + c) / 2c
+            if far == 1 or not feasible(a + c, 2 * c):
+                ends.append(ones[0])
+                methods.append("direct" if far == 1 else "pencil_root")
+                continue
         if not near:
             ends.append(float(bound) if floaty else Fraction(bound))
             methods.append("direct")
@@ -549,10 +574,11 @@ def _pencil_pass(
         tries = [x, math.nextafter(x, 1.0)] if floaty or irrational else [far]
         if irrational and not floaty:
             tries = [y for y in tries if y != 1]
-        end = next((y for y in tries if feasible(Fraction(y))), None)
+        end = next((y for y in tries if feasible(*y.as_integer_ratio())), None)
         if end is None and irrational and not floaty:
             # That double is 1.0, and the root is not 1: the dyadic inside.
-            end = e if feasible(e := dyadic(step)) else None
+            e = dyadic(step)
+            end = e if feasible(*e.as_integer_ratio()) else None
         if end is None:
             raise InternalConsistencyError(f"no feasible endpoint at anchor {n}")
         ends.append(end)
@@ -599,18 +625,18 @@ def _assemble_report(
     per_block = {n: per_block.get(n, whole) for n in range(cut + 1)}
     methods = {n: methods.get(n, ("direct", "direct")) for n in range(cut + 1)}
     # The anchors of the largest lower end and the smallest upper end, ties
-    # keeping the first, both picked in one pass from anchor 0; an anchor
-    # sharing anchor 0's interval (t-free ones) cannot beat it.  0 and inf
-    # then clip the ends.
+    # keeping the first, both picked in one pass from anchor 0 (`_less`); an
+    # anchor sharing anchor 0's interval (t-free ones) cannot beat it.  0
+    # and inf then clip the ends.
     first = per_block[0]
     lo_n, lo, hi_n, hi = 0, first.lo, 0, first.hi
     for n in range(1, cut + 1):
         iv = per_block[n]
         if iv is first:
             continue
-        if iv.lo > lo:
+        if _less(lo, iv.lo):
             lo_n, lo = n, iv.lo
-        if iv.hi < hi:
+        if _less(iv.hi, hi):
             hi_n, hi = n, iv.hi
     lo, hi = max(0, lo), min(float("inf"), hi)
     contains_one = lo <= 1 <= hi
@@ -656,7 +682,8 @@ def stability_interval_k2(
     correctly rounded double (`_closed_value`), and each quadratic is D^3
     times `det_quadratic`, with the same roots, read off its discriminant
     (`numkit.real_roots`) and isolated once with the pencil engine's
-    (`_roots`).
+    (`_roots`).  Bounds, roots and 1 are compared exactly (`_less`), ties
+    keeping the first bound listed.
     """
     cap = _window_cap(gamma, cut, 2, ctx)
     l = cut
@@ -676,25 +703,26 @@ def stability_interval_k2(
                 bound = corner_det_lower_bound(gamma, cut)
             except PreconditionError:
                 return "degenerate corner determinant slope"
-            bounds = [bound, ratio(l - 1, l - 1, l - 3, l + 1), ratio(l, l, l - 1, l + 1)]
-            return max(bounds), cap, (cf, "direct")
+            for other in (ratio(l - 1, l - 1, l - 3, l + 1), ratio(l, l, l - 1, l + 1)):
+                bound = other if _less(bound, other) else bound
+            return bound, cap, (cf, "direct")
         if n == l:
             try:
                 bound = corner_det_upper_bound(gamma, cut)
             except PreconditionError:
                 return "degenerate bordered determinant"
-            return 0, min(bound, ratio(l, l + 4, l + 2, l + 2), cap), (cf, cf)
+            for other in (ratio(l, l + 4, l + 2, l + 2), cap):
+                bound = other if _less(other, bound) else bound
+            return 0, bound, (cf, cf)
         roots = _roots(gamma, _det_quadratic_terms(gamma, cut, n))
         if roots is None or len(roots) != 2:
             return "tangent determinant quadratic"
         if gamma.has_float:
             roots = [_closed_value(gamma, *r.as_integer_ratio()) for r in roots]
+        lo_bound = ratio(l, l, n, 2 * l - n)
         hi_bound = cap if n == l - 2 else ratio(l - 1, l + 3, l + 1, l + 1)
-        lo, lo_m = max(
-            [(roots[0], "quadratic_root"), (ratio(l, l, n, 2 * l - n), cf)],
-            key=itemgetter(0),
-        )
-        hi, hi_m = min([(roots[1], "quadratic_root"), (hi_bound, cf)], key=itemgetter(0))
+        lo, lo_m = (lo_bound, cf) if _less(roots[0], lo_bound) else (roots[0], "quadratic_root")
+        hi, hi_m = (hi_bound, cf) if _less(hi_bound, roots[1]) else (roots[1], "quadratic_root")
         # An exact sequence's float root is irrational: as the double 1.0 it
         # would hide on which side of 1 it lies.
         exact = ctx.is_exact and not gamma.has_float
@@ -706,7 +734,7 @@ def stability_interval_k2(
         got = closed(n)
         # Rounding (float mode, or a root within half an ulp of 1) can leave
         # 1 outside.
-        if isinstance(got, tuple) and not (got[0] > 1 or got[1] < 1):
+        if isinstance(got, tuple) and not (_less(1, got[0]) or _less(got[1], 1)):
             per_block[n], methods[n] = Interval(got[0], got[1]), got[2]
             continue
         reason = got if isinstance(got, str) else "rounding put 1 outside the closed form"

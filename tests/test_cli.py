@@ -17,7 +17,7 @@ import hankelshift.cli as cli
 import hankelshift.hankel as hankel
 import hankelshift.measures as measures
 import hankelshift.perturbation as perturbation
-from hankelshift import AtomicMeasure, Interval, IntervalReport, moments_of
+from hankelshift import AtomicMeasure, InputError, Interval, IntervalReport, moments_of
 from hankelshift.perturbation import InteriorReport
 
 from test_fuzz_cli import run_main
@@ -139,6 +139,21 @@ class TestParsing:
         )
         assert cli.main(["analyze", path]) == 2
         assert "values[2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["atoms", "densities"])
+    @pytest.mark.parametrize("i", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [True, "1/0", "x", None, "1.5"])
+    def test_entry_error_names_the_first_bad_entry(self, name, i, bad):
+        # The location is built only once an entry fails; the message is the
+        # one that entry gives with its location, whatever comes after it.
+        raw = ["1/2"] * 5
+        raw[i] = bad
+        raw[4] = "bad"
+        with pytest.raises(InputError) as exc:
+            cli._parse_array(raw, f"f.json: {name}")
+        with pytest.raises(InputError) as want:
+            cli._parse_entry(bad, f"f.json: {name}[{i}]")
+        assert str(exc.value) == str(want.value)
 
     def test_missing_file(self):
         assert cli.main(["analyze", "/nonexistent/nope.json"]) == 2

@@ -43,7 +43,6 @@ from hankelshift import (
 import hankelshift.cli as cli
 from hankelshift.hankel import LadderVerdicts, _rows
 from hankelshift.measures import NotStieltjesError, _stieltjes_screen
-from hankelshift.numkit import _pivots
 
 from gen import bergman_moments, det_is_zero
 
@@ -67,7 +66,7 @@ def exact_verdicts(rows: list[list[float]], floor: float) -> tuple[bool, bool, b
         exact = [[F(x) for x in row] for row in rows]
         for i, row in enumerate(exact):
             row[i] += shift
-        return _pivots(exact)[1]
+        return is_pd(exact)
 
     if shifted_pd(-F(floor)):
         return True, False, True

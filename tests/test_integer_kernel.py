@@ -53,6 +53,18 @@ def pivots_reference(matrix: SymMatrix) -> tuple[bool, bool]:
     return True, not singular
 
 
+def exact_pivots(matrix: SymMatrix) -> tuple[bool, bool]:
+    """(is PSD, is PD) as the public exact `psd_with_margin` gives them, and
+    as `numkit._pivots` gives them on the integer rows over one common
+    denominator; the two must agree."""
+    psd, marginal = numkit.psd_with_margin(matrix)
+    n = matrix.order
+    flat = numkit._integer_view([x for row in matrix.rows for x in row])[0]
+    verdict = psd, psd and not marginal
+    assert numkit._pivots([flat[i * n:(i + 1) * n] for i in range(n)]) == verdict
+    return verdict
+
+
 def solve_reference(rows, rhs) -> tuple[F, ...] | None:
     """Gauss-Jordan over Fractions, free variables zero, re-verified."""
     m = len(rows)
@@ -143,18 +155,18 @@ class TestPivots:
     @example(SymMatrix.from_rows([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 5)]]))
     @example(SymMatrix.from_rows([[1, F(1, 2), 0], [F(1, 2), F(1, 4), 0], [0, 0, F(1, 3)]]))
     def test_matches_fraction_elimination(self, m):
-        assert numkit._pivots(m) == pivots_reference(m)
+        assert exact_pivots(m) == pivots_reference(m)
 
     def test_zero_row_keeps_the_previous_divisor(self):
         # pivot 2, a zero pivot with a zero row, then 2 * 3 - 1 = 5, whose
         # update of the last row divides by 2 again
         m = SymMatrix.from_rows([[2, 0, 1, 1], [0, 0, 0, 0], [1, 0, 3, 1], [1, 0, 1, 2]])
-        assert numkit._pivots(m) == pivots_reference(m) == (True, False)
+        assert exact_pivots(m) == pivots_reference(m) == (True, False)
 
     def test_rows_with_different_denominators(self):
         # det = 1/6 - 1/9 > 0; per-row scaling would break the symmetry
         m = SymMatrix.from_rows([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 3)]])
-        assert numkit._pivots(m) == pivots_reference(m) == (True, True)
+        assert exact_pivots(m) == pivots_reference(m) == (True, True)
 
 
 class TestSolveLinearExact:

@@ -165,16 +165,24 @@ class TestAgainstReference:
             assert p[len(p) - z:] == [0] * z and p[len(p) - z - 1] != 0
 
 
-def _count_dets(gamma, cut, k):
+def _counting_dets(mp: pytest.MonkeyPatch) -> list:
+    # Every determinant the pencil engine and the ladder take runs in the
+    # integer kernel `numkit._int_det`; each call is recorded.
     calls = []
+    int_det = perturbation._int_det
 
     def counting(rows):
         calls.append(rows)
-        return det_bareiss(rows)
+        return int_det(rows)
 
+    mp.setattr(perturbation, "_int_det", counting)
+    mp.setattr(hankel, "_int_det", counting)
+    return calls
+
+
+def _count_dets(gamma, cut, k):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(perturbation, "det_bareiss", counting)
-        mp.setattr(hankel, "det_bareiss", counting)
+        calls = _counting_dets(mp)
         stability_interval(gamma, cut, k)
     return len(calls)
 
@@ -212,15 +220,8 @@ class TestWorkCount:
         csv.write_text("".join(f"{1 / (n + 1)!r}\n" for n in range(15)))
         counts = []
         for mode in ("--exact", "--float"):
-            calls = []
-
-            def counting(rows):
-                calls.append(rows)
-                return det_bareiss(rows)
-
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(perturbation, "det_bareiss", counting)
-                mp.setattr(hankel, "det_bareiss", counting)
+                calls = _counting_dets(mp)
                 argv = ["perturb", str(csv), "--l", "3", "--k", str(k), mode, "--json"]
                 assert run_main(argv)[0] == 0
             counts.append(len(calls))

@@ -395,21 +395,28 @@ class TestStabilityGeneric:
         }
         methods = {n: (f"lo{n}", f"hi{n}") for n in per_block}
         compares = []
-        richcmp = F._richcmp
+        richcmp, less = F._richcmp, perturbation._less
 
         def counting(self, other, op):
             compares.append(op)
             return richcmp(self, other, op)
 
+        def counting_less(x, y):
+            compares.append("_less")
+            return less(x, y)
+
         monkeypatch.setattr(F, "_richcmp", counting)
+        monkeypatch.setattr(perturbation, "_less", counting_less)
         rep = perturbation._assemble_report(2, 6, cap, per_block, methods, [])
         monkeypatch.undo()
         assert rep.intersection == Interval(F(3, 4), F(3, 2))
         assert rep.intersection_methods == ("lo4", "hi4")
         assert rep.per_block[0] is rep.per_block[2]
-        # one window check, two per t-dependent anchor, two clips and five
-        # for the point 1 and the intersection (24 with a window interval
-        # built per anchor and max/min over every anchor)
+        # one window check, two per t-dependent anchor (on integer cross
+        # products, `_less`), two clips and five for the point 1 and the
+        # intersection (24 with a window interval built per anchor and
+        # max/min over every anchor)
+        assert compares.count("_less") == 2 * 4
         assert len(compares) == 1 + 2 * 4 + 2 + 5
 
     def test_each_order_two_pencil_anchor_runs_once(self, monkeypatch):
@@ -437,6 +444,24 @@ class TestStabilityGeneric:
         perturbation._pencil_block(gamma, 0, 2, 3, cap, EXACT)[2].append("x")
         assert "x" not in perturbation._pencil_block(gamma, 0, 2, 3, cap, EXACT)[2]
         assert polys == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_order_one_closed_form_runs_once(self, monkeypatch, tmp_path, mode):
+        # perturb --k 1 reports the order-1 closed form and caps the pencil
+        # window with its right end: one computation serves both (two, each
+        # with a whole-horizon log-convexity scan, when the cap took its own).
+        runs = []
+        order_one = perturbation._order_one
+
+        def recording(gamma, cut, ctx):
+            runs.append(cut)
+            return order_one(gamma, cut, ctx)
+
+        monkeypatch.setattr(perturbation, "_order_one", recording)
+        path = tmp_path / "bergman.csv"
+        path.write_text("".join(f"{1 / (n + 1)!r}\n" for n in range(15)))
+        assert run_main(["perturb", str(path), "--l", "3", "--k", "1", mode])[0] == 0
+        assert runs == [3]
 
     def test_requires_k_positive(self):
         bad = MomentSequence.of([F(1), F(2), F(1), F(2), F(1), F(2)])

@@ -487,14 +487,13 @@ def _record_fraction_ops(monkeypatch) -> list[tuple[str, str, str]]:
     return ops
 
 
-# Where the closed forms' endpoints are built and compared: the order check
-# of an Interval, the order-1 rounding check, the order-2 choice among
-# candidate bounds, and the intersection.
+# Where the closed forms' endpoints are still compared as Fractions: the
+# order check of an Interval, the order-1 clamp to 1, and the intersection's
+# clips and its point 1.  The order-2 choice among candidate bounds and the
+# per-anchor picks compare integer cross products (`perturbation._less`).
 _ENDPOINT_COMPARES = {
     ("numkit", "__post_init__"),
-    ("perturbation", "stability_interval_k1"),
-    ("perturbation", "closed"),
-    ("perturbation", "stability_interval_k2"),
+    ("perturbation", "_order_one"),
     ("perturbation", "_assemble_report"),
 }
 
