@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .hankel import (
     DetTable,
+    LadderVerdicts,
     MomentSequence,
     PropagationReport,
     log_convexity,
@@ -30,7 +31,6 @@ from .numkit import (
     InsufficientMomentsError,
     InternalConsistencyError,
     Interval,
-    PSD_FLOOR,
     PreconditionError,
     ToleranceContext,
     _over_lcm,
@@ -347,6 +347,24 @@ def _propagation_json(rep: PropagationReport) -> dict:
     }
 
 
+def _propagation(ladder: LadderVerdicts, k: int, warnings: list[str]) -> dict:
+    # The order-k propagation record.  A float zero it counts whose ladder
+    # integer is not 0 is a relative pivot within rel_eps, which a warning
+    # says (an exact zero's integer is 0).
+    rep = ladder.propagation(k)
+    table = rep.table
+    if rep.vanishing_found and not ladder.ctx.is_exact:
+        inside = [n for n, zero in enumerate(ladder.zeros(table.k)) if zero and table.nums[n]]
+        if inside:
+            warnings.append(
+                f"float mode: the vanishing order-{table.k} determinants of the "
+                f"propagation check at {len(inside)} anchor(s), from anchor {inside[0]}, "
+                f"are relative pivots within rel_eps = {ladder.ctx.rel_eps!r}, not "
+                "exactly vanishing determinants"
+            )
+    return _propagation_json(rep)
+
+
 def _det_table_json(table: DetTable) -> dict:
     return {
         "k": table.k,
@@ -407,7 +425,7 @@ def cmd_analyze(
             "alpha0_exception": rep.alpha0_exception,
         }
     if top_holding >= 1:
-        results["propagation"] = _propagation_json(ladder.propagation(top_holding))
+        results["propagation"] = _propagation(ladder, top_holding, warnings)
     return results
 
 
@@ -421,12 +439,11 @@ def cmd_dets(
     # come from one ladder walk.
     ladder = gamma.ladder(ctx)
     try:
-        rep = ladder.propagation(args.k + 1)
+        prop = _propagation(ladder, args.k + 1, warnings)
     except (PreconditionError, InsufficientMomentsError) as exc:
-        table = ladder.table(args.k)
         warnings.append(f"propagation check skipped: {exc}")
-        return {"table": _det_table_json(table)}
-    return {"table": _det_table_json(rep.table), "propagation": _propagation_json(rep)}
+        return {"table": _det_table_json(ladder.table(args.k))}
+    return {"table": _det_table_json(ladder.table(args.k)), "propagation": prop}
 
 
 def cmd_recursion(
@@ -469,19 +486,18 @@ def cmd_recursion(
             results["measure"] = {"atomic": False, "reason": str(exc)}
     report = is_finite_mass(gamma, ctx)
     w = report.witness
-    # An anchor-0 witness below the recursion's order with a nonzero integer
-    # is a float small relative pivot (an exact witness's integer is 0).
-    if (
-        w is not None
-        and w.n == 0
-        and rec is not None
-        and w.k < rec.order
-        and gamma.ladder(ctx).table(w.k).nums[0] != 0
-    ):
+    # A witness with a nonzero ladder integer is a float small relative
+    # pivot (an exact witness's integer is 0).
+    if w is not None and gamma.ladder(ctx).table(w.k).nums[w.n] != 0:
+        below = (
+            f", below the order-{rec.order} recursion,"
+            if rec is not None and w.k < rec.order
+            else ""
+        )
         warnings.append(
-            f"float mode: the finite-mass witness (anchor 0, order {w.k}), below the "
-            f"order-{rec.order} recursion, is a relative pivot within rel_eps = "
-            f"{ctx.rel_eps!r}, not an exactly vanishing determinant"
+            f"float mode: the finite-mass witness (anchor {w.n}, order {w.k}){below} "
+            f"is a relative pivot within rel_eps = {ctx.rel_eps!r}, not an exactly "
+            "vanishing determinant"
         )
     results["finite_mass"] = {
         "finite": report.finite,
@@ -825,7 +841,6 @@ def run(args: argparse.Namespace) -> tuple[dict, bool]:
         "tolerances": {
             "zero_eps": ctx.zero_eps,
             "rel_eps": ctx.rel_eps,
-            "psd_floor": PSD_FLOOR,
         },
         "results": results,
         "warnings": warnings,

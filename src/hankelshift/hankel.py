@@ -28,8 +28,8 @@ from .numkit import (
     _ratio_str,
     _rounded,
     _rows,
+    _shifted_pd,
     fmt_scalar,
-    hankel_psd_with_margin,
     psd_with_margin,
     solve_linear_exact,
 )
@@ -285,11 +285,9 @@ def is_k_positive(
     mode reads each block from the leading principal minors d_0(n), ...,
     d_k(n) of the determinant ladder, or where a lower-order minor vanishes
     from the ladder's `rank`, and runs pivot elimination only on the blocks
-    neither decides; it flags exactly singular blocks.  Float mode flags
-    anchors whose smallest eigenvalue sits inside the tolerance band (the
-    verdict there is tolerance-limited), deciding each block by LDL^T of
-    A - f*I and A + f*I from its window of 2k+1 moments
-    (`numkit.hankel_psd_with_margin`).
+    neither decides; it flags exactly singular blocks.  Float mode reads
+    the same minors under the relative pivot band and flags the blocks it
+    leaves tolerance-limited ("marginal"): see `LadderVerdicts`.
     """
     return gamma.ladder(ctx).verdict(k)
 
@@ -458,16 +456,15 @@ class LadderVerdicts:
     that fails at a low order builds no higher table.
 
     The fallback elimination runs on the integer block of
-    `MomentSequence.integer_view`.  Float mode decides block(n, k) by
-    `numkit.hankel_psd_with_margin` on its window gamma_n..gamma_{n+2k} of
-    the moments rounded to doubles once (inf past the range, which the band
-    refuses): one band and one scaling per window, then LDL^T of A - f*I
-    and A + f*I.  It keeps each
-    (is PSD, marginal) verdict per (n, k), which `psd` and `pd` read.  Its
-    zero tests (`vanishes`; `zeros` for a table; `rank`) read the leading
-    pivots of the ladder's integers against rel_eps, with no absolute band.
-    `MomentSequence.ladder(ctx)` keeps one instance per sequence and context;
-    constructing one starts a fresh walk.
+    `MomentSequence.integer_view`.  Float mode takes the same walk with
+    "d_j(n) = 0" read as the pivot d_j(n)/d_{j-1}(n) being at most rel_eps
+    times its corner gamma_{n+2j} (`ToleranceContext._small_pivot`), but
+    skips the rank rule, whose recursion check has a band of rel_eps times
+    max gamma, too wide for a block's sign: `numkit._shifted_pd` decides on
+    the block's moments rounded to doubles, as float `psd_with_margin` does
+    on its rows.  The zero tests (`vanishes`; `zeros` for a table; `rank`)
+    read the same pivot band.  `MomentSequence.ladder(ctx)` keeps one
+    instance per sequence and context; constructing one starts a fresh walk.
     """
 
     def __init__(self, gamma: MomentSequence, ctx: ToleranceContext = EXACT):
@@ -476,7 +473,6 @@ class LadderVerdicts:
         self._walk = det_ladder(gamma, ctx)
         self._tables: list[DetTable] = []
         self._verdicts: dict[int, PositivityVerdict] = {}
-        self._float_psd: dict[tuple[int, int], tuple[bool, bool]] = {}
 
     def _pull(self, k: int) -> DetTable:
         # Every table comes through here, pulled in order from the one walk.
@@ -544,31 +540,33 @@ class LadderVerdicts:
         return RankStructure(r, sol if _recursion_holds(self.gamma, sol, 0, self.ctx) else None)
 
     def _block_psd(self, n: int, k: int) -> tuple[bool, bool]:
-        # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin.
-        if self.ctx.is_exact:
-            tables = self._tables
-            for j in range(k + 1):
-                if j == len(tables):
-                    self._pull(j)
-                num = tables[j].nums[n]
-                if num < 0:
-                    return False, False
-                if num == 0:
-                    if j == k:
-                        return True, True
-                    rank = self.rank
-                    # r <= k: the corner block(n, r-1) is smaller, so this
-                    # never asks about block(n, k) again.
-                    if rank.coeffs is not None and rank.order <= k:
-                        psd = self._block_psd(n, rank.order - 1)[0]
-                        return psd, psd
-                    return psd_with_margin(_integer_block(self.gamma, n, k))
+        # (is PSD, verdict is marginal) of block(n, k), as psd_with_margin:
+        # the walk over d_0(n), ..., d_k(n), a pivot in band when d_j(n) = 0
+        # or, in float mode, small at its corner G[n+2j] (`_small_pivot`).
+        ctx, tables, g = self.ctx, self._tables, self.gamma.integer_view[0]
+        exact, low = ctx.is_exact, 1
+        for j in range(k + 1):
+            if j == len(tables):
+                self._pull(j)
+            d = tables[j].nums[n]
+            if d == 0 or not exact and ctx._small_pivot(d, low, g[n + 2 * j]):
+                break
+            if d < 0:
+                return False, False
+            low = d
+        else:
             return True, False
-        verdict = self._float_psd.get((n, k))
-        if verdict is None:
-            window = self.gamma._doubles[n:n + 2 * k + 1]
-            verdict = self._float_psd[n, k] = hankel_psd_with_margin(window, self.ctx)
-        return verdict
+        if j == k:
+            return True, True
+        if not exact:
+            return _shifted_pd(_rows(self.gamma._doubles, n, k), ctx)
+        rank = self.rank
+        # r <= k: the corner block(n, r-1) is smaller, so this never asks
+        # about block(n, k) again.
+        if rank.coeffs is not None and rank.order <= k:
+            psd = self._block_psd(n, rank.order - 1)[0]
+            return psd, psd
+        return psd_with_margin(_integer_block(self.gamma, n, k))
 
     def psd(self, n: int, k: int) -> bool:
         """block(n, k) is positive semidefinite, decided as the blocks of a
@@ -599,12 +597,11 @@ class LadderVerdicts:
         # `vanishes` on the kept tables (d_0(n) = G[n]); d_j, d_{j-1}, G[n+2j] carry D^(j+1), D^j, D
         if self.ctx.is_exact or table.nums[n] == 0:
             return table.nums[n] == 0
-        num, den = self.ctx.rel_eps.as_integer_ratio()
         g = self.gamma.integer_view[0]
         low = g[n]
         for j in range(1, table.k + 1):
             d = self._tables[j].nums[n]
-            if low and den * abs(d) <= num * abs(low) * g[n + 2 * j]:
+            if low and self.ctx._small_pivot(d, low, g[n + 2 * j]):
                 return True
             low = d
         return False

@@ -22,11 +22,12 @@ for a value that leaves the routine.  `real_roots` works over ints too:
 linear and quadratic roots are read off (a quadratic's irrational roots
 bracketed by `math.isqrt` of its discriminant); from degree 3 on, a
 content-free integer Sturm chain isolates the roots and quadratic interval
-refinement at dyadic points narrows them.  The one float-only kernel is
-the PSD/PD band, an LDL^T factorisation in doubles (`_ldlt_pd`) on rows
-scaled once by `_band`: a matrix's rows, or for a Hankel block the 2k+1
-entries of its window (`hankel_psd_with_margin`); the package imports no
-numpy.
+refinement at dyadic points narrows them.  A float PSD/PD verdict walks
+the same integers' leading principal minors under one relative pivot band
+(`ToleranceContext._small_pivot`); the one float-only kernel is the LDL^T
+factorisation in doubles (`_ldlt_pd`) that decides, on the Jacobi-scaled
+doubles, a matrix whose minors leave it open (`_shifted_pd`).  The package
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction | int | float
 
@@ -49,14 +50,12 @@ __all__ = [
     "ToleranceContext",
     "EXACT",
     "FLOAT",
-    "PSD_FLOOR",
     "SymMatrix",
     "Interval",
     "det_bareiss",
     "is_psd",
     "is_pd",
     "psd_with_margin",
-    "hankel_psd_with_margin",
     "real_roots",
     "squarefree",
     "solve_vandermonde",
@@ -99,10 +98,12 @@ class ToleranceContext:
     A float quantity x is treated as zero iff |x| <= zero_eps + rel_eps*scale
     (nonnegative iff x >= -(zero_eps + rel_eps*scale)), scale a magnitude
     representative of the matrix or sequence under test, decided exactly on
-    integers (`_in_band`); a Hankel determinant takes rel_eps alone, as a
-    bound on relative pivots (`hankel.LadderVerdicts.vanishes`).  Both are
-    ignored in exact mode, but must be finite and positive in every mode.
-    The float PSD/PD tests scale their eigenvalue threshold by `PSD_FLOOR`.
+    integers (`_in_band`).  A symmetric matrix's pivot d_j/d_{j-1} (d_j its
+    leading principal minors) takes rel_eps alone, in band when at most
+    rel_eps times a_jj (`_small_pivot`): the rule of every float Hankel
+    zero test (`hankel.LadderVerdicts.vanishes`) and PSD/PD verdict
+    (`psd_with_margin`).  Both are ignored in exact mode, whose band is 0,
+    but must be finite and positive in every mode.
     """
 
     mode: str = "exact"
@@ -124,7 +125,7 @@ class ToleranceContext:
     def _in_band(
         self, pairs: Iterable[tuple[int, int]], den: int, signed: bool = False
     ) -> Iterator[bool]:
-        # The package's one tolerance test outside the PSD band, lazily per
+        # The package's one tolerance test outside the pivot band, lazily per
         # (x, s) of pairs, for x / den and the scale s / den >= 0: |x| <=
         # zero_eps + rel_eps * s, or signed, x >= -(zero_eps + rel_eps * s),
         # on ints over the tolerances' binary values; exact mode's band is 0.
@@ -136,6 +137,13 @@ class ToleranceContext:
             return (x * unit >= -(zero + rel * s) for x, s in pairs)
         return (abs(x) * unit <= zero + rel * s for x, s in pairs)
 
+    def _small_pivot(self, d: int, low: int, corner: int) -> bool:
+        # The float pivot band |d| <= rel_eps |low| corner, (d, low, corner)
+        # = (d_j, d_{j-1}, a_jj) over one integer view; exact mode's band is
+        # d = 0.
+        num, den = self.rel_eps.as_integer_ratio()
+        return den * abs(d) <= num * abs(low) * corner
+
     def is_zero(self, x: Scalar, scale: Scalar = 0.0) -> bool:
         """`_in_band` of x and |scale|; a nonfinite float is a PreconditionError."""
         (x, s), den = _integer_view([x, abs(scale)])
@@ -146,8 +154,6 @@ class ToleranceContext:
         (x, s), den = _integer_view([x, abs(scale)])
         return next(self._in_band([(x, s)], den, signed=True))
 
-
-PSD_FLOOR = 1e-10  # the float PSD/PD tests' eigenvalue floor, per 1 + max|entry|
 
 EXACT = ToleranceContext(mode="exact")
 FLOAT = ToleranceContext(mode="float")
@@ -321,81 +327,57 @@ def det_bareiss(matrix: _Matrix) -> Scalar:
     return Fraction(num, den)
 
 
-def _pivots(rows: Sequence[Sequence[int]]) -> tuple[bool, bool]:
-    """(is PSD, is PD) of a symmetric matrix given by integer rows, exactly,
-    by fraction-free symmetric elimination; the rows are not modified.
+def _elimination(rows: Sequence[Sequence[int]]) -> Iterator[Sequence[int]]:
+    """Fraction-free symmetric elimination of integer rows (not modified),
+    lazily: each step's row from the diagonal on, row[0] its pivot.
 
-    Step k takes the diagonal entry as the pivot; by Sylvester's identity it
-    is the Schur-complement pivot times the previous positive pivot, which
-    divides every update exactly.  A negative pivot means not PSD.  A zero
-    pivot leaves a PSD matrix only when the rest of its row is zero too (a
-    2x2 principal minor [[0, b], [b, c]] has determinant -b^2); the row is
-    then dropped, the previous divisor stays, and the matrix is singular.
-    All pivots positive means PD.
+    By Sylvester's identity a pivot is the Schur-complement pivot times the
+    previous nonzero pivot, which divides every update exactly; while none
+    has been zero, step j's pivot is the leading principal minor d_j.  A
+    zero pivot's row is dropped and the divisor stays.
     """
-    # Only the upper triangle of the block left to eliminate is kept, by
-    # symmetry every entry the elimination reads: upper[i] holds row i from
-    # the diagonal on, so upper[0][0] is the next pivot.
+    # Only the upper triangle left to eliminate is kept, by symmetry every
+    # entry the elimination reads: upper[i] holds row i from the diagonal.
     upper = [row[i:] for i, row in enumerate(rows)]
-    singular = False
     prev = 1
     while upper:
-        top, rest = upper[0], upper[1:]
+        top, upper = upper[0], upper[1:]
+        yield top
         pivot = top[0]
-        if pivot < 0:
+        if pivot:
+            upper = [
+                [(pivot * x - top[i] * y) // prev for x, y in zip(row, top[i:])]
+                for i, row in enumerate(upper, 1)
+            ]
+            prev = pivot
+
+
+def _pivots(rows: Sequence[Sequence[int]]) -> tuple[bool, bool]:
+    """(is PSD, is PD) of a symmetric matrix given by integer rows, exactly,
+    by `_elimination`.  A negative pivot means not PSD.  A zero pivot leaves
+    a PSD matrix only when the rest of its row is zero too (a 2x2 principal
+    minor [[0, b], [b, c]] has determinant -b^2); the matrix is then
+    singular.  All pivots positive means PD.
+    """
+    singular = False
+    for top in _elimination(rows):
+        if top[0] < 0 or (top[0] == 0 and any(top[1:])):
             return False, False
-        if pivot == 0:
-            if any(top[1:]):
-                return False, False
-            upper, singular = rest, True
-            continue
-        upper = [
-            [(pivot * x - top[i] * y) // prev for x, y in zip(row, top[i:])]
-            for i, row in enumerate(rest, 1)
-        ]
-        prev = pivot
+        singular = singular or top[0] == 0
     return True, not singular
 
 
-def _band(entries: Sequence[Scalar]) -> tuple[float, float]:
-    """(2^-e, f * 2^-e) for the float PSD/PD band of a matrix, given its
-    entries flat: f = PSD_FLOOR * (1 + max|entry|) is the floor on the
-    smallest eigenvalue, and 2^e the power of two just above max(max|entry|,
-    f), so the scaled entries lie below 1 and no factorisation step near
-    the double range overflows.  The scaling changes no verdict: it is exact
-    except where a value falls below the normal range, far under the floor.
-    An entry that is nan or inf, or an int or Fraction past the double
-    range, has no float verdict: a PreconditionError."""
-    try:
-        top = float(max(max(entries), -min(entries)))
-    except OverflowError:  # an int or Fraction past the double range
-        top = math.inf
-    finite = math.isfinite(top)
-    if finite:
-        # total - total is 0 unless an entry is nan or inf, or the sum of
-        # finite doubles overflows.
-        total = sum(entries)
-        finite = total - total == 0 or all(map(math.isfinite, entries))
-    if not finite:
-        raise PreconditionError(
-            "a float block entry is nan, inf or beyond the double range, "
-            "so the block has no float verdict"
-        )
-    floor = PSD_FLOOR * (1.0 + top)
-    # e >= -1020 keeps 2^-e a double; values that small stay below 1 anyway.
-    scale = math.ldexp(1.0, -max(math.frexp(max(top, floor))[1], -1020))
-    return scale, floor * scale
-
-
 def _ldlt_pd(a: list[list[float]], shift: float) -> bool:
-    """a + shift * I is PD, a the rows of a symmetric matrix scaled by its
-    `_band`: the package's one float factorisation, LDL^T in doubles, in
-    place and without pivoting (the elimination of `_pivots` with float
-    division).  A pivot, shifted as it is taken, that is not positive (nan
-    included) means not PD.  Its backward error is of order n * u * |A|
-    (Demmel 1989; Higham 2002, ch. 10), far inside the band's floor."""
+    """a + shift * I is PD, a the rows of a symmetric matrix of doubles: the
+    package's one float factorisation, LDL^T in doubles, in place and
+    without pivoting (the elimination of `_pivots` with float division).  A
+    pivot, shifted as it is taken, that is not positive (nan included)
+    means not PD.  Its backward error is of order n * u * |A| (Demmel 1989;
+    Higham 2002, ch. 10), which on the Jacobi-scaled rows of
+    `_shifted_pd`, entries at most 1 in size where the matrix is PSD, lies
+    far inside a shift of rel_eps."""
     n = len(a)
-    # Only the upper triangle (j >= i) is kept current, as in `_pivots`.
+    # Only the upper triangle (j >= i) is kept current, as in `_elimination`.
     for k in range(n):
         row_k = a[k]
         pivot = row_k[k] + shift
@@ -408,11 +390,22 @@ def _ldlt_pd(a: list[list[float]], shift: float) -> bool:
     return True
 
 
-def _margin(fresh: Callable[[], list[list[float]]], floor: float) -> tuple[bool, bool]:
-    # (is PSD, marginal) by LDL^T of A - f*I, then A + f*I, on fresh rows.
-    if _ldlt_pd(fresh(), -floor):
-        return True, False
-    psd = _ldlt_pd(fresh(), floor)
+def _shifted_pd(doubles: Sequence[Sequence[float]], ctx: ToleranceContext) -> tuple[bool, bool]:
+    """(psd, psd) of a symmetric matrix with an in-band pivot before its
+    last (`psd_with_margin`): psd when B + rel_eps * I is PD
+    (`_ldlt_pd`), B the Jacobi scaling b_ij = a_ij / sqrt(|a_ii a_jj|) of
+    its correctly rounded doubles a_ij (a zero a_ii scales by 1).  An entry
+    past the double range is a PreconditionError."""
+    if any(math.isinf(x) for row in doubles for x in row):
+        raise PreconditionError(
+            "a float block entry is nan, inf or beyond the double range, "
+            "so the block has no float verdict"
+        )
+    scale = [1.0 / math.sqrt(abs(row[i])) if row[i] else 1.0 for i, row in enumerate(doubles)]
+    psd = _ldlt_pd(
+        [[x * si * sj for x, sj in zip(row, scale)] for row, si in zip(doubles, scale)],
+        ctx.rel_eps,
+    )
     return psd, psd
 
 
@@ -420,51 +413,41 @@ def psd_with_margin(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> tuple[boo
     """(is PSD, verdict is marginal) of a symmetric matrix, given by its
     rows or as a `SymMatrix`.
 
-    Exact mode decides by `_pivots` on integer rows and flags exactly
-    singular PSD blocks: rows of ints as they are, else every entry scaled
-    by one common denominator (`_integer_view`; floats at their binary
-    values), which keeps the matrix symmetric and its verdicts.
-    Exact Hankel-block questions read most blocks off their leading
-    principal minors and the rank structure instead (`hankel.LadderVerdicts`)
-    and come here only for a block that neither decides.  Float mode is the
-    smallest-eigenvalue test: with the floor f = PSD_FLOOR * (1 + max|entry|),
-    the matrix is PSD when lambda_min >= -f, and marginal when |lambda_min|
-    <= f, i.e. the verdict would flip under a band-sized perturbation.  It is
-    decided without eigenvalues, by LDL^T (`_ldlt_pd`) of A - f*I and A +
-    f*I, each on its own copy scaled by `_band`: A - f*I PD gives (True,
-    False), else A + f*I PD gives (True, True), else (False, False).  A
-    float entry that is not finite is a PreconditionError.  The order-0
+    Both modes run on integer rows: ints as they are, else every entry
+    scaled by one common denominator (`_integer_view`; floats at their
+    binary values, a nan or inf a PreconditionError).  Exact mode decides
+    by `_pivots` and flags exactly singular PSD matrices; exact Hankel
+    blocks come here only when their minors and the rank structure leave
+    them open (`hankel.LadderVerdicts`).  Float mode walks the leading
+    principal minors d_0, d_1, ... that `_elimination` yields, with d_{-1}
+    = 1, under the pivot band (`ToleranceContext._small_pivot`): every
+    pivot positive and outside it is PD, a negative one outside it first
+    is not PSD, the first in it at the last step is PSD and marginal, and
+    one earlier leaves the verdict to `_shifted_pd`.  A float
+    `LadderVerdicts` walks its blocks' minors the same way.  The order-0
     matrix is PSD, not marginal.
     """
     rows = _rows_of(matrix)
     if not rows:
         return True, False
+    n, den = len(rows), 1
+    if not all(type(x) is int for row in rows for x in row):
+        flat, den = _integer_view([x for row in rows for x in row])
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
     if ctx.is_exact:
-        if not all(type(x) is int for row in rows for x in row):
-            n = len(rows)
-            flat = _integer_view([x for row in rows for x in row])[0]
-            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
         psd, pd = _pivots(rows)
         return psd, psd and not pd
-    scale, floor = _band([x for row in rows for x in row])
-    return _margin(lambda: [[x * scale for x in row] for row in rows], floor)
-
-
-def hankel_psd_with_margin(
-    window: Sequence[Scalar], ctx: ToleranceContext = EXACT
-) -> tuple[bool, bool]:
-    """`psd_with_margin` of the Hankel block _rows(window, 0, k) of a window
-    of odd length 2k+1, as block(n, k) has gamma_n..gamma_{n+2k}.  The
-    window holds every entry of the block, so float mode takes the same
-    band from it and scales its 2k+1 entries once, not the (k+1)^2 of the
-    rows, each factorisation slicing fresh rows: the same verdict, bit for
-    bit."""
-    k = len(window) // 2
-    if ctx.is_exact:
-        return psd_with_margin(_rows(window, 0, k), ctx)
-    scale, floor = _band(window)
-    scaled = [x * scale for x in window]
-    return _margin(lambda: _rows(scaled, 0, k), floor)
+    low = 1
+    for j, top in enumerate(_elimination(rows)):
+        d = top[0]
+        if d == 0 or ctx._small_pivot(d, low, rows[j][j]):
+            if j == n - 1:
+                return True, True
+            return _shifted_pd([[_rounded(x, den) for x in row] for row in rows], ctx)
+        if d < 0:
+            return False, False
+        low = d
+    return True, False
 
 
 def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
@@ -475,8 +458,8 @@ def is_psd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
 def is_pd(matrix: _Matrix, ctx: ToleranceContext = EXACT) -> bool:
     """PD test (rows or a `SymMatrix`): `psd_with_margin` answers PSD and
     not marginal, in exact mode every `_pivots` pivot positive, in float
-    mode the strict version of the PSD floor, lambda_min > f, decided as
-    A - f*I is PD (`_ldlt_pd`).  The order-0 matrix is PD."""
+    mode every leading pivot positive and outside the band.  The order-0
+    matrix is PD."""
     return psd_with_margin(matrix, ctx) == (True, False)
 
 

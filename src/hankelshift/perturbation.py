@@ -804,10 +804,9 @@ def interiority_report(
     pd_all: every unperturbed block at anchors n <= cut is positive
     definite, read off the sequence's ladder (`LadderVerdicts.pd`): in
     exact mode all leading principal minors d_0(n), ..., d_k(n) are
-    positive, in float mode the band verdict on the block's 2k+1 moments
-    (`numkit.hankel_psd_with_margin`) is PSD and not marginal.  The two are
-    equivalent; a mismatch is reported as a tolerance incident for the
-    caller to escalate.
+    positive, in float mode all their pivots are positive and outside the
+    relative pivot band.  The two are equivalent; a mismatch is reported as
+    a tolerance incident for the caller to escalate.
     """
     report = stability_interval(gamma, cut, k, ctx)
     ladder = gamma.ladder(ctx)

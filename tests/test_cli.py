@@ -20,7 +20,13 @@ import hankelshift.perturbation as perturbation
 from hankelshift import AtomicMeasure, InputError, Interval, IntervalReport, moments_of
 from hankelshift.perturbation import InteriorReport
 
+from gen import hausdorff_moments, six_atom_moments
 from test_fuzz_cli import run_main
+
+
+def _pq_moments(gamma) -> dict:
+    # An exact moment sequence as a p/q moments document.
+    return {"kind": "moments", "values": [f"{v.numerator}/{v.denominator}" for v in gamma.values]}
 
 
 def write(tmp_path, name, content):
@@ -413,6 +419,43 @@ class TestSubcommands:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["flatness"]["flat_pair_found"] is True
         assert res["flatness"]["propagation_verified"] is True
+
+    def test_float_witness_inside_the_band_is_flagged(self, tmp_path, capsys):
+        # 6-atom measure, horizon 40: exact mode's witness is (anchor 0,
+        # order 6); float mode's (26, 2) is a relative pivot, d_2(26) != 0
+        path = write(tmp_path, "six.json", _pq_moments(six_atom_moments(40)))
+        argv = ["recursion", path, "--max-order", "6", "--float", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["finite_mass"]["witness"] == {"n": 26, "k": 2}
+        assert report["warnings"] == [
+            "float mode: the finite-mass witness (anchor 26, order 2), below the order-6 "
+            "recursion, is a relative pivot within rel_eps = 1e-10, not an exactly "
+            "vanishing determinant"
+        ]
+        assert cli.main(argv[:-3] + ["--json", "--no-timestamp"]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert exact["results"]["finite_mass"]["witness"] == {"n": 0, "k": 6}
+        assert exact["warnings"] == []
+
+    def test_float_propagation_zeros_inside_the_band_are_flagged(self, tmp_path, capsys):
+        # Hausdorff moments 1/(n+1), horizon 80: the float order-39 dets
+        # print as -0.0 and 0.0 and count as vanishing, yet none is 0
+        path = write(tmp_path, "hausdorff.json", _pq_moments(hausdorff_moments(80)))
+        argv = ["analyze", path, "--k", "40", "--float", "--json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        prop = report["results"]["propagation"]
+        assert prop["vanishing_found"] and set(prop["dets"]) == {"-0.0", "0.0"}
+        assert report["warnings"] == [
+            "float mode: the vanishing order-39 determinants of the propagation check "
+            f"at {len(prop['dets'])} anchor(s), from anchor 0, are relative pivots "
+            "within rel_eps = 1e-10, not exactly vanishing determinants"
+        ]
+        assert cli.main(["analyze", path, "--k", "40", "--json", "--no-timestamp"]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert not exact["results"]["propagation"]["vanishing_found"]
+        assert exact["warnings"] == []
 
     def test_float_moments_far_below_the_largest_are_not_zero(self, tmp_path, capsys):
         # 3 atoms in (3, 6] at horizon 24: gamma_0 = 3 lies far inside

@@ -1,17 +1,20 @@
-"""The float PSD/PD band by LDL^T in doubles.
+"""The float PSD/PD verdict by the relative pivot band.
 
-Float `psd_with_margin` and `is_pd` are the smallest-eigenvalue test with
-the floor f = PSD_FLOOR * (1 + max|entry|): PSD when lambda_min >= -f,
-marginal when |lambda_min| <= f, PD when lambda_min > f.  They decide it by
-factorising A - f*I and A + f*I.  These tests check the verdicts against
-the eigenvalue test it replaced (numpy's `eigvalsh`, a test-only oracle
-here) and against exact pivot elimination on A -+ f*I over the entries'
-binary values, on random symmetric matrices and on Hankel blocks over
-scales from 1e-300 to the top of the double range.  The ladder decides
-each block from its window of 2k+1 moments (`hankel_psd_with_margin`)
-and reads whole tables of zero flags (`LadderVerdicts.zeros`); those are
-checked against a per-anchor scan through the matrix functions and
-`vanishes`, and their work is counted on the float Bergman moments.
+Float `psd_with_margin` and `is_pd` walk the exact leading principal
+minors d_j of a symmetric matrix: a pivot d_j/d_{j-1} is in band when it is
+at most rel_eps times the diagonal entry a_jj, which is a pivot of the
+Jacobi-scaled matrix B (b_ij = a_ij / sqrt(a_ii a_jj)) at most rel_eps in
+size.  Every pivot positive and outside the band is PD, a negative one
+outside it first is not PSD, the first in band at the last step is PSD
+and marginal, and one earlier leaves the verdict to LDL^T in doubles of
+B + rel_eps * I.  These tests check the verdicts against the smallest
+eigenvalue of B (numpy's `eigvalsh`, a test-only oracle here) on random
+symmetric, Gram and Hankel matrices over scales from 1e-300 to the top of
+the double range, at two tolerances.  The ladder walks the same minors off
+its tables and reads whole tables of zero flags (`LadderVerdicts.zeros`);
+those are checked against a per-anchor scan through the matrix functions
+and `vanishes`, and the LDL^T continuations are counted on the float
+Bergman moments.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -32,7 +34,6 @@ from hankelshift import (
     BlockIndex,
     MomentSequence,
     PreconditionError,
-    hankel,
     interiority_report,
     is_finite_mass,
     is_pd,
@@ -42,6 +43,7 @@ from hankelshift import (
 )
 import hankelshift.cli as cli
 from hankelshift.hankel import LadderVerdicts, _rows
+from hankelshift.numkit import ToleranceContext
 from hankelshift.measures import NotStieltjesError, _stieltjes_screen
 
 from gen import bergman_moments, det_is_zero
@@ -49,39 +51,41 @@ from gen import bergman_moments, det_is_zero
 TOP = sys.float_info.max
 
 
-def eig_verdicts(rows: list[list[float]]) -> tuple[bool, bool, bool, float, float]:
-    """(psd, marginal, pd, lambda_min, f) by the eigenvalue band the
-    factorisation replaced."""
+def scaled_lambda_min(rows: list[list[float]]) -> float:
+    """lambda_min of the Jacobi-scaled B, b_ij = a_ij / sqrt(|a_ii a_jj|)
+    (a zero a_ii scales by 1); -inf where a scaled entry overflows, which
+    only a matrix far from PSD has."""
     arr = np.array(rows, dtype=float)
-    lam = float(np.linalg.eigvalsh(arr)[0])
-    floor = numkit.PSD_FLOOR * (1.0 + float(np.max(np.abs(arr))))
-    return lam >= -floor, abs(lam) <= floor, lam > floor, lam, floor
+    diag = np.abs(np.diag(arr))
+    s = np.where(diag > 0, 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = arr * s[:, None] * s[None, :]
+    if not np.all(np.isfinite(b)):
+        return -math.inf
+    return float(np.linalg.eigvalsh(b)[0])
 
 
-def exact_verdicts(rows: list[list[float]], floor: float) -> tuple[bool, bool, bool]:
-    """(psd, marginal, pd) from exact pivots of A - f*I and A + f*I over the
-    binary values of the entries and of f."""
-
-    def shifted_pd(shift: F) -> bool:
-        exact = [[F(x) for x in row] for row in rows]
-        for i, row in enumerate(exact):
-            row[i] += shift
-        return is_pd(exact)
-
-    if shifted_pd(-F(floor)):
-        return True, False, True
-    psd = shifted_pd(F(floor))
-    return psd, psd, False
+# The tolerances the oracle runs at: the default rel_eps and a wide one.
+CONTEXTS = (FLOAT, ToleranceContext(mode="float", rel_eps=1e-6))
 
 
 def check(rows: list[list[float]]) -> None:
-    psd, marginal, pd, lam, floor = eig_verdicts(rows)
-    # Both eigvalsh and the factorisation round; compare where the smallest
-    # eigenvalue is clear of both ends of the band.
-    assume(min(abs(lam - floor), abs(lam + floor)) > 1e-6 * floor)
-    got = (*psd_with_margin(rows, FLOAT), is_pd(rows, FLOAT))
-    assert got == (psd, marginal, pd), (lam, floor)
-    assert got == exact_verdicts(rows, floor), (lam, floor)
+    """The verdicts against scaled lambda_min, with 0.1 % of the band as
+    room for eigvalsh's own rounding: clear of the band above is PSD and
+    not marginal, clear below is not PSD, and a marginal verdict has
+    lambda_min at most the band."""
+    lam = scaled_lambda_min(rows)
+    for ctx in CONTEXTS:
+        eps = 1.001 * ctx.rel_eps
+        psd, marginal = psd_with_margin(rows, ctx)
+        assert is_psd(rows, ctx) == psd
+        assert is_pd(rows, ctx) == (psd and not marginal)
+        if lam > eps:
+            assert (psd, marginal) == (True, False), (lam, ctx.rel_eps)
+        if lam < -eps:
+            assert not psd, (lam, ctx.rel_eps)
+        if marginal:
+            assert lam <= eps, (lam, ctx.rel_eps)
 
 
 def scaled(rows: list[list[float]], scale: float | str) -> list[list[float]]:
@@ -179,7 +183,7 @@ class TestBandEdges:
         rows = _rows(values, 1, 2)
         assert psd_with_margin(rows, FLOAT) == (True, True)
         assert not is_pd(rows, FLOAT)
-        assert eig_verdicts(rows)[:3] == (True, True, False)
+        check([list(row) for row in rows])
 
     def test_entries_at_the_top_of_the_double_range(self):
         # A + f*I's first pivot TOP + f would overflow unscaled, and an inf
@@ -193,14 +197,17 @@ class TestBandEdges:
         for rows, margin, pd in cases:
             assert psd_with_margin(rows, FLOAT) == margin, rows
             assert is_pd(rows, FLOAT) == pd, rows
-            assert eig_verdicts(rows)[:3] == (*margin, pd), rows
+            check(rows)
 
     def test_entries_far_below_one(self):
-        # the floor PSD_FLOOR * (1 + max|entry|) is absolute here: every
-        # block is marginal, and none is PD
-        for rows in ([[1e-300, 0.0], [0.0, 1e-300]], [[5e-324]], [[0.0, 0.0], [0.0, 0.0]]):
-            assert psd_with_margin(rows, FLOAT) == (True, True)
-            assert not is_pd(rows, FLOAT)
+        # The band is relative, so tiny entries are decided as their scaled
+        # matrix is: PD where it is, and only the zero matrix is marginal.
+        for rows in ([[1e-300, 0.0], [0.0, 1e-300]], [[5e-324]], [[1e-300, 1e-300], [1e-300, 2e-300]]):
+            assert psd_with_margin(rows, FLOAT) == (True, False)
+            assert is_pd(rows, FLOAT)
+        assert psd_with_margin([[1e-300, 2e-300], [2e-300, 1e-300]], FLOAT) == (False, False)
+        assert psd_with_margin([[0.0, 0.0], [0.0, 0.0]], FLOAT) == (True, True)
+        assert not is_pd([[0.0, 0.0], [0.0, 0.0]], FLOAT)
 
     def test_zero_order_matrix(self):
         assert psd_with_margin([], FLOAT) == (True, False)
@@ -216,14 +223,32 @@ class TestNonFiniteEntries:
             [[1.0, 0.0], [0.0, math.nan]],
             [[math.inf, 1.0], [1.0, 1.0]],
             [[1.0, -math.inf], [-math.inf, 1.0]],
-            [[F(10) ** 400, F(1)], [F(1), F(1)]],
-            [[1.0, -(10**400)], [-(10**400), 1.0]],
         ],
-        ids=[
-            "nan", "nan-1x1", "nan-diagonal", "inf", "-inf", "fraction-past-range", "int-past-range"
-        ],
+        ids=["nan", "nan-1x1", "nan-diagonal", "inf", "-inf"],
     )
     def test_float_band_refuses_a_non_finite_entry(self, rows):
+        for ask in (psd_with_margin, is_psd, is_pd):
+            with pytest.raises(PreconditionError):
+                ask(rows, FLOAT)
+
+    @pytest.mark.parametrize(
+        "rows, verdict",
+        [
+            ([[F(10) ** 400, F(1)], [F(1), F(1)]], (True, False)),
+            ([[1.0, -(10**400)], [-(10**400), 1.0]], (False, False)),
+        ],
+        ids=["fraction-past-range", "int-past-range"],
+    )
+    def test_entries_past_the_double_range_get_answers(self, rows, verdict):
+        # the pivots are exact integers, so no double has to hold an entry
+        assert psd_with_margin(rows, FLOAT) == verdict
+        assert is_psd(rows, FLOAT) == verdict[0]
+        assert is_pd(rows, FLOAT) == (verdict == (True, False))
+
+    def test_a_continuation_past_the_double_range_is_refused(self):
+        # d_0 = 0 is in band before the last pivot, so the verdict needs the
+        # doubles of the entries, and 10^400 has none
+        rows = [[F(0), F(0)], [F(0), F(10) ** 400]]
         for ask in (psd_with_margin, is_psd, is_pd):
             with pytest.raises(PreconditionError):
                 ask(rows, FLOAT)
@@ -235,14 +260,12 @@ class TestNonFiniteEntries:
         rows = [[F(TOP), F(TOP)], [F(TOP), F(TOP)]]
         assert psd_with_margin(rows, FLOAT) == (True, True)
 
-    def test_ladder_refuses_a_block_with_a_moment_past_the_double_range(self):
+    def test_ladder_answers_a_block_with_a_moment_past_the_double_range(self):
         gamma = MomentSequence.of([F(1), F(2), F(5), F(10) ** 400, F(1)])
         ladder = gamma.ladder(FLOAT)
         assert ladder.psd(0, 1) and ladder.pd(0, 1)
-        with pytest.raises(PreconditionError):
-            ladder.psd(1, 1)
-        with pytest.raises(PreconditionError):
-            ladder.pd(2, 1)
+        assert ladder.psd(1, 1) and ladder.pd(1, 1)
+        assert not ladder.psd(2, 1) and not ladder.pd(2, 1)
 
 
 class TestLadderReusesItsFloatRows:
@@ -370,45 +393,37 @@ class TestWindowKernelAgainstThePerAnchorScan:
         assert got == outcome(lambda: reference_witness(MomentSequence.of(values)))
 
 
+@pytest.fixture
+def ldlt_calls(monkeypatch) -> list[int]:
+    """The order of each matrix `numkit._ldlt_pd` factorises, in call order."""
+    calls = []
+    real = numkit._ldlt_pd
+
+    def ldlt(rows, shift):
+        calls.append(len(rows))
+        return real(rows, shift)
+
+    monkeypatch.setattr(numkit, "_ldlt_pd", ldlt)
+    return calls
+
+
 class TestWindowWorkCount:
-    def test_float_bergman_analyze_then_interiority(self, monkeypatch):
+    def test_float_bergman_analyze_then_interiority(self, ldlt_calls):
         # fbergman: the float Bergman moments 1/(n+1), horizon 24, under
         # `analyze --k 3`, then the interiority scan of `perturb --l 3 --k 3`.
-        values = [float(v) for v in bergman_moments(24).values]
-        gamma = MomentSequence.of(values)
-        bands, work, inside = [], Counter(), []
-        real_band, real_ldlt = numkit._band, numkit._ldlt_pd
-
-        def band(entries):
-            bands.append(entries)
-            return real_band(entries)
-
-        def ldlt(rows, shift):
-            work[inside[-1] if inside else None] += 1
-            return real_ldlt(rows, shift)
-
-        def windowed(real):
-            def ask(window, ctx):
-                inside.append(tuple(window))
-                try:
-                    return real(window, ctx)
-                finally:
-                    inside.pop()
-
-            return ask
-
-        monkeypatch.setattr(numkit, "_band", band)
-        monkeypatch.setattr(numkit, "_ldlt_pd", ldlt)
-        monkeypatch.setattr(
-            hankel, "hankel_psd_with_margin", windowed(hankel.hankel_psd_with_margin)
-        )
+        # Every block is decided by its minors: no LDL^T continuation runs.
+        gamma = MomentSequence.of([float(v) for v in bergman_moments(24).values])
         results = cli.cmd_analyze(gamma, None, argparse.Namespace(k=3), FLOAT, [])
         assert [entry["holds"] for entry in results["ladder"]] == [True, True, True]
-        # every band is taken on a window, never on rows
-        assert bands and all(isinstance(x, float) for entries in bands for x in entries)
-        windows = {tuple(values[n:n + 2 * k + 1]) for k in (1, 2, 3) for n in range(25 - 2 * k)}
-        scanned = dict(work)
-        assert set(scanned) == windows
-        assert max(scanned.values()) <= 2
         assert interiority_report(gamma, 3, 3, FLOAT).pd_all
-        assert dict(work) == scanned
+        assert ldlt_calls == []
+
+    def test_continuations_on_a_near_singular_float_window(self, ldlt_calls):
+        # block(0, 2) of 1, 1, 1 + 1e-13, 0, 0 has an in-band pivot d_1 at
+        # j = 1 < k: one continuation decides it (not PSD, as its entries
+        # are), and a repeated question takes one more.
+        ladder = MomentSequence.of([1.0, 1.0, 1.0 + 1e-13, 0.0, 0.0]).ladder(FLOAT)
+        assert not ladder.psd(0, 2)
+        assert ldlt_calls == [3]
+        assert not ladder.verdict(2).holds
+        assert ldlt_calls == [3, 3]
